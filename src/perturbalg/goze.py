@@ -48,7 +48,7 @@ class GozeDecomposition:
         return [list(direction) for _, direction in self.levels]
 
 
-def _rank_of_rows(rows) -> int:
+def rank_of_rows(rows) -> int:
     """Exact rank over Q(i) by Gaussian elimination."""
     work = [list(row) for row in rows]
     rank = 0
@@ -70,15 +70,11 @@ def _rank_of_rows(rows) -> int:
     return rank
 
 
-def decompose(entries) -> GozeDecomposition:
-    """Decompose a vector of univariate infinitesimal series.
+_rank_of_rows = rank_of_rows  # the name the test suites import
 
-    Raises DomainError when an entry is not infinitesimal or the entries do
-    not share a univariate ring.  When the alpha-chain valuation reaches the
-    truncation bound before the residual vanishes, the result is flagged
-    truncation_limited and reconstruction holds up to degree T only (which is
-    all the ring can express anyway).
-    """
+
+def _validated(entries) -> list[TruncatedSeries]:
+    """The entries as a list, once they share one univariate ring and are infinitesimal."""
     entries = list(entries)
     if not entries:
         raise DomainError("cannot decompose an empty vector")
@@ -92,16 +88,51 @@ def decompose(entries) -> GozeDecomposition:
             raise DomainError("vector entries live in different rings")
         if not entry.is_infinitesimal():
             raise DomainError(f"entry {entry} is not infinitesimal")
+    return entries
 
+
+def _pivot_index(residual) -> int:
+    """Index of the nonzero entry of minimal valuation, lowest index on ties."""
+    return min(
+        (i for i, e in enumerate(residual) if not e.is_zero()),
+        key=lambda i: residual[i].valuation(),
+    )
+
+
+def first_level(entries) -> tuple[TruncatedSeries, tuple[GaussianRational, ...]]:
+    """The first level (alpha_1, U_1) of decompose(entries), without the others.
+
+    alpha_1 is the pivot entry, of valuation v.  The standard part of
+    e / alpha_1 is the ratio of the t^v coefficients of e and alpha_1, so U_1
+    needs no series division.  Raises DomainError on the zero vector, which
+    has no levels, and on input that decompose rejects.
+    """
+    entries = _validated(entries)
+    if all(e.is_zero() for e in entries):
+        raise DomainError("the zero vector has no first level")
+    alpha = entries[_pivot_index(entries)]
+    index = (alpha.valuation(),)
+    lead = alpha.terms[index]
+    zero = GaussianRational(0)
+    return alpha, tuple(e.terms.get(index, zero) / lead for e in entries)
+
+
+def decompose(entries) -> GozeDecomposition:
+    """Decompose a vector of univariate infinitesimal series.
+
+    Raises DomainError when an entry is not infinitesimal or the entries do
+    not share a univariate ring.  When the alpha-chain valuation reaches the
+    truncation bound before the residual vanishes, the result is flagged
+    truncation_limited and reconstruction holds up to degree T only (which is
+    all the ring can express anyway).
+    """
+    entries = _validated(entries)
+    ring = entries[0].ring
     result = GozeDecomposition(ring=ring, dimension=len(entries))
     residual = entries
     chain_valuation = 0
     while any(not e.is_zero() for e in residual):
-        pivot_index = min(
-            (i for i, e in enumerate(residual) if not e.is_zero()),
-            key=lambda i: residual[i].valuation(),
-        )
-        alpha = residual[pivot_index]
+        alpha = residual[_pivot_index(residual)]
         if chain_valuation + alpha.valuation() > ring.truncation:
             result.truncation_limited = True
             break
@@ -113,6 +144,6 @@ def decompose(entries) -> GozeDecomposition:
 
     # The pivot convention zeroes one coordinate per level, which forces the
     # direction rows to be unit-triangular up to a column permutation.
-    if result.levels and _rank_of_rows(result.direction_rows()) != len(result.levels):
+    if result.levels and rank_of_rows(result.direction_rows()) != len(result.levels):
         raise PerturbAlgError("internal error: dependent direction vectors")
     return result

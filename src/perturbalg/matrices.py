@@ -4,6 +4,13 @@ Principal-minor sums Q^(k) give the characteristic polynomial coefficients;
 their symmetric multilinear polarizations (normalized so that the diagonal
 recovers k! * Q^(k)) expand the characteristic polynomial of a perturbed
 matrix exactly, order by order in the perturbation.
+
+`minor_sum`, `polarize` and `charpoly_expansion` evaluate these definitions
+directly and serve as the reference.  `char_poly` and the first-order forms
+use Berkowitz's division-free algorithm instead, which takes polynomial
+time and stays exact over the truncated series ring (not a field); the
+first-order forms come from one extra generator s, as
+Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
-from .goze import GozeDecomposition, decompose
+from .goze import GozeDecomposition, first_level, rank_of_rows
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational
 from .series import SeriesRing, TruncatedSeries
@@ -23,7 +30,7 @@ from .series import SeriesRing, TruncatedSeries
 class ConstantMatrix:
     """Square matrix of Gaussian rationals."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_charpoly")
 
     def __init__(self, rows):
         rows = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in rows)
@@ -32,6 +39,7 @@ class ConstantMatrix:
             raise DomainError("matrix must be square")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_charpoly", None)  # set by char_poly
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstantMatrix is immutable")
@@ -87,9 +95,6 @@ class ConstantMatrix:
     def trace(self) -> GaussianRational:
         return sum((self.rows[i][i] for i in range(self.n)), GaussianRational(0))
 
-    def transpose(self) -> "ConstantMatrix":
-        return ConstantMatrix(list(zip(*self.rows)))
-
     def conjugate_transpose(self) -> "ConstantMatrix":
         return ConstantMatrix(
             [[self.rows[j][i].conjugate() for j in range(self.n)] for i in range(self.n)]
@@ -119,9 +124,6 @@ class ConstantMatrix:
     def lift(self, ring: SeriesRing) -> list[list[TruncatedSeries]]:
         return [[ring.constant(x) for x in row] for row in self.rows]
 
-    def flatten(self) -> list[GaussianRational]:
-        return [x for row in self.rows for x in row]
-
     def __str__(self):
         return "[" + "; ".join(
             " ".join(str(x) for x in row) for row in self.rows
@@ -134,7 +136,7 @@ class ConstantMatrix:
 class PerturbedMatrix:
     """A + E: exact base matrix plus an infinitesimal series matrix."""
 
-    __slots__ = ("base", "pert", "ring")
+    __slots__ = ("base", "pert", "ring", "_charpoly")
 
     def __init__(self, base: ConstantMatrix, pert: Sequence[Sequence[TruncatedSeries]]):
         pert = [list(row) for row in pert]
@@ -156,6 +158,7 @@ class PerturbedMatrix:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "pert", tuple(tuple(row) for row in pert))
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_charpoly", None)  # set by char_poly
 
     def __setattr__(self, name, value):
         raise AttributeError("PerturbedMatrix is immutable")
@@ -171,9 +174,6 @@ class PerturbedMatrix:
             [lifted[i][j] + self.pert[i][j] for j in range(self.n)]
             for i in range(self.n)
         ]
-
-    def flatten_pert(self) -> list[TruncatedSeries]:
-        return [entry for row in self.pert for entry in row]
 
     def numeric_sample(self, values) -> list[list[complex]]:
         return [
@@ -290,32 +290,63 @@ def polarize(k: int, *matrices):
     return total
 
 
+def _dot(xs, ys, start):
+    """start + sum of x*y over the pairs, skipping products with a zero factor."""
+    total = start
+    for x, y in zip(xs, ys):
+        if x and y:
+            total = total + x * y
+    return total
+
+
+def _berkowitz(rows, zero, one) -> list:
+    """Coefficients of det(X*I - M), highest degree first (Berkowitz 1984).
+
+    Step r extends the characteristic polynomial p of the leading r-by-r
+    block M to that of the leading (r+1)-block, with new row R, column c and
+    corner a:  p' = T p, where T is the lower-triangular Toeplitz matrix
+    with first column 1, -a, -R c, -R M c, ..., -R M^(r-1) c.  It uses no
+    division, so it is exact over any commutative ring, and costs about
+    n^4/4 ring products in all.
+    """
+    coeffs = [one]
+    for r in range(len(rows)):
+        block = [row[:r] for row in rows[:r]]
+        row = rows[r][:r]
+        vector = [rows[i][r] for i in range(r)]
+        toeplitz = [one, -rows[r][r]]
+        for power in range(r):
+            if power:
+                vector = [_dot(block_row, vector, zero) for block_row in block]
+            toeplitz.append(-_dot(row, vector, zero))
+        # (T p)_i = sum_j toeplitz[i - j] * coeffs[j]; the terms with
+        # coeffs[0] = one or toeplitz[0] = one need no product.
+        extended = [one]
+        for i in range(1, r + 2):
+            start = toeplitz[i] + coeffs[i] if i <= r else toeplitz[i]
+            extended.append(_dot(toeplitz[i - 1:0:-1], coeffs[1:], start))
+        coeffs = extended
+    return coeffs
+
+
 def char_poly(matrix):
     """Characteristic polynomial X^n + sum_k (-1)^k Q^(k) X^(n-k).
 
     Exact matrices yield an ExactPolynomial; perturbed matrices yield a
-    PerturbedPolynomial over their series ring.
+    PerturbedPolynomial over their series ring.  Computed by Berkowitz's
+    algorithm once per matrix; later calls return the same polynomial.
     """
     if isinstance(matrix, ConstantMatrix):
-        n = matrix.n
-        coeffs = [GaussianRational(0)] * n + [GaussianRational(1)]
-        for k in range(1, n + 1):
-            value = minor_sum(matrix, k)
-            if k % 2:
-                value = -value
-            coeffs[n - k] = value
-        return ExactPolynomial(coeffs)
+        if matrix._charpoly is None:
+            coeffs = _berkowitz(matrix.rows, GaussianRational(0), GaussianRational(1))
+            object.__setattr__(matrix, "_charpoly", ExactPolynomial(coeffs[::-1]))
+        return matrix._charpoly
     if isinstance(matrix, PerturbedMatrix):
-        rows = matrix.total()
-        ring = matrix.ring
-        n = matrix.n
-        coeffs = [ring.zero()] * n + [ring.one()]
-        for k in range(1, n + 1):
-            value = minor_sum(rows, k)
-            if k % 2:
-                value = -value
-            coeffs[n - k] = value
-        return PerturbedPolynomial(ring, coeffs)
+        if matrix._charpoly is None:
+            ring = matrix.ring
+            coeffs = _berkowitz(matrix.total(), ring.zero(), ring.one())
+            object.__setattr__(matrix, "_charpoly", PerturbedPolynomial(ring, coeffs[::-1]))
+        return matrix._charpoly
     raise TypeError("char_poly expects a ConstantMatrix or a PerturbedMatrix")
 
 
@@ -346,6 +377,26 @@ def charpoly_expansion(base: ConstantMatrix, pert, k: int):
     return total
 
 
+# Coefficients of char_poly(A + s*U) are only needed to first order in s.
+_FIRST_ORDER_RING = SeriesRing(("s",), 1)
+
+
+def _first_order_coeffs(base: ConstantMatrix, direction: ConstantMatrix) -> list:
+    """[s^1] of the coefficients of char_poly(A + s*U), lowest degree first.
+
+    The coefficient of X^(n-k) is (-1)^k Theta(A,...,A,U)/(k-1)!, by
+    Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U); the list has n entries.
+    """
+    ring = _FIRST_ORDER_RING
+    rows = [
+        [TruncatedSeries(ring, {(0,): a, (1,): u}) for a, u in zip(row_a, row_u)]
+        for row_a, row_u in zip(base.rows, direction.rows)
+    ]
+    coeffs = _berkowitz(rows, ring.zero(), ring.one())
+    zero = GaussianRational(0)
+    return [c.terms.get((1,), zero) for c in reversed(coeffs[1:])]
+
+
 def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     """First-order part of char_poly(A+E) - char_poly(A).
 
@@ -362,20 +413,13 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     flat = [entry for row in pert for entry in row]
     if all(entry.is_zero() for entry in flat):
         raise DomainError("zero perturbation has no first-order part")
-    decomposition = decompose(flat)
-    alpha1, u1_flat = decomposition.levels[0]
-    ring = alpha1.ring
+    alpha1, u1_flat = first_level(flat)
     direction = ConstantMatrix(
         [u1_flat[i * n:(i + 1) * n] for i in range(n)]
     )
-    coeffs = [ring.zero()] * n
-    for k in range(1, n + 1):
-        theta = polarize(k, *([base] * (k - 1) + [direction]))
-        scalar = theta / GaussianRational(math.factorial(k - 1))
-        if k % 2:
-            scalar = -scalar
-        coeffs[n - k] = alpha1 * scalar
-    return PerturbedPolynomial(ring, coeffs)
+    return PerturbedPolynomial(
+        alpha1.ring, [alpha1 * c for c in _first_order_coeffs(base, direction)]
+    )
 
 
 def eigenvalue_correction(
@@ -400,10 +444,14 @@ def eigenvalue_correction(
 def conservative_residuals(base: ConstantMatrix, pert) -> list[TruncatedSeries]:
     """Q^(k)(A+E) - Q^(k)(A) for k = 1..n; all zero iff E is conservative."""
     matrix = pert if isinstance(pert, PerturbedMatrix) else PerturbedMatrix(base, pert)
-    rows = matrix.total()
+    n = matrix.n
+    full = char_poly(matrix).coeffs
+    exact = char_poly(matrix.base).coeffs
     out = []
-    for k in range(1, matrix.n + 1):
-        out.append(minor_sum(rows, k) - matrix.ring.constant(minor_sum(matrix.base, k)))
+    for k in range(1, n + 1):
+        # Q^(k) is (-1)^k times the coefficient of X^(n-k)
+        residual = full[n - k] - exact[n - k]
+        out.append(-residual if k % 2 else residual)
     return out
 
 
@@ -420,9 +468,7 @@ def orbit_dimension(matrix: ConstantMatrix) -> int:
             for r in range(n):
                 image[r][j] = image[r][j] - matrix.rows[r][i]
             columns.append([image[r][c] for r in range(n) for c in range(n)])
-    from .goze import _rank_of_rows
-
-    return _rank_of_rows(columns)
+    return rank_of_rows(columns)
 
 
 def hermitian_first_order(
@@ -450,12 +496,5 @@ def hermitian_first_order(
     slope = characteristic.derivative().evaluate(eigenvalue)
     if not slope:
         raise DomainError(f"{eigenvalue} is not a simple eigenvalue")
-    n = base.n
-    shift = GaussianRational(0)
-    for k in range(1, n + 1):
-        theta = polarize(k, *([base] * (k - 1) + [direction]))
-        scalar = theta / GaussianRational(math.factorial(k - 1))
-        if k % 2:
-            scalar = -scalar
-        shift = shift + scalar * (eigenvalue ** (n - k))
+    shift = ExactPolynomial(_first_order_coeffs(base, direction)).evaluate(eigenvalue)
     return alpha * (-shift / slope)

@@ -19,7 +19,8 @@ class GaussianRational:
     """Number re + im*i where both parts are arbitrary-precision rationals.
 
     Instances are immutable.  Fraction keeps each part fully reduced with a
-    positive denominator, so equality and hashing are structural.
+    positive denominator, so equality and hashing are structural; a real
+    value hashes like the equal int or Fraction.
     """
 
     __slots__ = ("re", "im")
@@ -130,6 +131,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # equal to int and Fraction values when real, so it must hash like them
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):

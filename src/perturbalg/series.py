@@ -123,6 +123,9 @@ class TruncatedSeries:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant series equals its coefficient, so it must hash like it
+        if not any(any(index) for index in self.terms):
+            return hash(self.standard_part())
         return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     # -- ring operations ------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from perturbalg import GaussianRational, SeriesRing, decompose, univariate_ring
 from perturbalg.errors import DomainError
-from perturbalg.goze import _rank_of_rows
+from perturbalg.goze import _rank_of_rows, first_level
 
 from conftest import random_infinitesimal, seeded
 
@@ -97,3 +97,29 @@ def test_leading_alpha_valuation():
         assert result.levels[0][0].valuation() == min(
             v.valuation() for v in vector if not v.is_zero()
         )
+
+
+def test_first_level_matches_decompose(ring, t):
+    vectors = [
+        [t, t**2],
+        [t + 2 * t**2, 3 * t**2],
+        [2 * t, 6 * t],
+        [ring.zero(), t**3, ring.zero()],
+        [t + t**3, t**2, 5 * t],
+    ]
+    rng = seeded(24)
+    for _ in range(100):
+        vectors.append([random_infinitesimal(rng, ring) for _ in range(rng.randint(1, 5))])
+    for vector in vectors:
+        if all(v.is_zero() for v in vector):
+            continue
+        assert first_level(vector) == decompose(vector).levels[0]
+
+
+def test_first_level_rejects_what_decompose_rejects(ring, t):
+    multi = SeriesRing(("t", "e1"), 8)
+    for vector in ([], [1 + t, t], [multi.generator("e1")], [t, univariate_ring(4).generator("t")]):
+        with pytest.raises(DomainError):
+            first_level(vector)
+    with pytest.raises(DomainError):
+        first_level([ring.zero(), ring.zero()])

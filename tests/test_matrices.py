@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,8 +24,9 @@ from perturbalg import (
     xi_first_order,
 )
 from perturbalg.errors import DomainError
+from perturbalg.goze import decompose
 
-from conftest import seeded
+from conftest import random_infinitesimal, seeded
 
 
 def unit_matrix(n, i, j, scale=1):
@@ -41,6 +44,37 @@ def random_constant(rng, n, span=3):
 def random_perturbation(rng, ring, n, span=3):
     t = ring.generator(ring.generators[0])
     return [[t * rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+
+
+def random_gaussian(rng, n, span=3):
+    return ConstantMatrix(
+        [
+            [
+                GaussianRational(
+                    Fraction(rng.randint(-span, span), rng.randint(1, 3)),
+                    rng.randint(-1, 1),
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def char_poly_by_minors(matrix):
+    """Coefficients of X^n + sum_k (-1)^k minor_sum(matrix, k) X^(n-k), low first."""
+    n = matrix.n
+    return [(-1) ** (n - j) * minor_sum(matrix, n - j) for j in range(n)] + [1]
+
+
+def first_order_by_polarize(base, direction):
+    """sum_k (-1)^k Theta(A,...,A,U)/(k-1)! X^(n-k) by polarize, low degree first."""
+    n = base.n
+    coeffs = [GaussianRational(0)] * n
+    for k in range(1, n + 1):
+        theta = polarize(k, *([base] * (k - 1) + [direction]))
+        coeffs[n - k] = (-1) ** k * theta / math.factorial(k - 1)
+    return coeffs
 
 
 NILPOTENT3 = ConstantMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -304,3 +338,120 @@ def test_hermitian_rejects_non_hermitian(ring, t):
 def test_pert_matrix_validation(ring, t):
     with pytest.raises(DomainError):
         PerturbedMatrix(JORDAN2, [[ring.one(), ring.zero()], [t, ring.zero()]])
+
+
+def test_char_poly_matches_minor_sums_constant():
+    rng = seeded(49)
+    for n in range(8):
+        for _ in range(2):
+            matrix = random_gaussian(rng, n)
+            assert char_poly(matrix) == ExactPolynomial(char_poly_by_minors(matrix))
+
+
+@pytest.mark.parametrize(
+    "generators, truncation, orders",
+    [(("t",), 8, range(1, 6)), (("e1", "e2", "e3"), 4, range(1, 5))],
+)
+def test_char_poly_matches_minor_sums_series(generators, truncation, orders):
+    rng = seeded(50)
+    ring = SeriesRing(generators, truncation)
+    for n in orders:
+        base = random_gaussian(rng, n)
+        pert = [[random_infinitesimal(rng, ring) for _ in range(n)] for _ in range(n)]
+        matrix = PerturbedMatrix(base, pert)
+        assert char_poly(matrix) == PerturbedPolynomial(ring, char_poly_by_minors(matrix))
+        residuals = conservative_residuals(base, pert)
+        for k in range(1, n + 1):
+            expected = minor_sum(matrix, k) - ring.constant(minor_sum(base, k))
+            assert residuals[k - 1] == expected
+
+
+def test_char_poly_matches_sympy():
+    import sympy
+
+    def exact(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(
+            z.im.numerator, z.im.denominator
+        )
+
+    rng = seeded(51)
+    x = sympy.Symbol("X")
+    for n in range(1, 7):
+        matrix = random_gaussian(rng, n)
+        reference = sympy.Matrix([[exact(z) for z in row] for row in matrix.rows])
+        expected = reference.charpoly(x).all_coeffs()[::-1]
+        got = [exact(c) for c in char_poly(matrix).coeffs]
+        assert len(got) == len(expected) == n + 1
+        assert all(sympy.expand(a - b) == 0 for a, b in zip(got, expected))
+
+
+def test_char_poly_computed_once_per_matrix(ring, t):
+    matrix = PerturbedMatrix(JORDAN2, [[ring.zero(), ring.zero()], [t, ring.zero()]])
+    assert char_poly(matrix) is char_poly(matrix)
+    assert char_poly(matrix.base) is char_poly(matrix.base)
+
+
+def test_xi_first_order_matches_polarize():
+    rng = seeded(52)
+    ring = univariate_ring(8)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        base = random_gaussian(rng, n)
+        pert = [[random_infinitesimal(rng, ring) for _ in range(n)] for _ in range(n)]
+        alpha, flat = decompose([entry for row in pert for entry in row]).levels[0]
+        direction = ConstantMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
+        expected = PerturbedPolynomial(
+            ring, [alpha * c for c in first_order_by_polarize(base, direction)]
+        )
+        assert xi_first_order(base, pert) == expected
+
+
+def householder(v):
+    """I - 2 v v* / (v* v): Hermitian and unitary, so its own inverse."""
+    n = len(v)
+    norm = sum((x * x.conjugate() for x in v), GaussianRational(0))
+    return ConstantMatrix(
+        [
+            [(1 if i == j else 0) - 2 * v[i] * v[j].conjugate() / norm for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def test_hermitian_first_order_matches_polarize():
+    rng = seeded(53)
+    ring = univariate_ring(8)
+    t = ring.generator("t")
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        eigenvalues = rng.sample(range(-5, 6), n)
+        v = [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+        if not any(v):
+            v[0] = GaussianRational(1)
+        basis = householder(v)
+        diagonal = ConstantMatrix(
+            [[eigenvalues[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        )
+        base = basis @ diagonal @ basis
+        upper = [[GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+                 for _ in range(n)]
+        direction = ConstantMatrix(
+            [
+                [
+                    GaussianRational(upper[i][i].re) if i == j
+                    else upper[i][j] if i < j else upper[j][i].conjugate()
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+        alpha = t + 2 * t**2
+        slope = char_poly(base).derivative()
+        rotated = basis @ direction @ basis
+        for index, eigenvalue in enumerate(eigenvalues):
+            shift = hermitian_first_order(base, direction, alpha, eigenvalue)
+            polarized = ExactPolynomial(first_order_by_polarize(base, direction))
+            expected = -polarized.evaluate(eigenvalue) / slope.evaluate(eigenvalue)
+            assert shift == alpha * expected
+            # first-order perturbation theory: u* U u for the unit eigenvector u
+            assert expected == rotated.rows[index][index]

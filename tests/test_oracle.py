@@ -22,9 +22,10 @@ from perturbalg import (
 )
 from perturbalg.errors import DomainError
 from perturbalg.exactpoly import from_roots
+from perturbalg.oracle import default_values
 from perturbalg.parsing import parse_matrix_json, parse_polynomial
 
-from conftest import seeded
+from conftest import random_infinitesimal, seeded
 
 GRID = (1e-2, 1e-3, 1e-4)
 
@@ -240,3 +241,26 @@ def test_report_determinism(ring, t):
     first = verify_root_asymptotics(base, shift, asym, GRID, seed=3)
     second = verify_root_asymptotics(base, shift, asym, GRID, seed=3)
     assert first.to_dict() == second.to_dict()
+
+
+@pytest.mark.parametrize("generators", [("t",), ("e1", "e2", "e3")])
+def test_verify_eigenvalues_matches_numpy(generators):
+    """The oracle's eigenvalues (roots of char_poly) against an independent
+    float eigensolver applied to the same sampled matrix."""
+    import numpy
+
+    rng = seeded(71)
+    ring = SeriesRing(generators, 4)
+    t0 = 1e-3
+    values = default_values(generators, t0)
+    for n in range(2, 7):
+        base = ConstantMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        pert = [[random_infinitesimal(rng, ring) for _ in range(n)] for _ in range(n)]
+        matrix = PerturbedMatrix(base, pert)
+        observed = list(verify_eigenvalues(matrix, t0, values=values))
+        expected = numpy.linalg.eigvals(numpy.array(matrix.numeric_sample(values)))
+        assert len(observed) == n
+        for value in expected:
+            nearest = min(observed, key=lambda z: abs(z - value))
+            assert abs(nearest - value) <= 1e-6 * max(1.0, abs(value))
+            observed.remove(nearest)

@@ -55,3 +55,9 @@ def test_complex_conversion():
 )
 def test_formatting(value, text):
     assert str(value) == text
+
+
+def test_hash_agrees_with_equality():
+    for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        assert len({GaussianRational(value), value, Fraction(value)}) == 1
+    assert len({GaussianRational(1, 2), GaussianRational(Fraction(2, 2), 2)}) == 1

@@ -161,3 +161,14 @@ def test_divide_univariate(ring, t):
     assert divide_univariate(ring.zero(), t) == ring.zero()
     with pytest.raises(NonUnitError):
         divide_univariate(t, t**2)  # quotient would be infinitely large
+
+
+def test_constant_series_hash_agrees_with_equality(ring, t):
+    multi = SeriesRing(("e1", "e2"), 4)
+    for value in (0, 1, Fraction(-5, 2)):
+        for series_ring in (ring, multi):
+            members = {series_ring.constant(value), GaussianRational(value), value, Fraction(value)}
+            assert len(members) == 1
+    z = GaussianRational(1, 2)
+    assert len({ring.constant(z), z}) == 1
+    assert len({1 + t, t + 1}) == 1
