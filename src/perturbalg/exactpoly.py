@@ -1,48 +1,44 @@
-"""Polynomials and rational functions over the exact Gaussian rationals.
+"""Dense polynomials, and polynomials and rational functions over Q(i).
 
-These carry the shadow (standard-part) side of every computation: shadows of
-perturbed polynomials, reduced transfer functions, and the base polynomials
-whose roots get corrected.
+`Polynomial` holds the arithmetic, Euclidean division and printing that
+exact and perturbed polynomials share.  `ExactPolynomial` and
+`ExactRationalFunction` carry the shadow (standard-part) side of every
+computation: shadows of perturbed polynomials, reduced transfer functions,
+and the base polynomials whose roots get corrected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, RingMismatchError
 from .scalars import GaussianRational
+from .series import _monomial_text, format_terms
 
 
-def _coerce_scalar(value) -> GaussianRational:
-    return GaussianRational.coerce(value)
+class Polynomial:
+    """Dense polynomial in one indeterminate, low degree first; immutable.
 
-
-class ExactPolynomial:
-    """Dense polynomial with GaussianRational coefficients, low degree first."""
+    The arithmetic, Euclidean division and printing shared by both
+    coefficient domains: Gaussian rationals (ExactPolynomial) and truncated
+    series (ppoly.PerturbedPolynomial).  A subclass supplies `_lift` (one
+    coefficient into its domain), `_coerce` (an operand into a polynomial of
+    its own kind, TypeError for an operand it does not take), `_invert` (the
+    inverse of a divisor's leading coefficient) and `_like` (a polynomial of
+    its own kind, ring and indeterminate with the given coefficients).
+    """
 
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs, var: str = "X"):
-        cleaned = [_coerce_scalar(c) for c in coeffs]
+        cleaned = [self._lift(c) for c in coeffs]
         while cleaned and not cleaned[-1]:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
         object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ExactPolynomial is immutable")
-
-    @staticmethod
-    def zero(var: str = "X") -> "ExactPolynomial":
-        return ExactPolynomial((), var)
-
-    @staticmethod
-    def constant(value, var: str = "X") -> "ExactPolynomial":
-        return ExactPolynomial((value,), var)
-
-    @staticmethod
-    def monomial(coeff, degree: int, var: str = "X") -> "ExactPolynomial":
-        return ExactPolynomial([0] * degree + [coeff], var)
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def degree(self) -> int:
@@ -56,36 +52,28 @@ class ExactPolynomial:
         return bool(self.coeffs)
 
     @property
-    def leading(self) -> GaussianRational:
+    def leading(self):
         if not self.coeffs:
-            return GaussianRational(0)
+            return self._lift(0)
         return self.coeffs[-1]
 
-    def coefficient(self, degree: int) -> GaussianRational:
+    def coefficient(self, degree: int):
         if 0 <= degree < len(self.coeffs):
             return self.coeffs[degree]
-        return GaussianRational(0)
-
-    def _coerce(self, other) -> "ExactPolynomial":
-        if isinstance(other, ExactPolynomial):
-            return other
-        return ExactPolynomial.constant(other, self.var)
+        return self._lift(0)
 
     def __eq__(self, other):
         try:
             other = self._coerce(other)
-        except TypeError:
+        except (TypeError, RingMismatchError, DomainError):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         other = self._coerce(other)
         size = max(len(self.coeffs), len(other.coeffs))
-        return ExactPolynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(size)], self.var
+        return self._like(
+            [self.coefficient(k) + other.coefficient(k) for k in range(size)]
         )
 
     __radd__ = __add__
@@ -97,42 +85,46 @@ class ExactPolynomial:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return ExactPolynomial([-c for c in self.coeffs], self.var)
+        return self._like([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (GaussianRational, Fraction, int)):
+        try:
             other = self._coerce(other)
-        elif not isinstance(other, ExactPolynomial):
+        except TypeError:
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return ExactPolynomial.zero(self.var)
-        out = [GaussianRational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return self._like(())
+        out = [self._lift(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return ExactPolynomial(out, self.var)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        """Euclidean division self = other*q + r with deg r < deg other.
+
+        The divisor's leading coefficient must be invertible in the
+        coefficient domain; `_invert` raises when it is not.
+        """
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [GaussianRational(0)] * max(0, self.degree - other.degree + 1)
+        lead_inv = self._invert(other.leading)
+        if self.degree < other.degree:
+            return self._like(()), self
+        quotient = [None] * (self.degree - other.degree + 1)
         rest = list(self.coeffs)
-        lead_inv = GaussianRational(1) / other.leading
         for k in range(self.degree - other.degree, -1, -1):
             factor = rest[k + other.degree] * lead_inv
             quotient[k] = factor
             if factor:
                 for j, b in enumerate(other.coeffs):
                     rest[k + j] = rest[k + j] - factor * b
-        return (
-            ExactPolynomial(quotient, self.var),
-            ExactPolynomial(rest[: max(other.degree, 0)], self.var),
-        )
+        return self._like(quotient), self._like(rest[: other.degree])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -143,7 +135,7 @@ class ExactPolynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = ExactPolynomial.constant(1, self.var)
+        result = self._like((1,))
         base = self
         while exponent:
             if exponent & 1:
@@ -152,13 +144,57 @@ class ExactPolynomial:
             exponent >>= 1
         return result
 
-    def derivative(self, order: int = 1) -> "ExactPolynomial":
+    def derivative(self, order: int = 1):
         poly = self
         for _ in range(order):
-            poly = ExactPolynomial(
-                [poly.coeffs[k] * k for k in range(1, len(poly.coeffs))], poly.var
-            )
+            poly = poly._like([poly.coeffs[k] * k for k in range(1, len(poly.coeffs))])
         return poly
+
+    def __str__(self):
+        return format_terms(
+            (self.coeffs[degree], _monomial_text((self.var,), (degree,)))
+            for degree in range(self.degree, -1, -1)
+            if self.coeffs[degree]
+        )
+
+
+class ExactPolynomial(Polynomial):
+    """Dense polynomial with GaussianRational coefficients, low degree first."""
+
+    __slots__ = ()
+
+    def _lift(self, value) -> GaussianRational:
+        return GaussianRational.coerce(value)
+
+    def _like(self, coeffs) -> "ExactPolynomial":
+        return ExactPolynomial(coeffs, self.var)
+
+    def _coerce(self, other) -> "ExactPolynomial":
+        if isinstance(other, ExactPolynomial):
+            return other
+        return self._like((other,))
+
+    @staticmethod
+    def _invert(lead: GaussianRational) -> GaussianRational:
+        return GaussianRational(1) / lead
+
+    @staticmethod
+    def zero(var: str = "X") -> "ExactPolynomial":
+        return ExactPolynomial((), var)
+
+    @staticmethod
+    def constant(value, var: str = "X") -> "ExactPolynomial":
+        return ExactPolynomial((value,), var)
+
+    @staticmethod
+    def monomial(coeff, degree: int, var: str = "X") -> "ExactPolynomial":
+        return ExactPolynomial([0] * degree + [coeff], var)
+
+    def __hash__(self):
+        # a constant polynomial equals its coefficient, so it must hash like it
+        if self.degree < 1:
+            return hash(self.leading)
+        return hash(self.coeffs)
 
     def evaluate(self, point):
         """Horner evaluation; exact for GaussianRational points, float for complex."""
@@ -175,8 +211,7 @@ class ExactPolynomial:
     def monic(self) -> "ExactPolynomial":
         if self.is_zero():
             return self
-        lead_inv = GaussianRational(1) / self.leading
-        return self * lead_inv
+        return self * self._invert(self.leading)
 
     def multiplicity(self, root) -> int:
         """Exact multiplicity of `root` (0 when it is not a root)."""
@@ -190,9 +225,6 @@ class ExactPolynomial:
 
     def numeric_coeffs(self) -> list[complex]:
         return [complex(c) for c in self.coeffs]
-
-    def __str__(self):
-        return format_exact_polynomial(self)
 
     def __repr__(self):
         return f"<exact poly {self}>"
@@ -277,39 +309,9 @@ class ExactRationalFunction:
         return self.num.evaluate(point) / den
 
     def __str__(self):
-        num_text = format_exact_polynomial(self.num)
         if self.den.degree == 0 and self.den.leading == 1:
-            return num_text
-        return f"({num_text})/({format_exact_polynomial(self.den)})"
+            return str(self.num)
+        return f"({self.num})/({self.den})"
 
     def __repr__(self):
         return f"<rational function {self}>"
-
-
-def format_exact_polynomial(poly: ExactPolynomial) -> str:
-    from .series import _scalar_pieces  # shared term formatting
-
-    if poly.is_zero():
-        return "0"
-    chunks = []
-    for degree in range(poly.degree, -1, -1):
-        coeff = poly.coefficient(degree)
-        if not coeff:
-            continue
-        if degree == 0:
-            monomial = ""
-        elif degree == 1:
-            monomial = poly.var
-        else:
-            monomial = f"{poly.var}^{degree}"
-        sign, factor = _scalar_pieces(coeff, with_monomial=bool(monomial))
-        if monomial and factor:
-            body = f"{factor}*{monomial}"
-        else:
-            body = monomial or factor or "1"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text

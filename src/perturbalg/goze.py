@@ -70,9 +70,6 @@ def rank_of_rows(rows) -> int:
     return rank
 
 
-_rank_of_rows = rank_of_rows  # the name the test suites import
-
-
 def _validated(entries) -> list[TruncatedSeries]:
     """The entries as a list, once they share one univariate ring and are infinitesimal."""
     entries = list(entries)

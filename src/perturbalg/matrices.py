@@ -357,19 +357,27 @@ def perturbation_poly(matrix: PerturbedMatrix) -> PerturbedPolynomial:
     return full - base
 
 
+def _on_base(base: ConstantMatrix, pert) -> PerturbedMatrix:
+    """A + E from E's series rows, or the given A + E once its base is A."""
+    if not isinstance(pert, PerturbedMatrix):
+        return PerturbedMatrix(base, pert)
+    if pert.base != base:
+        raise DomainError("the perturbed matrix has a different base matrix")
+    return pert
+
+
 def charpoly_expansion(base: ConstantMatrix, pert, k: int):
     """Q^(k)(A+E) expanded through polarized forms.
 
     Evaluates Q^(k)(A) + sum_i Theta(A,...,A,E,...,E)/(i!(k-i)!), which equals
     minor_sum(A+E, k) exactly in the truncated ring.
     """
-    if isinstance(pert, PerturbedMatrix):
-        pert = [list(row) for row in pert.pert]
-    ring = pert[0][0].ring
+    matrix = _on_base(base, pert)
+    ring = matrix.ring
     lifted = base.lift(ring)
     total = ring.constant(minor_sum(base, k))
     for i in range(1, k + 1):
-        theta = polarize(k, *([lifted] * (k - i) + [pert] * i))
+        theta = polarize(k, *([lifted] * (k - i) + [matrix.pert] * i))
         weight = GaussianRational(1) / GaussianRational(
             math.factorial(i) * math.factorial(k - i)
         )
@@ -407,10 +415,8 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     and the exact difference minus this polynomial has coefficient valuations
     strictly above v(alpha_1).
     """
-    if isinstance(pert, PerturbedMatrix):
-        pert = [list(row) for row in pert.pert]
     n = base.n
-    flat = [entry for row in pert for entry in row]
+    flat = [entry for row in _on_base(base, pert).pert for entry in row]
     if all(entry.is_zero() for entry in flat):
         raise DomainError("zero perturbation has no first-order part")
     alpha1, u1_flat = first_level(flat)
@@ -434,7 +440,7 @@ def eigenvalue_correction(
     Forms Xi = char_poly(A+E) - char_poly(A) and delegates to root_correction
     on the exact characteristic polynomial.
     """
-    matrix = pert if isinstance(pert, PerturbedMatrix) else PerturbedMatrix(base, pert)
+    matrix = _on_base(base, pert)
     xi = perturbation_poly(matrix)
     return root_correction(
         char_poly(matrix.base), xi, eigenvalue, order, decomposition
@@ -443,7 +449,7 @@ def eigenvalue_correction(
 
 def conservative_residuals(base: ConstantMatrix, pert) -> list[TruncatedSeries]:
     """Q^(k)(A+E) - Q^(k)(A) for k = 1..n; all zero iff E is conservative."""
-    matrix = pert if isinstance(pert, PerturbedMatrix) else PerturbedMatrix(base, pert)
+    matrix = _on_base(base, pert)
     n = matrix.n
     full = char_poly(matrix).coeffs
     exact = char_poly(matrix.base).coeffs

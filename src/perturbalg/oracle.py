@@ -12,7 +12,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, OracleError
 from .exactpoly import ExactPolynomial
@@ -182,18 +182,14 @@ def _judge(report: ConvergenceReport) -> ConvergenceReport:
     return report
 
 
-def _cluster_guard(
-    base: ExactPolynomial, root: complex, max_pert: float, seed: int
-) -> Optional[str]:
-    """Spot shadow roots too close to the target for unambiguous clustering."""
-    others = [
-        r
-        for r in poly_roots_numeric(base.numeric_coeffs(), seed=seed)
-        if abs(r - root) > 1e-6
+def _mixed(base_coeffs: Sequence[complex], shift_coeffs: Sequence[complex]) -> list:
+    """Coefficients of P + Xi(t0), low degree first."""
+    size = max(len(base_coeffs), len(shift_coeffs))
+    return [
+        (base_coeffs[i] if i < len(base_coeffs) else 0)
+        + (shift_coeffs[i] if i < len(shift_coeffs) else 0)
+        for i in range(size)
     ]
-    if others and min(abs(r - root) for r in others) <= 10 * max_pert:
-        return "another shadow root lies within 10x the perturbation size"
-    return None
 
 
 def verify_root_asymptotics(
@@ -226,6 +222,10 @@ def verify_root_asymptotics(
             f"order {asym.order} does not match multiplicity {multiplicity}"
         )
     base_coeffs = base.numeric_coeffs()
+    # the nearest other shadow root, found once; a perturbation within a
+    # tenth of its distance is too large to cluster the roots unambiguously
+    distances = [abs(r - root) for r in poly_roots_numeric(base_coeffs, seed=seed)]
+    nearest_other = min((d for d in distances if d > 1e-6), default=math.inf)
 
     for t0 in grid:
         sampled_values = default_values(
@@ -233,18 +233,11 @@ def verify_root_asymptotics(
         )
         shift_coeffs = shift_poly.numeric_coeffs(sampled_values)
         max_pert = max((abs(c) for c in shift_coeffs), default=0.0)
-        guard = _cluster_guard(base, root, max_pert, seed)
-        if guard:
+        if nearest_other <= 10 * max_pert:
             report.inconclusive = True
-            report.note = guard
+            report.note = "another shadow root lies within 10x the perturbation size"
             return _judge(report)
-        size = max(len(base_coeffs), len(shift_coeffs))
-        mixed = [
-            (base_coeffs[i] if i < len(base_coeffs) else 0)
-            + (shift_coeffs[i] if i < len(shift_coeffs) else 0)
-            for i in range(size)
-        ]
-        all_roots = poly_roots_numeric(mixed, seed=seed)
+        all_roots = poly_roots_numeric(_mixed(base_coeffs, shift_coeffs), seed=seed)
         cluster = sorted(all_roots, key=lambda r: abs(r - root))[:multiplicity]
         predicted = asym.rhs.numeric_sample(sampled_values)
 
@@ -291,12 +284,7 @@ def verify_quadratic_balance(
     for t0 in grid:
         sampled_values = default_values(shift_poly.ring.generators, t0)
         shift_coeffs = shift_poly.numeric_coeffs(sampled_values)
-        size = max(len(base_coeffs), len(shift_coeffs))
-        mixed = [
-            (base_coeffs[i] if i < len(base_coeffs) else 0)
-            + (shift_coeffs[i] if i < len(shift_coeffs) else 0)
-            for i in range(size)
-        ]
+        mixed = _mixed(base_coeffs, shift_coeffs)
         cluster = sorted(
             poly_roots_numeric(mixed, seed=seed), key=lambda r: abs(r - root)
         )[:2]

@@ -1,7 +1,8 @@
 """Polynomials with truncated-series coefficients.
 
-Implements the perturbation side of polynomial algebra: Euclidean division in
-the extended ring, the perturbed GCD (last remainder that is not wholly
+Implements the perturbation side of polynomial algebra on top of the dense
+arithmetic of `exactpoly.Polynomial`: Euclidean division by a unit leading
+coefficient, the perturbed GCD (last remainder that is not wholly
 infinitesimal), and the leading-order root corrections
 
     xi^k ~ -k! * Xi(u) / P^(k)(u)
@@ -25,63 +26,30 @@ from .errors import (
     RingMismatchError,
     UnsupportedOrderError,
 )
-from .exactpoly import ExactPolynomial
+from .exactpoly import ExactPolynomial, Polynomial
 from .goze import GozeDecomposition
 from .scalars import GaussianRational
 from .series import SeriesRing, TruncatedSeries, divide_univariate
 
 
-class PerturbedPolynomial:
+class PerturbedPolynomial(Polynomial):
     """Dense polynomial over a series ring, low degree first."""
 
-    __slots__ = ("ring", "coeffs", "var")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: SeriesRing, coeffs, var: str = "X"):
-        cleaned = []
-        for c in coeffs:
-            if isinstance(c, TruncatedSeries):
-                if c.ring != ring:
-                    raise RingMismatchError("coefficient from a different ring")
-                cleaned.append(c)
-            else:
-                cleaned.append(ring.constant(c))
-        while cleaned and cleaned[-1].is_zero():
-            cleaned.pop()
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(cleaned))
-        object.__setattr__(self, "var", var)
+        super().__init__(coeffs, var)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PerturbedPolynomial is immutable")
+    def _lift(self, value) -> TruncatedSeries:
+        if isinstance(value, TruncatedSeries):
+            if value.ring != self.ring:
+                raise RingMismatchError("coefficient from a different ring")
+            return value
+        return self.ring.constant(value)
 
-    @staticmethod
-    def from_exact(poly: ExactPolynomial, ring: SeriesRing, var: Optional[str] = None):
-        return PerturbedPolynomial(ring, list(poly.coeffs), var or poly.var)
-
-    @staticmethod
-    def zero(ring: SeriesRing, var: str = "X") -> "PerturbedPolynomial":
-        return PerturbedPolynomial(ring, (), var)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    @property
-    def leading(self) -> TruncatedSeries:
-        if not self.coeffs:
-            return self.ring.zero()
-        return self.coeffs[-1]
-
-    def coefficient(self, degree: int) -> TruncatedSeries:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return self.ring.zero()
+    def _like(self, coeffs) -> "PerturbedPolynomial":
+        return PerturbedPolynomial(self.ring, coeffs, self.var)
 
     def _coerce(self, other) -> "PerturbedPolynomial":
         if isinstance(other, PerturbedPolynomial):
@@ -93,66 +61,22 @@ class PerturbedPolynomial:
                 )
             return other
         if isinstance(other, (TruncatedSeries, GaussianRational, Fraction, int)):
-            return PerturbedPolynomial(self.ring, (other,), self.var)
+            return self._like((other,))
         raise TypeError(f"cannot coerce {other!r} to a perturbed polynomial")
 
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, RingMismatchError, DomainError):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    @staticmethod
+    def _invert(lead: TruncatedSeries) -> TruncatedSeries:
+        if not lead.is_unit():
+            raise NonUnitError("divisor has a non-unit leading coefficient")
+        return lead.invert()
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        size = max(len(self.coeffs), len(other.coeffs))
-        return PerturbedPolynomial(
-            self.ring,
-            [self.coefficient(k) + other.coefficient(k) for k in range(size)],
-            self.var,
-        )
+    @staticmethod
+    def from_exact(poly: ExactPolynomial, ring: SeriesRing, var: Optional[str] = None):
+        return PerturbedPolynomial(ring, list(poly.coeffs), var or poly.var)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return PerturbedPolynomial(self.ring, [-c for c in self.coeffs], self.var)
-
-    def __mul__(self, other):
-        if isinstance(other, (TruncatedSeries, GaussianRational, Fraction, int)):
-            other = self._coerce(other)
-        elif not isinstance(other, PerturbedPolynomial):
-            return NotImplemented
-        else:
-            other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return PerturbedPolynomial.zero(self.ring, self.var)
-        out = [self.ring.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PerturbedPolynomial(self.ring, out, self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = PerturbedPolynomial(self.ring, (1,), self.var)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+    @staticmethod
+    def zero(ring: SeriesRing, var: str = "X") -> "PerturbedPolynomial":
+        return PerturbedPolynomial(ring, (), var)
 
     def evaluate(self, point) -> TruncatedSeries:
         """Horner evaluation at a series (scalars are lifted to constants)."""
@@ -164,16 +88,6 @@ class PerturbedPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def derivative(self, order: int = 1) -> "PerturbedPolynomial":
-        poly = self
-        for _ in range(order):
-            poly = PerturbedPolynomial(
-                poly.ring,
-                [poly.coeffs[k] * k for k in range(1, len(poly.coeffs))],
-                poly.var,
-            )
-        return poly
 
     def shadow(self) -> ExactPolynomial:
         """Coefficient-wise standard part; the degree may drop."""
@@ -205,10 +119,7 @@ class PerturbedPolynomial:
         while coeffs and coeffs[-1].is_infinitesimal():
             stripped.append(len(coeffs) - 1)
             coeffs.pop()
-        return PerturbedPolynomial(self.ring, coeffs, self.var), tuple(stripped)
-
-    def __str__(self):
-        return format_perturbed_polynomial(self)
+        return self._like(coeffs), tuple(stripped)
 
     def __repr__(self):
         return f"<perturbed poly {self}>"
@@ -221,24 +132,7 @@ def euclid_divide(a: PerturbedPolynomial, b: PerturbedPolynomial):
     singular and NonUnitError is raised (the PGCD machinery strips such
     leading terms instead of dividing by them).
     """
-    b = a._coerce(b)
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if not b.leading.is_unit():
-        raise NonUnitError("divisor has a non-unit leading coefficient")
-    if a.degree < b.degree:
-        return PerturbedPolynomial.zero(a.ring, a.var), a
-    lead_inv = b.leading.invert()
-    quotient = [a.ring.zero() for _ in range(a.degree - b.degree + 1)]
-    rest = list(a.coeffs)
-    for k in range(a.degree - b.degree, -1, -1):
-        factor = rest[k + b.degree] * lead_inv
-        quotient[k] = factor
-        if not factor.is_zero():
-            for j, c in enumerate(b.coeffs):
-                rest[k + j] = rest[k + j] - factor * c
-    remainder = PerturbedPolynomial(a.ring, rest[: max(b.degree, 0)], a.var)
-    return PerturbedPolynomial(a.ring, quotient, a.var), remainder
+    return divmod(a, b)
 
 
 @dataclass(frozen=True)
@@ -470,39 +364,3 @@ def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, roo
             constant=value.leading_part(),
         )
     ]
-
-
-def format_perturbed_polynomial(poly: PerturbedPolynomial) -> str:
-    from .series import _monomial_text, _scalar_pieces, format_series
-
-    if poly.is_zero():
-        return "0"
-    chunks = []
-    for degree in range(poly.degree, -1, -1):
-        coeff = poly.coefficient(degree)
-        if coeff.is_zero():
-            continue
-        if degree == 0:
-            monomial = ""
-        elif degree == 1:
-            monomial = poly.var
-        else:
-            monomial = f"{poly.var}^{degree}"
-        if len(coeff.terms) == 1:
-            ((index, scalar),) = coeff.terms.items()
-            gen_text = _monomial_text(poly.ring.generators, index)
-            sign, factor = _scalar_pieces(
-                scalar, with_monomial=bool(gen_text or monomial)
-            )
-            parts = [p for p in (factor, gen_text, monomial) if p]
-            body = "*".join(parts) if parts else "1"
-        elif monomial:
-            sign, body = "+", f"({format_series(coeff)})*{monomial}"
-        else:
-            sign, body = "+", f"({format_series(coeff)})"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text

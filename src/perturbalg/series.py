@@ -473,21 +473,42 @@ def _monomial_text(generators, index) -> str:
     return "*".join(parts)
 
 
-def format_series(series: TruncatedSeries) -> str:
-    if series.is_zero():
-        return "0"
-    ordered = sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+def format_terms(terms) -> str:
+    """Join (coefficient, monomial) pairs into a signed sum, in the given order.
+
+    A coefficient is a Gaussian rational or a series.  A series of one term
+    folds into the monomial; any other series is put in parentheses.  Callers
+    leave out zero coefficients; no pairs at all print as 0.
+    """
     chunks = []
-    for index, coeff in ordered:
-        monomial = _monomial_text(series.ring.generators, index)
+    for coeff, monomial in terms:
+        if isinstance(coeff, TruncatedSeries):
+            if len(coeff.terms) != 1:
+                text = f"({format_series(coeff)})"
+                chunks.append(("+", f"{text}*{monomial}" if monomial else text))
+                continue
+            ((index, scalar),) = coeff.terms.items()
+            inner = _monomial_text(coeff.ring.generators, index)
+            monomial = "*".join(part for part in (inner, monomial) if part)
+            coeff = scalar
         sign, factor = _scalar_pieces(coeff, with_monomial=bool(monomial))
         if monomial and factor:
             body = f"{factor}*{monomial}"
         else:
             body = monomial or factor or "1"
         chunks.append((sign, body))
+    if not chunks:
+        return "0"
     first_sign, first_body = chunks[0]
     text = ("-" if first_sign == "-" else "") + first_body
     for sign, body in chunks[1:]:
         text += f" {sign} {body}"
     return text
+
+
+def format_series(series: TruncatedSeries) -> str:
+    generators = series.ring.generators
+    ordered = sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    return format_terms(
+        (coeff, _monomial_text(generators, index)) for index, coeff in ordered
+    )

@@ -37,7 +37,7 @@ from perturbalg import (
     verify_root_asymptotics,
     xi_first_order,
 )
-from perturbalg.goze import _rank_of_rows
+from perturbalg.goze import rank_of_rows
 from perturbalg.oracle import default_values, transfer_residual
 from perturbalg.parsing import parse_polynomial
 from perturbalg.transfer import RationalFunction
@@ -236,7 +236,7 @@ def test_criterion_07_goze_reconstruction():
             ]
             result = decompose(vector)
             assert result.reconstruct() == vector
-            assert _rank_of_rows(result.direction_rows()) == result.rank()
+            assert rank_of_rows(result.direction_rows()) == result.rank()
         two_scale = decompose([t, t**2])
         assert [(a, list(u)) for a, u in two_scale.levels] == [
             (t, [GaussianRational(1), GaussianRational(0)]),

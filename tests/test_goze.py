@@ -2,7 +2,7 @@ import pytest
 
 from perturbalg import GaussianRational, SeriesRing, decompose, univariate_ring
 from perturbalg.errors import DomainError
-from perturbalg.goze import _rank_of_rows, first_level
+from perturbalg.goze import first_level, rank_of_rows
 
 from conftest import random_infinitesimal, seeded
 
@@ -76,7 +76,7 @@ def test_direction_independence_random():
     for _ in range(50):
         vector = [random_infinitesimal(rng, ring) for _ in range(rng.randint(1, 4))]
         result = decompose(vector)
-        assert _rank_of_rows(result.direction_rows()) == result.rank()
+        assert rank_of_rows(result.direction_rows()) == result.rank()
 
 
 def test_determinism(ring, t):

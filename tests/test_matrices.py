@@ -234,6 +234,22 @@ def test_eigenvalue_correction_jordan(ring, t):
     assert asym.order == 2 and asym.rhs == t
 
 
+def test_perturbed_matrix_must_sit_on_the_given_base(ring, t):
+    jordan = PerturbedMatrix(JORDAN2, [[ring.zero(), ring.zero()], [t, ring.zero()]])
+    other = ConstantMatrix([[7, 0], [0, 9]])  # has no eigenvalue 1
+    with pytest.raises(DomainError):
+        eigenvalue_correction(other, jordan, 1)
+    with pytest.raises(DomainError):
+        conservative_residuals(other, jordan)
+    with pytest.raises(DomainError):
+        xi_first_order(other, jordan)
+    with pytest.raises(DomainError):
+        charpoly_expansion(other, jordan, 1)
+    same = ConstantMatrix([[1, 1], [0, 1]])  # equal to the base, not the same object
+    assert str(eigenvalue_correction(same, jordan, 1)) == "xi^2 ~ t (at root 1)"
+    assert xi_first_order(same, jordan) == PerturbedPolynomial(ring, [-t])
+
+
 def test_eigenvalue_correction_nilpotent(ring, t):
     pert = [[ring.zero()] * 3 for _ in range(3)]
     pert[2][0] = t

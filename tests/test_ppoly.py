@@ -100,6 +100,21 @@ def test_euclid_non_unit_divisor(ring, t):
         )
 
 
+def test_euclid_error_order_and_short_path(ring, t):
+    small = PerturbedPolynomial(ring, [1, t])
+    with pytest.raises(ZeroDivisionError):
+        euclid_divide(small, PerturbedPolynomial.zero(ring))
+    # a non-unit divisor is refused even when the dividend has lower degree
+    with pytest.raises(NonUnitError):
+        euclid_divide(small, PerturbedPolynomial(ring, [1, 0, t]))
+    quotient, remainder = euclid_divide(small, PerturbedPolynomial(ring, [1, 0, 1]))
+    assert quotient.is_zero() and remainder == small
+    exact = ExactPolynomial([1, 2])
+    assert divmod(exact, ExactPolynomial([0, 0, 3])) == (0, exact)
+    with pytest.raises(ZeroDivisionError):
+        divmod(exact, 0)
+
+
 def test_division_identity_random():
     rng = seeded(31)
     ring = SeriesRing(("t", "e1"), 6)
@@ -109,6 +124,7 @@ def test_division_identity_random():
         quotient, remainder = euclid_divide(a, b)
         assert b * quotient + remainder == a
         assert remainder.degree < b.degree
+        assert (a // b, a % b) == (quotient, remainder)
 
 
 def test_shadow_commutation_random():

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from perturbalg import GaussianRational
+from perturbalg import (
+    ExactPolynomial,
+    GaussianRational,
+    PerturbedPolynomial,
+    univariate_ring,
+)
 
 
 def test_construction_normalizes():
@@ -60,4 +65,10 @@ def test_formatting(value, text):
 def test_hash_agrees_with_equality():
     for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
         assert len({GaussianRational(value), value, Fraction(value)}) == 1
+        # a constant exact polynomial equals its coefficient and hashes like it
+        assert len({ExactPolynomial.constant(value), GaussianRational(value), value}) == 1
+    assert len({ExactPolynomial.zero(), ExactPolynomial.constant(0, "p"), 0}) == 1
+    assert len({ExactPolynomial([1, 2]), ExactPolynomial([1, 2], "p")}) == 1
+    with pytest.raises(TypeError):  # perturbed polynomials stay unhashable
+        hash(PerturbedPolynomial(univariate_ring(4), [1]))
     assert len({GaussianRational(1, 2), GaussianRational(Fraction(2, 2), 2)}) == 1
