@@ -356,10 +356,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _truncation(text: str) -> int:
+    """--trunc value: an int >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"truncation degree must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="perturbalg")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trunc", type=int, default=8, help="truncation degree T")
+    common.add_argument("--trunc", type=_truncation, default=8, help="truncation degree T")
     common.add_argument("--seed", type=int, default=0, help="oracle seed")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)

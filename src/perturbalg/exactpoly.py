@@ -63,9 +63,15 @@ class Polynomial:
         return self._lift(0)
 
     def __eq__(self, other):
+        if isinstance(other, Polynomial):
+            if self.degree < 1 and other.degree < 1:
+                # a constant equals its coefficient, whatever its indeterminate
+                return self.coefficient(0) == other.coefficient(0)
+            if other.var != self.var:
+                return False
         try:
             other = self._coerce(other)
-        except (TypeError, RingMismatchError, DomainError):
+        except (TypeError, RingMismatchError):
             return NotImplemented
         return self.coeffs == other.coeffs
 

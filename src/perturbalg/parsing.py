@@ -27,6 +27,12 @@ from .transfer import RationalFunction
 
 MAX_INPUT_BYTES = 1 << 20
 MAX_POLY_DEGREE = 512
+# `^` is an exponent overflow when the exponent times the bits one factor can
+# add, ceil(log2 |n|) for the largest numerator or denominator n among the
+# base's coefficients, exceeds this.  Powers of 0, 1, i and the generators add
+# none.  4096 bits are 1234 decimal digits, so a power, and products of a few
+# powers, stay within Python's 4300-digit limit on printing an int.
+MAX_POWER_BITS = 4096
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
 _TOKEN_PATTERN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),]))")
 
@@ -92,6 +98,20 @@ def scan_generator_names(*texts: str) -> tuple[str, ...]:
             if token.kind == "name" and GENERATOR_PATTERN.match(token.text):
                 seen.add(token.text)
     return tuple(sorted(seen, key=lambda g: (g != "t", g)))
+
+
+def _coefficient_bits(poly: PerturbedPolynomial) -> int:
+    """ceil(log2 |n|) for the largest numerator or denominator n of a coefficient."""
+    return max(
+        (
+            (abs(part) - 1).bit_length()
+            for series in poly.coeffs
+            for c in series.terms.values()
+            for part in (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+            if part
+        ),
+        default=0,
+    )
 
 
 class _Parser:
@@ -160,6 +180,8 @@ class _Parser:
             self.advance()
             exponent = int(exponent_token.text)
             if base.degree >= 1 and base.degree * exponent > MAX_POLY_DEGREE:
+                self.fail(exponent_token, "exponent overflow")
+            if exponent * _coefficient_bits(base) > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
             return base ** exponent
         return base

@@ -38,6 +38,14 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """Value from two Fractions, without the checks of __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
     @staticmethod
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
@@ -53,7 +61,7 @@ class GaussianRational:
             other = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational._of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -62,7 +70,7 @@ class GaussianRational:
             other = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational._of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
@@ -72,7 +80,7 @@ class GaussianRational:
             other = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return GaussianRational(
+        return GaussianRational._of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -84,13 +92,13 @@ class GaussianRational:
         n = other.norm2()
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return self * GaussianRational(other.re / n, -other.im / n)
+        return self * GaussianRational._of(other.re / n, -other.im / n)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -110,7 +118,7 @@ class GaussianRational:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._of(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         """|z|^2 as an exact rational."""

@@ -93,6 +93,14 @@ class TruncatedSeries:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _clean(cls, ring: SeriesRing, terms: dict) -> "TruncatedSeries":
+        """Series from terms already valid in `ring`, without the checks of __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
@@ -115,34 +123,45 @@ class TruncatedSeries:
     def __bool__(self):
         return bool(self.terms)
 
+    def _is_constant(self) -> bool:
+        return not any(any(index) for index in self.terms)
+
     def __eq__(self, other):
+        if isinstance(other, TruncatedSeries) and other.ring != self.ring:
+            # a constant equals its coefficient, so constants of two rings
+            # compare by value; other series of two rings are unequal
+            return (
+                self._is_constant()
+                and other._is_constant()
+                and self.standard_part() == other.standard_part()
+            )
         try:
             other = self._coerce(other)
-        except (TypeError, RingMismatchError):
+        except TypeError:
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         # a constant series equals its coefficient, so it must hash like it
-        if not any(any(index) for index in self.terms):
+        if self._is_constant():
             return hash(self.standard_part())
         return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     # -- ring operations ------------------------------------------------------
+    #
+    # Sums and products run on Python ints: `_int_rows` puts each operand over
+    # the lcm of its denominators, and `_from_ints` builds each result
+    # coefficient once.  A term enters the result at its first nonzero
+    # contribution and leaves it when it cancels, so results keep the term
+    # order of the GaussianRational loop; multivariate `numeric_sample` sums
+    # in that order.
 
     def __add__(self, other):
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        terms = dict(self.terms)
-        for index, coeff in other.terms.items():
-            total = terms.get(index, 0) + coeff
-            if total:
-                terms[index] = total
-            else:
-                terms.pop(index, None)
-        return TruncatedSeries(self.ring, terms)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -151,15 +170,38 @@ class TruncatedSeries:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return TruncatedSeries(
+        return TruncatedSeries._clean(
             self.ring, {index: -coeff for index, coeff in self.terms.items()}
         )
+
+    def _add(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign*other."""
+        da, rows_a = _int_rows(self)
+        db, rows_b = _int_rows(other)
+        common = math.lcm(da, db)
+        scale_a, scale_b = common // da, sign * (common // db)
+        acc = {key: [re * scale_a, im * scale_a] for key, _, re, im in rows_a}
+        for key, _, re, im in rows_b:
+            re *= scale_b
+            im *= scale_b
+            cell = acc.get(key)
+            if cell is None:
+                acc[key] = [re, im]
+                continue
+            re += cell[0]
+            im += cell[1]
+            if re or im:
+                cell[0] = re
+                cell[1] = im
+            else:
+                del acc[key]
+        return _from_ints(self.ring, acc, common)
 
     def __mul__(self, other):
         try:
@@ -167,19 +209,28 @@ class TruncatedSeries:
         except TypeError:
             return NotImplemented
         bound = self.ring.truncation
-        terms: dict = {}
-        for ia, ca in self.terms.items():
-            da = sum(ia)
-            for ib, cb in other.terms.items():
-                if da + sum(ib) > bound:
+        da, rows_a = _int_rows(self)
+        db, rows_b = _int_rows(other)
+        acc: dict = {}
+        for ka, dega, ar, ai in rows_a:
+            for kb, degb, br, bi in rows_b:
+                if dega + degb > bound:
                     continue
-                index = tuple(x + y for x, y in zip(ia, ib))
-                total = terms.get(index, 0) + ca * cb
-                if total:
-                    terms[index] = total
+                key = ka + kb  # no carry: the product term has degree <= T
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                cell = acc.get(key)
+                if cell is None:
+                    acc[key] = [re, im]
+                    continue
+                re += cell[0]
+                im += cell[1]
+                if re or im:
+                    cell[0] = re
+                    cell[1] = im
                 else:
-                    terms.pop(index, None)
-        return TruncatedSeries(self.ring, terms)
+                    del acc[key]
+        return _from_ints(self.ring, acc, da * db)
 
     __rmul__ = __mul__
 
@@ -328,6 +379,56 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"<series {self} @T={self.ring.truncation}>"
+
+
+# -- integer kernel --------------------------------------------------------------
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _int_rows(series: TruncatedSeries):
+    """(D, rows): D is the lcm of every coefficient denominator, and each row is
+    (packed exponent, total degree, re*D, im*D), in term order.
+
+    An exponent tuple packs into one int in base T+1, so the packed keys of two
+    terms add to the packed key of their product whenever that product has
+    total degree <= T.
+    """
+    terms = series.terms
+    common = math.lcm(
+        *(c.re.denominator for c in terms.values()),
+        *(c.im.denominator for c in terms.values()),
+    )
+    base = series.ring.truncation + 1
+    rows = []
+    for index, c in terms.items():
+        key = 0
+        for exponent in index:
+            key = key * base + exponent
+        re, im = c.re, c.im
+        rows.append((
+            key,
+            sum(index),
+            re.numerator * (common // re.denominator),
+            im.numerator * (common // im.denominator),
+        ))
+    return common, rows
+
+
+def _from_ints(ring: SeriesRing, acc: dict, common: int) -> TruncatedSeries:
+    """Series of the nonzero Gaussian integers `acc` (packed key -> [re, im]) over `common`."""
+    base = ring.truncation + 1
+    width = len(ring.generators)
+    terms = {}
+    for key, (re, im) in acc.items():
+        index = [0] * width
+        for position in range(width - 1, -1, -1):
+            key, index[position] = divmod(key, base)
+        terms[tuple(index)] = GaussianRational._of(
+            Fraction(re, common) if re else _FRACTION_ZERO,
+            Fraction(im, common) if im else _FRACTION_ZERO,
+        )
+    return TruncatedSeries._clean(ring, terms)
 
 
 # -- Laurent layer ---------------------------------------------------------------

@@ -128,6 +128,20 @@ def test_usage_error_exit_code(capsys):
     assert run(["pgcd", "--p1", "X"]) == 1
 
 
+def test_oversized_scalar_power_is_a_parse_error(capsys):
+    # without the bound this computes, then fails to print a 4772-digit int
+    assert run(["pgcd", "--p1", "X - 3^10000", "--p2", "X - 1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exponent overflow") and err.count("\n") == 1
+
+
+def test_nonpositive_trunc_is_a_usage_error(capsys):
+    for value in ("0", "-3", "two"):
+        assert run(["goze", "--vector", "t", "--trunc", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --trunc: ") and err.count("\n") == 1
+
+
 def test_domain_error_exit_code(capsys):
     # non-Hermitian input is a domain error
     code = run(

@@ -75,6 +75,18 @@ def test_exponent_overflow():
     assert parse_series("t^9999", ring).is_zero()
 
 
+def test_scalar_power_overflow():
+    ring = SeriesRing(("t",), 8)
+    # ceil(log2 3) = 2 bits per factor: 3^2048 is the largest power of 3 allowed
+    assert parse_scalar("3^2048") == GaussianRational(3**2048)
+    for text in ("3^2049", "X - 3^10000", "3^2000000", "(1/3 + t)^5000", "(2*i)^5000"):
+        with pytest.raises(ParseError, match="exponent overflow"):
+            parse_polynomial(text, ring)
+    # units add no bits, however large the exponent
+    assert parse_scalar("(-1)^100001") == -1
+    assert parse_scalar("i^100002") == -1
+
+
 def test_imaginary_unit():
     ring = SeriesRing(("t",), 8)
     assert parse_scalar("2 - 3*i") == GaussianRational(2, -3)

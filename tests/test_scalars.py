@@ -68,7 +68,15 @@ def test_hash_agrees_with_equality():
         # a constant exact polynomial equals its coefficient and hashes like it
         assert len({ExactPolynomial.constant(value), GaussianRational(value), value}) == 1
     assert len({ExactPolynomial.zero(), ExactPolynomial.constant(0, "p"), 0}) == 1
-    assert len({ExactPolynomial([1, 2]), ExactPolynomial([1, 2], "p")}) == 1
+    # polynomials of degree >= 1 in different indeterminates are unequal,
+    # exact and perturbed alike; a constant compares like its coefficient
+    assert ExactPolynomial([1, 2]) != ExactPolynomial([1, 2], "p")
+    assert len({ExactPolynomial([1, 2]), ExactPolynomial([1, 2], "p")}) == 2
+    ring = univariate_ring(4)
+    assert PerturbedPolynomial(ring, [1, 2]) != PerturbedPolynomial(ring, [1, 2], "p")
+    assert PerturbedPolynomial(ring, [3]) == PerturbedPolynomial(ring, [3], "p")
+    assert PerturbedPolynomial(ring, [3], "p") == ExactPolynomial.constant(3)
+    assert PerturbedPolynomial(univariate_ring(6), [3]) == PerturbedPolynomial(ring, [3])
     with pytest.raises(TypeError):  # perturbed polynomials stay unhashable
         hash(PerturbedPolynomial(univariate_ring(4), [1]))
     assert len({GaussianRational(1, 2), GaussianRational(Fraction(2, 2), 2)}) == 1

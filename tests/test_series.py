@@ -9,6 +9,7 @@ from perturbalg import (
     NonUnitError,
     RingMismatchError,
     SeriesRing,
+    TruncatedSeries,
     classify,
     divide_univariate,
     univariate_ring,
@@ -172,3 +173,159 @@ def test_constant_series_hash_agrees_with_equality(ring, t):
     z = GaussianRational(1, 2)
     assert len({ring.constant(z), z}) == 1
     assert len({1 + t, t + 1}) == 1
+    # constants of two rings equal the int they hold, so they equal each other
+    assert len({univariate_ring(8).constant(1), SeriesRing(("e1", "e2"), 4).constant(1), 1}) == 1
+    assert ring.constant(2) != multi.constant(3)
+    assert t != SeriesRing(("t",), 4).generator("t")
+    assert 1 + t != multi.constant(1)
+
+
+# -- integer kernel against the GaussianRational pair loop ----------------------------
+#
+# The reference functions below are the term loops the ring operations ran
+# before they moved onto integers.  They take and return term dicts, and the
+# checks compare both the coefficients and the order of the terms, which
+# multivariate `numeric_sample` sums in.
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for index, coeff in b.items():
+        total = terms.get(index, 0) + coeff
+        if total:
+            terms[index] = total
+        else:
+            terms.pop(index, None)
+    return terms
+
+
+def reference_neg(a: dict) -> dict:
+    return {index: -coeff for index, coeff in a.items()}
+
+
+def reference_sub(a: dict, b: dict) -> dict:
+    return reference_add(a, reference_neg(b))
+
+
+def reference_mul(a: dict, b: dict, bound: int) -> dict:
+    terms: dict = {}
+    for ia, ca in a.items():
+        da = sum(ia)
+        for ib, cb in b.items():
+            if da + sum(ib) > bound:
+                continue
+            index = tuple(x + y for x, y in zip(ia, ib))
+            total = terms.get(index, 0) + ca * cb
+            if total:
+                terms[index] = total
+            else:
+                terms.pop(index, None)
+    return terms
+
+
+def reference_constant(ring, value) -> dict:
+    value = GaussianRational.coerce(value)
+    return {(0,) * len(ring.generators): value} if value else {}
+
+
+def reference_invert(ring, a: dict) -> dict:
+    one = reference_constant(ring, 1)
+    c0_inv = reference_constant(ring, GaussianRational(1) / a[(0,) * len(ring.generators)])
+    tail = reference_sub(reference_mul(a, c0_inv, ring.truncation), one)
+    acc, power = one, one
+    for _ in range(ring.truncation):
+        power = reference_mul(power, reference_neg(tail), ring.truncation)
+        if not power:
+            break
+        acc = reference_add(acc, power)
+    return reference_mul(acc, c0_inv, ring.truncation)
+
+
+def reference_pow(ring, a: dict, exponent: int) -> dict:
+    result, base = reference_constant(ring, 1), a
+    while exponent:
+        if exponent & 1:
+            result = reference_mul(result, base, ring.truncation)
+        base = reference_mul(base, base, ring.truncation)
+        exponent >>= 1
+    return result
+
+
+def random_gaussian(rng):
+    """Gaussian rational with unlike denominators; about a third are real."""
+    im = Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.7 else 0
+    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 12)), im)
+
+
+def random_gaussian_series(rng, ring):
+    width = len(ring.generators)
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        index = tuple(rng.randint(0, ring.truncation) for _ in range(width))
+        if sum(index) <= ring.truncation:
+            terms[index] = random_gaussian(rng)
+    return TruncatedSeries(ring, terms)
+
+
+def assert_same_terms(series, expected: dict):
+    assert list(series.terms.items()) == list(expected.items())
+
+
+KERNEL_RINGS = (univariate_ring(8), SeriesRing(("e1", "e2", "e3"), 6))
+
+
+@pytest.mark.parametrize("kernel_ring", KERNEL_RINGS, ids=("t@8", "e1e2e3@6"))
+def test_kernel_matches_reference_loop(kernel_ring):
+    ring = kernel_ring
+    rng = seeded(16)
+    bound = ring.truncation
+    for _ in range(120):
+        a = random_gaussian_series(rng, ring)
+        b = random_gaussian_series(rng, ring)
+        if rng.random() < 0.3:
+            # share terms with a, so that some cancel exactly
+            b = b - a.leading_part() if rng.random() < 0.5 else -a + b * b
+        assert_same_terms(a + b, reference_add(a.terms, b.terms))
+        assert_same_terms(a - b, reference_sub(a.terms, b.terms))
+        assert_same_terms(-a, reference_neg(a.terms))
+        assert_same_terms(a * b, reference_mul(a.terms, b.terms, bound))
+        assert_same_terms(b * a, reference_mul(b.terms, a.terms, bound))
+        assert (a - a).is_zero() and (a + (-a)).is_zero()
+        for scalar in (0, 3, Fraction(-2, 7), random_gaussian(rng)):
+            c = reference_constant(ring, scalar)
+            assert_same_terms(a + scalar, reference_add(a.terms, c))
+            assert_same_terms(scalar + a, reference_add(a.terms, c))
+            assert_same_terms(a - scalar, reference_sub(a.terms, c))
+            assert_same_terms(scalar - a, reference_sub(c, a.terms))
+            assert_same_terms(a * scalar, reference_mul(a.terms, c, bound))
+            assert_same_terms(scalar * a, reference_mul(a.terms, c, bound))
+        exponent = rng.randint(0, 4)
+        assert_same_terms(a**exponent, reference_pow(ring, a.terms, exponent))
+        unit = a + (random_gaussian(rng) or 1) - a.standard_part()
+        if unit.is_unit():
+            assert_same_terms(unit.invert(), reference_invert(ring, unit.terms))
+
+
+def test_kernel_term_order_after_cancellation(ring, t):
+    # the t^2 coefficient cancels midway and comes back with the last pair,
+    # so it is the last term, after t^4
+    a = ring.one() + t + t**2
+    b = TruncatedSeries(ring, {(2,): 1, (1,): -1, (0,): 1})
+    product = a * b
+    assert product == 1 + t**2 + t**4
+    assert list(product.terms) == [(0,), (4,), (2,)]
+    assert_same_terms(product, reference_mul(a.terms, b.terms, ring.truncation))
+
+
+@pytest.mark.parametrize("kernel_ring", KERNEL_RINGS, ids=("t@8", "e1e2e3@6"))
+def test_kernel_zero_series(kernel_ring):
+    ring = kernel_ring
+    rng = seeded(17)
+    zero = ring.zero()
+    for _ in range(10):
+        a = random_gaussian_series(rng, ring)
+        assert (a * zero).is_zero() and (zero * a).is_zero()
+        assert_same_terms(a + zero, a.terms)
+        assert_same_terms(zero - a, reference_neg(a.terms))
+    assert (-zero).is_zero() and (zero * zero).is_zero() and (zero + zero).is_zero()
+    assert zero**0 == 1 and (zero**3).is_zero()
