@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     DegenerateError,
@@ -246,48 +247,41 @@ def _cmd_simplify_tf(args) -> int:
 # -- verification cases ----------------------------------------------------------
 
 
-def _case_simple(trunc, grid, seed, tolerance):
-    ring = univariate_ring(trunc)
-    base = ExactPolynomial([-1, 0, 1])
-    shift = PerturbedPolynomial(ring, [ring.generator("t")])
-    asym = root_correction(base, shift, 1)
-    return verify_root_asymptotics(base, shift, asym, grid, tolerance, seed)
+# Root cases at the root 1: base coefficients (low degree first), the sign of
+# Xi = +-t, and c to claim xi^k ~ c*t in place of root_correction's claim, or
+# None.  refute-half claims xi^2 ~ t/2, which drops the factorial; the oracle
+# must reject it.
+_ROOT_CASES = {
+    "simple": ([-1, 0, 1], 1, None),
+    "double": ([1, -2, 1], -1, None),
+    "refute-half": ([1, -2, 1], -1, Fraction(1, 2)),
+}
 
-
-def _case_double(trunc, grid, seed, tolerance):
-    ring = univariate_ring(trunc)
-    base = ExactPolynomial([1, -2, 1])
-    shift = PerturbedPolynomial(ring, [-ring.generator("t")])
-    asym = root_correction(base, shift, 1)
-    return verify_root_asymptotics(base, shift, asym, grid, tolerance, seed)
-
-
-def _case_refute_half(trunc, grid, seed, tolerance):
-    # deliberately asserts xi^2 ~ t/2; the oracle must reject it
-    ring = univariate_ring(trunc)
-    base = ExactPolynomial([1, -2, 1])
-    shift = PerturbedPolynomial(ring, [-ring.generator("t")])
-    wrong = RootAsymptotics(parse_scalar("1"), 2, ring.generator("t") * Fraction(1, 2))
-    return verify_root_asymptotics(base, shift, wrong, grid, tolerance, seed)
-
-
-def _case_jordan2(trunc, grid, seed, tolerance):
-    matrix = parse_matrix_json(
-        '{"n":2,"base":[["1","1"],["0","1"]],"pert":[["0","0"],["t","0"]]}', trunc
-    )
-    asym = eigenvalue_correction(matrix.base, matrix, 1)
-    return verify_root_asymptotics(
-        char_poly(matrix.base), perturbation_poly(matrix), asym, grid, tolerance, seed
-    )
-
-
-def _case_nilpotent3(trunc, grid, seed, tolerance):
-    matrix = parse_matrix_json(
+# Matrix cases: matrix JSON and the eigenvalue whose correction is checked.
+_MATRIX_CASES = {
+    "jordan2": ('{"n":2,"base":[["1","1"],["0","1"]],"pert":[["0","0"],["t","0"]]}', 1),
+    "nilpotent3": (
         '{"n":3,"base":[["0","1","0"],["0","0","1"],["0","0","0"]],'
         '"pert":[["0","0","0"],["0","0","0"],["t","0","0"]]}',
-        trunc,
-    )
-    asym = eigenvalue_correction(matrix.base, matrix, 0)
+        0,
+    ),
+}
+
+
+def _root_case(coeffs, sign, claimed, trunc, grid, seed, tolerance):
+    ring = univariate_ring(trunc)
+    t = ring.generator("t")
+    base = ExactPolynomial(coeffs)
+    shift = PerturbedPolynomial(ring, [t * sign])
+    asym = root_correction(base, shift, 1)
+    if claimed is not None:
+        asym = RootAsymptotics(asym.base_root, asym.order, t * claimed)
+    return verify_root_asymptotics(base, shift, asym, grid, tolerance, seed)
+
+
+def _matrix_case(text, eigenvalue, trunc, grid, seed, tolerance):
+    matrix = parse_matrix_json(text, trunc)
+    asym = eigenvalue_correction(matrix.base, matrix, eigenvalue)
     return verify_root_asymptotics(
         char_poly(matrix.base), perturbation_poly(matrix), asym, grid, tolerance, seed
     )
@@ -327,11 +321,8 @@ def _case_transfer(trunc, grid, seed, tolerance):
 
 
 _VERIFY_CASES = {
-    "simple": _case_simple,
-    "double": _case_double,
-    "refute-half": _case_refute_half,
-    "jordan2": _case_jordan2,
-    "nilpotent3": _case_nilpotent3,
+    **{name: partial(_root_case, *row) for name, row in _ROOT_CASES.items()},
+    **{name: partial(_matrix_case, *row) for name, row in _MATRIX_CASES.items()},
     "pgcd": _case_pgcd,
     "transfer": _case_transfer,
 }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, RingMismatchError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _times_power
 from .series import _monomial_text, format_terms
 
 
@@ -74,6 +74,12 @@ class Polynomial:
         except (TypeError, RingMismatchError):
             return NotImplemented
         return self.coeffs == other.coeffs
+
+    def _same_var(self, other: "Polynomial") -> "Polynomial":
+        """`other`, once it is in this polynomial's indeterminate."""
+        if other.var != self.var:
+            raise DomainError(f"indeterminates differ: {other.var!r} vs {self.var!r}")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -141,14 +147,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = self._like((1,))
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return _times_power(self._like((1,)), self, exponent)
 
     def derivative(self, order: int = 1):
         poly = self
@@ -177,7 +176,7 @@ class ExactPolynomial(Polynomial):
 
     def _coerce(self, other) -> "ExactPolynomial":
         if isinstance(other, ExactPolynomial):
-            return other
+            return self._same_var(other)
         return self._like((other,))
 
     @staticmethod

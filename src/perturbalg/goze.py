@@ -48,26 +48,32 @@ class GozeDecomposition:
         return [list(direction) for _, direction in self.levels]
 
 
-def rank_of_rows(rows) -> int:
-    """Exact rank over Q(i) by Gaussian elimination."""
+def row_reduce(rows) -> tuple[list[list[GaussianRational]], list[int]]:
+    """Reduced row echelon form over Q(i) and its pivot columns (Gauss-Jordan)."""
     work = [list(row) for row in rows]
-    rank = 0
     width = len(work[0]) if work else 0
-    col = 0
-    while rank < len(work) and col < width:
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        if rank == len(work):
+            break
         pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot_row is None:
-            col += 1
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                factor = work[r][col] / pivot
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivot_inv = GaussianRational(1) / work[rank][col]
+        work[rank] = [x * pivot_inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+    return work, pivots
+
+
+def rank_of_rows(rows) -> int:
+    """Exact rank over Q(i): the number of pivots of row_reduce."""
+    return len(row_reduce(rows)[1])
 
 
 def _validated(entries) -> list[TruncatedSeries]:

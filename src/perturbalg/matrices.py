@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
-from .goze import GozeDecomposition, first_level, rank_of_rows
+from .goze import GozeDecomposition, first_level, rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational
 from .series import SeriesRing, TruncatedSeries
@@ -104,22 +104,15 @@ class ConstantMatrix:
         return self == self.conjugate_transpose()
 
     def inverse(self) -> "ConstantMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse: the right half of the reduced form of [A | I]."""
         n = self.n
-        work = [list(row) + [GaussianRational(1 if i == j else 0) for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot_row is None:
-                raise DomainError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot_inv = GaussianRational(1) / work[col][col]
-            work[col] = [x * pivot_inv for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-        return ConstantMatrix([row[n:] for row in work])
+        reduced, pivots = row_reduce(
+            [list(row) + [1 if i == j else 0 for j in range(n)]
+             for i, row in enumerate(self.rows)]
+        )
+        if pivots != list(range(n)):
+            raise DomainError("matrix is singular")
+        return ConstantMatrix([row[n:] for row in reduced])
 
     def lift(self, ring: SeriesRing) -> list[list[TruncatedSeries]]:
         return [[ring.constant(x) for x in row] for row in self.rows]
@@ -193,10 +186,6 @@ def _entry_rows(matrix):
     return [list(row) for row in matrix]
 
 
-def _zero_like(entry):
-    return entry * 0
-
-
 def _det(rows) -> object:
     """Exact determinant by first-row expansion, memoized on column subsets."""
     n = len(rows)
@@ -249,6 +238,8 @@ def polarize(k: int, *matrices):
     Defined by inclusion-exclusion over argument subsets, which normalizes
     the diagonal to polarize(k, A, ..., A) = k! * minor_sum(A, k).
     """
+    if k < 1:
+        raise DomainError(f"polarization order {k} must be at least 1")
     if len(matrices) != k:
         raise DomainError(f"polarize of order {k} needs exactly {k} matrices")
     rows_list = [_entry_rows(m) for m in matrices]
@@ -269,7 +260,6 @@ def polarize(k: int, *matrices):
         else:
             labels.append(len(labels))
 
-    zero = _zero_like(rows_list[0][0][0])
     cache = {}
     total = None
     for mask in range(1, 1 << k):
@@ -285,8 +275,6 @@ def polarize(k: int, *matrices):
         if (k - bin(mask).count("1")) % 2:
             value = -value
         total = value if total is None else total + value
-    if total is None:
-        total = zero
     return total
 
 

@@ -182,6 +182,14 @@ def _judge(report: ConvergenceReport) -> ConvergenceReport:
     return report
 
 
+def _descending_grid(grid: Sequence[float]) -> list[float]:
+    """The grid from largest to smallest, once every value lies in (0, 0.1]."""
+    grid = sorted(grid, reverse=True)
+    if not grid or grid[0] > 0.1 or grid[-1] <= 0:
+        raise DomainError("grid values must lie in (0, 0.1]")
+    return grid
+
+
 def _mixed(base_coeffs: Sequence[complex], shift_coeffs: Sequence[complex]) -> list:
     """Coefficients of P + Xi(t0), low degree first."""
     size = max(len(base_coeffs), len(shift_coeffs))
@@ -209,9 +217,7 @@ def verify_root_asymptotics(
     inside a larger cluster is paired to the root nearest u + predicted.  A
     zero right-hand side requires |observed| <= 10 * t0^2 instead of a ratio.
     """
-    grid = sorted(grid, reverse=True)
-    if not grid or grid[0] > 0.1 or grid[-1] <= 0:
-        raise DomainError("grid values must lie in (0, 0.1]")
+    grid = _descending_grid(grid)
     report = ConvergenceReport(tolerance=tolerance)
     root = complex(asym.base_root)
     multiplicity = base.multiplicity(asym.base_root)
@@ -277,7 +283,7 @@ def verify_quadratic_balance(
     seed: int = 0,
 ) -> ConvergenceReport:
     """Check both branches of a balanced double-root quadratic numerically."""
-    grid = sorted(grid, reverse=True)
+    grid = _descending_grid(grid)
     report = ConvergenceReport(tolerance=tolerance)
     root = complex(balance.base_root)
     base_coeffs = base.numeric_coeffs()

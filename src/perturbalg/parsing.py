@@ -27,19 +27,18 @@ from .transfer import RationalFunction
 
 MAX_INPUT_BYTES = 1 << 20
 MAX_POLY_DEGREE = 512
-# `^` is an exponent overflow when the exponent times the bits one factor can
-# add, ceil(log2 |n|) for the largest numerator or denominator n among the
-# base's coefficients, exceeds this.  Powers of 0, 1, i and the generators add
-# none.  4096 bits are 1234 decimal digits, so a power, and products of a few
-# powers, stay within Python's 4300-digit limit on printing an int.
+# Every numerator and denominator the parser builds has at most MAX_POWER_BITS
+# bits, 1234 decimal digits, within Python's 4300-digit limit on converting an
+# int to or from text.  An integer literal may have MAX_LITERAL_DIGITS digits,
+# so it stays below 2^MAX_POWER_BITS.  `^` is an exponent overflow when the
+# exponent times the bits one factor can add, ceil(log2 |n|) for the largest
+# numerator or denominator n among the base's coefficients, exceeds the bound;
+# powers of 0, 1, i and the generators add none.  A product, sum or difference
+# whose result exceeds it is a coefficient overflow.
 MAX_POWER_BITS = 4096
+MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS)) - 1
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
 _TOKEN_PATTERN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),]))")
-
-KIND_SERIES = "series"
-KIND_POLYNOMIAL = "polynomial"
-KIND_RATIONAL_FUNCTION = "rational_function"
-KIND_MATRIX = "matrix"
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,6 @@ class Token:
     kind: str  # "int" | "name" | "op" | "end"
     text: str
     offset: int
-
-
-@dataclass(frozen=True)
-class ParsedExpression:
-    kind: str
-    payload: object
-    source_span: tuple
 
 
 def _line_column(text: str, offset: int):
@@ -80,6 +72,8 @@ def tokenize(text: str) -> list[Token]:
             bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
             raise _error(text, bad, f"unexpected character {text[bad]!r}")
         if match.group(1):
+            if len(match.group(1)) > MAX_LITERAL_DIGITS:
+                raise _error(text, match.start(1), "literal overflow")
             tokens.append(Token("int", match.group(1), match.start(1)))
         elif match.group(2):
             tokens.append(Token("name", match.group(2), match.start(2)))
@@ -156,6 +150,7 @@ class _Parser:
                 self.advance()
                 rhs = self.parse_term()
                 value = value - rhs if token.text == "-" else value + rhs
+                value = self._bounded(value, token)
             else:
                 return value
 
@@ -165,9 +160,15 @@ class _Parser:
             token = self.peek()
             if token.kind == "op" and token.text == "*":
                 self.advance()
-                value = value * self.parse_factor()
+                value = self._bounded(value * self.parse_factor(), token)
             else:
                 return value
+
+    def _bounded(self, value: PerturbedPolynomial, token: Token) -> PerturbedPolynomial:
+        """The result of the operator `token`, unless it passes MAX_POWER_BITS."""
+        if _coefficient_bits(value) > MAX_POWER_BITS:
+            self.fail(token, "coefficient overflow")
+        return value
 
     def parse_factor(self) -> PerturbedPolynomial:
         base = self.parse_atom()
@@ -287,27 +288,6 @@ def parse_rational_function(
         den = PerturbedPolynomial(ring, [ring.one()], var)
     parser.finish()
     return RationalFunction(num, den)
-
-
-def parse(text: str, expected_kind: str, truncation: int = 8, var=None) -> ParsedExpression:
-    """Front door used by the CLI: normalize any grammar input to its type."""
-    span = (0, len(text))
-    if expected_kind == KIND_MATRIX:
-        return ParsedExpression(KIND_MATRIX, parse_matrix_json(text, truncation), span)
-    ring = ring_for(text, truncation=truncation)
-    if expected_kind == KIND_SERIES:
-        return ParsedExpression(KIND_SERIES, parse_series(text, ring), span)
-    if expected_kind == KIND_POLYNOMIAL:
-        return ParsedExpression(
-            KIND_POLYNOMIAL, parse_polynomial(text, ring, var or "X"), span
-        )
-    if expected_kind == KIND_RATIONAL_FUNCTION:
-        return ParsedExpression(
-            KIND_RATIONAL_FUNCTION,
-            parse_rational_function(text, ring, var or "p"),
-            span,
-        )
-    raise ValueError(f"unknown expression kind {expected_kind!r}")
 
 
 def parse_matrix_json(text: str, truncation: int = 8):

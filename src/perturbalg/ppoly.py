@@ -55,11 +55,7 @@ class PerturbedPolynomial(Polynomial):
         if isinstance(other, PerturbedPolynomial):
             if other.ring != self.ring:
                 raise RingMismatchError("polynomials from different rings")
-            if other.var != self.var:
-                raise DomainError(
-                    f"indeterminates differ: {other.var!r} vs {self.var!r}"
-                )
-            return other
+            return self._same_var(other)
         if isinstance(other, (TruncatedSeries, GaussianRational, Fraction, int)):
             return self._like((other,))
         raise TypeError(f"cannot coerce {other!r} to a perturbed polynomial")
@@ -233,11 +229,16 @@ class BalanceQuadratic:
         )
 
 
-def _exact_multiplicity(poly: ExactPolynomial, root: GaussianRational) -> int:
-    mult = poly.multiplicity(root)
+def _sensitivity(base: ExactPolynomial, root):
+    """(u, r, -r!/P^(r)(u)) for an exact root u of multiplicity r of P."""
+    root = GaussianRational.coerce(root)
+    mult = base.multiplicity(root)
     if mult == 0:
-        raise DomainError(f"{root} is not a root of {poly}")
-    return mult
+        raise DomainError(f"{root} is not a root of {base}")
+    denominator = base.derivative(mult).evaluate(root)
+    if not denominator:  # cannot happen once mult is exact; guard anyway
+        raise DomainError("multiplicity misdeclared: P^(k)(u) = 0")
+    return root, mult, GaussianRational(-math.factorial(mult)) / denominator
 
 
 def apply_root_sensitivity(
@@ -248,10 +249,7 @@ def apply_root_sensitivity(
     For any perturbed root xi of P + H with shadow u, xi^r differs from L(H)
     by an infinitesimal multiple of the perturbation size.
     """
-    root = GaussianRational.coerce(root)
-    mult = _exact_multiplicity(base, root)
-    denominator = base.derivative(mult).evaluate(root)
-    scale = GaussianRational(-math.factorial(mult)) / denominator
+    root, _, scale = _sensitivity(base, root)
     return shift_poly.evaluate(root) * scale
 
 
@@ -271,17 +269,12 @@ def root_correction(
     """
     if not shift_poly.is_infinitesimal():
         raise DomainError("the perturbation polynomial must be wholly infinitesimal")
-    root = GaussianRational.coerce(root)
-    mult = _exact_multiplicity(base, root)
+    root, mult, scale = _sensitivity(base, root)
     if order is not None and order != mult:
         raise DomainError(
             f"declared multiplicity {order} but {root} has multiplicity {mult}"
         )
     order = mult
-    denominator = base.derivative(order).evaluate(root)
-    if not denominator:  # cannot happen once mult is exact; guard anyway
-        raise DomainError("multiplicity misdeclared: P^(k)(u) = 0")
-    scale = GaussianRational(-math.factorial(order)) / denominator
 
     level_index = None
     if decomposition is not None:

@@ -15,6 +15,19 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
+def _times_power(result, base, exponent: int):
+    """result * base**exponent by square-and-multiply; callers validate the exponent.
+
+    Scalar, series and polynomial powers share it, so all multiply in one order.
+    """
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
 class GaussianRational:
     """Number re + im*i where both parts are arbitrary-precision rationals.
 
@@ -106,14 +119,7 @@ class GaussianRational:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = GaussianRational(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return _times_power(GaussianRational(1), self, exponent)
 
     # -- structure ----------------------------------------------------------
 

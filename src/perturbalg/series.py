@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DomainError, NonUnitError, RingMismatchError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _times_power
 
 INFINITE = math.inf
 
@@ -241,15 +241,7 @@ class TruncatedSeries:
             return self.ring.one()
         if self.valuation() >= 1 and exponent > self.ring.truncation:
             return self.ring.zero()  # infinitesimal^e vanishes beyond T
-        result = self.ring.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _times_power(self.ring.one(), self, exponent)
 
     def __truediv__(self, other):
         """Division by an exact scalar (series division goes through invert)."""
@@ -451,7 +443,7 @@ class LaurentScalar:
         else:
             v = body.valuation()
             if v:
-                body = _shift_down(body, v)
+                body = _shift(body, -v)
                 shift += v
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "body", body)
@@ -488,7 +480,7 @@ class LaurentScalar:
             return self.body
         if self.shift < 0:
             raise NonUnitError("negative Laurent shift is not a series")
-        return _shift_up(self.body, self.shift)
+        return _shift(self.body, self.shift)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentScalar):
@@ -519,13 +511,8 @@ def classify(value) -> str:
     return INFINITELY_LARGE
 
 
-def _shift_down(series: TruncatedSeries, amount: int) -> TruncatedSeries:
-    return TruncatedSeries(
-        series.ring, {(i[0] - amount,): c for i, c in series.terms.items()}
-    )
-
-
-def _shift_up(series: TruncatedSeries, amount: int) -> TruncatedSeries:
+def _shift(series: TruncatedSeries, amount: int) -> TruncatedSeries:
+    """series * t^amount in its univariate ring; a negative amount divides."""
     return TruncatedSeries(
         series.ring, {(i[0] + amount,): c for i, c in series.terms.items()}
     )

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from perturbalg.cli import run
 
 JORDAN2 = '{"n":2,"base":[["1","1"],["0","1"]],"pert":[["0","0"],["t","0"]]}'
@@ -112,6 +114,17 @@ def test_verify_case(capsys):
     assert payload["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "case", ["simple", "double", "jordan2", "nilpotent3", "pgcd", "transfer", "refute-half"]
+)
+def test_every_verify_case(capsys, case):
+    code = run(["verify", "--case", case])
+    payload = json.loads(capsys.readouterr().out)
+    refuted = case == "refute-half"
+    assert code == (3 if refuted else 0)
+    assert payload["verdict"] == ("fail" if refuted else "pass")
+
+
 def test_verify_refutation_fails_as_designed(capsys):
     code = run(["verify", "--case", "refute-half"])
     payload = json.loads(capsys.readouterr().out)
@@ -129,10 +142,18 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_oversized_scalar_power_is_a_parse_error(capsys):
-    # without the bound this computes, then fails to print a 4772-digit int
-    assert run(["pgcd", "--p1", "X - 3^10000", "--p2", "X - 1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: exponent overflow") and err.count("\n") == 1
+    # without the bounds these compute, then fail to print (or to read) an int
+    # of more than 4300 digits
+    for p1, message in (
+        ("X - 3^10000", "exponent overflow"),
+        ("X - 3^2048*3^2048*3^2048*3^2048*3^2048", "coefficient overflow"),
+        ("X - 1/2^4000 - 1/3^2000 - 1/5^1300 - 1/7^1300", "coefficient overflow"),
+        ("X - " + "9" * 5000, "literal overflow"),
+        ("X^" + "9" * 5000, "literal overflow"),
+    ):
+        assert run(["pgcd", "--p1", p1, "--p2", "X - 1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_nonpositive_trunc_is_a_usage_error(capsys):

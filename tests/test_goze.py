@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from perturbalg import GaussianRational, SeriesRing, decompose, univariate_ring
 from perturbalg.errors import DomainError
-from perturbalg.goze import first_level, rank_of_rows
+from perturbalg.goze import first_level, rank_of_rows, row_reduce
 
 from conftest import random_infinitesimal, seeded
 
@@ -123,3 +125,40 @@ def test_first_level_rejects_what_decompose_rejects(ring, t):
             first_level(vector)
     with pytest.raises(DomainError):
         first_level([ring.zero(), ring.zero()])
+
+
+def test_row_reduce_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(x):
+        x = GaussianRational.coerce(x)
+        return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
+            x.im.numerator, x.im.denominator
+        )
+
+    def from_sympy(x):
+        re, im = sympy.expand(x).as_real_imag()
+        return GaussianRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+    rng = seeded(25)
+    for _ in range(40):
+        height, width = rng.randint(1, 5), rng.randint(1, 5)
+        inner = rng.randint(0, min(height, width))
+        # a product through `inner` dimensions has rank at most `inner`
+        left = [[GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(inner)]
+                for _ in range(height)]
+        right = [[GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                  for _ in range(width)] for _ in range(inner)]
+        rows = [
+            [sum((a[k] * right[k][j] for k in range(inner)), GaussianRational(0))
+             for j in range(width)]
+            for a in left
+        ]
+        expected = sympy.Matrix([[to_sympy(x) for x in row] for row in rows])
+        reduced, pivots = row_reduce(rows)
+        expected_reduced, expected_pivots = expected.rref()
+        assert pivots == list(expected_pivots)
+        assert reduced == [
+            [from_sympy(expected_reduced[i, j]) for j in range(width)] for i in range(height)
+        ]
+        assert rank_of_rows(rows) == expected.rank() <= inner

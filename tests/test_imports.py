@@ -1,6 +1,8 @@
 """The package depends only on the standard library (see the README)."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -32,3 +34,22 @@ def test_package_imports_only_the_standard_library():
             if name != "perturbalg" and name not in sys.stdlib_module_names:
                 outside.setdefault(path.name, []).append(name)
     assert outside == {}
+
+
+def test_names_the_benchmark_counts_exist():
+    # perfbench counts calls by "module:qualname"; a name that no longer
+    # exists would silently count 0
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    layers = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+    names = set()
+    for source in ("run.py", "tracer.py"):
+        text = (bench / source).read_text(encoding="utf-8")
+        for module, qualname in re.findall(r'"([a-z]+):([A-Za-z_][\w.]*)"', text):
+            if module in layers:
+                names.add((module, qualname))
+    assert len(names) >= 25
+    for module, qualname in sorted(names):
+        owner = importlib.import_module(f"perturbalg.{module}")
+        for attribute in qualname.split("."):
+            assert hasattr(owner, attribute), f"{module}:{qualname}"
+            owner = getattr(owner, attribute)

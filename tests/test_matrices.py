@@ -110,6 +110,9 @@ def test_minor_sums_two_by_two():
 def test_minor_sum_range_check():
     with pytest.raises(DomainError):
         minor_sum(ConstantMatrix.identity(2), 3)
+    for k, matrices in ((0, ()), (3, [ConstantMatrix.identity(2)] * 3), (2, [JORDAN2])):
+        with pytest.raises(DomainError):
+            polarize(k, *matrices)
 
 
 def test_polarize_unit_directions():
@@ -311,6 +314,27 @@ def test_orbit_dimension_conjugation_invariant():
                 continue
         conjugated = inverse @ matrix @ basis
         assert orbit_dimension(conjugated) == orbit_dimension(matrix)
+
+
+def test_inverse_of_random_gaussian_matrices():
+    rng = seeded(48)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        matrix = random_gaussian(rng, n, span=1)
+        if not char_poly(matrix).coefficient(0):  # det = 0
+            singular += 1
+            with pytest.raises(DomainError, match="matrix is singular"):
+                matrix.inverse()
+            continue
+        inverse = matrix.inverse()
+        assert matrix @ inverse == ConstantMatrix.identity(n)
+        assert inverse @ matrix == ConstantMatrix.identity(n)
+    assert 0 < singular < 60
+    # rank 2 of 3: the pivots are columns 0, 1 and then one of the right half
+    with pytest.raises(DomainError, match="matrix is singular"):
+        ConstantMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).inverse()
+    assert ConstantMatrix([]).inverse() == ConstantMatrix([])
 
 
 def test_hermitian_shift():

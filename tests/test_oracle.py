@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from perturbalg import (
+    BalanceQuadratic,
     ConstantMatrix,
     ExactPolynomial,
     GaussianRational,
@@ -120,6 +121,21 @@ def test_verify_quadratic_balance(ring, t):
     shift = PerturbedPolynomial(ring, [-t - t**2, t])
     (balance,) = dominant_balance(base, shift, 1)
     assert verify_quadratic_balance(base, shift, balance, GRID).verdict
+
+
+def test_grid_must_lie_in_the_unit_tenth(ring, t):
+    # balanced double root: Xi(1) = t^2 and Xi'(1) = t have matching scales
+    base = ExactPolynomial([1, -2, 1])
+    shift = PerturbedPolynomial(ring, [t**2 - t, t])
+    (balance,) = dominant_balance(base, shift, 1)
+    assert isinstance(balance, BalanceQuadratic)
+    assert verify_quadratic_balance(base, shift, balance, GRID).verdict
+    (claim,) = dominant_balance(base, PerturbedPolynomial(ring, [-t]), 1)
+    for grid in ((0.5, 0.2), (1e-2, -1e-3), (1e-2, 0.0), ()):
+        with pytest.raises(DomainError, match=r"grid values must lie in \(0, 0.1\]"):
+            verify_quadratic_balance(base, shift, balance, grid)
+        with pytest.raises(DomainError, match=r"grid values must lie in \(0, 0.1\]"):
+            verify_root_asymptotics(base, PerturbedPolynomial(ring, [-t]), claim, grid)
 
 
 def test_verify_mixed_scale_branches(ring, t):

@@ -11,7 +11,8 @@ from perturbalg import (
 )
 from perturbalg.errors import DomainError
 from perturbalg.parsing import (
-    parse,
+    MAX_LITERAL_DIGITS,
+    MAX_POWER_BITS,
     parse_matrix_json,
     parse_polynomial,
     parse_rational_function,
@@ -87,6 +88,25 @@ def test_scalar_power_overflow():
     assert parse_scalar("i^100002") == -1
 
 
+def test_coefficient_and_literal_overflow():
+    ring = SeriesRing(("t",), 8)
+    # each power is within its bound; the first product and the second
+    # difference are not, and parsing stops there
+    for text, offset in (
+        ("X - 3^2048*3^2048*3^2048*3^2048*3^2048", 10),
+        ("X - 1/2^4000 - 1/3^2000 - 1/5^1300 - 1/7^1300 - 1/11^1000 - 1/13^1000", 13),
+    ):
+        with pytest.raises(ParseError, match="coefficient overflow") as info:
+            parse_polynomial(text, ring)
+        assert info.value.offset == offset
+    longest = "9" * MAX_LITERAL_DIGITS
+    assert (10**MAX_LITERAL_DIGITS).bit_length() <= MAX_POWER_BITS
+    assert parse_scalar(longest) == int(longest)
+    for text in ("X - 9" + longest, "X^1" + longest, "1/7" + longest, "0" + longest):
+        with pytest.raises(ParseError, match="literal overflow"):
+            parse_polynomial(text, ring)
+
+
 def test_imaginary_unit():
     ring = SeriesRing(("t",), 8)
     assert parse_scalar("2 - 3*i") == GaussianRational(2, -3)
@@ -109,14 +129,7 @@ def test_rational_function_parse():
     function = parse_rational_function("p^2 - 1 / p - 1", ring)
     assert function.num.degree == 2
     assert function.den.degree == 1
-
-
-def test_parse_front_door_kinds():
-    assert parse("1 + t", "series").kind == "series"
-    assert parse("X^2 - 1", "polynomial").payload.degree == 2
-    assert parse("p + 1 / p - 2", "rational_function").payload.den.degree == 1
-    matrix = parse('{"n":2,"base":[["1","0"],["0","1"]]}', "matrix").payload
-    assert isinstance(matrix, ConstantMatrix)
+    assert parse_rational_function("p + 1 / p - 2", ring).den.degree == 1
 
 
 def test_matrix_json():
@@ -126,6 +139,8 @@ def test_matrix_json():
     assert isinstance(matrix, PerturbedMatrix)
     assert matrix.base == ConstantMatrix([[1, 1], [0, 1]])
     assert matrix.pert[1][0] == matrix.ring.generator("t")
+    identity = parse_matrix_json('{"n":2,"base":[["1","0"],["0","1"]]}')
+    assert isinstance(identity, ConstantMatrix)
 
 
 def test_matrix_json_errors():

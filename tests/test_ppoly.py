@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,20 @@ def test_euclid_error_order_and_short_path(ring, t):
     assert divmod(exact, ExactPolynomial([0, 0, 3])) == (0, exact)
     with pytest.raises(ZeroDivisionError):
         divmod(exact, 0)
+
+
+def test_arithmetic_needs_one_indeterminate(ring):
+    pairs = [
+        (ExactPolynomial([1, 2]), ExactPolynomial([1, 2], "p")),
+        (ExactPolynomial([1]), ExactPolynomial([1, 2], "p")),
+        (PerturbedPolynomial(ring, [1, 2]), PerturbedPolynomial(ring, [1, 2], "p")),
+    ]
+    for x, p in pairs:
+        for operation in (operator.add, operator.sub, operator.mul, divmod):
+            with pytest.raises(DomainError, match="indeterminates differ: 'p' vs 'X'"):
+                operation(x, p)
+    # scalars still coerce into either indeterminate
+    assert ExactPolynomial([1, 2], "p") + 1 == ExactPolynomial([2, 2], "p")
 
 
 def test_division_identity_random():
