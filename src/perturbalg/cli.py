@@ -139,8 +139,6 @@ def _cmd_roots(args) -> int:
     try:
         results = [root_correction(base, shift, root, args.mult)]
     except DegenerateError:
-        if base.multiplicity(root) != 2:
-            raise
         results = dominant_balance(base, shift, root)
     _emit(
         args,

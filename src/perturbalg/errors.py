@@ -22,7 +22,7 @@ class DegenerateError(DomainError):
 
 
 class UnsupportedOrderError(DomainError):
-    """Root multiplicity beyond what the balance analysis supports."""
+    """A Newton-polygon edge with a point inside, other than a double root's balance."""
 
 
 class OracleError(PerturbAlgError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, RingMismatchError
-from .scalars import GaussianRational, _times_power
+from .scalars import GaussianRational, _power
 from .series import _monomial_text, format_terms
 
 
@@ -147,7 +147,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        return _times_power(self._like((1,)), self, exponent)
+        return _power(self._like((1,)), self, exponent)
 
     def derivative(self, order: int = 1):
         poly = self

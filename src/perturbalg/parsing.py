@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .matrices import ConstantMatrix, PerturbedMatrix
-from .ppoly import PerturbedPolynomial
+from .ppoly import MAX_POWER_BITS, PerturbedPolynomial, _coefficient_bits
 from .scalars import GaussianRational
 from .series import SeriesRing, TruncatedSeries
 from .transfer import RationalFunction
@@ -28,14 +28,12 @@ from .transfer import RationalFunction
 MAX_INPUT_BYTES = 1 << 20
 MAX_POLY_DEGREE = 512
 # Every numerator and denominator the parser builds has at most MAX_POWER_BITS
-# bits, 1234 decimal digits, within Python's 4300-digit limit on converting an
-# int to or from text.  An integer literal may have MAX_LITERAL_DIGITS digits,
+# bits (see ppoly).  An integer literal may have MAX_LITERAL_DIGITS digits,
 # so it stays below 2^MAX_POWER_BITS.  `^` is an exponent overflow when the
 # exponent times the bits one factor can add, ceil(log2 |n|) for the largest
 # numerator or denominator n among the base's coefficients, exceeds the bound;
 # powers of 0, 1, i and the generators add none.  A product, sum or difference
 # whose result exceeds it is a coefficient overflow.
-MAX_POWER_BITS = 4096
 MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS)) - 1
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
 _TOKEN_PATTERN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),]))")
@@ -92,20 +90,6 @@ def scan_generator_names(*texts: str) -> tuple[str, ...]:
             if token.kind == "name" and GENERATOR_PATTERN.match(token.text):
                 seen.add(token.text)
     return tuple(sorted(seen, key=lambda g: (g != "t", g)))
-
-
-def _coefficient_bits(poly: PerturbedPolynomial) -> int:
-    """ceil(log2 |n|) for the largest numerator or denominator n of a coefficient."""
-    return max(
-        (
-            (abs(part) - 1).bit_length()
-            for series in poly.coeffs
-            for c in series.terms.values()
-            for part in (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-            if part
-        ),
-        default=0,
-    )
 
 
 class _Parser:

@@ -8,8 +8,8 @@ infinitesimal), and the leading-order root corrections
     xi^k ~ -k! * Xi(u) / P^(k)(u)
 
 for a root u of multiplicity k of the exact base polynomial P perturbed by an
-infinitesimal polynomial Xi, together with the dominant-balance case analysis
-at a double root.
+infinitesimal polynomial Xi.  When Xi(u) vanishes, `dominant_balance` reads
+the branches at u off the Newton polygon of P + Xi (Kato, ch. II).
 """
 
 from __future__ import annotations
@@ -30,6 +30,25 @@ from .exactpoly import ExactPolynomial, Polynomial
 from .goze import GozeDecomposition
 from .scalars import GaussianRational
 from .series import SeriesRing, TruncatedSeries, divide_univariate
+
+# The most bits a numerator or denominator may have: 1234 decimal digits,
+# within Python's 4300-digit limit on converting an int to or from text.  The
+# parser bounds what it builds by it, and pgcd bounds its remainders.
+MAX_POWER_BITS = 4096
+
+
+def _coefficient_bits(poly: "PerturbedPolynomial") -> int:
+    """ceil(log2 |n|) for the largest numerator or denominator n of a coefficient."""
+    return max(
+        (
+            (abs(part) - 1).bit_length()
+            for series in poly.coeffs
+            for c in series.terms.values()
+            for part in (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+            if part
+        ),
+        default=0,
+    )
 
 
 class PerturbedPolynomial(Polynomial):
@@ -148,7 +167,9 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
     and the preceding remainder is returned, matching the classical GCD on
     exact inputs.  Divisors whose leading coefficients are infinitesimal but
     which are not wholly infinitesimal have those terms stripped (recorded in
-    the trace) so every division is by a unit leading coefficient.
+    the trace) so every division is by a unit leading coefficient.  A remainder
+    with a numerator or denominator of more than MAX_POWER_BITS bits raises
+    DomainError.
     """
     if a.is_zero() or b.is_zero():
         raise DomainError("PGCD requires two nonzero polynomials")
@@ -157,15 +178,11 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
     previous, current = a, b
     if previous.is_infinitesimal() and current.is_infinitesimal():
         raise DomainError("both inputs are wholly infinitesimal; no PGCD exists")
-    while True:
-        if current.is_zero():
-            return previous, trace
-        if current.is_infinitesimal():
-            return previous, trace
+    while not current.is_infinitesimal():  # a zero remainder is infinitesimal too
         divisor, stripped = current.strip_infinitesimal_leading()
-        if divisor.is_zero():  # unreachable: current not wholly infinitesimal
-            return previous, trace
         _, remainder = euclid_divide(previous, divisor)
+        if _coefficient_bits(remainder) > MAX_POWER_BITS:
+            raise DomainError(f"PGCD remainder coefficient passes {MAX_POWER_BITS} bits")
         trace.append(
             RemainderStep(
                 remainder=remainder,
@@ -176,6 +193,7 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
             )
         )
         previous, current = divisor, remainder
+    return previous, trace
 
 
 def monic_shadow(poly: PerturbedPolynomial) -> ExactPolynomial:
@@ -212,9 +230,9 @@ class RootAsymptotics:
 class BalanceQuadratic:
     """Balanced double-root case: quad_coeff*xi^2 + linear*xi + constant ~ 0.
 
-    Returned when the two branch magnitudes coincide and the correction is a
-    root of a genuine quadratic whose roots need not live in the coefficient
-    ring.
+    Returned for the three-point Newton-polygon edge of a double root, where
+    the two branch magnitudes coincide and the correction is a root of a
+    genuine quadratic whose roots need not live in the coefficient ring.
     """
 
     base_root: GaussianRational
@@ -235,9 +253,7 @@ def _sensitivity(base: ExactPolynomial, root):
     mult = base.multiplicity(root)
     if mult == 0:
         raise DomainError(f"{root} is not a root of {base}")
-    denominator = base.derivative(mult).evaluate(root)
-    if not denominator:  # cannot happen once mult is exact; guard anyway
-        raise DomainError("multiplicity misdeclared: P^(k)(u) = 0")
+    denominator = base.derivative(mult).evaluate(root)  # nonzero: mult is exact
     return root, mult, GaussianRational(-math.factorial(mult)) / denominator
 
 
@@ -274,20 +290,17 @@ def root_correction(
         raise DomainError(
             f"declared multiplicity {order} but {root} has multiplicity {mult}"
         )
-    order = mult
 
     level_index = None
     if decomposition is not None:
-        rhs = None
         prefix = decomposition.ring.one()
-        for index, (alpha, direction) in enumerate(decomposition.levels):
+        for level_index, (alpha, direction) in enumerate(decomposition.levels):
             prefix = prefix * alpha
             value = ExactPolynomial(direction, shift_poly.var).evaluate(root)
             if value:
                 rhs = prefix * (value * scale)
-                level_index = index
                 break
-        if rhs is None:
+        else:
             raise DegenerateError(
                 "every direction polynomial vanishes at the root; "
                 "use dominant_balance"
@@ -299,61 +312,48 @@ def root_correction(
                 "Xi(u) vanishes up to the truncation bound; use dominant_balance"
             )
         rhs = (shifted * scale).leading_part()
-    return RootAsymptotics(root, order, rhs, level_index)
+    return RootAsymptotics(root, mult, rhs, level_index)
 
 
 def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):
-    """Branch analysis at a double root: Xi(u) + xi*Xi'(u) + xi^2*P''(u)/2 ~ 0.
+    """Branches of P + Xi at a root u of multiplicity m, by the Newton polygon.
 
-    Returns a list of RootAsymptotics, or a single-element list holding a
-    BalanceQuadratic when the two scales coincide and neither term dominates.
+    Let c_j = [P^(j)(u) + Xi^(j)(u)]/j! for j = 0..m.  Each leading zero c_j is
+    a root that stays put, xi ~ 0.  Each edge from i to k of the lower hull of
+    the other points (j, val c_j) gives xi^(k-i) ~ -c_i/c_k at leading order;
+    an edge short of m divides two series, so it needs the univariate ring.
+    The three-point edge of a double root is a BalanceQuadratic; any other
+    edge with a point inside raises UnsupportedOrderError.
     """
-    root = GaussianRational.coerce(root)
-    if base.evaluate(root):
-        raise DomainError(f"{root} is not a root of {base}")
-    if base.derivative().evaluate(root):
-        raise DomainError("simple root: use root_correction instead")
-    curvature = base.derivative(2).evaluate(root)
-    if not curvature:
-        raise UnsupportedOrderError(
-            "root of multiplicity three or higher; not supported by the balance"
-        )
-    half_curv = curvature / 2
-    value = shift_poly.evaluate(root)
-    slope = shift_poly.derivative().evaluate(root)
-
-    if value.is_zero():
-        ring = shift_poly.ring
-        still = RootAsymptotics(root, 1, ring.zero())
-        if slope.is_zero():
-            return [still, still]
-        moved = (slope * (GaussianRational(-1) / half_curv)).leading_part()
-        return [still, RootAsymptotics(root, 1, moved)]
-    if slope.is_zero():
-        rhs = (value * (GaussianRational(-1) / half_curv)).leading_part()
-        return [RootAsymptotics(root, 2, rhs)]
-
-    value_val = value.valuation()
-    slope_val = slope.valuation()
-    if value_val < 2 * slope_val:
-        rhs = (value * (GaussianRational(-1) / half_curv)).leading_part()
-        return [RootAsymptotics(root, 2, rhs)]
-    if value_val > 2 * slope_val:
-        if not shift_poly.ring.is_univariate:
-            raise DomainError(
-                "mixed-scale balance needs the univariate ring; specialize first"
-            )
-        small = (-divide_univariate(value, slope)).leading_part()
-        large = (slope * (GaussianRational(-1) / half_curv)).leading_part()
-        return [
-            RootAsymptotics(root, 1, small),
-            RootAsymptotics(root, 1, large),
-        ]
-    return [
-        BalanceQuadratic(
-            base_root=root,
-            quad_coeff=half_curv,
-            linear=slope.leading_part(),
-            constant=value.leading_part(),
-        )
+    root, mult, scale = _sensitivity(base, root)
+    coeffs = [
+        shift_poly.derivative(j).evaluate(root) / math.factorial(j) for j in range(mult)
     ]
+    points = [(j, c.valuation()) for j, c in enumerate(coeffs) if not c.is_zero()]
+    points.append((mult, 0))  # c_m is P^(m)(u)/m! = -1/scale at leading order
+    i, v_i = points[0]
+    branches = [RootAsymptotics(root, 1, shift_poly.ring.zero())] * i
+    while i < mult:
+        # the next hull vertex has the least slope; on a tie, the farthest
+        k, v_k = min(
+            (p for p in points if p[0] > i),
+            key=lambda p: (Fraction(p[1] - v_i, p[0] - i), -p[0]),
+        )
+        if any(i < j < k and (v - v_i) * (k - i) == (v_k - v_i) * (j - i) for j, v in points):
+            if mult != 2:
+                raise UnsupportedOrderError(
+                    f"Newton-polygon edge from {i} to {k} has a point inside; "
+                    "only the double-root balance is supported"
+                )
+            quad = GaussianRational(-1) / scale
+            linear, constant = coeffs[1].leading_part(), coeffs[0].leading_part()
+            branches.append(BalanceQuadratic(root, quad, linear, constant))
+        elif k == mult:
+            branches.append(RootAsymptotics(root, k - i, (coeffs[i] * scale).leading_part()))
+        elif not shift_poly.ring.is_univariate:
+            raise DomainError("mixed-scale balance needs the univariate ring; specialize first")
+        else:
+            rhs = (-divide_univariate(coeffs[i], coeffs[k])).leading_part()
+            branches.append(RootAsymptotics(root, k - i, rhs))
+        i, v_i = k, v_k
+    return branches

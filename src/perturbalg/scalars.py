@@ -15,17 +15,21 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
-def _times_power(result, base, exponent: int):
-    """result * base**exponent by square-and-multiply; callers validate the exponent.
+def _power(one, base, exponent: int):
+    """base**exponent by square-and-multiply, `one` at exponent 0; callers validate it.
 
     Scalar, series and polynomial powers share it, so all multiply in one order.
+    It squares only up to the top bit and never multiplies by `one`, so ** 1
+    costs no product, ** 2 one and ** 8 three.
     """
+    result = None
     while exponent:
         if exponent & 1:
-            result = result * base
-        base = base * base
+            result = base if result is None else result * base
         exponent >>= 1
-    return result
+        if exponent:
+            base = base * base
+    return one if result is None else result
 
 
 class GaussianRational:
@@ -119,7 +123,7 @@ class GaussianRational:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return _times_power(GaussianRational(1), self, exponent)
+        return _power(GaussianRational(1), self, exponent)
 
     # -- structure ----------------------------------------------------------
 

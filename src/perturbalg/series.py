@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DomainError, NonUnitError, RingMismatchError
-from .scalars import GaussianRational, _times_power
+from .scalars import GaussianRational, _power
 
 INFINITE = math.inf
 
@@ -237,11 +237,9 @@ class TruncatedSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        if exponent == 0:
-            return self.ring.one()
         if self.valuation() >= 1 and exponent > self.ring.truncation:
             return self.ring.zero()  # infinitesimal^e vanishes beyond T
-        return _times_power(self.ring.one(), self, exponent)
+        return _power(self.ring.one(), self, exponent)
 
     def __truediv__(self, other):
         """Division by an exact scalar (series division goes through invert)."""

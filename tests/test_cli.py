@@ -43,6 +43,20 @@ def test_roots_driver_balance(capsys):
     assert kinds == ["0", "-t"]
 
 
+def test_roots_driver_newton_polygon(capsys):
+    # Xi(1) = 0 sends both a triple and a simple root through dominant_balance
+    still = {"kind": "power", "order": 1, "rhs": "0"}
+    for base, expected in (
+        ("X^3 - 3*X^2 + 3*X - 1", [still, {"kind": "power", "order": 2, "rhs": "-t"}]),
+        ("X^2 - 1", [still]),
+    ):
+        code, payload = run_json(
+            capsys, ["roots", "--base", base, "--pert", "t*X - t", "--root", "1"]
+        )
+        assert code == 0
+        assert payload["asymptotics"] == expected
+
+
 def test_goze_schema(capsys):
     code, payload = run_json(capsys, ["goze", "--vector", "t + 2*t^2, 3*t^2"])
     assert code == 0
@@ -154,6 +168,13 @@ def test_oversized_scalar_power_is_a_parse_error(capsys):
         assert run(["pgcd", "--p1", p1, "--p2", "X - 1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_pgcd_remainder_growth_is_a_domain_error(capsys):
+    # each input is within the parser's bound; the Euclidean remainders are not
+    p1 = "X^3 + 2^4000*X^2 + 3^2000*X + 5^1300"
+    assert run(["pgcd", "--p1", p1, "--p2", "X^2 + 7^1300*X + 11^1000"]) == 2
+    assert capsys.readouterr().err == "error: PGCD remainder coefficient passes 4096 bits\n"
 
 
 def test_nonpositive_trunc_is_a_usage_error(capsys):

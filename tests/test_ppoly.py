@@ -1,7 +1,10 @@
 import operator
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturbalg import (
     BalanceQuadratic,
@@ -18,8 +21,10 @@ from perturbalg import (
     pgcd,
     poly_gcd,
     root_correction,
+    univariate_ring,
 )
 from perturbalg.errors import DegenerateError, DomainError, UnsupportedOrderError
+from perturbalg.exactpoly import from_roots
 
 from conftest import (
     random_exact_poly,
@@ -337,8 +342,141 @@ def test_balance_mixed_scales(ring, t):
     assert large.rhs == -t
 
 
-def test_balance_rejects_higher_order(ring, t):
+def test_balance_triple_root(ring, t):
+    # (X-1)^3 + t: one edge from (0, 1) to (3, 0)
+    (claim,) = dominant_balance(
+        ExactPolynomial([-1, 3, -3, 1]), PerturbedPolynomial(ring, [t]), 1
+    )
+    assert claim.order == 3 and claim.rhs == -t
+    assert str(claim) == "xi^3 ~ -t (at root 1)"
+
+
+def test_balance_rejects_interior_point(ring, t):
+    # Xi = t^3 + t^2*(X-1) + t*(X-1)^2 puts (0, 3), (1, 2), (2, 1), (3, 0) on one edge
+    x = PerturbedPolynomial(ring, [-1, 1])
+    shift = x * x * t + x * t**2 + t**3
     with pytest.raises(UnsupportedOrderError):
-        dominant_balance(
-            ExactPolynomial([-1, 3, -3, 1]), PerturbedPolynomial(ring, [t]), 1
+        dominant_balance(ExactPolynomial([-1, 3, -3, 1]), shift, 1)
+
+
+# -- Newton-polygon branches against mpmath roots -------------------------------
+
+T0 = Fraction(1, 10**20)
+
+
+def _mp(value: GaussianRational):
+    return mpmath.mpc(
+        mpmath.mpf(value.re.numerator) / value.re.denominator,
+        mpmath.mpf(value.im.numerator) / value.im.denominator,
+    )
+
+
+def _at_t0(series):
+    return sum(
+        (c * T0 ** sum(index) for index, c in series.terms.items()), GaussianRational(0)
+    )
+
+
+def _roots(poly: ExactPolynomial) -> list:
+    """Every root of an exact polynomial, repeated by multiplicity."""
+    roots = []
+    while poly.degree > 0:
+        repeated = poly_gcd(poly, poly.derivative())
+        simple = poly // repeated
+        roots += mpmath.polyroots(
+            [_mp(c) for c in reversed(simple.coeffs)], maxsteps=400, extraprec=400
         )
+        poly = repeated
+    return roots
+
+
+def _assert_branches_match_mpmath(base, shift, root, branches):
+    """The branches against the roots of P + Xi at t = 1e-20.
+
+    A root that stays put must divide P + Xi exactly; every other branch lies
+    within 1% of a root of its own, found by mpmath at 200 digits.
+    """
+    mixed = base + ExactPolynomial([_at_t0(c) for c in shift.coeffs])
+    predicted, stills = [], 0
+    with mpmath.workdps(200):
+        for branch in branches:
+            if isinstance(branch, BalanceQuadratic):
+                a2 = _mp(branch.quad_coeff)
+                a1, a0 = _mp(_at_t0(branch.linear)), _mp(_at_t0(branch.constant))
+                disc = mpmath.sqrt(a1 * a1 - 4 * a2 * a0)
+                predicted += [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
+            elif branch.rhs.is_zero():
+                stills += 1
+            else:
+                value = _mp(_at_t0(branch.rhs))
+                predicted += [mpmath.root(value, branch.order, k) for k in range(branch.order)]
+        assert stills + len(predicted) == base.multiplicity(root)
+        mixed, remainder = divmod(mixed, ExactPolynomial([-root, 1]) ** stills)
+        assert remainder.is_zero()
+        u = _mp(GaussianRational.coerce(root))
+        cluster = sorted(_roots(mixed), key=lambda r: abs(r - u))[: len(predicted)]
+        for p in predicted:
+            r = min(cluster, key=lambda r: abs(r - u - p))
+            cluster.remove(r)
+            assert abs(r - u - p) <= abs(p) / 100
+
+
+def _taylor_shift(ring, root, pairs):
+    """Xi = sum_j c_j * t^v_j * (X - root)^j for pairs ((re, im), v_j)."""
+    x = PerturbedPolynomial(ring, [-GaussianRational.coerce(root), 1])
+    shift, power = PerturbedPolynomial.zero(ring), PerturbedPolynomial(ring, [1])
+    for (re, im), valuation in pairs:
+        shift = shift + power * (ring.generator("t") ** valuation * GaussianRational(re, im))
+        power = power * x
+    return shift
+
+
+@pytest.mark.parametrize(
+    "base_roots, pairs, expected",
+    [
+        # one edge from (0, 1) to (3, 0); the Taylor coefficient c_3 is 3
+        ([1, 1, 1, -2], [((1, 0), 1)], ["xi^3 ~ -1/3*t"]),
+        # Xi(1) = 0 keeps a root, then one edge from (1, 1) to (3, 0)
+        ([1, 1, 1], [((0, 0), 1), ((1, 0), 1)], ["xi ~ 0", "xi^2 ~ -t"]),
+        # two edges, (0, 3)-(1, 1) and (1, 1)-(3, 0)
+        ([1, 1, 1], [((1, 0), 3), ((1, 0), 1)], ["xi ~ -t^2", "xi^2 ~ -t"]),
+        # one edge from (0, 2) to (4, 0); c_4 is -2
+        ([1, 1, 1, 1, 3], [((1, 0), 2)], ["xi^4 ~ 1/2*t^2"]),
+        # three edges through (0, 5), (1, 2), (2, 1), (4, 0); c_0 is imaginary
+        (
+            [1, 1, 1, 1],
+            [((0, 1), 5), ((1, 0), 2), ((1, 0), 1)],
+            ["xi ~ -i*t^3", "xi ~ -t", "xi^2 ~ -t"],
+        ),
+    ],
+    ids=("cube", "still-then-square", "two-edges", "fourth-power", "three-edges"),
+)
+def test_balance_higher_order_matches_mpmath(base_roots, pairs, expected):
+    ring = univariate_ring(6)
+    base = from_roots(base_roots)
+    shift = _taylor_shift(ring, 1, pairs)
+    branches = dominant_balance(base, shift, 1)
+    assert [str(b).removesuffix(" (at root 1)") for b in branches] == expected
+    _assert_branches_match_mpmath(base, shift, 1, branches)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    mult=st.integers(1, 4),
+    root=st.integers(-2, 2),
+    others=st.sets(st.integers(-3, 3), min_size=1, max_size=2),
+    pairs=st.lists(
+        st.tuples(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), st.integers(1, 6)),
+        max_size=4,
+    ),
+)
+def test_balance_orders_sum_to_multiplicity(mult, root, others, pairs):
+    ring = univariate_ring(6)
+    base = from_roots([root] * mult + sorted(others - {root} or {root + 5}))
+    shift = _taylor_shift(ring, root, pairs[: mult + 1])
+    try:
+        branches = dominant_balance(base, shift, root)
+    except UnsupportedOrderError:
+        return
+    assert sum(2 if isinstance(b, BalanceQuadratic) else b.order for b in branches) == mult
+    _assert_branches_match_mpmath(base, shift, root, branches)

@@ -74,6 +74,28 @@ def test_classify(ring, t):
     assert classify(ring.zero()) == "zero"
 
 
+def test_power_product_count(ring, t, monkeypatch):
+    # square-and-multiply squares only up to the top bit and never starts
+    # from one times the base
+    count = 0
+    multiply = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for exponent, products in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3)):
+        count = 0
+        power = (1 + t) ** exponent
+        assert count == products
+        expected = ring.one()
+        for _ in range(exponent):
+            expected = expected * (1 + t)
+        assert power == expected
+
+
 def test_specialize(ring, t):
     multi = SeriesRing(("e1", "e2"), 8)
     e1, e2 = multi.generator("e1"), multi.generator("e2")
