@@ -220,13 +220,23 @@ class ExactPolynomial(Polynomial):
 
     def multiplicity(self, root) -> int:
         """Exact multiplicity of `root` (0 when it is not a root)."""
+        return self.first_nonzero_derivative(root)[0]
+
+    def first_nonzero_derivative(self, root):
+        """(m, P^(m)(root)) for the least m with P^(m)(root) != 0: m is the multiplicity.
+
+        The zero polynomial gives (0, 0).
+        """
         root = GaussianRational.coerce(root)
         count = 0
         poly = self
-        while not poly.is_zero() and not poly.evaluate(root):
+        while not poly.is_zero():
+            value = poly.evaluate(root)
+            if value:
+                return count, value
             count += 1
             poly = poly.derivative()
-        return count
+        return count, GaussianRational(0)
 
     def numeric_coeffs(self) -> list[complex]:
         return [complex(c) for c in self.coeffs]

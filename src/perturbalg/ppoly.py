@@ -250,10 +250,9 @@ class BalanceQuadratic:
 def _sensitivity(base: ExactPolynomial, root):
     """(u, r, -r!/P^(r)(u)) for an exact root u of multiplicity r of P."""
     root = GaussianRational.coerce(root)
-    mult = base.multiplicity(root)
+    mult, denominator = base.first_nonzero_derivative(root)
     if mult == 0:
         raise DomainError(f"{root} is not a root of {base}")
-    denominator = base.derivative(mult).evaluate(root)  # nonzero: mult is exact
     return root, mult, GaussianRational(-math.factorial(mult)) / denominator
 
 
@@ -315,6 +314,19 @@ def root_correction(
     return RootAsymptotics(root, mult, rhs, level_index)
 
 
+def _taylor_coefficients(poly: PerturbedPolynomial, root: GaussianRational, count: int):
+    """Xi^(j)(u)/j! for j < count: the low coefficients of Xi(X + u).
+
+    Pass j of the repeated synthetic division by X - u leaves the remainder
+    Xi^(j)(u)/j! in place j and the next quotient above it.
+    """
+    shifted = list(poly.coeffs) + [poly.ring.zero()] * (count - len(poly.coeffs))
+    for j in range(count):
+        for k in range(len(shifted) - 2, j - 1, -1):
+            shifted[k] = shifted[k] + shifted[k + 1] * root
+    return shifted[:count]
+
+
 def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):
     """Branches of P + Xi at a root u of multiplicity m, by the Newton polygon.
 
@@ -323,12 +335,13 @@ def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, roo
     the other points (j, val c_j) gives xi^(k-i) ~ -c_i/c_k at leading order;
     an edge short of m divides two series, so it needs the univariate ring.
     The three-point edge of a double root is a BalanceQuadratic; any other
-    edge with a point inside raises UnsupportedOrderError.
+    edge with a point inside raises UnsupportedOrderError.  As in
+    root_correction, Xi must be wholly infinitesimal (DomainError otherwise).
     """
+    if not shift_poly.is_infinitesimal():
+        raise DomainError("the perturbation polynomial must be wholly infinitesimal")
     root, mult, scale = _sensitivity(base, root)
-    coeffs = [
-        shift_poly.derivative(j).evaluate(root) / math.factorial(j) for j in range(mult)
-    ]
+    coeffs = _taylor_coefficients(shift_poly, root, mult)
     points = [(j, c.valuation()) for j, c in enumerate(coeffs) if not c.is_zero()]
     points.append((mult, 0))  # c_m is P^(m)(u)/m! = -1/scale at leading order
     i, v_i = points[0]

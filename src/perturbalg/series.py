@@ -7,6 +7,14 @@ operation, so the ring is K[eps_1, ..., eps_m] / (total degree > T) with
 K = Q(i).  Elements of valuation >= 1 form the maximal ideal; elements with a
 nonzero constant term are units.
 
+A series stores its terms over one common denominator D: `rows` maps each
+exponent vector, packed into one int in base T+1, to its total degree and the
+Gaussian-integer numerators of its coefficient times D (Monagan and Pearce,
+*Sparse polynomial division using a heap*, JSC 46, 2011).  The form is
+canonical, so gcd(D, every numerator) = 1 and the zero series has D = 1.
+`terms`, the exponent-tuple -> GaussianRational dict, is a view of the rows
+built on first read.
+
 `LaurentScalar` adjoins negative powers of the single canonical generator,
 which is enough to classify finite / infinitesimal / infinitely large values
 and to divide univariate series exactly.
@@ -57,8 +65,10 @@ class SeriesRing:
 
     def constant(self, value: CoefficientLike) -> "TruncatedSeries":
         value = GaussianRational.coerce(value)
-        zero_index = (0,) * len(self.generators)
-        return TruncatedSeries(self, {zero_index: value} if value else {})
+        if not value:
+            return TruncatedSeries._of_rows(self, 1, {})
+        den = math.lcm(value.re.denominator, value.im.denominator)
+        return TruncatedSeries._of_rows(self, den, {0: _row(0, value, den)})
 
     def generator(self, name: str) -> "TruncatedSeries":
         if name not in self.generators:
@@ -72,9 +82,9 @@ def univariate_ring(truncation: int = 8, name: str = "t") -> SeriesRing:
 
 
 class TruncatedSeries:
-    """Immutable sparse series; exponent tuples map to exact coefficients."""
+    """Immutable sparse series: packed exponent -> (degree, re*D, im*D) over one D."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "rows", "_terms")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple, GaussianRational]):
         width = len(ring.generators)
@@ -90,19 +100,50 @@ class TruncatedSeries:
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[index] = coeff
+        # over the lcm of the reduced denominators the numerators share no
+        # factor with it, so the form is canonical without a gcd
+        den = math.lcm(
+            *(c.re.denominator for c in clean.values()),
+            *(c.im.denominator for c in clean.values()),
+        )
+        base = bound + 1
+        rows = {}
+        for index, coeff in clean.items():
+            key = 0
+            for exponent in index:
+                key = key * base + exponent
+            rows[key] = _row(sum(index), coeff, den)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _clean(cls, ring: SeriesRing, terms: dict) -> "TruncatedSeries":
-        """Series from terms already valid in `ring`, without the checks of __init__."""
+    def _of_rows(cls, ring: SeriesRing, den: int, rows: dict) -> "TruncatedSeries":
+        """Series of canonical rows over `den`, without the checks of __init__."""
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_terms", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> GaussianRational, in row order; built once, on first read."""
+        terms = self._terms
+        if terms is None:
+            base = self.ring.truncation + 1
+            width = len(self.ring.generators)
+            terms = {
+                _unpack(key, base, width): _coefficient(re, im, self.den)
+                for key, (_, re, im) in self.rows.items()
+            }
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- plumbing -------------------------------------------------------------
 
@@ -118,13 +159,14 @@ class TruncatedSeries:
         raise TypeError(f"cannot coerce {other!r} into {self.ring}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.rows)
 
     def _is_constant(self) -> bool:
-        return not any(any(index) for index in self.terms)
+        # the packed key 0 is the exponent (0, ..., 0)
+        return not self.rows or (len(self.rows) == 1 and 0 in self.rows)
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries) and other.ring != self.ring:
@@ -139,22 +181,22 @@ class TruncatedSeries:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.rows == other.rows  # the form is canonical
 
     def __hash__(self):
         # a constant series equals its coefficient, so it must hash like it
         if self._is_constant():
             return hash(self.standard_part())
-        return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.ring, self.den, frozenset(self.rows.items())))
 
     # -- ring operations ------------------------------------------------------
     #
-    # Sums and products run on Python ints: `_int_rows` puts each operand over
-    # the lcm of its denominators, and `_from_ints` builds each result
-    # coefficient once.  A term enters the result at its first nonzero
-    # contribution and leaves it when it cancels, so results keep the term
-    # order of the GaussianRational loop; multivariate `numeric_sample` sums
-    # in that order.
+    # Sums and products run on the rows: a sum scales both operands to the
+    # lcm of their denominators, a product works over the product of them,
+    # and `_from_ints` divides the result by the gcd of its denominator and
+    # numerators.  A term enters the result at its first nonzero contribution
+    # and leaves it when it cancels, so results keep the term order of the
+    # GaussianRational loop; multivariate `numeric_sample` sums in that order.
 
     def __add__(self, other):
         try:
@@ -176,29 +218,31 @@ class TruncatedSeries:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return TruncatedSeries._clean(
-            self.ring, {index: -coeff for index, coeff in self.terms.items()}
+        return TruncatedSeries._of_rows(
+            self.ring,
+            self.den,
+            {key: (degree, -re, -im) for key, (degree, re, im) in self.rows.items()},
         )
 
     def _add(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         """self + sign*other."""
-        da, rows_a = _int_rows(self)
-        db, rows_b = _int_rows(other)
-        common = math.lcm(da, db)
-        scale_a, scale_b = common // da, sign * (common // db)
-        acc = {key: [re * scale_a, im * scale_a] for key, _, re, im in rows_a}
-        for key, _, re, im in rows_b:
+        common = math.lcm(self.den, other.den)
+        scale_a, scale_b = common // self.den, sign * (common // other.den)
+        acc = {
+            key: (degree, re * scale_a, im * scale_a)
+            for key, (degree, re, im) in self.rows.items()
+        }
+        for key, (degree, re, im) in other.rows.items():
             re *= scale_b
             im *= scale_b
             cell = acc.get(key)
             if cell is None:
-                acc[key] = [re, im]
+                acc[key] = (degree, re, im)
                 continue
-            re += cell[0]
-            im += cell[1]
+            re += cell[1]
+            im += cell[2]
             if re or im:
-                cell[0] = re
-                cell[1] = im
+                acc[key] = (degree, re, im)
             else:
                 del acc[key]
         return _from_ints(self.ring, acc, common)
@@ -209,28 +253,29 @@ class TruncatedSeries:
         except TypeError:
             return NotImplemented
         bound = self.ring.truncation
-        da, rows_a = _int_rows(self)
-        db, rows_b = _int_rows(other)
+        rows_b = [(key, *row) for key, row in other.rows.items()]
+        capped = {}  # degree cap -> the rows of b within it, in b's order
         acc: dict = {}
-        for ka, dega, ar, ai in rows_a:
-            for kb, degb, br, bi in rows_b:
-                if dega + degb > bound:
-                    continue
+        for ka, (dega, ar, ai) in self.rows.items():
+            cap = bound - dega
+            within = capped.get(cap)
+            if within is None:
+                within = capped[cap] = [row for row in rows_b if row[1] <= cap]
+            for kb, degb, br, bi in within:
                 key = ka + kb  # no carry: the product term has degree <= T
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
                 cell = acc.get(key)
                 if cell is None:
-                    acc[key] = [re, im]
+                    acc[key] = (dega + degb, re, im)
                     continue
-                re += cell[0]
-                im += cell[1]
+                re += cell[1]
+                im += cell[2]
                 if re or im:
-                    cell[0] = re
-                    cell[1] = im
+                    acc[key] = (cell[0], re, im)
                 else:
                     del acc[key]
-        return _from_ints(self.ring, acc, da * db)
+        return _from_ints(self.ring, acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -255,14 +300,16 @@ class TruncatedSeries:
 
     def valuation(self):
         """Minimal total degree of a nonzero term; +inf for the zero series."""
-        if not self.terms:
+        if not self.rows:
             return INFINITE
-        return min(sum(index) for index in self.terms)
+        return min(degree for degree, _, _ in self.rows.values())
 
     def standard_part(self) -> GaussianRational:
         """The degree-0 coefficient (the shadow of a finite element)."""
-        zero_index = (0,) * len(self.ring.generators)
-        return self.terms.get(zero_index, GaussianRational(0))
+        row = self.rows.get(0)  # the packed key of the exponent (0, ..., 0)
+        if row is None:
+            return GaussianRational(0)
+        return _coefficient(row[1], row[2], self.den)
 
     def is_infinitesimal(self) -> bool:
         return self.valuation() >= 1
@@ -292,12 +339,11 @@ class TruncatedSeries:
 
     def leading_part(self) -> "TruncatedSeries":
         """Terms of minimal total degree only (0 for the zero series)."""
-        if not self.terms:
+        if not self.rows:
             return self
         v = self.valuation()
-        return TruncatedSeries(
-            self.ring,
-            {i: c for i, c in self.terms.items() if sum(i) == v},
+        return _from_ints(
+            self.ring, {key: row for key, row in self.rows.items() if row[0] == v}, self.den
         )
 
     # -- maps out of the ring ----------------------------------------------------
@@ -345,21 +391,23 @@ class TruncatedSeries:
             point = [complex(values[g]) for g in self.ring.generators]
         else:
             point = [complex(values)] * len(self.ring.generators)
+        den = self.den
         if self.ring.is_univariate:
-            degree = max((i[0] for i in self.terms), default=0)
-            dense = [0j] * (degree + 1)
-            for index, coeff in self.terms.items():
-                dense[index[0]] = complex(coeff)
+            # a univariate packed key is the exponent itself
+            dense = [0j] * (max(self.rows, default=0) + 1)
+            for key, (_, re, im) in self.rows.items():
+                dense[key] = complex(re / den, im / den)
             acc = 0j
             for c in reversed(dense):
                 acc = acc * point[0] + c
             return acc
+        base = self.ring.truncation + 1
         acc = 0j
-        for index, coeff in self.terms.items():
+        for key, (_, re, im) in self.rows.items():
             monomial = 1.0 + 0j
-            for value, exponent in zip(point, index):
+            for value, exponent in zip(point, _unpack(key, base, len(point))):
                 monomial *= value**exponent
-            acc += complex(coeff) * monomial
+            acc += complex(re / den, im / den) * monomial
         return acc
 
     # -- display -------------------------------------------------------------------
@@ -372,53 +420,48 @@ class TruncatedSeries:
 
 
 # -- integer kernel --------------------------------------------------------------
+#
+# An exponent tuple packs into one int in base T+1, so the packed keys of two
+# terms add to the packed key of their product whenever that product has total
+# degree <= T.
 
 _FRACTION_ZERO = Fraction(0)
 
 
-def _int_rows(series: TruncatedSeries):
-    """(D, rows): D is the lcm of every coefficient denominator, and each row is
-    (packed exponent, total degree, re*D, im*D), in term order.
+def _unpack(key: int, base: int, width: int) -> tuple:
+    """The exponent tuple of a packed key."""
+    index = [0] * width
+    for position in range(width - 1, -1, -1):
+        key, index[position] = divmod(key, base)
+    return tuple(index)
 
-    An exponent tuple packs into one int in base T+1, so the packed keys of two
-    terms add to the packed key of their product whenever that product has
-    total degree <= T.
-    """
-    terms = series.terms
-    common = math.lcm(
-        *(c.re.denominator for c in terms.values()),
-        *(c.im.denominator for c in terms.values()),
+
+def _row(degree: int, coeff: GaussianRational, den: int) -> tuple:
+    """(degree, re*den, im*den) for a coefficient whose denominators divide den."""
+    re, im = coeff.re, coeff.im
+    return degree, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+
+
+def _coefficient(re: int, im: int, den: int) -> GaussianRational:
+    """The Gaussian rational (re + im*i) / den."""
+    return GaussianRational._of(
+        Fraction(re, den) if re else _FRACTION_ZERO,
+        Fraction(im, den) if im else _FRACTION_ZERO,
     )
-    base = series.ring.truncation + 1
-    rows = []
-    for index, c in terms.items():
-        key = 0
-        for exponent in index:
-            key = key * base + exponent
-        re, im = c.re, c.im
-        rows.append((
-            key,
-            sum(index),
-            re.numerator * (common // re.denominator),
-            im.numerator * (common // im.denominator),
-        ))
-    return common, rows
 
 
 def _from_ints(ring: SeriesRing, acc: dict, common: int) -> TruncatedSeries:
-    """Series of the nonzero Gaussian integers `acc` (packed key -> [re, im]) over `common`."""
-    base = ring.truncation + 1
-    width = len(ring.generators)
-    terms = {}
-    for key, (re, im) in acc.items():
-        index = [0] * width
-        for position in range(width - 1, -1, -1):
-            key, index[position] = divmod(key, base)
-        terms[tuple(index)] = GaussianRational._of(
-            Fraction(re, common) if re else _FRACTION_ZERO,
-            Fraction(im, common) if im else _FRACTION_ZERO,
-        )
-    return TruncatedSeries._clean(ring, terms)
+    """Series of the nonzero rows `acc` over `common`, divided by their gcd."""
+    divisor = common
+    for _, re, im in acc.values():
+        divisor = math.gcd(divisor, re, im)
+        if divisor == 1:
+            return TruncatedSeries._of_rows(ring, common, acc)
+    return TruncatedSeries._of_rows(
+        ring,
+        common // divisor,
+        {key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in acc.items()},
+    )
 
 
 # -- Laurent layer ---------------------------------------------------------------
@@ -511,8 +554,15 @@ def classify(value) -> str:
 
 def _shift(series: TruncatedSeries, amount: int) -> TruncatedSeries:
     """series * t^amount in its univariate ring; a negative amount divides."""
-    return TruncatedSeries(
-        series.ring, {(i[0] + amount,): c for i, c in series.terms.items()}
+    bound = series.ring.truncation
+    return _from_ints(
+        series.ring,
+        {
+            key + amount: (degree + amount, re, im)  # a univariate packed key is the exponent
+            for key, (degree, re, im) in series.rows.items()
+            if degree + amount <= bound
+        },
+        series.den,
     )
 
 

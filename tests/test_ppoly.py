@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from perturbalg import (
 )
 from perturbalg.errors import DegenerateError, DomainError, UnsupportedOrderError
 from perturbalg.exactpoly import from_roots
+from perturbalg.ppoly import _taylor_coefficients
 
 from conftest import (
     random_exact_poly,
@@ -247,6 +249,27 @@ def test_sensitivity_needs_root(ring, t):
         apply_root_sensitivity(ExactPolynomial([-1, 0, 1]), 2, PerturbedPolynomial(ring, [t]))
 
 
+def test_first_nonzero_derivative():
+    square = ExactPolynomial([1, -2, 1])
+    assert square.first_nonzero_derivative(1) == (2, GaussianRational(2))
+    assert square.first_nonzero_derivative(3) == (0, GaussianRational(4))
+    assert ExactPolynomial([]).first_nonzero_derivative(1) == (0, GaussianRational(0))
+    assert from_roots([2, 2, 2, -1]).first_nonzero_derivative(2) == (3, GaussianRational(18))
+
+
+def test_taylor_coefficients_match_derivatives():
+    rng = seeded(31)
+    ring = SeriesRing(("t", "e1"), 4)
+    for _ in range(30):
+        poly = random_perturbed_poly(rng, ring, unit_lead=False)
+        root = GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
+        count = rng.randint(0, poly.degree + 2)
+        expected = [
+            poly.derivative(j).evaluate(root) / math.factorial(j) for j in range(count)
+        ]
+        assert _taylor_coefficients(poly, root, count) == expected
+
+
 def test_root_correction_simple(ring, t):
     asym = root_correction(ExactPolynomial([-1, 0, 1]), PerturbedPolynomial(ring, [t]), 1)
     assert asym.order == 1
@@ -429,6 +452,13 @@ def _taylor_shift(ring, root, pairs):
         shift = shift + power * (ring.generator("t") ** valuation * GaussianRational(re, im))
         power = power * x
     return shift
+
+
+def test_balance_needs_infinitesimal_shift():
+    # Xi = X is not infinitesimal, so no balance at u = 1 means anything
+    shift = PerturbedPolynomial(univariate_ring(8), [0, 1])
+    with pytest.raises(DomainError, match="must be wholly infinitesimal"):
+        dominant_balance(ExactPolynomial([1, -2, 1]), shift, 1)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturbalg import (
     GaussianRational,
@@ -351,3 +353,93 @@ def test_kernel_zero_series(kernel_ring):
         assert_same_terms(zero - a, reference_neg(a.terms))
     assert (-zero).is_zero() and (zero * zero).is_zero() and (zero + zero).is_zero()
     assert zero**0 == 1 and (zero**3).is_zero()
+
+
+# -- the stored form: rows over one denominator, and the terms view -------------------
+
+
+def decode_rows(series) -> dict:
+    """The terms the stored rows stand for, decoded here independently of the package."""
+    ring = series.ring
+    base = ring.truncation + 1
+    terms = {}
+    for key, (degree, re, im) in series.rows.items():
+        digits = []
+        for _ in ring.generators:
+            key, digit = divmod(key, base)
+            digits.append(digit)
+        assert key == 0
+        index = tuple(reversed(digits))
+        assert degree == sum(index)
+        terms[index] = GaussianRational(Fraction(re, series.den), Fraction(im, series.den))
+    return terms
+
+
+def assert_stored_form(series):
+    numerators = [part for _, re, im in series.rows.values() for part in (re, im)]
+    assert series.den >= 1
+    assert math.gcd(series.den, *numerators) == 1  # canonical, and D = 1 for zero
+    assert all(re or im for _, re, im in series.rows.values())
+    assert list(decode_rows(series).items()) == list(series.terms.items())
+    rebuilt = TruncatedSeries(series.ring, series.terms)
+    assert (rebuilt.den, rebuilt.rows) == (series.den, series.rows)
+    assert list(rebuilt.terms) == list(series.terms)
+    assert rebuilt == series and hash(rebuilt) == hash(series)
+
+
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(
+        GaussianRational,
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    ),
+)
+
+
+@st.composite
+def series_pairs(draw):
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    width, bound = len(ring.generators), ring.truncation
+
+    def one():
+        exponents = st.tuples(*[st.integers(0, bound)] * width)
+        return TruncatedSeries(ring, draw(st.dictionaries(exponents, coefficients, max_size=8)))
+
+    return ring, one(), one()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(series_pairs(), coefficients)
+def test_stored_form_matches_terms(pair, scalar):
+    ring, a, b = pair
+    bound = ring.truncation
+    assert_stored_form(a)
+    assert_stored_form(b)
+    results = [
+        (a + b, reference_add(a.terms, b.terms)),
+        (a - b, reference_sub(a.terms, b.terms)),
+        (-a, reference_neg(a.terms)),
+        (a * b, reference_mul(a.terms, b.terms, bound)),
+        (a * scalar, reference_mul(a.terms, reference_constant(ring, scalar), bound)),
+        (a * a, reference_mul(a.terms, a.terms, bound)),
+    ]
+    for series, expected in results:
+        assert_stored_form(series)
+        assert_same_terms(series, expected)
+    lead = a.leading_part()
+    assert_stored_form(lead)
+    assert lead == TruncatedSeries(
+        ring, {i: c for i, c in a.terms.items() if sum(i) == a.valuation()}
+    )
+    # a constant hashes like its coefficient, whichever way it was built
+    constant = a - a + scalar
+    assert constant == scalar and hash(constant) == hash(GaussianRational.coerce(scalar))
+
+
+def test_terms_is_a_cached_read_only_view(ring, t):
+    product = (1 + t) * (1 - 2 * t)
+    assert product.terms is product.terms
+    with pytest.raises(AttributeError):
+        product.terms = {}
