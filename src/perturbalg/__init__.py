@@ -56,7 +56,6 @@ from .ppoly import (
 )
 from .scalars import GaussianRational
 from .series import (
-    LaurentScalar,
     SeriesRing,
     TruncatedSeries,
     classify,

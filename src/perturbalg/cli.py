@@ -77,7 +77,7 @@ def _exact_polynomial(text: str, truncation: int, var: str = "X") -> ExactPolyno
     ring = ring_for(text, truncation=truncation)
     poly = parse_polynomial(text, ring, var)
     for coeff in poly.coeffs:
-        if len(coeff.terms) > (1 if coeff.standard_part() else 0):
+        if not coeff.is_constant():
             raise DomainError("base polynomial must have exact scalar coefficients")
     return poly.shadow()
 

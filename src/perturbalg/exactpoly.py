@@ -155,6 +155,20 @@ class Polynomial:
             poly = poly._like([poly.coeffs[k] * k for k in range(1, len(poly.coeffs))])
         return poly
 
+    def taylor_coefficients(self, point):
+        """P^(j)(point)/j! for j = 0, 1, ..., deg P: the coefficients of P(X + point).
+
+        Pass j of the repeated synthetic division by X - point leaves the
+        remainder P^(j)(point)/j! in place j and the next quotient above it; a
+        caller that stops early skips the remaining passes.
+        """
+        point = self._lift(point)
+        shifted = list(self.coeffs)
+        for j in range(len(shifted)):
+            for k in range(len(shifted) - 2, j - 1, -1):
+                shifted[k] = shifted[k] + shifted[k + 1] * point
+            yield shifted[j]
+
     def __str__(self):
         return format_terms(
             (self.coeffs[degree], _monomial_text((self.var,), (degree,)))
@@ -191,10 +205,6 @@ class ExactPolynomial(Polynomial):
     def constant(value, var: str = "X") -> "ExactPolynomial":
         return ExactPolynomial((value,), var)
 
-    @staticmethod
-    def monomial(coeff, degree: int, var: str = "X") -> "ExactPolynomial":
-        return ExactPolynomial([0] * degree + [coeff], var)
-
     def __hash__(self):
         # a constant polynomial equals its coefficient, so it must hash like it
         if self.degree < 1:
@@ -219,24 +229,8 @@ class ExactPolynomial(Polynomial):
         return self * self._invert(self.leading)
 
     def multiplicity(self, root) -> int:
-        """Exact multiplicity of `root` (0 when it is not a root)."""
-        return self.first_nonzero_derivative(root)[0]
-
-    def first_nonzero_derivative(self, root):
-        """(m, P^(m)(root)) for the least m with P^(m)(root) != 0: m is the multiplicity.
-
-        The zero polynomial gives (0, 0).
-        """
-        root = GaussianRational.coerce(root)
-        count = 0
-        poly = self
-        while not poly.is_zero():
-            value = poly.evaluate(root)
-            if value:
-                return count, value
-            count += 1
-            poly = poly.derivative()
-        return count, GaussianRational(0)
+        """Exact multiplicity of `root` (0 when it is not a root, or P is zero)."""
+        return next((j for j, c in enumerate(self.taylor_coefficients(root)) if c), 0)
 
     def numeric_coeffs(self) -> list[complex]:
         return [complex(c) for c in self.coeffs]
@@ -283,12 +277,6 @@ class ExactRationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactRationalFunction is immutable")
-
-    @staticmethod
-    def zero(var: str = "p") -> "ExactRationalFunction":
-        return ExactRationalFunction(
-            ExactPolynomial.zero(var), ExactPolynomial.constant(1, var)
-        )
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -254,7 +254,7 @@ def parse_scalar(text: str, truncation: int = 8) -> GaussianRational:
     parser = _Parser(text, ring, var=None)
     value = parser.parse_expression().coefficient(0)
     parser.finish()
-    if len(value.terms) > (1 if value.standard_part() else 0):
+    if not value.is_constant():
         raise ParseError("expected an exact scalar, found generator terms")
     return value.standard_part()
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .errors import (
@@ -38,17 +39,22 @@ MAX_POWER_BITS = 4096
 
 
 def _coefficient_bits(poly: "PerturbedPolynomial") -> int:
-    """ceil(log2 |n|) for the largest numerator or denominator n of a coefficient."""
-    return max(
-        (
-            (abs(part) - 1).bit_length()
-            for series in poly.coeffs
-            for c in series.terms.values()
-            for part in (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-            if part
-        ),
-        default=0,
-    )
+    """ceil(log2 |n|) for the largest numerator or denominator n of a coefficient.
+
+    A nonzero row numerator `part` over `den` is the reduced fraction
+    (part // g) / (den // g) with g = gcd(part, den); a zero part has
+    denominator 1, which adds no bits.
+    """
+    bits = 0
+    for series in poly.coeffs:
+        den = series.den
+        for _, re, im in series.rows.values():
+            for part in (re, im):
+                if part:
+                    g = math.gcd(part, den)
+                    for n in (abs(part) // g, den // g):
+                        bits = max(bits, (n - 1).bit_length())
+    return bits
 
 
 class PerturbedPolynomial(Polynomial):
@@ -248,12 +254,18 @@ class BalanceQuadratic:
 
 
 def _sensitivity(base: ExactPolynomial, root):
-    """(u, r, -r!/P^(r)(u)) for an exact root u of multiplicity r of P."""
+    """(u, r, -r!/P^(r)(u)) for an exact root u of multiplicity r of P.
+
+    The first nonzero Taylor coefficient of P at u is c_r = P^(r)(u)/r!, so
+    the scale is -1/c_r.
+    """
     root = GaussianRational.coerce(root)
-    mult, denominator = base.first_nonzero_derivative(root)
+    mult, lead = next(
+        ((j, c) for j, c in enumerate(base.taylor_coefficients(root)) if c), (0, None)
+    )
     if mult == 0:
         raise DomainError(f"{root} is not a root of {base}")
-    return root, mult, GaussianRational(-math.factorial(mult)) / denominator
+    return root, mult, GaussianRational(-1) / lead
 
 
 def apply_root_sensitivity(
@@ -314,19 +326,6 @@ def root_correction(
     return RootAsymptotics(root, mult, rhs, level_index)
 
 
-def _taylor_coefficients(poly: PerturbedPolynomial, root: GaussianRational, count: int):
-    """Xi^(j)(u)/j! for j < count: the low coefficients of Xi(X + u).
-
-    Pass j of the repeated synthetic division by X - u leaves the remainder
-    Xi^(j)(u)/j! in place j and the next quotient above it.
-    """
-    shifted = list(poly.coeffs) + [poly.ring.zero()] * (count - len(poly.coeffs))
-    for j in range(count):
-        for k in range(len(shifted) - 2, j - 1, -1):
-            shifted[k] = shifted[k] + shifted[k + 1] * root
-    return shifted[:count]
-
-
 def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):
     """Branches of P + Xi at a root u of multiplicity m, by the Newton polygon.
 
@@ -341,7 +340,8 @@ def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, roo
     if not shift_poly.is_infinitesimal():
         raise DomainError("the perturbation polynomial must be wholly infinitesimal")
     root, mult, scale = _sensitivity(base, root)
-    coeffs = _taylor_coefficients(shift_poly, root, mult)
+    coeffs = list(islice(shift_poly.taylor_coefficients(root), mult))
+    coeffs += [shift_poly.ring.zero()] * (mult - len(coeffs))
     points = [(j, c.valuation()) for j, c in enumerate(coeffs) if not c.is_zero()]
     points.append((mult, 0))  # c_m is P^(m)(u)/m! = -1/scale at leading order
     i, v_i = points[0]

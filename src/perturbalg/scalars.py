@@ -176,7 +176,3 @@ class GaussianRational:
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)

@@ -15,9 +15,8 @@ canonical, so gcd(D, every numerator) = 1 and the zero series has D = 1.
 `terms`, the exponent-tuple -> GaussianRational dict, is a view of the rows
 built on first read.
 
-`LaurentScalar` adjoins negative powers of the single canonical generator,
-which is enough to classify finite / infinitesimal / infinitely large values
-and to divide univariate series exactly.
+`divide_univariate` divides exactly in the univariate ring: it shifts both
+operands down by the valuation of the divisor, which leaves a unit to invert.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ CoefficientLike = Union[GaussianRational, Fraction, int]
 
 INFINITESIMAL = "infinitesimal"
 APPRECIABLE = "appreciable"
-INFINITELY_LARGE = "infinitely_large"
 ZERO = "zero"
 
 
@@ -164,7 +162,8 @@ class TruncatedSeries:
     def __bool__(self):
         return bool(self.rows)
 
-    def _is_constant(self) -> bool:
+    def is_constant(self) -> bool:
+        """True when no term has positive degree (the zero series included)."""
         # the packed key 0 is the exponent (0, ..., 0)
         return not self.rows or (len(self.rows) == 1 and 0 in self.rows)
 
@@ -173,8 +172,8 @@ class TruncatedSeries:
             # a constant equals its coefficient, so constants of two rings
             # compare by value; other series of two rings are unequal
             return (
-                self._is_constant()
-                and other._is_constant()
+                self.is_constant()
+                and other.is_constant()
                 and self.standard_part() == other.standard_part()
             )
         try:
@@ -185,7 +184,7 @@ class TruncatedSeries:
 
     def __hash__(self):
         # a constant series equals its coefficient, so it must hash like it
-        if self._is_constant():
+        if self.is_constant():
             return hash(self.standard_part())
         return hash((self.ring, self.den, frozenset(self.rows.items())))
 
@@ -320,8 +319,8 @@ class TruncatedSeries:
     def invert(self) -> "TruncatedSeries":
         """Inverse of a unit, by geometric expansion of (c0*(1+m))^-1.
 
-        Raises NonUnitError when the constant term vanishes; univariate
-        callers may fall back to LaurentScalar division instead.
+        Raises NonUnitError when the constant term vanishes; to divide by a
+        univariate non-unit, use divide_univariate.
         """
         c0 = self.standard_part()
         if not c0:
@@ -464,92 +463,16 @@ def _from_ints(ring: SeriesRing, acc: dict, common: int) -> TruncatedSeries:
     )
 
 
-# -- Laurent layer ---------------------------------------------------------------
+# -- valuation shift -------------------------------------------------------------
 
 
-class LaurentScalar:
-    """t^shift * body with a unit body, over the single canonical generator.
-
-    Negative shifts represent infinitely large elements; the zero value is
-    stored as shift 0 with a zero body.
-    """
-
-    __slots__ = ("shift", "body")
-
-    def __init__(self, shift: int, body: TruncatedSeries):
-        if not body.ring.is_univariate:
-            raise DomainError("Laurent scalars exist only over a univariate ring")
-        if body.is_zero():
-            shift = 0
-        else:
-            v = body.valuation()
-            if v:
-                body = _shift(body, -v)
-                shift += v
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentScalar is immutable")
-
-    @staticmethod
-    def from_series(series: TruncatedSeries) -> "LaurentScalar":
-        return LaurentScalar(0, series)
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-    def order(self):
-        """Valuation of the represented value (shift + body valuation)."""
-        if self.is_zero():
-            return INFINITE
-        return self.shift
-
-    def invert(self) -> "LaurentScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no Laurent inverse")
-        return LaurentScalar(-self.shift, self.body.invert())
-
-    def __mul__(self, other: "LaurentScalar") -> "LaurentScalar":
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return LaurentScalar(self.shift + other.shift, self.body * other.body)
-
-    def to_series(self) -> TruncatedSeries:
-        """Re-enter the series ring; requires a nonnegative shift."""
-        if self.is_zero():
-            return self.body
-        if self.shift < 0:
-            raise NonUnitError("negative Laurent shift is not a series")
-        return _shift(self.body, self.shift)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return self.shift == other.shift and self.body == other.body
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        gen = self.body.ring.generators[0]
-        if self.shift == 0:
-            return str(self.body)
-        return f"{gen}^{self.shift}*({self.body})"
-
-
-def classify(value) -> str:
-    """Sort a scalar into zero / infinitesimal / appreciable / infinitely_large."""
-    if isinstance(value, TruncatedSeries):
-        value = LaurentScalar.from_series(value)
-    if not isinstance(value, LaurentScalar):
-        raise TypeError("classify expects a series or a Laurent scalar")
+def classify(value: TruncatedSeries) -> str:
+    """Sort a series into zero / infinitesimal / appreciable by its valuation."""
+    if not isinstance(value, TruncatedSeries):
+        raise TypeError("classify expects a series")
     if value.is_zero():
         return ZERO
-    if value.shift >= 1:
-        return INFINITESIMAL
-    if value.shift == 0:
-        return APPRECIABLE
-    return INFINITELY_LARGE
+    return INFINITESIMAL if value.valuation() >= 1 else APPRECIABLE
 
 
 def _shift(series: TruncatedSeries, amount: int) -> TruncatedSeries:
@@ -567,17 +490,22 @@ def _shift(series: TruncatedSeries, amount: int) -> TruncatedSeries:
 
 
 def divide_univariate(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """Exact division in the univariate ring via the Laurent layer.
+    """Exact division in the univariate ring, by the valuation v of `den`.
 
-    Requires valuation(num) >= valuation(den); the quotient is expanded out to
-    the truncation bound.
+    num/den = (num/t^v) * (den/t^v)^-1, where den/t^v is a unit.  Requires
+    valuation(num) >= v (NonUnitError otherwise); the quotient is expanded out
+    to the truncation bound.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero series")
     if num.is_zero():
         return num
-    quotient = LaurentScalar.from_series(num) * LaurentScalar.from_series(den).invert()
-    return quotient.to_series()
+    if not (num.ring.is_univariate and den.ring.is_univariate):
+        raise DomainError("exact division by a non-unit needs a univariate ring")
+    v = den.valuation()
+    if num.valuation() < v:
+        raise NonUnitError("the quotient has a negative power of the generator")
+    return _shift(num, -v) * _shift(den, -v).invert()
 
 
 # -- grammar-compatible formatting --------------------------------------------------

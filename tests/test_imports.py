@@ -53,3 +53,39 @@ def test_names_the_benchmark_counts_exist():
         for attribute in qualname.split("."):
             assert hasattr(owner, attribute), f"{module}:{qualname}"
             owner = getattr(owner, attribute)
+
+
+def test_names_the_benchmark_imports_exist():
+    # perfbench imports package names and reads attributes of package modules
+    # (`from perturbalg import ppoly`, then `ppoly.dominant_balance`); a name
+    # that no longer exists would break the benchmark, not a test
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    layers = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+    names = {}  # (module, attribute path or "") -> the file that uses it
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {}  # local name -> package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("perturbalg"):
+                for alias in node.names:
+                    if node.module == "perturbalg" and alias.name in layers:
+                        modules[alias.asname or alias.name] = f"perturbalg.{alias.name}"
+                    else:
+                        names[(node.module, alias.name)] = path.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "perturbalg":
+                        names[(alias.name, "")] = path.name
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in modules:
+                names[(modules[node.id], ".".join(reversed(chain)))] = path.name
+    assert len(names) >= 20
+    for (module, qualname), source in sorted(names.items()):
+        owner = importlib.import_module(module)
+        for attribute in filter(None, qualname.split(".")):
+            assert hasattr(owner, attribute), f"{source}: {module}.{qualname}"
+            owner = getattr(owner, attribute)

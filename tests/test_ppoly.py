@@ -14,6 +14,7 @@ from perturbalg import (
     NonUnitError,
     PerturbedPolynomial,
     SeriesRing,
+    TruncatedSeries,
     apply_root_sensitivity,
     decompose,
     dominant_balance,
@@ -26,7 +27,7 @@ from perturbalg import (
 )
 from perturbalg.errors import DegenerateError, DomainError, UnsupportedOrderError
 from perturbalg.exactpoly import from_roots
-from perturbalg.ppoly import _taylor_coefficients
+from perturbalg.ppoly import _coefficient_bits
 
 from conftest import (
     random_exact_poly,
@@ -249,25 +250,70 @@ def test_sensitivity_needs_root(ring, t):
         apply_root_sensitivity(ExactPolynomial([-1, 0, 1]), 2, PerturbedPolynomial(ring, [t]))
 
 
-def test_first_nonzero_derivative():
-    square = ExactPolynomial([1, -2, 1])
-    assert square.first_nonzero_derivative(1) == (2, GaussianRational(2))
-    assert square.first_nonzero_derivative(3) == (0, GaussianRational(4))
-    assert ExactPolynomial([]).first_nonzero_derivative(1) == (0, GaussianRational(0))
-    assert from_roots([2, 2, 2, -1]).first_nonzero_derivative(2) == (3, GaussianRational(18))
-
-
 def test_taylor_coefficients_match_derivatives():
     rng = seeded(31)
     ring = SeriesRing(("t", "e1"), 4)
     for _ in range(30):
-        poly = random_perturbed_poly(rng, ring, unit_lead=False)
         root = GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
-        count = rng.randint(0, poly.degree + 2)
-        expected = [
-            poly.derivative(j).evaluate(root) / math.factorial(j) for j in range(count)
-        ]
-        assert _taylor_coefficients(poly, root, count) == expected
+        for poly in (random_exact_poly(rng), random_perturbed_poly(rng, ring, unit_lead=False)):
+            expected = [
+                poly.derivative(j).evaluate(root) / math.factorial(j)
+                for j in range(poly.degree + 1)
+            ]
+            assert list(poly.taylor_coefficients(root)) == expected
+    assert list(ExactPolynomial([]).taylor_coefficients(1)) == []
+
+
+def test_first_nonzero_derivative():
+    """The multiplicity m at u and P^(m)(u) = m! c_m, c_m the first nonzero Taylor coefficient."""
+
+    def first_nonzero_derivative(poly, root):
+        mult = poly.multiplicity(root)
+        lead = next((c for c in poly.taylor_coefficients(root) if c), GaussianRational(0))
+        return mult, lead * math.factorial(mult)
+
+    square = ExactPolynomial([1, -2, 1])
+    assert first_nonzero_derivative(square, 1) == (2, GaussianRational(2))
+    assert first_nonzero_derivative(square, 3) == (0, GaussianRational(4))
+    assert first_nonzero_derivative(ExactPolynomial([]), 1) == (0, GaussianRational(0))
+    assert first_nonzero_derivative(from_roots([2, 2, 2, -1]), 2) == (3, GaussianRational(18))
+    assert ExactPolynomial([-1, 1]).multiplicity(1) == 1
+    assert ExactPolynomial([-1, 1]).multiplicity(2) == 0
+
+
+def reference_coefficient_bits(poly) -> int:
+    """The bit count read off the terms view: its definition."""
+    return max(
+        (
+            (abs(part) - 1).bit_length()
+            for series in poly.coeffs
+            for c in series.terms.values()
+            for part in (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+            if part
+        ),
+        default=0,
+    )
+
+
+def test_coefficient_bits_match_terms():
+    rng = seeded(32)
+    ring = SeriesRing(("e1", "e2", "e3"), 4)
+
+    def part():
+        return rng.choice((0, 1, -1)) * rng.getrandbits(rng.randint(0, cap))
+
+    for _ in range(300):
+        cap = rng.choice((1, 2, 4, 16, 80))  # parts up to 80 bits, small ones often
+        coeffs = []
+        for _ in range(rng.randint(0, 4)):
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                index = tuple(rng.randint(0, 2) for _ in ring.generators)
+                den_re, den_im = (1 + rng.getrandbits(rng.randint(0, cap)) for _ in range(2))
+                terms[index] = GaussianRational(Fraction(part(), den_re), Fraction(part(), den_im))
+            coeffs.append(TruncatedSeries(ring, terms))
+        poly = PerturbedPolynomial(ring, coeffs)
+        assert _coefficient_bits(poly) == reference_coefficient_bits(poly)
 
 
 def test_root_correction_simple(ring, t):

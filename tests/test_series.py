@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from perturbalg import (
     GaussianRational,
-    LaurentScalar,
     NonUnitError,
     RingMismatchError,
     SeriesRing,
@@ -72,7 +71,6 @@ def test_standard_part(ring, t):
 def test_classify(ring, t):
     assert classify(t) == "infinitesimal"
     assert classify(1 + t) == "appreciable"
-    assert classify(LaurentScalar(-1, ring.one())) == "infinitely_large"
     assert classify(ring.zero()) == "zero"
 
 
@@ -167,18 +165,19 @@ def test_standard_part_is_ring_hom():
         assert (a * b).standard_part() == a.standard_part() * b.standard_part()
 
 
-def test_laurent_inversion_swaps_classes():
+def test_reciprocal_is_a_series_unless_infinitesimal():
     rng = seeded(15)
     ring = univariate_ring(8)
     for _ in range(40):
         x = random_series(rng, ring)
         if x.is_zero():
             continue
-        laurent = LaurentScalar.from_series(x)
-        inverted = laurent.invert()
-        assert (classify(inverted) == "infinitely_large") == (
-            classify(x) == "infinitesimal"
-        )
+        try:
+            divide_univariate(ring.one(), x)
+        except NonUnitError:
+            assert classify(x) == "infinitesimal"
+        else:
+            assert classify(x) == "appreciable"
 
 
 def test_divide_univariate(ring, t):
@@ -186,6 +185,78 @@ def test_divide_univariate(ring, t):
     assert divide_univariate(ring.zero(), t) == ring.zero()
     with pytest.raises(NonUnitError):
         divide_univariate(t, t**2)  # quotient would be infinitely large
+
+
+class ReferenceLaurent:
+    """t^shift * body with a unit body: the Laurent scalar division once went through."""
+
+    def __init__(self, shift, body):
+        if not body.ring.is_univariate:
+            raise DomainError("Laurent scalars exist only over a univariate ring")
+        if body.is_zero():
+            shift = 0
+        elif body.valuation():
+            v = body.valuation()
+            body, shift = reference_shift(body, -v), shift + v
+        self.shift, self.body = shift, body
+
+    def invert(self):
+        if self.body.is_zero():
+            raise ZeroDivisionError("zero has no Laurent inverse")
+        return ReferenceLaurent(-self.shift, self.body.invert())
+
+    def __mul__(self, other):
+        return ReferenceLaurent(self.shift + other.shift, self.body * other.body)
+
+    def to_series(self):
+        if self.body.is_zero():
+            return self.body
+        if self.shift < 0:
+            raise NonUnitError("negative Laurent shift is not a series")
+        return reference_shift(self.body, self.shift)
+
+
+def reference_shift(series, amount):
+    bound = series.ring.truncation
+    return TruncatedSeries(
+        series.ring,
+        {(e + amount,): c for (e,), c in series.terms.items() if e + amount <= bound},
+    )
+
+
+def reference_divide(num, den):
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero series")
+    if num.is_zero():
+        return num
+    return (ReferenceLaurent(0, num) * ReferenceLaurent(0, den).invert()).to_series()
+
+
+def outcome(call):
+    try:
+        series = call()
+    except (ZeroDivisionError, NonUnitError, DomainError) as exc:
+        return type(exc)
+    return series, series.den, list(series.rows.items())
+
+
+def test_divide_univariate_matches_laurent_reference():
+    rng = seeded(18)
+    for ring in (univariate_ring(8), univariate_ring(3)):
+        for _ in range(150):
+            num, den = (
+                ring.zero()
+                if rng.random() < 0.1
+                else random_series(rng, ring, min_valuation=rng.randint(0, 3))
+                for _ in range(2)
+            )
+            expected = outcome(lambda: reference_divide(num, den))
+            assert outcome(lambda: divide_univariate(num, den)) == expected
+    multi = SeriesRing(("e1", "e2"), 4)
+    e1 = multi.generator("e1")
+    for num, den in ((e1, e1), (1 + e1, e1), (multi.zero(), e1), (e1, multi.zero())):
+        expected = outcome(lambda: reference_divide(num, den))
+        assert outcome(lambda: divide_univariate(num, den)) == expected
 
 
 def test_constant_series_hash_agrees_with_equality(ring, t):
