@@ -9,8 +9,10 @@ ratios converge to 1 as the substituted values shrink.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,6 +25,7 @@ MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-14
 RESIDUAL_FACTOR = 1e-10
 NOISE_FLOOR = 1e-6  # deviations below this are rounding noise, not asymptotics
+ROOTS_MEMO_SIZE = 64  # distinct polynomials poly_roots_numeric remembers
 
 
 def poly_roots_numeric(
@@ -35,6 +38,13 @@ def poly_roots_numeric(
     the rest start on a circle of radius given by the Fujiwara root bound
     with seed-determined phases, and are refined until the largest step falls
     below 1e-14 * (1 + |root|).
+
+    The outcomes for the ROOTS_MEMO_SIZE most recently solved polynomials
+    are remembered for the life of the process, keyed by the exact bits of
+    the deflated coefficients (so -0.0 and 0.0 differ) and the seed.  Several claims checked against one
+    P + Xi(t0) therefore run Aberth once per distinct polynomial.  Every
+    call gets a fresh list, and a remembered failure is raised as a fresh
+    OracleError with a fresh `best_iterate`.
     """
     coeffs = [complex(c) for c in coeffs]
     if not coeffs or coeffs[-1] == 0:
@@ -55,6 +65,26 @@ def poly_roots_numeric(
     if degree == 1:
         return roots + [-coeffs[0] / coeffs[1]]
 
+    parts = [part for c in coeffs for part in (c.real, c.imag)]
+    found, failure = _aberth(struct.pack(f"<{len(parts)}d", *parts), seed)
+    if failure is not None:
+        error = OracleError(failure)
+        error.best_iterate = roots + list(found)
+        raise error
+    return roots + list(found)
+
+
+@functools.lru_cache(maxsize=ROOTS_MEMO_SIZE)
+def _aberth(packed: bytes, seed: int) -> tuple[tuple[complex, ...], str | None]:
+    """(iterates, None) on success, (best iterates, OracleError message) on failure.
+
+    `packed` holds the real and imaginary parts of coefficients low degree
+    first, degree at least 2, no zero root.  A failure is returned rather
+    than raised, so the cache keeps it.
+    """
+    parts = struct.unpack(f"<{len(packed) // 8}d", packed)
+    coeffs = [complex(real, imag) for real, imag in zip(parts[::2], parts[1::2])]
+    degree = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     # Fujiwara bound: every root has modulus <= 2 * max |a_{n-k}/a_n|^(1/k)
@@ -69,29 +99,27 @@ def poly_roots_numeric(
         for k in range(degree)
     ]
 
-    def horner_pair(z: complex):
-        value = 0j
-        slope = 0j
-        for c in reversed(monic):
-            slope = slope * z + value
-            value = value * z + c
-        return value, slope
-
+    high_first = monic[::-1]
     converged = False
     for _ in range(MAX_ITERATIONS):
         max_step = 0.0
         for k in range(degree):
             z = current[k]
-            value, slope = horner_pair(z)
+            value = 0j
+            slope = 0j
+            for c in high_first:
+                slope = slope * z + value
+                value = value * z + c
             if value == 0:
                 continue
             if slope == 0:
                 ratio = 0j
             else:
                 ratio = value / slope
-            repulse = sum(
-                1 / (z - current[j]) for j in range(degree) if j != k and z != current[j]
-            )
+            repulse = 0j
+            for j, w in enumerate(current):
+                if j != k and z != w:
+                    repulse += 1 / (z - w)
             denom = 1 - ratio * repulse
             step = ratio if denom == 0 else ratio / denom
             current[k] = z - step
@@ -100,18 +128,14 @@ def poly_roots_numeric(
             converged = True
             break
     if not converged:
-        error = OracleError("root iteration did not converge")
-        error.best_iterate = roots + current
-        raise error
+        return tuple(current), "root iteration did not converge"
 
     scale = max(abs(c) for c in coeffs)
     if degree <= 10:
         worst = max(abs(_horner(monic, z)) * abs(lead) for z in current)
         if worst > RESIDUAL_FACTOR * scale:
-            error = OracleError(f"root residual {worst:.3e} above tolerance")
-            error.best_iterate = roots + current
-            raise error
-    return roots + current
+            return tuple(current), f"root residual {worst:.3e} above tolerance"
+    return tuple(current), None
 
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:

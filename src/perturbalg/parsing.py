@@ -13,6 +13,7 @@ grammar.  Offsets in errors and spans are 0-based byte positions.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -57,9 +58,19 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, offset=offset, line=line, column=column)
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> tuple[Token, ...]:
+    """The tokens of `text`, ending with an "end" token.
+
+    The last few texts' tokens are remembered, so `ring_for` and the parse
+    that follows it scan each text once.
+    """
     if len(text.encode()) > MAX_INPUT_BYTES:
         raise ParseError("input exceeds 1 MB")
+    return _scan(text)
+
+
+@functools.lru_cache(maxsize=4)
+def _scan(text: str) -> tuple[Token, ...]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -79,7 +90,7 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("op", match.group(3), match.start(3)))
         pos = match.end()
     tokens.append(Token("end", "", len(text)))
-    return tokens
+    return tuple(tokens)
 
 
 def scan_generator_names(*texts: str) -> tuple[str, ...]:

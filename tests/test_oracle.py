@@ -1,6 +1,13 @@
+import cmath
+import dataclasses
+import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturbalg import (
     BalanceQuadratic,
@@ -21,7 +28,9 @@ from perturbalg import (
     verify_quadratic_balance,
     verify_root_asymptotics,
 )
-from perturbalg.errors import DomainError
+from perturbalg import oracle
+from perturbalg.cli import run
+from perturbalg.errors import DomainError, OracleError
 from perturbalg.exactpoly import from_roots
 from perturbalg.oracle import default_values
 from perturbalg.parsing import parse_matrix_json, parse_polynomial
@@ -79,6 +88,216 @@ def test_roots_deterministic():
     coeffs = [1.5, -2.0, 0.25, 1.0]
     assert poly_roots_numeric(coeffs, seed=7) == poly_roots_numeric(coeffs, seed=7)
     assert poly_roots_numeric(coeffs, seed=7) != poly_roots_numeric(coeffs, seed=8)
+
+
+def _bits(values):
+    parts = [part for z in values for part in (z.real, z.imag)]
+    return struct.pack(f"<{len(parts)}d", *parts)
+
+
+def _outcome(coeffs, seed=0):
+    """Exact bits of what poly_roots_numeric gives: roots, or error and iterate."""
+    try:
+        return "roots", _bits(poly_roots_numeric(coeffs, seed=seed))
+    except OracleError as error:
+        return str(error), _bits(error.best_iterate)
+
+
+def _expand(roots):
+    """Float coefficients of prod (X - r), low degree first."""
+    coeffs = [1.0]
+    for r in roots:
+        coeffs = [-r * coeffs[0]] + [
+            coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))
+        ] + [coeffs[-1]]
+    return coeffs
+
+
+_signed_parts = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False),
+)
+_coefficient_lists = st.one_of(
+    st.lists(st.builds(complex, _signed_parts, _signed_parts), min_size=2, max_size=8)
+    .map(lambda c: c + [complex(1, -0.0)]),
+    # double and triple roots, where Aberth often misses its step rule
+    st.tuples(
+        st.integers(-3, 3), st.sampled_from([2, 3]), st.lists(st.integers(-3, 3), max_size=4)
+    ).map(lambda spec: _expand([spec[0]] * spec[1] + spec[2])),
+)
+
+
+def _reference_outcome(coeffs, seed=0):
+    """_outcome of the Aberth loop as written before the memo: a Horner
+    closure and a generator sum, kept to show the loop changed no float
+    operation."""
+    if len(coeffs) - next(k for k, c in enumerate(coeffs) if c != 0) < 3:
+        return _outcome(coeffs, seed)  # no Aberth run below degree 2
+    coeffs = [complex(c) for c in coeffs]
+    roots = []
+    while coeffs[0] == 0:
+        roots.append(0j)
+        coeffs = coeffs[1:]
+    degree = len(coeffs) - 1
+    lead = coeffs[-1]
+    monic = [c / lead for c in coeffs]
+    radius = 2.0 * max(abs(monic[degree - k]) ** (1.0 / k) for k in range(1, degree + 1))
+    radius = max(radius, 1e-12)
+    phase = 2 * math.pi * random.Random(seed).random()
+    current = [
+        radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / degree + phase))
+        for k in range(degree)
+    ]
+
+    def horner_pair(z):
+        value = 0j
+        slope = 0j
+        for c in reversed(monic):
+            slope = slope * z + value
+            value = value * z + c
+        return value, slope
+
+    for _ in range(oracle.MAX_ITERATIONS):
+        max_step = 0.0
+        for k in range(degree):
+            z = current[k]
+            value, slope = horner_pair(z)
+            if value == 0:
+                continue
+            ratio = 0j if slope == 0 else value / slope
+            repulse = sum(
+                1 / (z - current[j]) for j in range(degree) if j != k and z != current[j]
+            )
+            denom = 1 - ratio * repulse
+            step = ratio if denom == 0 else ratio / denom
+            current[k] = z - step
+            max_step = max(max_step, abs(step) / (1 + abs(current[k])))
+        if max_step <= oracle.STEP_TOLERANCE:
+            break
+    else:
+        return "root iteration did not converge", _bits(roots + current)
+    if degree <= 10:
+        worst = max(abs(oracle._horner(monic, z)) * abs(lead) for z in current)
+        if worst > oracle.RESIDUAL_FACTOR * max(abs(c) for c in coeffs):
+            return f"root residual {worst:.3e} above tolerance", _bits(roots + current)
+    return "roots", _bits(roots + current)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_coefficient_lists, st.integers(0, 3))
+def test_memo_replays_cold_bits(coeffs, seed):
+    oracle._aberth.cache_clear()
+    cold = _outcome(coeffs, seed)
+    assert cold == _reference_outcome(coeffs, seed)
+    # a neighbour that differs only in the signs of its zero parts is solved
+    # between the cold and the warm call; it must not share the entry
+    flipped = [complex(-z.real if z.real == 0 else z.real, z.imag) for z in coeffs]
+    _outcome(flipped, seed)
+    assert _outcome(coeffs, seed) == cold
+    oracle._aberth.cache_clear()
+    assert _outcome(coeffs, seed) == cold
+
+
+def test_memo_keys_on_exact_bits():
+    oracle._aberth.cache_clear()
+    for coeffs in ([1, 0.0, 3, 1], [1, -0.0, 3, 1], [1, complex(0, -0.0), 3, 1]):
+        poly_roots_numeric(coeffs)
+    assert oracle._aberth.cache_info().misses == 3
+    poly_roots_numeric([1, -0.0, 3, 1])
+    poly_roots_numeric([1, -0.0, 3, 1], seed=1)
+    assert oracle._aberth.cache_info()[:2] == (1, 4)
+
+
+def test_memo_replays_a_failure_as_a_fresh_error():
+    triple = [-1, 3, -3, 1]  # (X - 1)^3 never meets the step rule
+    oracle._aberth.cache_clear()
+    with pytest.raises(OracleError) as first:
+        poly_roots_numeric(triple)
+    kept = list(first.value.best_iterate)
+    first.value.best_iterate.append(5j)
+    first.value.best_iterate[0] = 7
+    with pytest.raises(OracleError) as second:
+        poly_roots_numeric(triple)
+    assert oracle._aberth.cache_info().hits == 1
+    assert second.value is not first.value
+    assert str(second.value) == str(first.value) == "root iteration did not converge"
+    assert second.value.best_iterate == kept
+
+
+@pytest.mark.parametrize("coeffs", [[6, -5, 1], [0, 6, -5, 1]])
+def test_memo_hands_out_fresh_lists(coeffs):
+    found = poly_roots_numeric(coeffs)
+    kept = list(found)
+    found.append(9)
+    found[-2] = -1
+    assert poly_roots_numeric(coeffs) == kept
+
+
+def _verify(base, shift, claim, grid=GRID):
+    if isinstance(claim, BalanceQuadratic):
+        return verify_quadratic_balance(base, shift, claim, grid)
+    return verify_root_asymptotics(base, shift, claim, grid)
+
+
+@pytest.mark.parametrize("passing", [True, False])
+def test_claims_on_one_polynomial_share_aberth_runs(ring, t, passing):
+    """Every claim perfbench's roots workload makes on one (P, Xi): all pass
+    with one Xi, and all end in OracleError with the other."""
+    base = from_roots([1, 1, 3, -2])
+    shift = PerturbedPolynomial(ring, [t**2 - t, t] if passing else [-t, t])
+    claims = list(dominant_balance(base, shift, 1))
+    claims += [root_correction(base, shift, root) for root in (3, -2)]
+    assert len(claims) >= 3
+    oracle._aberth.cache_clear()
+    for claim in claims:
+        if passing:
+            assert _verify(base, shift, claim).verdict
+        else:
+            with pytest.raises(OracleError):
+                _verify(base, shift, claim)
+    assert oracle._aberth.cache_info().misses <= 1 + len(GRID)
+
+
+def _passes(base, shift, claim) -> bool:
+    try:
+        report = _verify(base, shift, claim)
+    except (DomainError, OracleError):
+        return False
+    # a wrong claim fails at every grid point, not just at the last
+    assert all(s.deviation > report.tolerance for s in report.samples), report.to_dict()
+    return report.verdict
+
+
+def test_gate_wrong_claims_fail_with_the_memo_warm(ring, t):
+    double = ExactPolynomial([1, -2, 1])
+    balanced = PerturbedPolynomial(ring, [t**2 - t, t])
+    (balance,) = dominant_balance(double, balanced, 1)
+    assert isinstance(balance, BalanceQuadratic)
+    cases = [
+        (double, PerturbedPolynomial(ring, [-t])),
+        (ExactPolynomial([-1, 0, 1]), PerturbedPolynomial(ring, [t])),
+    ]
+    for base, shift in cases:
+        (claim,) = dominant_balance(base, shift, 1)
+        assert _verify(base, shift, claim).verdict
+        wrong = [
+            dataclasses.replace(claim, rhs=claim.rhs * 2),
+            dataclasses.replace(claim, rhs=-claim.rhs),
+            dataclasses.replace(claim, order=3 - claim.order),
+        ]
+        assert not any(_passes(base, shift, w) for w in wrong)
+    assert verify_quadratic_balance(double, balanced, balance, GRID).verdict
+    wrong = [
+        dataclasses.replace(balance, constant=balance.constant * 2),
+        dataclasses.replace(balance, constant=-balance.constant),
+        dataclasses.replace(balance, linear=-balance.linear),  # the other branch pair
+    ]
+    assert not any(_passes(double, balanced, w) for w in wrong)
+
+
+def test_refutation_still_exits_3_with_the_memo_warm(capsys):
+    assert run(["verify", "--case", "double"]) == 0
+    assert run(["verify", "--case", "refute-half"]) == 3
 
 
 def test_verify_simple_root(ring, t):

@@ -9,6 +9,7 @@ from perturbalg import (
     PerturbedMatrix,
     SeriesRing,
 )
+from perturbalg import parsing
 from perturbalg.errors import DomainError
 from perturbalg.parsing import (
     MAX_LITERAL_DIGITS,
@@ -27,6 +28,28 @@ def test_scan_generator_names():
     assert scan_generator_names("X^3 - 1 + e2 - e1*X") == ("e1", "e2")
     assert scan_generator_names("1 + t", "e3*t") == ("t", "e3")
     assert scan_generator_names("X + 1") == ()
+
+
+def test_each_text_is_scanned_once():
+    texts = ("X^3 - e1*X - 1 + e2", "X^2 + e3*X - 1")
+    parsing._scan.cache_clear()
+    ring = ring_for(*texts)
+    for text in texts:
+        parse_polynomial(text, ring)
+    assert parsing._scan.cache_info().misses == 2
+    assert isinstance(parsing.tokenize(texts[0]), tuple)
+    # a bad text is scanned afresh and fails alike each time; of two bad
+    # texts the first given is reported
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            ring_for("X + 1", "X $ 2", "X # 3")
+        assert (str(info.value), info.value.offset) == (
+            "unexpected character '$' (line 1, column 2)",
+            2,
+        )
+    # the size bound counts UTF-8 bytes, not characters
+    with pytest.raises(ParseError, match="input exceeds 1 MB"):
+        parsing.tokenize("\u00e9" * (parsing.MAX_INPUT_BYTES // 2 + 1))
 
 
 def test_parse_cubic_polynomial():
