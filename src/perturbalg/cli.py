@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -32,6 +33,10 @@ from .matrices import (
     perturbation_poly,
 )
 from .oracle import (
+    ConvergenceReport,
+    Sample,
+    _descending_grid,
+    default_values,
     transfer_residual,
     verify_pgcd,
     verify_root_asymptotics,
@@ -42,9 +47,9 @@ from .parsing import (
     parse_scalar,
     parse_series,
     ring_for,
+    scan_generator_names,
 )
 from .ppoly import (
-    BalanceQuadratic,
     PerturbedPolynomial,
     RootAsymptotics,
     dominant_balance,
@@ -73,12 +78,12 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {value}")
 
 
-def _exact_polynomial(text: str, truncation: int, var: str = "X") -> ExactPolynomial:
-    ring = ring_for(text, truncation=truncation)
-    poly = parse_polynomial(text, ring, var)
-    for coeff in poly.coeffs:
-        if not coeff.is_constant():
-            raise DomainError("base polynomial must have exact scalar coefficients")
+def _exact_polynomial(text: str) -> ExactPolynomial:
+    """A polynomial in X that names no generator; truncation cannot touch it."""
+    generators = scan_generator_names(text)
+    poly = parse_polynomial(text, SeriesRing(generators or ("t",), 1), "X")
+    if generators:
+        raise DomainError("base polynomial must have exact scalar coefficients")
     return poly.shadow()
 
 
@@ -94,22 +99,10 @@ def _trace_payload(trace) -> list:
     ]
 
 
-def _asym_payload(result) -> dict:
-    if isinstance(result, BalanceQuadratic):
-        return {
-            "kind": "balance",
-            "quad_coeff": str(result.quad_coeff),
-            "linear": str(result.linear),
-            "constant": str(result.constant),
-        }
-    payload = {
-        "kind": "power",
-        "order": result.order,
-        "rhs": str(result.rhs),
-    }
-    if result.leading_level is not None:
-        payload["leading_level"] = result.leading_level
-    return payload
+def _asym_payload(result: RootAsymptotics) -> dict:
+    # the CLI reaches dominant_balance only when Xi(u) = 0, where no hull edge
+    # starts at 0, so it never meets a double root's BalanceQuadratic
+    return {"kind": "power", "order": result.order, "rhs": str(result.rhs)}
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -132,10 +125,10 @@ def _cmd_pgcd(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    base = _exact_polynomial(args.base, args.trunc)
+    base = _exact_polynomial(args.base)
     ring = ring_for(args.pert, truncation=args.trunc)
     shift = parse_polynomial(args.pert, ring, "X")
-    root = parse_scalar(args.root, args.trunc)
+    root = parse_scalar(args.root)
     try:
         results = [root_correction(base, shift, root, args.mult)]
     except DegenerateError:
@@ -178,7 +171,7 @@ def _cmd_eigshift(args) -> int:
     matrix = parse_matrix_json(args.matrix, args.trunc)
     if not isinstance(matrix, PerturbedMatrix):
         raise DomainError("eigshift needs a matrix with a 'pert' block")
-    eigenvalue = parse_scalar(args.eigenvalue, args.trunc)
+    eigenvalue = parse_scalar(args.eigenvalue)
     result = eigenvalue_correction(matrix.base, matrix, eigenvalue, args.mult)
     _emit(
         args,
@@ -217,7 +210,7 @@ def _cmd_hermitian(args) -> int:
         raise DomainError("hermitian takes exact base and direction matrices")
     ring = ring_for(args.alpha, truncation=args.trunc)
     alpha = parse_series(args.alpha, ring)
-    eigenvalue = parse_scalar(args.eigenvalue, args.trunc)
+    eigenvalue = parse_scalar(args.eigenvalue)
     shift = hermitian_first_order(matrix, direction, alpha, eigenvalue)
     _emit(args, {"shift": str(shift)})
     return 0
@@ -290,19 +283,16 @@ def _case_pgcd(trunc, grid, seed, tolerance):
     a = parse_polynomial("X^3 - e1*X - 1 + e2", ring, "X")
     b = parse_polynomial("X^2 + e3*X - 1", ring, "X")
     result, _ = pgcd(a, b)
-    return verify_pgcd(a, b, min(grid), result, seed=seed)
+    return verify_pgcd(a, b, min(grid), result)
 
 
 def _case_transfer(trunc, grid, seed, tolerance):
-    from .oracle import ConvergenceReport, Sample, default_values
-
     ring = SeriesRing(("e1", "e2", "e3"), trunc)
     function = RationalFunction(
         parse_polynomial("p^3 - e1*p - 1 + e2", ring, "p"),
         parse_polynomial("p^2 + e3*p - 1", ring, "p"),
     )
     report = simplify(function)
-    grid = sorted(grid, reverse=True)
     out = ConvergenceReport(tolerance=tolerance)
     residuals = []
     for t0 in grid:
@@ -331,7 +321,9 @@ def _cmd_verify(args) -> int:
     if case is None:
         known = ", ".join(sorted(_VERIFY_CASES))
         raise DomainError(f"unknown case {args.case!r}; known cases: {known}")
-    grid = [float(chunk) for chunk in args.grid.split(",")]
+    grid = _descending_grid(args.grid)
+    if not 0 < args.tolerance < math.inf:  # NaN fails too
+        raise DomainError("tolerance must be finite and positive")
     report = case(args.trunc, grid, args.seed, args.tolerance)
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.verdict else 3
@@ -354,6 +346,14 @@ def _truncation(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"truncation degree must be >= 1, got {value}")
     return value
+
+
+def _grid(text: str) -> list[float]:
+    """--grid value: comma-separated numbers, else a usage error."""
+    try:
+        return [float(chunk) for chunk in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid grid: {text!r}") from None
 
 
 def build_parser() -> _ArgumentParser:
@@ -415,7 +415,8 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a named oracle check")
     p.add_argument("--case", required=True)
-    p.add_argument("--grid", default="1e-2,1e-3,1e-4")
+    p.add_argument("--grid", type=_grid, default="1e-2,1e-3,1e-4",
+                   help="comma-separated sample scales, each in (0, 0.1]")
     p.add_argument("--tolerance", type=float, default=0.2)
     p.set_defaults(handler=_cmd_verify)
     return parser

@@ -9,8 +9,6 @@ and the base polynomials whose roots get corrected.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, RingMismatchError
 from .scalars import GaussianRational, _power
 from .series import _monomial_text, format_terms
@@ -19,13 +17,14 @@ from .series import _monomial_text, format_terms
 class Polynomial:
     """Dense polynomial in one indeterminate, low degree first; immutable.
 
-    The arithmetic, Euclidean division and printing shared by both
-    coefficient domains: Gaussian rationals (ExactPolynomial) and truncated
-    series (ppoly.PerturbedPolynomial).  A subclass supplies `_lift` (one
-    coefficient into its domain), `_coerce` (an operand into a polynomial of
-    its own kind, TypeError for an operand it does not take), `_invert` (the
-    inverse of a divisor's leading coefficient) and `_like` (a polynomial of
-    its own kind, ring and indeterminate with the given coefficients).
+    The arithmetic, Horner evaluation, Euclidean division and printing
+    shared by both coefficient domains: Gaussian rationals (ExactPolynomial)
+    and truncated series (ppoly.PerturbedPolynomial).  A subclass supplies
+    `_lift` (one coefficient into its domain), `_coerce` (an operand into a
+    polynomial of its own kind, TypeError for an operand it does not take),
+    `_invert` (the inverse of a divisor's leading coefficient) and `_like` (a
+    polynomial of its own kind, ring and indeterminate with the given
+    coefficients).
     """
 
     __slots__ = ("coeffs", "var")
@@ -155,6 +154,14 @@ class Polynomial:
             poly = poly._like([poly.coeffs[k] * k for k in range(1, len(poly.coeffs))])
         return poly
 
+    def evaluate(self, point):
+        """Horner evaluation at a point of the coefficient domain (scalars are lifted)."""
+        point = self._lift(point)
+        acc = self._lift(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc
+
     def taylor_coefficients(self, point):
         """P^(j)(point)/j! for j = 0, 1, ..., deg P: the coefficients of P(X + point).
 
@@ -211,18 +218,6 @@ class ExactPolynomial(Polynomial):
             return hash(self.leading)
         return hash(self.coeffs)
 
-    def evaluate(self, point):
-        """Horner evaluation; exact for GaussianRational points, float for complex."""
-        if isinstance(point, (GaussianRational, Fraction, int)):
-            point = GaussianRational.coerce(point)
-            acc = GaussianRational(0)
-        else:
-            point = complex(point)
-            acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * point + (c if isinstance(acc, GaussianRational) else complex(c))
-        return acc
-
     def monic(self) -> "ExactPolynomial":
         if self.is_zero():
             return self
@@ -246,15 +241,18 @@ def poly_gcd(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
     return a.monic()
 
 
-def from_roots(roots, var: str = "X", scale=1) -> ExactPolynomial:
-    poly = ExactPolynomial.constant(scale, var)
+def from_roots(roots) -> ExactPolynomial:
+    poly = ExactPolynomial.constant(1)
     for r in roots:
-        poly = poly * ExactPolynomial([-GaussianRational.coerce(r), 1], var)
+        poly = poly * ExactPolynomial([-GaussianRational.coerce(r), 1])
     return poly
 
 
 class ExactRationalFunction:
-    """Quotient of exact polynomials, kept coprime with a monic denominator."""
+    """Quotient of exact polynomials, kept coprime with a monic denominator.
+
+    A normalized value with equality and printing, and no arithmetic.
+    """
 
     __slots__ = ("num", "den")
 
@@ -278,9 +276,6 @@ class ExactRationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("ExactRationalFunction is immutable")
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, ExactRationalFunction):
             return NotImplemented
@@ -288,28 +283,6 @@ class ExactRationalFunction:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        if not isinstance(other, ExactRationalFunction):
-            return NotImplemented
-        return ExactRationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return self + ExactRationalFunction(-other.num, other.den)
-
-    def __neg__(self):
-        return ExactRationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, ExactRationalFunction):
-            return NotImplemented
-        return ExactRationalFunction(self.num * other.num, self.den * other.den)
-
-    def evaluate(self, point) -> complex:
-        den = self.den.evaluate(point)
-        return self.num.evaluate(point) / den
 
     def __str__(self):
         if self.den.degree == 0 and self.den.leading == 1:

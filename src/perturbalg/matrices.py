@@ -438,15 +438,10 @@ def eigenvalue_correction(
 def conservative_residuals(base: ConstantMatrix, pert) -> list[TruncatedSeries]:
     """Q^(k)(A+E) - Q^(k)(A) for k = 1..n; all zero iff E is conservative."""
     matrix = _on_base(base, pert)
-    n = matrix.n
-    full = char_poly(matrix).coeffs
-    exact = char_poly(matrix.base).coeffs
-    out = []
-    for k in range(1, n + 1):
-        # Q^(k) is (-1)^k times the coefficient of X^(n-k)
-        residual = full[n - k] - exact[n - k]
-        out.append(-residual if k % 2 else residual)
-    return out
+    xi = perturbation_poly(matrix)
+    # Q^(k) is (-1)^k times the coefficient of X^(n-k)
+    coeffs = [xi.coefficient(matrix.n - k) for k in range(1, matrix.n + 1)]
+    return [-c if k % 2 else c for k, c in enumerate(coeffs, 1)]
 
 
 def orbit_dimension(matrix: ConstantMatrix) -> int:

@@ -260,12 +260,12 @@ def parse_polynomial(text: str, ring: SeriesRing, var: str = "X") -> PerturbedPo
     return value
 
 
-def parse_scalar(text: str, truncation: int = 8) -> GaussianRational:
-    ring = SeriesRing(("t",), truncation)
-    parser = _Parser(text, ring, var=None)
+def parse_scalar(text: str) -> GaussianRational:
+    """An exact scalar; generator tokens are rejected, so no truncation hides `t^9`."""
+    parser = _Parser(text, SeriesRing(("t",), 1), var=None)
     value = parser.parse_expression().coefficient(0)
     parser.finish()
-    if not value.is_constant():
+    if any(token.kind == "name" and GENERATOR_PATTERN.match(token.text) for token in parser.tokens):
         raise ParseError("expected an exact scalar, found generator terms")
     return value.standard_part()
 
@@ -298,13 +298,15 @@ def parse_matrix_json(text: str, truncation: int = 8):
         raise ParseError(f"invalid matrix JSON: {exc}") from None
     if not isinstance(data, dict) or "base" not in data:
         raise ParseError("matrix JSON needs a 'base' field")
+    for field in ("base", "pert"):
+        rows = data.get(field, [])
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ParseError(f"matrix JSON {field!r} must be a list of lists")
     base_rows = data["base"]
     order = data.get("n", len(base_rows))
     if len(base_rows) != order or any(len(row) != order for row in base_rows):
         raise ParseError("matrix JSON shape does not match 'n'")
-    base = ConstantMatrix(
-        [[parse_scalar(str(entry), truncation) for entry in row] for row in base_rows]
-    )
+    base = ConstantMatrix([[parse_scalar(str(entry)) for entry in row] for row in base_rows])
     if "pert" not in data:
         return base
     pert_rows = data["pert"]

@@ -92,23 +92,12 @@ class PerturbedPolynomial(Polynomial):
         return lead.invert()
 
     @staticmethod
-    def from_exact(poly: ExactPolynomial, ring: SeriesRing, var: Optional[str] = None):
-        return PerturbedPolynomial(ring, list(poly.coeffs), var or poly.var)
+    def from_exact(poly: ExactPolynomial, ring: SeriesRing):
+        return PerturbedPolynomial(ring, list(poly.coeffs), poly.var)
 
     @staticmethod
     def zero(ring: SeriesRing, var: str = "X") -> "PerturbedPolynomial":
         return PerturbedPolynomial(ring, (), var)
-
-    def evaluate(self, point) -> TruncatedSeries:
-        """Horner evaluation at a series (scalars are lifted to constants)."""
-        if not isinstance(point, TruncatedSeries):
-            point = self.ring.constant(point)
-        elif point.ring != self.ring:
-            raise RingMismatchError("evaluation point from a different ring")
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     def shadow(self) -> ExactPolynomial:
         """Coefficient-wise standard part; the degree may drop."""
@@ -120,13 +109,6 @@ class PerturbedPolynomial(Polynomial):
 
     def numeric_coeffs(self, values) -> list[complex]:
         return [c.numeric_sample(values) for c in self.coeffs]
-
-    def evaluate_numeric(self, point: complex, values) -> complex:
-        """Horner evaluation with generators sampled at complex values."""
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * complex(point) + c.numeric_sample(values)
-        return acc
 
     def strip_infinitesimal_leading(self):
         """Drop leading coefficients of valuation >= 1.
@@ -162,8 +144,14 @@ class RemainderStep:
 
     remainder: PerturbedPolynomial
     divisor_stripped_degrees: tuple = ()
-    wholly_infinitesimal: bool = False
-    exact_zero: bool = False
+
+    @property
+    def wholly_infinitesimal(self) -> bool:
+        return self.remainder.is_infinitesimal() and not self.remainder.is_zero()
+
+    @property
+    def exact_zero(self) -> bool:
+        return self.remainder.is_zero()
 
 
 def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
@@ -189,15 +177,7 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
         _, remainder = euclid_divide(previous, divisor)
         if _coefficient_bits(remainder) > MAX_POWER_BITS:
             raise DomainError(f"PGCD remainder coefficient passes {MAX_POWER_BITS} bits")
-        trace.append(
-            RemainderStep(
-                remainder=remainder,
-                divisor_stripped_degrees=stripped,
-                wholly_infinitesimal=remainder.is_infinitesimal()
-                and not remainder.is_zero(),
-                exact_zero=remainder.is_zero(),
-            )
-        )
+        trace.append(RemainderStep(remainder, stripped))
         previous, current = divisor, remainder
     return previous, trace
 

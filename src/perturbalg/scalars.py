@@ -10,8 +10,6 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
@@ -43,12 +41,6 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, GaussianRational):
-            if im:
-                raise TypeError("imaginary part given twice")
-            object.__setattr__(self, "re", re.re)
-            object.__setattr__(self, "im", re.im)
-            return
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
 
@@ -116,9 +108,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational._of(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

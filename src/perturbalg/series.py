@@ -281,8 +281,6 @@ class TruncatedSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        if self.valuation() >= 1 and exponent > self.ring.truncation:
-            return self.ring.zero()  # infinitesimal^e vanishes beyond T
         return _power(self.ring.one(), self, exponent)
 
     def __truediv__(self, other):

@@ -30,15 +30,6 @@ class RationalFunction:
         if self.den.is_zero() or self.den.is_infinitesimal():
             raise DomainError("denominator must not be wholly infinitesimal")
 
-    @property
-    def var(self) -> str:
-        return self.num.var
-
-    def numeric_sample(self, point: complex, values) -> complex:
-        num = self.num.evaluate_numeric(point, values)
-        den = self.den.evaluate_numeric(point, values)
-        return num / den
-
 
 @dataclass
 class SimplificationReport:

@@ -5,6 +5,7 @@ import pytest
 from perturbalg.cli import run
 
 JORDAN2 = '{"n":2,"base":[["1","1"],["0","1"]],"pert":[["0","0"],["t","0"]]}'
+DIAG01 = '{"n":2,"base":[["0","0"],["0","1"]]}'
 
 
 def run_json(capsys, argv):
@@ -214,3 +215,131 @@ def test_human_readable_default(capsys):
     code = run(["orbitdim", "--matrix", '{"n":2,"base":[["1","0"],["0","2"]]}'])
     assert code == 0
     assert capsys.readouterr().out.strip() == "dimension: 2"
+
+
+def test_text_mode_prints_lists_and_maps(capsys):
+    assert run(["pgcd", "--p1", "X^3 - e1*X - 1 + e2", "--p2", "X^2 + e3*X - 1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "pgcd: (1 - e1 + e3^2)*X + (-1 - e3 + e2)",
+        "monic_shadow: X - 1",
+        "trace:",
+        '  {"remainder": "(1 - e1 + e3^2)*X + (-1 - e3 + e2)", "wholly_infinitesimal": false,'
+        ' "exact_zero": false, "stripped_degrees": []}',
+    ]
+    assert len(lines) == 5
+    assert lines[4].startswith('  {"remainder": "(3*e3 - 2*e2 + 2*e1 - 3*e2*e3 + e2^2 ')
+    assert lines[4].endswith(
+        '"wholly_infinitesimal": true, "exact_zero": false, "stripped_degrees": []}'
+    )
+
+    assert run(["simplify-tf", "--num", "p^3 - e1*p - 1 + e2", "--den", "p^2 + e3*p - 1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "reduced_shadow: (p^2 + p + 1)/(p + 1)",
+        "pgcd: (1 - e1 + e3^2)*p + (-1 - e3 + e2)",
+    ]
+    assert lines[-4:] == [
+        "first_order:",
+        "  e1: (-p)/(p^2 - 1)",
+        "  e2: (1)/(p^2 - 1)",
+        "  e3: (-p^3 - p^2 - p)/(p^3 + p^2 - p - 1)",
+    ]
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--base", "X^2 - 2*X + 1", "--pert=-t", "--root", "1 + t^9"],
+        ["roots", "--base", "X^2 - 2*X + 1", "--pert=-t", "--root", "0*t + 1"],
+        ["eigshift", "--matrix", '{"n":1,"base":[["t^9"]],"pert":[["t"]]}', "--eigenvalue", "0"],
+        ["eigshift", "--matrix", JORDAN2, "--eigenvalue", "1 + t^9"],
+    ],
+)
+def test_exact_scalars_reject_generators_beyond_the_truncation(capsys, argv):
+    # at the default T = 8 each generator term would truncate to nothing
+    assert run(argv) == 1
+    assert one_error_line(capsys) == "error: expected an exact scalar, found generator terms\n"
+
+
+@pytest.mark.parametrize("base", ["X^2 - 2*X + 1 + t^9", "X^2 + t", "X^2 - 2*X + 1 + 0*t"])
+def test_exact_base_rejects_generators(capsys, base):
+    assert run(["roots", "--base", base, "--pert=-t", "--root", "1"]) == 2
+    assert one_error_line(capsys) == "error: base polynomial must have exact scalar coefficients\n"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        '{"base": 5}',
+        '{"base": [1]}',
+        '{"base": [["1"]], "pert": 3}',
+        '{"base": [["1"]], "pert": [1]}',
+    ],
+)
+def test_hostile_matrix_json_is_a_parse_error(capsys, matrix):
+    assert run(["charpoly", "--matrix", matrix]) == 1
+    assert one_error_line(capsys).startswith("error: matrix JSON '")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--grid", "abc"],
+        ["--grid", "1e-2,,1e-3"],
+        ["--tolerance", "abc"],
+        ["--tolerance", "1e-2,1e-3"],
+    ],
+)
+def test_verify_flags_that_are_not_numbers_are_usage_errors(capsys, flags):
+    assert run(["verify", "--case", "simple", *flags]) == 1
+    assert one_error_line(capsys).startswith(f"error: argument {flags[0]}: ")
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_verify_tolerance_must_be_finite_and_positive(capsys, tolerance):
+    assert run(["verify", "--case", "simple", f"--tolerance={tolerance}"]) == 2
+    assert one_error_line(capsys) == "error: tolerance must be finite and positive\n"
+
+
+@pytest.mark.parametrize(
+    "case", ["simple", "double", "jordan2", "nilpotent3", "pgcd", "transfer", "refute-half"]
+)
+def test_every_verify_case_checks_its_grid(capsys, case):
+    for grid in ("nan", "5", "1e-2,nan", "0", "-1e-3", "1e-3,inf"):
+        assert run(["verify", "--case", case, f"--grid={grid}"]) == 2
+        assert one_error_line(capsys) == "error: grid values must lie in (0, 0.1]\n"
+
+
+def test_unknown_verify_case_lists_the_known_ones(capsys):
+    assert run(["verify", "--case", "nosuch"]) == 2
+    assert one_error_line(capsys) == (
+        "error: unknown case 'nosuch'; known cases: "
+        "double, jordan2, nilpotent3, pgcd, refute-half, simple, transfer\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix,direction,alpha,eigenvalue,message",
+    [
+        (DIAG01, '{"n":2,"base":[["0","1"],["0","0"]]}', "t", "0",
+         "error: direction matrix is not Hermitian\n"),
+        (DIAG01, '{"n":2,"base":[["1","0"],["0","0"]]}', "1 + t", "0",
+         "error: alpha must be infinitesimal\n"),
+        (DIAG01, '{"n":2,"base":[["1","0"],["0","0"]]}', "t", "5",
+         "error: 5 is not an eigenvalue of the base matrix\n"),
+        ('{"n":2,"base":[["1","0"],["0","1"]]}', '{"n":2,"base":[["1","0"],["0","0"]]}', "t", "1",
+         "error: 1 is not a simple eigenvalue\n"),
+    ],
+)
+def test_hermitian_rejections_are_domain_errors(capsys, matrix, direction, alpha, eigenvalue, message):
+    argv = ["hermitian", "--matrix", matrix, "--direction", direction,
+            "--alpha", alpha, "--eigenvalue", eigenvalue]
+    assert run(argv) == 2
+    assert one_error_line(capsys) == message

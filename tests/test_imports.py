@@ -89,3 +89,31 @@ def test_names_the_benchmark_imports_exist():
         for attribute in filter(None, qualname.split(".")):
             assert hasattr(owner, attribute), f"{source}: {module}.{qualname}"
             owner = getattr(owner, attribute)
+
+
+# float evaluation belongs to the oracle; an exact layer only samples itself
+SAMPLERS = {"numeric_sample", "numeric_coeffs", "__complex__"}
+
+
+def test_only_samplers_build_complex_values_outside_the_oracle():
+    builders = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in ("oracle.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        enclosing = {}  # node -> the innermost function that contains it
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if inner is not node:
+                        enclosing[inner] = node.name
+        for node in ast.walk(tree):
+            builds = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "complex"
+            ) or (isinstance(node, ast.Constant) and isinstance(node.value, complex))
+            if builds and enclosing.get(node) not in SAMPLERS:
+                where = f"{path.name}:{node.lineno}"
+                builders[where] = enclosing.get(node, "<module>")
+    assert builders == {}

@@ -375,6 +375,19 @@ def test_hermitian_rejects_non_hermitian(ring, t):
         hermitian_first_order(JORDAN2, ConstantMatrix.identity(2), t, 1)
 
 
+def test_hermitian_rejections(ring, t):
+    diag = ConstantMatrix([[0, 0], [0, 1]])
+    direction = ConstantMatrix([[1, 0], [0, 0]])
+    for args, message in (
+        ((diag, ConstantMatrix([[0, 1], [0, 0]]), t, 0), "direction matrix is not Hermitian"),
+        ((diag, direction, 1 + t, 0), "alpha must be infinitesimal"),
+        ((diag, direction, t, 5), "5 is not an eigenvalue of the base matrix"),
+        ((ConstantMatrix.identity(2), direction, t, 1), "1 is not a simple eigenvalue"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            hermitian_first_order(*args)
+
+
 def test_pert_matrix_validation(ring, t):
     with pytest.raises(DomainError):
         PerturbedMatrix(JORDAN2, [[ring.one(), ring.zero()], [t, ring.zero()]])

@@ -350,7 +350,7 @@ def test_grid_must_lie_in_the_unit_tenth(ring, t):
     assert isinstance(balance, BalanceQuadratic)
     assert verify_quadratic_balance(base, shift, balance, GRID).verdict
     (claim,) = dominant_balance(base, PerturbedPolynomial(ring, [-t]), 1)
-    for grid in ((0.5, 0.2), (1e-2, -1e-3), (1e-2, 0.0), ()):
+    for grid in ((0.5, 0.2), (1e-2, -1e-3), (1e-2, 0.0), (), (math.nan,), (1e-2, math.nan)):
         with pytest.raises(DomainError, match=r"grid values must lie in \(0, 0.1\]"):
             verify_quadratic_balance(base, shift, balance, grid)
         with pytest.raises(DomainError, match=r"grid values must lie in \(0, 0.1\]"):
@@ -405,6 +405,32 @@ def test_verify_pgcd_worked_instance():
     report = verify_pgcd(a, b, 1e-4, result)
     assert report.verdict
     assert report.samples[0].deviation <= 1e-3
+
+
+def test_transfer_residual_evaluates_sampled_coefficients():
+    from perturbalg.oracle import transfer_residual
+    from perturbalg.transfer import RationalFunction, simplify
+
+    ring = SeriesRing(("e1", "e2", "e3"), 6)
+    function = RationalFunction(
+        parse_polynomial("p^3 - e1*p - 1 + e2", ring, "p"),
+        parse_polynomial("p^2 + e3*p - 1", ring, "p"),
+    )
+    report = simplify(function)
+    z = 0.5 + 0.25j
+    values = default_values(ring.generators, 1e-3)
+    e1, e2, e3 = (values[g] for g in ring.generators)
+    # the README's worked instance, written out by hand
+    sampled = (z**3 - e1 * z - 1 + e2) / (z**2 + e3 * z - 1)
+    reduced = (z**2 + z + 1) / (z + 1)
+    linear = (
+        -z / (z**2 - 1) * e1
+        + e2 / (z**2 - 1)
+        + (-(z**3) - z**2 - z) / (z**3 + z**2 - z - 1) * e3
+    )
+    residual = transfer_residual(function, report, z, values)
+    assert residual == pytest.approx(abs(sampled - reduced - linear), rel=1e-6)
+    assert residual < 1e-5
 
 
 def test_verify_pgcd_exact_coprime(ring):

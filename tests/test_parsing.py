@@ -147,6 +147,15 @@ def test_scalar_rejects_series():
         parse_scalar("1 + t")
 
 
+@pytest.mark.parametrize("text", ["1 + t^3", "1 + t^9", "t^9", "0*t", "1 + 0*t^2"])
+def test_scalar_rejects_every_generator_token(text):
+    # exactness is read off the tokens: no truncation can drop a generator term
+    with pytest.raises(ParseError, match="expected an exact scalar, found generator terms"):
+        parse_scalar(text)
+    with pytest.raises(ParseError, match="expected an exact scalar, found generator terms"):
+        parse_matrix_json(f'{{"n":1,"base":[["{text}"]]}}')
+
+
 def test_rational_function_parse():
     ring = ring_for("p^2 - 1")
     function = parse_rational_function("p^2 - 1 / p - 1", ring)
@@ -173,6 +182,22 @@ def test_matrix_json_errors():
         parse_matrix_json('{"n":2,"base":[["1","0"]]}')
     with pytest.raises(DomainError):
         parse_matrix_json('{"n":1,"base":[["0"]],"pert":[["1 + t"]]}')
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"base": 5}', "base"),
+        ('{"base": [1]}', "base"),
+        ('{"n": 1, "base": [1]}', "base"),
+        ('{"base": [["1"]], "pert": 3}', "pert"),
+        ('{"base": [["1"]], "pert": [1]}', "pert"),
+        ('{"base": [["1"]], "pert": "t"}', "pert"),
+    ],
+)
+def test_matrix_json_needs_lists_of_lists(text, field):
+    with pytest.raises(ParseError, match=f"matrix JSON '{field}' must be a list of lists"):
+        parse_matrix_json(text)
 
 
 ROUND_TRIP_CORPUS = [

@@ -25,7 +25,12 @@ from perturbalg import (
     root_correction,
     univariate_ring,
 )
-from perturbalg.errors import DegenerateError, DomainError, UnsupportedOrderError
+from perturbalg.errors import (
+    DegenerateError,
+    DomainError,
+    RingMismatchError,
+    UnsupportedOrderError,
+)
 from perturbalg.exactpoly import from_roots
 from perturbalg.ppoly import _coefficient_bits
 
@@ -52,6 +57,24 @@ def test_evaluate(ring, t):
     assert poly.evaluate(ring.zero()) == ring.constant(-1)
     shifted = PerturbedPolynomial(ring, [1 - t, -2, 1])
     assert shifted.evaluate(ring.one()) == -t
+
+
+def test_evaluate_is_exact_only(ring, t):
+    # one Horner for both domains; float evaluation lives in the oracle
+    exact = ExactPolynomial([-1, 0, 1])
+    assert exact.evaluate(Fraction(1, 2)) == GaussianRational(Fraction(-3, 4))
+    assert exact.evaluate(GaussianRational(0, 1)) == -2
+    with pytest.raises(TypeError):
+        exact.evaluate(0.5 + 0.25j)
+    with pytest.raises(TypeError):
+        exact.evaluate(0.5)
+    poly = PerturbedPolynomial(ring, [-1, 0, 1])
+    assert poly.evaluate(Fraction(1, 2)) == ring.constant(Fraction(-3, 4))
+    with pytest.raises(TypeError):
+        poly.evaluate(0.5 + 0.25j)
+    other = SeriesRing(("t",), 4).generator("t")
+    with pytest.raises(RingMismatchError, match="coefficient from a different ring"):
+        poly.evaluate(other)
 
 
 def test_derivative(ring):
