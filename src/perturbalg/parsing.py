@@ -32,9 +32,13 @@ MAX_POLY_DEGREE = 512
 # bits (see ppoly).  An integer literal may have MAX_LITERAL_DIGITS digits,
 # so it stays below 2^MAX_POWER_BITS.  `^` is an exponent overflow when the
 # exponent times the bits one factor can add, ceil(log2 |n|) for the largest
-# numerator or denominator n among the base's coefficients, exceeds the bound;
-# powers of 0, 1, i and the generators add none.  A product, sum or difference
-# whose result exceeds it is a coefficient overflow.
+# numerator or denominator n among the base's coefficients, plus the bits of
+# the binomial coefficients of a base of two or more terms, exceeds the bound;
+# powers of 0, 1, i and the generators add none.  A binomial coefficient
+# C(e, k) < 2^(k * bits(e)) multiplies k factors of positive degree, so
+# truncation keeps k <= min(e, T) of them in the generators (in X the degree
+# bound keeps e <= MAX_POLY_DEGREE).  A product, sum or difference whose
+# result exceeds the bound is a coefficient overflow.
 MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS)) - 1
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
 _TOKEN_PATTERN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),]))")
@@ -95,20 +99,25 @@ def _scan(text: str) -> tuple[Token, ...]:
 
 def scan_generator_names(*texts: str) -> tuple[str, ...]:
     """Collect generator names across inputs, in canonical order (t, e1..e9)."""
+    return _generator_names(tokenize(text) for text in texts)
+
+
+def _generator_names(scanned) -> tuple[str, ...]:
+    """The generator names among token tuples, in canonical order."""
     seen = set()
-    for text in texts:
-        for token in tokenize(text):
+    for tokens in scanned:
+        for token in tokens:
             if token.kind == "name" and GENERATOR_PATTERN.match(token.text):
                 seen.add(token.text)
     return tuple(sorted(seen, key=lambda g: (g != "t", g)))
 
 
 class _Parser:
-    def __init__(self, text: str, ring: SeriesRing, var):
+    def __init__(self, text: str, ring: SeriesRing, var, tokens=None):
         self.text = text
         self.ring = ring
         self.var = var  # indeterminate name, or None for plain series
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.position = 0
 
     def peek(self) -> Token:
@@ -177,7 +186,10 @@ class _Parser:
             exponent = int(exponent_token.text)
             if base.degree >= 1 and base.degree * exponent > MAX_POLY_DEGREE:
                 self.fail(exponent_token, "exponent overflow")
-            if exponent * _coefficient_bits(base) > MAX_POWER_BITS:
+            binomial = 0
+            if sum(len(c.rows) for c in base.coeffs) > 1:
+                binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
+            if exponent * _coefficient_bits(base) + binomial > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
             return base ** exponent
         return base
@@ -247,7 +259,10 @@ def ring_for(*texts: str, truncation: int = 8) -> SeriesRing:
 
 
 def parse_series(text: str, ring: SeriesRing) -> TruncatedSeries:
-    parser = _Parser(text, ring, var=None)
+    return _series(_Parser(text, ring, var=None))
+
+
+def _series(parser: _Parser) -> TruncatedSeries:
     value = parser.parse_expression()
     parser.finish()
     return value.coefficient(0)
@@ -312,7 +327,13 @@ def parse_matrix_json(text: str, truncation: int = 8):
     pert_rows = data["pert"]
     if len(pert_rows) != order or any(len(row) != order for row in pert_rows):
         raise ParseError("perturbation shape does not match 'n'")
+    # each entry is scanned once, for the ring and for its parse: n^2 texts
+    # overrun the memo that `tokenize` keeps
     texts = [str(entry) for row in pert_rows for entry in row]
-    ring = ring_for(*texts, truncation=truncation)
-    pert = [[parse_series(str(entry), ring) for entry in row] for row in pert_rows]
+    scanned = [tokenize(text) for text in texts]
+    ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
+    entries = [
+        _series(_Parser(text, ring, None, tokens)) for text, tokens in zip(texts, scanned)
+    ]
+    pert = [entries[k * order:(k + 1) * order] for k in range(order)]
     return PerturbedMatrix(base, pert)  # validates infinitesimality (domain error)

@@ -12,8 +12,10 @@ exponent vector, packed into one int in base T+1, to its total degree and the
 Gaussian-integer numerators of its coefficient times D (Monagan and Pearce,
 *Sparse polynomial division using a heap*, JSC 46, 2011).  The form is
 canonical, so gcd(D, every numerator) = 1 and the zero series has D = 1.
-`terms`, the exponent-tuple -> GaussianRational dict, is a view of the rows
-built on first read.
+A GaussianRational (a + b*i)/d is the same form for one coefficient, so a row
+over D is (a, b) scaled by D/d, and a row (re, im) over D is the scalar
+(re, im, D) divided by its gcd.  `terms`, the exponent-tuple ->
+GaussianRational dict, is a view of the rows built on first read.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DomainError, NonUnitError, RingMismatchError
-from .scalars import GaussianRational, _power
+from .scalars import GaussianRational, _power, _reduced
 
 INFINITE = math.inf
 
@@ -65,8 +67,7 @@ class SeriesRing:
         value = GaussianRational.coerce(value)
         if not value:
             return TruncatedSeries._of_rows(self, 1, {})
-        den = math.lcm(value.re.denominator, value.im.denominator)
-        return TruncatedSeries._of_rows(self, den, {0: _row(0, value, den)})
+        return TruncatedSeries._of_rows(self, value.d, {0: (0, value.a, value.b)})
 
     def generator(self, name: str) -> "TruncatedSeries":
         if name not in self.generators:
@@ -98,12 +99,9 @@ class TruncatedSeries:
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[index] = coeff
-        # over the lcm of the reduced denominators the numerators share no
+        # over the lcm of the canonical denominators the numerators share no
         # factor with it, so the form is canonical without a gcd
-        den = math.lcm(
-            *(c.re.denominator for c in clean.values()),
-            *(c.im.denominator for c in clean.values()),
-        )
+        den = math.lcm(*(c.d for c in clean.values()))
         base = bound + 1
         rows = {}
         for index, coeff in clean.items():
@@ -137,7 +135,7 @@ class TruncatedSeries:
             base = self.ring.truncation + 1
             width = len(self.ring.generators)
             terms = {
-                _unpack(key, base, width): _coefficient(re, im, self.den)
+                _unpack(key, base, width): _reduced(re, im, self.den)
                 for key, (_, re, im) in self.rows.items()
             }
             object.__setattr__(self, "_terms", terms)
@@ -306,7 +304,7 @@ class TruncatedSeries:
         row = self.rows.get(0)  # the packed key of the exponent (0, ..., 0)
         if row is None:
             return GaussianRational(0)
-        return _coefficient(row[1], row[2], self.den)
+        return _reduced(row[1], row[2], self.den)
 
     def is_infinitesimal(self) -> bool:
         return self.valuation() >= 1
@@ -422,9 +420,6 @@ class TruncatedSeries:
 # terms add to the packed key of their product whenever that product has total
 # degree <= T.
 
-_FRACTION_ZERO = Fraction(0)
-
-
 def _unpack(key: int, base: int, width: int) -> tuple:
     """The exponent tuple of a packed key."""
     index = [0] * width
@@ -434,17 +429,9 @@ def _unpack(key: int, base: int, width: int) -> tuple:
 
 
 def _row(degree: int, coeff: GaussianRational, den: int) -> tuple:
-    """(degree, re*den, im*den) for a coefficient whose denominators divide den."""
-    re, im = coeff.re, coeff.im
-    return degree, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-
-
-def _coefficient(re: int, im: int, den: int) -> GaussianRational:
-    """The Gaussian rational (re + im*i) / den."""
-    return GaussianRational._of(
-        Fraction(re, den) if re else _FRACTION_ZERO,
-        Fraction(im, den) if im else _FRACTION_ZERO,
-    )
+    """(degree, re*den, im*den) for a coefficient whose denominator divides den."""
+    scale = den // coeff.d
+    return degree, coeff.a * scale, coeff.b * scale
 
 
 def _from_ints(ring: SeriesRing, acc: dict, common: int) -> TruncatedSeries:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from perturbalg.cli import run
+from perturbalg.ppoly import PerturbedPolynomial
 
 JORDAN2 = '{"n":2,"base":[["1","1"],["0","1"]],"pert":[["0","0"],["t","0"]]}'
 DIAG01 = '{"n":2,"base":[["0","0"],["0","1"]]}'
@@ -169,6 +170,20 @@ def test_oversized_scalar_power_is_a_parse_error(capsys):
         assert run(["pgcd", "--p1", p1, "--p2", "X - 1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_power_of_a_sum_is_bounded_before_it_is_computed(capsys, monkeypatch):
+    # 1 + t adds no bits per factor, but the binomial coefficients of
+    # (1 + t)^(10^700) at T = 8 have about 8 * 2326 bits
+    power = PerturbedPolynomial.__pow__
+
+    def small_power(base, exponent):
+        assert exponent < 1000, "the large power was computed"
+        return power(base, exponent)
+
+    monkeypatch.setattr(PerturbedPolynomial, "__pow__", small_power)
+    assert run(["pgcd", "--p1", "X^2 - 1", "--p2", "(1+t)^1" + "0" * 700]) == 1
+    assert capsys.readouterr().err == "error: exponent overflow (line 1, column 6)\n"
 
 
 def test_pgcd_remainder_growth_is_a_domain_error(capsys):

@@ -95,18 +95,24 @@ def test_names_the_benchmark_imports_exist():
 SAMPLERS = {"numeric_sample", "numeric_coeffs", "__complex__"}
 
 
-def test_only_samplers_build_complex_values_outside_the_oracle():
-    builders = {}
+def parsed_modules():
+    """(file name, syntax tree, node -> innermost enclosing function name) per module."""
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name in ("oracle.py", "cli.py"):
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        enclosing = {}  # node -> the innermost function that contains it
+        enclosing = {}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for inner in ast.walk(node):
                     if inner is not node:
                         enclosing[inner] = node.name
+        yield path.name, tree, enclosing
+
+
+def test_only_samplers_build_complex_values_outside_the_oracle():
+    builders = {}
+    for name, tree, enclosing in parsed_modules():
+        if name in ("oracle.py", "cli.py"):
+            continue
         for node in ast.walk(tree):
             builds = (
                 isinstance(node, ast.Call)
@@ -114,6 +120,32 @@ def test_only_samplers_build_complex_values_outside_the_oracle():
                 and node.func.id == "complex"
             ) or (isinstance(node, ast.Constant) and isinstance(node.value, complex))
             if builds and enclosing.get(node) not in SAMPLERS:
-                where = f"{path.name}:{node.lineno}"
-                builders[where] = enclosing.get(node, "<module>")
+                builders[f"{name}:{node.lineno}"] = enclosing.get(node, "<module>")
+    assert builders == {}
+
+
+# a scalar is the integer triple (a, b, d): outside scalars.py only the series
+# formatter reads its Fraction parts, and scalars.py and series.py build a
+# Fraction only for those views
+FRACTION_VIEWS = {"re", "im", "norm2"}
+PART_READERS = {"_scalar_pieces"}
+
+
+def test_scalar_parts_are_read_only_for_printing():
+    readers, builders = {}, {}
+    for name, tree, enclosing in parsed_modules():
+        for node in ast.walk(tree):
+            where = f"{name}:{getattr(node, 'lineno', 0)}"
+            function = enclosing.get(node, "<module>")
+            reads = isinstance(node, ast.Attribute) and node.attr in ("re", "im")
+            if reads and name != "scalars.py" and function not in PART_READERS:
+                readers[where] = function
+            builds = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+            )
+            if builds and name in ("scalars.py", "series.py") and function not in FRACTION_VIEWS:
+                builders[where] = function
+    assert readers == {}
     assert builders == {}

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,29 @@ def test_each_text_is_scanned_once():
     # the size bound counts UTF-8 bytes, not characters
     with pytest.raises(ParseError, match="input exceeds 1 MB"):
         parsing.tokenize("\u00e9" * (parsing.MAX_INPUT_BYTES // 2 + 1))
+
+
+def test_each_matrix_entry_is_scanned_once():
+    # n^2 perturbation entries overrun the memo of the last few texts, so the
+    # ring and the parses must share one scan of each
+    entries = [[f"{row + 1}*t + {col}*e1^2" for col in range(3)] for row in range(3)]
+    text = json.dumps({"n": 3, "base": [["1", "2", "3"]] * 3, "pert": entries})
+    parsing._scan.cache_clear()
+    matrix = parse_matrix_json(text)
+    assert parsing._scan.cache_info().misses == 3 + 9  # distinct base and pert texts
+    assert matrix.ring.generators == ("t", "e1")
+    assert matrix.pert[2][1] == parse_series("3*t + e1^2", matrix.ring)
+    # a bad character is reported before a syntax error, even in a later
+    # entry; of two bad entries the first is reported, with its own offset
+    for pert, message, offset in (
+        ([["t +", "t"], ["t $ 2", "t # 3"]], "unexpected character '$' (line 1, column 2)", 2),
+        ([["t", "t +"], ["t * * t", "t"]], "syntax error: expected a value (line 1, column 3)", 3),
+    ):
+        bad = json.dumps({"n": 2, "base": [["0", "0"], ["0", "0"]], "pert": pert})
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse_matrix_json(bad)
+            assert (str(info.value), info.value.offset) == (message, offset)
 
 
 def test_parse_cubic_polynomial():
@@ -106,6 +131,14 @@ def test_scalar_power_overflow():
     for text in ("3^2049", "X - 3^10000", "3^2000000", "(1/3 + t)^5000", "(2*i)^5000"):
         with pytest.raises(ParseError, match="exponent overflow"):
             parse_polynomial(text, ring)
+    # a power of a sum grows by its binomial coefficients, C(e, k) < 2^(k*bits(e))
+    # for the k <= T = 8 factors of t that truncation keeps
+    largest = parse_series(f"(1 + t)^{2**511}", ring)
+    assert largest.terms[(8,)] == math.comb(2**511, 8)
+    assert math.comb(2**511, 8).bit_length() <= MAX_POWER_BITS
+    for text in (f"(1 + t)^{2**512}", f"(1/2 - e1*t)^{2**512}", f"X - (i + t^3)^{10**700}"):
+        with pytest.raises(ParseError, match="exponent overflow"):
+            parse_polynomial(text, ring_for(text))
     # units add no bits, however large the exponent
     assert parse_scalar("(-1)^100001") == -1
     assert parse_scalar("i^100002") == -1

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturbalg import (
     ExactPolynomial,
@@ -8,6 +11,8 @@ from perturbalg import (
     PerturbedPolynomial,
     univariate_ring,
 )
+from perturbalg.scalars import _reduced
+from perturbalg.series import _row
 
 
 def test_construction_normalizes():
@@ -80,3 +85,107 @@ def test_hash_agrees_with_equality():
     with pytest.raises(TypeError):  # perturbed polynomials stay unhashable
         hash(PerturbedPolynomial(univariate_ring(4), [1]))
     assert len({GaussianRational(1, 2), GaussianRational(Fraction(2, 2), 2)}) == 1
+
+
+# -- the integer form (a + b*i)/d, against Fraction pairs ------------------------------
+
+parts = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=40),
+    # large parts exercise the float rounding of complex()
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**25)),
+)
+gaussians = st.builds(GaussianRational, parts, parts)
+operands = st.one_of(gaussians, parts)
+
+
+def assert_canonical(z):
+    assert type(z.a) is int and type(z.b) is int and type(z.d) is int
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    if not z:
+        assert (z.a, z.b, z.d) == (0, 0, 1)
+
+
+def pair(z):
+    """(re, im) as Fractions; ints and Fractions are real."""
+    if isinstance(z, GaussianRational):
+        return z.re, z.im
+    return Fraction(z), Fraction(0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gaussians, operands, operands)
+def test_arithmetic_matches_fraction_pairs(x, y, z):
+    (xr, xi), (yr, yi) = pair(x), pair(y)
+    expected = {
+        "add": (xr + yr, xi + yi),
+        "sub": (xr - yr, xi - yi),
+        "mul": (xr * yr - xi * yi, xr * yi + xi * yr),
+        "neg": (-xr, -xi),
+        "conjugate": (xr, -xi),
+    }
+    results = {
+        "add": (x + y, y + x),
+        "sub": (x - y, -(y - x)),
+        "mul": (x * y, y * x),
+        "neg": (-x,),
+        "conjugate": (x.conjugate(),),
+    }
+    for name, values in results.items():
+        for value in values:
+            assert_canonical(value)
+            assert (value.re, value.im) == expected[name], name
+    # ring laws
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x - x == 0 and x * 0 == 0
+    assert x * x.conjugate() == GaussianRational(x.norm2())
+    assert x.norm2() == xr * xr + xi * xi
+    if y:
+        quotient = x / y
+        assert_canonical(quotient)
+        assert quotient * y == x
+        assert_canonical(1 / GaussianRational.coerce(y))
+        assert (1 / GaussianRational.coerce(y)) * y == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(parts, parts)
+def test_form_round_trips_and_hashes(re, im):
+    z = GaussianRational(re, im)
+    assert_canonical(z)
+    assert (z.re, z.im) == (re, im)
+    again = GaussianRational(z.re, z.im)
+    assert (again.a, again.b, again.d) == (z.a, z.b, z.d) and again == z
+    assert GaussianRational.coerce(z) is z
+    # complex() rounds each part once, as float(Fraction) does
+    value = complex(z)
+    expected = complex(float(Fraction(re)), float(Fraction(im)))
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+    # a real value is equal to, and hashes like, the equal Fraction (and int)
+    real = GaussianRational(re)
+    assert real == Fraction(re) and Fraction(re) == real
+    assert hash(real) == hash(Fraction(re))
+    if Fraction(re).denominator == 1:
+        assert real == int(re) and hash(real) == hash(int(re))
+    assert len({real, Fraction(re), GaussianRational(Fraction(re), 0)}) == 1
+    assert (z == re) == (Fraction(im) == 0)
+    assert hash(z) == hash(GaussianRational(Fraction(re), Fraction(im)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gaussians, st.integers(1, 10**6), st.integers(0, 8))
+def test_series_row_round_trip(z, scale, degree):
+    den = z.d * scale  # any denominator that z.d divides
+    row = _row(degree, z, den)
+    assert row[0] == degree
+    assert Fraction(row[1], den) == z.re and Fraction(row[2], den) == z.im
+    back = _reduced(row[1], row[2], den)
+    assert_canonical(back)
+    assert (back.a, back.b, back.d) == (z.a, z.b, z.d)
+    constant = univariate_ring(4).constant(z)
+    assert (constant.den, constant.rows) == ((z.d, {0: (0, z.a, z.b)}) if z else (1, {}))
+    assert constant.standard_part() == z
