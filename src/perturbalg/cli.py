@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import (
-    DegenerateError,
     DomainError,
     NonUnitError,
     OracleError,
@@ -50,6 +49,7 @@ from .parsing import (
     scan_generator_names,
 )
 from .ppoly import (
+    BalanceQuadratic,
     PerturbedPolynomial,
     RootAsymptotics,
     dominant_balance,
@@ -99,10 +99,24 @@ def _trace_payload(trace) -> list:
     ]
 
 
-def _asym_payload(result: RootAsymptotics) -> dict:
-    # the CLI reaches dominant_balance only when Xi(u) = 0, where no hull edge
-    # starts at 0, so it never meets a double root's BalanceQuadratic
+def _asym_payload(result) -> dict:
+    """One branch of the Newton-polygon walk, as printed by roots and eigshift."""
+    if isinstance(result, BalanceQuadratic):
+        return {
+            "kind": "balance",
+            "quad_coeff": str(result.quad_coeff),
+            "linear": str(result.linear),
+            "constant": str(result.constant),
+        }
     return {"kind": "power", "order": result.order, "rhs": str(result.rhs)}
+
+
+def _branches(base: ExactPolynomial, shift, root, declared) -> list:
+    """JSON payloads of the branches at a root, once its declared multiplicity holds."""
+    branches = dominant_balance(base, shift, root)
+    if declared is not None and declared != (mult := base.multiplicity(root)):
+        raise DomainError(f"declared multiplicity {declared} but {root} has multiplicity {mult}")
+    return [_asym_payload(branch) for branch in branches]
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -129,17 +143,8 @@ def _cmd_roots(args) -> int:
     ring = ring_for(args.pert, truncation=args.trunc)
     shift = parse_polynomial(args.pert, ring, "X")
     root = parse_scalar(args.root)
-    try:
-        results = [root_correction(base, shift, root, args.mult)]
-    except DegenerateError:
-        results = dominant_balance(base, shift, root)
-    _emit(
-        args,
-        {
-            "base_root": str(root),
-            "asymptotics": [_asym_payload(r) for r in results],
-        },
-    )
+    branches = _branches(base, shift, root, args.mult)
+    _emit(args, {"base_root": str(root), "asymptotics": branches})
     return 0
 
 
@@ -172,11 +177,13 @@ def _cmd_eigshift(args) -> int:
     if not isinstance(matrix, PerturbedMatrix):
         raise DomainError("eigshift needs a matrix with a 'pert' block")
     eigenvalue = parse_scalar(args.eigenvalue)
-    result = eigenvalue_correction(matrix.base, matrix, eigenvalue, args.mult)
-    _emit(
-        args,
-        {"eigenvalue": str(eigenvalue), **_asym_payload(result)},
+    branches = _branches(
+        char_poly(matrix.base), perturbation_poly(matrix), eigenvalue, args.mult
     )
+    # one power branch keeps the flat shape; a balance or several branches are listed
+    flat = len(branches) == 1 and branches[0]["kind"] == "power"
+    payload = branches[0] if flat else {"asymptotics": branches}
+    _emit(args, {"eigenvalue": str(eigenvalue), **payload})
     return 0
 
 

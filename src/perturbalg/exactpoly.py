@@ -212,6 +212,9 @@ class ExactPolynomial(Polynomial):
     def constant(value, var: str = "X") -> "ExactPolynomial":
         return ExactPolynomial((value,), var)
 
+    def __reduce__(self):
+        return ExactPolynomial, (self.coeffs, self.var)
+
     def __hash__(self):
         # a constant polynomial equals its coefficient, so it must hash like it
         if self.degree < 1:

@@ -425,8 +425,8 @@ def eigenvalue_correction(
 ) -> RootAsymptotics:
     """Leading eigenvalue shift of A + E at an exact eigenvalue of A.
 
-    Forms Xi = char_poly(A+E) - char_poly(A) and delegates to root_correction
-    on the exact characteristic polynomial.
+    Forms Xi = char_poly(A+E) - char_poly(A) and delegates to root_correction,
+    which answers only where the Newton polygon at the eigenvalue is one edge.
     """
     matrix = _on_base(base, pert)
     xi = perturbation_poly(matrix)

@@ -218,37 +218,31 @@ def _mixed(base_coeffs: Sequence[complex], shift_coeffs: Sequence[complex]) -> l
     ]
 
 
-def verify_root_asymptotics(
-    base: ExactPolynomial,
-    shift_poly: PerturbedPolynomial,
-    asym: RootAsymptotics,
-    grid: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    tolerance: float = 0.2,
-    seed: int = 0,
-) -> ConvergenceReport:
-    """Numerically test xi^k ~ rhs against the roots of P + Xi(t0).
+def _verify_branches(base, shift_poly, claim, grid, tolerance, seed) -> ConvergenceReport:
+    """Test a claim at a root u of multiplicity m branch by branch.
 
-    For each grid point the k roots of P + Xi(t0) nearest the base root are
-    clustered (k = exact multiplicity); the observed xi^k is the signed
-    product over the cluster, (-1)^(k+1) * prod(root - u).  A k=1 statement
-    inside a larger cluster is paired to the root nearest u + predicted.  A
-    zero right-hand side requires |observed| <= 10 * t0^2 instead of a ratio.
+    At each grid point the m roots of P + Xi(t0) nearest u form the cluster.
+    For xi^q ~ rhs (q <= m) the q cluster shifts xi_j whose size is nearest
+    |rhs|^(1/q) must each satisfy xi_j^q / rhs -> 1; the sample keeps the
+    worst of them.  A zero right-hand side requires |xi_j^q| <= 10 * t0^2
+    instead.  A BalanceQuadratic pairs its two predicted roots with the two
+    cluster shifts by the better of the two matchings.
     """
     grid = _descending_grid(grid)
     report = ConvergenceReport(tolerance=tolerance)
-    root = complex(asym.base_root)
-    multiplicity = base.multiplicity(asym.base_root)
+    root = complex(claim.base_root)
+    multiplicity = base.multiplicity(claim.base_root)
     if multiplicity == 0:
         raise DomainError("asymptotics anchored at a non-root")
-    if asym.order not in (multiplicity, 1):
-        raise DomainError(
-            f"order {asym.order} does not match multiplicity {multiplicity}"
-        )
+    order = 2 if isinstance(claim, BalanceQuadratic) else claim.order
+    if order > multiplicity:
+        raise DomainError(f"order {order} exceeds multiplicity {multiplicity}")
     base_coeffs = base.numeric_coeffs()
-    # the nearest other shadow root, found once; a perturbation within a
-    # tenth of its distance is too large to cluster the roots unambiguously
-    distances = [abs(r - root) for r in poly_roots_numeric(base_coeffs, seed=seed)]
-    nearest_other = min((d for d in distances if d > 1e-6), default=math.inf)
+    # the nearest shadow root past u's own m copies, found once; a
+    # perturbation within a tenth of its distance is too large to cluster the
+    # roots unambiguously
+    distances = sorted(abs(r - root) for r in poly_roots_numeric(base_coeffs, seed=seed))
+    nearest_other = distances[multiplicity] if len(distances) > multiplicity else math.inf
 
     for t0 in grid:
         sampled_values = default_values(shift_poly.ring.generators, t0)
@@ -259,34 +253,47 @@ def verify_root_asymptotics(
             report.note = "another shadow root lies within 10x the perturbation size"
             return _judge(report)
         all_roots = poly_roots_numeric(_mixed(base_coeffs, shift_coeffs), seed=seed)
-        cluster = sorted(all_roots, key=lambda r: abs(r - root))[:multiplicity]
-        predicted = asym.rhs.numeric_sample(sampled_values)
+        shifts = sorted((r - root for r in all_roots), key=abs)[:multiplicity]
 
-        if asym.order == multiplicity:
-            product = 1 + 0j
-            for r in cluster:
-                product *= r - root
-            observed = (-1) ** (multiplicity + 1) * product
-        else:  # single branch statement inside a bigger cluster
-            target = root + predicted
-            observed = min(cluster, key=lambda r: abs(r - target)) - root
-
-        if predicted == 0:
-            deviation = abs(observed)
-            ok = deviation <= 10 * t0 * t0
-            report.samples.append(Sample(t0, observed, predicted, deviation))
-            if not ok:
-                report.note = "zero prediction but observed shift is first order"
-                report.verdict = False
-                return report
+        if isinstance(claim, BalanceQuadratic):
+            a2 = complex(claim.quad_coeff)
+            a1 = claim.linear.numeric_sample(sampled_values)
+            a0 = claim.constant.numeric_sample(sampled_values)
+            disc = cmath.sqrt(a1 * a1 - 4 * a2 * a0)
+            predicted_pair = [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
+            deviation = min(
+                max(abs(o / p - 1) for o, p in zip(shifts, pair))
+                for pair in (predicted_pair, predicted_pair[::-1])
+            )
+            report.samples.append(Sample(t0, shifts[0], predicted_pair[0], deviation))
             continue
-        deviation = abs(observed / predicted - 1)
-        report.samples.append(Sample(t0, observed, predicted, deviation))
+
+        predicted = claim.rhs.numeric_sample(sampled_values)
+        size = abs(predicted) ** (1 / order)
+        branches = sorted(shifts, key=lambda xi: abs(abs(xi) - size))[:order]
+        deviation = abs if predicted == 0 else (lambda observed: abs(observed / predicted - 1))
+        observed = max((xi**order for xi in branches), key=deviation)
+        report.samples.append(Sample(t0, observed, predicted, deviation(observed)))
+        if predicted == 0 and abs(observed) > 10 * t0 * t0:
+            report.note = "zero prediction but observed shift is first order"
+            return report
 
     if all(s.predicted == 0 for s in report.samples):
         report.verdict = True
         return report
     return _judge(report)
+
+
+def verify_root_asymptotics(
+    base: ExactPolynomial,
+    shift_poly: PerturbedPolynomial,
+    asym: RootAsymptotics,
+    grid: Sequence[float] = (1e-2, 1e-3, 1e-4),
+    tolerance: float = 0.2,
+    seed: int = 0,
+) -> ConvergenceReport:
+    """Numerically test xi^k ~ rhs, branch by branch, against the roots of P + Xi(t0)."""
+    return _verify_branches(base, shift_poly, asym, grid, tolerance, seed)
 
 
 def verify_quadratic_balance(
@@ -298,35 +305,7 @@ def verify_quadratic_balance(
     seed: int = 0,
 ) -> ConvergenceReport:
     """Check both branches of a balanced double-root quadratic numerically."""
-    grid = _descending_grid(grid)
-    report = ConvergenceReport(tolerance=tolerance)
-    root = complex(balance.base_root)
-    base_coeffs = base.numeric_coeffs()
-    for t0 in grid:
-        sampled_values = default_values(shift_poly.ring.generators, t0)
-        shift_coeffs = shift_poly.numeric_coeffs(sampled_values)
-        mixed = _mixed(base_coeffs, shift_coeffs)
-        cluster = sorted(
-            poly_roots_numeric(mixed, seed=seed), key=lambda r: abs(r - root)
-        )[:2]
-        a2 = complex(balance.quad_coeff)
-        a1 = balance.linear.numeric_sample(sampled_values)
-        a0 = balance.constant.numeric_sample(sampled_values)
-        disc = cmath.sqrt(a1 * a1 - 4 * a2 * a0)
-        predicted_pair = [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
-        observed_pair = [r - root for r in cluster]
-        # pair branches by the better of the two matchings
-        direct = max(
-            abs(o / p - 1) for o, p in zip(observed_pair, predicted_pair)
-        )
-        swapped = max(
-            abs(o / p - 1) for o, p in zip(observed_pair, predicted_pair[::-1])
-        )
-        deviation = min(direct, swapped)
-        report.samples.append(
-            Sample(t0, observed_pair[0], predicted_pair[0], deviation)
-        )
-    return _judge(report)
+    return _verify_branches(base, shift_poly, balance, grid, tolerance, seed)
 
 
 def verify_pgcd(

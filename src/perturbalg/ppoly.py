@@ -8,8 +8,10 @@ infinitesimal), and the leading-order root corrections
     xi^k ~ -k! * Xi(u) / P^(k)(u)
 
 for a root u of multiplicity k of the exact base polynomial P perturbed by an
-infinitesimal polynomial Xi.  When Xi(u) vanishes, `dominant_balance` reads
-the branches at u off the Newton polygon of P + Xi (Kato, ch. II).
+infinitesimal polynomial Xi.  One walk over the Newton polygon of P + Xi at u
+(Kato, ch. II) decides every claim: `root_correction` answers where that
+polygon is one clean edge, and `dominant_balance` reads off the branches of
+any hull.
 """
 
 from __future__ import annotations
@@ -260,6 +262,35 @@ def apply_root_sensitivity(
     return shift_poly.evaluate(root) * scale
 
 
+def _newton_polygon(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):
+    """(u, m, scale, c, stills, edges): the lower hull of P + Xi at a root u.
+
+    c lists c_j = [P^(j)(u) + Xi^(j)(u)]/j! for j < m up to the degree of Xi
+    (the rest vanish), and its first `stills` entries vanish.  Each edge
+    (i, k, inside) joins hull vertices i < k of the points (j, val c_j) and
+    (m, 0); `inside` tells whether a third point lies on it.  Only valuations
+    are read, so no two series are divided.
+    """
+    if not shift_poly.is_infinitesimal():
+        raise DomainError("the perturbation polynomial must be wholly infinitesimal")
+    root, mult, scale = _sensitivity(base, root)
+    coeffs = list(islice(shift_poly.taylor_coefficients(root), mult))
+    points = [(j, c.valuation()) for j, c in enumerate(coeffs) if not c.is_zero()]
+    points.append((mult, 0))  # c_m is P^(m)(u)/m! = -1/scale at leading order
+    stills, v_i = points[0]
+    i, edges = stills, []
+    while i < mult:
+        # the next hull vertex has the least slope; on a tie, the farthest
+        k, v_k = min(
+            (p for p in points if p[0] > i),
+            key=lambda p: (Fraction(p[1] - v_i, p[0] - i), -p[0]),
+        )
+        inside = any(i < j < k and (v - v_i) * (k - i) == (v_k - v_i) * (j - i) for j, v in points)
+        edges.append((i, k, inside))
+        i, v_i = k, v_k
+    return root, mult, scale, coeffs, stills, edges
+
+
 def root_correction(
     base: ExactPolynomial,
     shift_poly: PerturbedPolynomial,
@@ -270,40 +301,34 @@ def root_correction(
     """Leading asymptotics of a root of multiplicity k under perturbation.
 
     Computes xi^k ~ -k! * Xi(u) / P^(k)(u), keeping the leading-valuation
-    part.  With a decomposition of Xi's coefficient vector the right-hand
-    side is expressed through the first level whose direction polynomial does
-    not vanish at u.
+    part.  The claim holds only where the Newton polygon of P + Xi at u is
+    one edge from (0, val Xi(u)) to (k, 0) with every other point strictly
+    above it; any other hull, Xi(u) = 0 included, raises DegenerateError
+    (dominant_balance gives its branches).  With a decomposition of Xi's
+    coefficient vector the right-hand side is expressed through the first
+    level whose direction polynomial does not vanish at u.
     """
-    if not shift_poly.is_infinitesimal():
-        raise DomainError("the perturbation polynomial must be wholly infinitesimal")
-    root, mult, scale = _sensitivity(base, root)
+    root, mult, scale, coeffs, _, edges = _newton_polygon(base, shift_poly, root)
     if order is not None and order != mult:
         raise DomainError(
             f"declared multiplicity {order} but {root} has multiplicity {mult}"
         )
-
-    level_index = None
-    if decomposition is not None:
-        prefix = decomposition.ring.one()
-        for level_index, (alpha, direction) in enumerate(decomposition.levels):
-            prefix = prefix * alpha
-            value = ExactPolynomial(direction, shift_poly.var).evaluate(root)
-            if value:
-                rhs = prefix * (value * scale)
-                break
-        else:
-            raise DegenerateError(
-                "every direction polynomial vanishes at the root; "
-                "use dominant_balance"
-            )
-    else:
-        shifted = shift_poly.evaluate(root)
-        if shifted.is_zero():
-            raise DegenerateError(
-                "Xi(u) vanishes up to the truncation bound; use dominant_balance"
-            )
-        rhs = (shifted * scale).leading_part()
-    return RootAsymptotics(root, mult, rhs, level_index)
+    if edges != [(0, mult, False)]:
+        raise DegenerateError(
+            "the Newton polygon is not one edge from (0, val Xi(u)) to "
+            f"({mult}, 0); use dominant_balance"
+        )
+    if decomposition is None:
+        return RootAsymptotics(root, mult, (coeffs[0] * scale).leading_part())
+    prefix = decomposition.ring.one()
+    for level_index, (alpha, direction) in enumerate(decomposition.levels):
+        prefix = prefix * alpha
+        value = ExactPolynomial(direction, shift_poly.var).evaluate(root)
+        if value:
+            return RootAsymptotics(root, mult, prefix * (value * scale), level_index)
+    raise DegenerateError(
+        "every direction polynomial vanishes at the root; use dominant_balance"
+    )
 
 
 def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):
@@ -317,22 +342,10 @@ def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, roo
     edge with a point inside raises UnsupportedOrderError.  As in
     root_correction, Xi must be wholly infinitesimal (DomainError otherwise).
     """
-    if not shift_poly.is_infinitesimal():
-        raise DomainError("the perturbation polynomial must be wholly infinitesimal")
-    root, mult, scale = _sensitivity(base, root)
-    coeffs = list(islice(shift_poly.taylor_coefficients(root), mult))
-    coeffs += [shift_poly.ring.zero()] * (mult - len(coeffs))
-    points = [(j, c.valuation()) for j, c in enumerate(coeffs) if not c.is_zero()]
-    points.append((mult, 0))  # c_m is P^(m)(u)/m! = -1/scale at leading order
-    i, v_i = points[0]
-    branches = [RootAsymptotics(root, 1, shift_poly.ring.zero())] * i
-    while i < mult:
-        # the next hull vertex has the least slope; on a tie, the farthest
-        k, v_k = min(
-            (p for p in points if p[0] > i),
-            key=lambda p: (Fraction(p[1] - v_i, p[0] - i), -p[0]),
-        )
-        if any(i < j < k and (v - v_i) * (k - i) == (v_k - v_i) * (j - i) for j, v in points):
+    root, mult, scale, coeffs, stills, edges = _newton_polygon(base, shift_poly, root)
+    branches = [RootAsymptotics(root, 1, shift_poly.ring.zero())] * stills
+    for i, k, inside in edges:
+        if inside:
             if mult != 2:
                 raise UnsupportedOrderError(
                     f"Newton-polygon edge from {i} to {k} has a point inside; "
@@ -348,5 +361,4 @@ def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, roo
         else:
             rhs = (-divide_univariate(coeffs[i], coeffs[k])).leading_part()
             branches.append(RootAsymptotics(root, k - i, rhs))
-        i, v_i = k, v_k
     return branches

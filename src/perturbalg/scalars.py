@@ -60,6 +60,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return _of, (self.a, self.b, self.d)
+
     @staticmethod
     def coerce(value) -> "GaussianRational":
         if type(value) is GaussianRational:

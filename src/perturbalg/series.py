@@ -127,6 +127,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        return TruncatedSeries._of_rows, (self.ring, self.den, self.rows)
+
     @property
     def terms(self) -> dict:
         """Exponent tuple -> GaussianRational, in row order; built once, on first read."""

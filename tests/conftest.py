@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from perturbalg import (
     TruncatedSeries,
     univariate_ring,
 )
+from perturbalg.parsing import parse_polynomial, parse_series
+from perturbalg.ppoly import RootAsymptotics
 
 
 @pytest.fixture
@@ -76,3 +80,35 @@ def random_perturbed_poly(rng, ring, max_degree=4, unit_lead=True, var="X"):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def assert_round_trips(value):
+    """pickle, copy and deepcopy each give an equal value that hashes alike."""
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+
+
+# Hulls at the root 1 on which the one-edge claim xi^m ~ -c_0/c_m is false for
+# every branch: base P, perturbation Xi (univariate, T = 8), the order and
+# right-hand side of that claim, and the branches of the Newton-polygon walk.
+# The first Xi is char_poly(I + t*[[1, 2], [3, 4]]) - char_poly(I).
+NOT_ONE_EDGE = [
+    ("X^2 - 2*X + 1", "-5*t*X + 5*t - 2*t^2", (2, "2*t^2"),
+     ["1*xi^2 + (-5*t)*xi + (-2*t^2) ~ 0"]),
+    ("X^2 - 2*X + 1", "t*X - t + t^3", (2, "-t^3"), ["xi ~ -t^2", "xi ~ -t"]),
+    ("X^2 - 2*X + 1", "t*X - t + t^2", (2, "-t^2"), ["1*xi^2 + (t)*xi + (t^2) ~ 0"]),
+    # (X - 1)^3 (X + 2)
+    ("X^4 - X^3 - 3*X^2 + 5*X - 2", "2*t*X - 2*t + t^2", (3, "-1/3*t^2"),
+     ["xi ~ -1/2*t", "xi^2 ~ -2/3*t"]),
+]
+NOT_ONE_EDGE_IDS = ["eigshift-balance", "two-scales", "balance", "triple-root"]
+
+
+def not_one_edge(base_text, shift_text, old_claim):
+    """(P, Xi, the false one-edge claim) of a NOT_ONE_EDGE row."""
+    ring = univariate_ring(8)
+    order, rhs = old_claim
+    base = parse_polynomial(base_text, ring, "X").shadow()
+    claim = RootAsymptotics(GaussianRational(1), order, parse_series(rhs, ring))
+    return base, parse_polynomial(shift_text, ring, "X"), claim

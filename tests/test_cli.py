@@ -81,6 +81,51 @@ def test_eigshift(capsys):
     assert payload["order"] == 2 and payload["rhs"] == "t"
 
 
+def _power(order, rhs):
+    return {"kind": "power", "order": order, "rhs": rhs}
+
+
+def _balance(linear, constant):
+    return {"kind": "balance", "quad_coeff": "1", "linear": linear, "constant": constant}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # each used to print the one-edge claim, false for every branch
+        (["eigshift", "--matrix", '{"n":2,"base":[["1","0"],["0","1"]],'
+          '"pert":[["t","2*t"],["3*t","4*t"]]}', "--eigenvalue", "1"],
+         {"eigenvalue": "1", "asymptotics": [_balance("-5*t", "-2*t^2")]}),
+        (["roots", "--base", "X^2 - 2*X + 1", "--pert", "t*X - t + t^3", "--root", "1"],
+         {"base_root": "1", "asymptotics": [_power(1, "-t^2"), _power(1, "-t")]}),
+        (["roots", "--base", "X^2 - 2*X + 1", "--pert", "t*X - t + t^2", "--root", "1"],
+         {"base_root": "1", "asymptotics": [_balance("t", "t^2")]}),
+        (["roots", "--base", "X^4 - X^3 - 3*X^2 + 5*X - 2", "--pert", "2*t*X - 2*t + t^2",
+          "--root", "1"],
+         {"base_root": "1", "asymptotics": [_power(1, "-1/2*t"), _power(2, "-2/3*t")]}),
+        # Xi(u) = 0 at a simple eigenvalue: one branch that stays put, flat
+        (["eigshift", "--matrix", '{"n":2,"base":[["1","0"],["0","2"]],'
+          '"pert":[["0","t"],["0","0"]]}', "--eigenvalue", "1"],
+         {"eigenvalue": "1", **_power(1, "0")}),
+    ],
+    ids=["eigshift-balance", "two-scales", "balance", "triple-root", "eigshift-still"],
+)
+def test_roots_and_eigshift_print_the_newton_polygon_branches(capsys, argv, expected):
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload == expected
+
+
+def test_declared_multiplicity_must_hold(capsys):
+    for argv in (
+        ["roots", "--base", "X^2 - 2*X + 1", "--pert=-t", "--root", "1", "--mult", "1"],
+        ["eigshift", "--matrix", JORDAN2, "--eigenvalue", "1", "--mult", "3"],
+    ):
+        assert run(argv) == 2
+        assert "declared multiplicity" in capsys.readouterr().err
+    assert run(["roots", "--base", "X^2 - 1", "--pert", "t", "--root", "1", "--mult", "1"]) == 0
+
+
 def test_conservative(capsys):
     matrix = '{"n":2,"base":[["0","0"],["0","0"]],"pert":[["0","t"],["0","0"]]}'
     code, payload = run_json(capsys, ["conservative", "--matrix", matrix])

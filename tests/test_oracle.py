@@ -35,7 +35,13 @@ from perturbalg.exactpoly import from_roots
 from perturbalg.oracle import default_values
 from perturbalg.parsing import parse_matrix_json, parse_polynomial
 
-from conftest import random_infinitesimal, seeded
+from conftest import (
+    NOT_ONE_EDGE,
+    NOT_ONE_EDGE_IDS,
+    not_one_edge,
+    random_infinitesimal,
+    seeded,
+)
 
 GRID = (1e-2, 1e-3, 1e-4)
 
@@ -293,6 +299,32 @@ def test_gate_wrong_claims_fail_with_the_memo_warm(ring, t):
         dataclasses.replace(balance, linear=-balance.linear),  # the other branch pair
     ]
     assert not any(_passes(double, balanced, w) for w in wrong)
+    # the one-edge claims the CLI printed on hulls that are not one clean edge
+    for base_text, shift_text, old_claim, _ in NOT_ONE_EDGE:
+        base, shift, claim = not_one_edge(base_text, shift_text, old_claim)
+        report = _verify(base, shift, claim)
+        assert len(report.samples) == len(GRID) and not _passes(base, shift, claim)
+
+
+@pytest.mark.parametrize("base_text, shift_text, old_claim, _", NOT_ONE_EDGE, ids=NOT_ONE_EDGE_IDS)
+def test_each_newton_polygon_branch_passes_on_its_own(base_text, shift_text, old_claim, _):
+    base, shift, _ = not_one_edge(base_text, shift_text, old_claim)
+    for branch in dominant_balance(base, shift, 1):
+        report = _verify(base, shift, branch)
+        assert report.verdict and len(report.samples) == len(GRID), report.to_dict()
+
+
+def test_a_multiple_roots_own_copies_are_not_another_shadow_root():
+    # Aberth leaves the triple root of (X - 1)^3 (X + 2) as three copies a few
+    # 1e-6 apart; the cut must look past them to the root -2
+    base, shift, _ = not_one_edge(*NOT_ONE_EDGE[3][:3])
+    copies = sorted(poly_roots_numeric(base.numeric_coeffs()), key=lambda r: abs(r - 1))[:3]
+    assert max(abs(r - 1) for r in copies) > 1e-6
+    small, large = dominant_balance(base, shift, 1)
+    assert (small.order, large.order) == (1, 2)
+    for claim in (small, large):
+        report = verify_root_asymptotics(base, shift, claim, GRID)
+        assert report.verdict and not report.inconclusive, report.to_dict()
 
 
 def test_refutation_still_exits_3_with_the_memo_warm(capsys):

@@ -9,17 +9,23 @@ from hypothesis import strategies as st
 
 from perturbalg import (
     BalanceQuadratic,
+    ConstantMatrix,
     ExactPolynomial,
     GaussianRational,
     NonUnitError,
+    PerturbedMatrix,
     PerturbedPolynomial,
+    RootAsymptotics,
     SeriesRing,
     TruncatedSeries,
     apply_root_sensitivity,
+    char_poly,
     decompose,
     dominant_balance,
+    eigenvalue_correction,
     euclid_divide,
     monic_shadow,
+    perturbation_poly,
     pgcd,
     poly_gcd,
     root_correction,
@@ -35,6 +41,10 @@ from perturbalg.exactpoly import from_roots
 from perturbalg.ppoly import _coefficient_bits
 
 from conftest import (
+    NOT_ONE_EDGE,
+    NOT_ONE_EDGE_IDS,
+    assert_round_trips,
+    not_one_edge,
     random_exact_poly,
     random_infinitesimal,
     random_perturbed_poly,
@@ -379,6 +389,45 @@ def test_root_correction_with_decomposition(ring, t):
     assert asym.rhs.leading_part() == direct.rhs
 
 
+@pytest.mark.parametrize(
+    "base_text, shift_text, old_claim, expected", NOT_ONE_EDGE, ids=NOT_ONE_EDGE_IDS
+)
+def test_root_correction_answers_only_on_one_clean_edge(base_text, shift_text, old_claim, expected):
+    base, shift, _ = not_one_edge(base_text, shift_text, old_claim)
+    with pytest.raises(DegenerateError, match="use dominant_balance"):
+        root_correction(base, shift, 1)
+    branches = dominant_balance(base, shift, 1)
+    assert [str(b).removesuffix(" (at root 1)") for b in branches] == expected
+    _assert_branches_match_mpmath(base, shift, 1, branches)
+
+
+def test_eigenvalue_correction_refuses_a_balanced_hull(ring, t):
+    # I + t*[[1, 2], [3, 4]]: the eigenvalues move by t*(5 +- sqrt(33))/2
+    matrix_base = ConstantMatrix([[1, 0], [0, 1]])
+    pert = [[t, 2 * t], [3 * t, 4 * t]]
+    with pytest.raises(DegenerateError):
+        eigenvalue_correction(matrix_base, pert, 1)
+    base, shift, _ = not_one_edge(*NOT_ONE_EDGE[0][:3])
+    assert char_poly(matrix_base) == base
+    assert perturbation_poly(PerturbedMatrix(matrix_base, pert)) == shift
+
+
+def test_root_correction_reads_valuations_only_in_multivariate_rings():
+    ring = SeriesRing(("e1", "e2"), 4)
+    e1, e2 = ring.generator("e1"), ring.generator("e2")
+    base = ExactPolynomial([1, -2, 1])
+    # c_0 = -e1 + e2^2 and c_1 = e2^2 + 2*e1*e2: (1, 2) lies above the edge
+    clean = PerturbedPolynomial(ring, [-e1 - e1 * e2, e2 * e2, e1 * e2])
+    assert str(root_correction(base, clean, 1)) == "xi^2 ~ e1 (at root 1)"
+    # c_0 = e1^3 and c_1 = e1: (1, 1) lies below the segment from (0, 3) to
+    # (2, 0), and only dominant_balance would divide c_0 by c_1
+    mixed = PerturbedPolynomial(ring, [e1**3 - e1, e1])
+    with pytest.raises(DegenerateError):
+        root_correction(base, mixed, 1)
+    with pytest.raises(DomainError, match="needs the univariate ring"):
+        dominant_balance(base, mixed, 1)
+
+
 def test_sensitivity_matches_correction():
     rng = seeded(34)
     ring = SeriesRing(("t",), 8)
@@ -576,6 +625,26 @@ def test_balance_orders_sum_to_multiplicity(mult, root, others, pairs):
     try:
         branches = dominant_balance(base, shift, root)
     except UnsupportedOrderError:
+        with pytest.raises(DegenerateError):
+            root_correction(base, shift, root)
         return
     assert sum(2 if isinstance(b, BalanceQuadratic) else b.order for b in branches) == mult
     _assert_branches_match_mpmath(base, shift, root, branches)
+    # root_correction answers exactly where the walk finds one clean edge
+    (first, *rest) = branches
+    one_edge = isinstance(first, RootAsymptotics) and first.order == mult
+    if one_edge and not rest and not first.rhs.is_zero():
+        assert root_correction(base, shift, root) == first
+    else:
+        with pytest.raises(DegenerateError):
+            root_correction(base, shift, root)
+
+
+def test_exact_polynomials_pickle_and_copy():
+    for poly in (
+        ExactPolynomial([]),
+        ExactPolynomial([3]),
+        from_roots([1, GaussianRational(0, 2)]),
+        ExactPolynomial([1, Fraction(2, 3)], "p"),
+    ):
+        assert_round_trips(poly)

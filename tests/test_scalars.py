@@ -14,6 +14,8 @@ from perturbalg import (
 from perturbalg.scalars import _reduced
 from perturbalg.series import _row
 
+from conftest import assert_round_trips
+
 
 def test_construction_normalizes():
     z = GaussianRational(Fraction(2, 4), Fraction(-3, -6))
@@ -189,3 +191,8 @@ def test_series_row_round_trip(z, scale, degree):
     constant = univariate_ring(4).constant(z)
     assert (constant.den, constant.rows) == ((z.d, {0: (0, z.a, z.b)}) if z else (1, {}))
     assert constant.standard_part() == z
+
+
+def test_gaussian_rationals_pickle_and_copy():
+    for z in (0, -7, GaussianRational(Fraction(1, 3), Fraction(-5, 6)), GaussianRational(0, 1)):
+        assert_round_trips(GaussianRational.coerce(z))

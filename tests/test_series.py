@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from perturbalg import (
 )
 from perturbalg.errors import DomainError
 
-from conftest import random_series, random_unit, seeded
+from conftest import assert_round_trips, random_series, random_unit, seeded
 
 
 def test_difference_of_squares(ring, t):
@@ -514,3 +515,15 @@ def test_terms_is_a_cached_read_only_view(ring, t):
     assert product.terms is product.terms
     with pytest.raises(AttributeError):
         product.terms = {}
+
+
+def test_series_pickle_and_copy(ring, t):
+    multi = SeriesRing(("e1", "e2"), 3)
+    for series in (
+        ring.zero(),
+        ring.one(),
+        (1 + t) ** 3 * Fraction(1, 7),
+        multi.generator("e2") * GaussianRational(0, 2) + Fraction(1, 3),
+    ):
+        assert_round_trips(series)
+        assert list(pickle.loads(pickle.dumps(series)).terms) == list(series.terms)
