@@ -279,6 +279,9 @@ class ExactRationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("ExactRationalFunction is immutable")
 
+    def __reduce__(self):
+        return ExactRationalFunction, (self.num, self.den)
+
     def __eq__(self, other):
         if not isinstance(other, ExactRationalFunction):
             return NotImplemented

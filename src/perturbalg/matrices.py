@@ -44,6 +44,9 @@ class ConstantMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ConstantMatrix is immutable")
 
+    def __reduce__(self):  # through the constructor, so _charpoly starts empty
+        return ConstantMatrix, (self.rows,)
+
     @staticmethod
     def identity(n: int) -> "ConstantMatrix":
         return ConstantMatrix(
@@ -155,6 +158,9 @@ class PerturbedMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PerturbedMatrix is immutable")
+
+    def __reduce__(self):  # through the constructor, so _charpoly starts empty
+        return PerturbedMatrix, (self.base, self.pert)
 
     @property
     def n(self) -> int:

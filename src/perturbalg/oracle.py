@@ -13,6 +13,7 @@ import functools
 import math
 import random
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,8 +23,6 @@ from .matrices import PerturbedMatrix, char_poly
 from .ppoly import BalanceQuadratic, PerturbedPolynomial, RootAsymptotics
 
 MAX_ITERATIONS = 200
-STEP_TOLERANCE = 1e-14
-RESIDUAL_FACTOR = 1e-10
 NOISE_FLOOR = 1e-6  # deviations below this are rounding noise, not asymptotics
 ROOTS_MEMO_SIZE = 64  # distinct polynomials poly_roots_numeric remembers
 
@@ -33,11 +32,13 @@ def poly_roots_numeric(
 ) -> list[complex]:
     """All complex roots by Aberth-type simultaneous iteration.
 
-    Coefficients are listed low degree first; the leading coefficient must be
-    nonzero and the degree at most 30.  Exact zero roots are deflated first;
-    the rest start on a circle of radius given by the Fujiwara root bound
-    with seed-determined phases, and are refined until the largest step falls
-    below 1e-14 * (1 + |root|).
+    Coefficients are listed low degree first, with finite parts, a nonzero
+    leading coefficient and degree at most 30.  Exact zero roots are deflated
+    first; the rest start on a circle of radius given by the Fujiwara root
+    bound with seed-determined phases.  A root stops once |p(z)| is within
+    Horner's rounding error n * eps * sum |a_i| |z|^i (MPSolve's stop, which
+    multiple roots meet too); OracleError("root iteration did not converge")
+    after MAX_ITERATIONS sweeps is the only failure.
 
     The outcomes for the ROOTS_MEMO_SIZE most recently solved polynomials
     are remembered for the life of the process, keyed by the exact bits of
@@ -47,6 +48,8 @@ def poly_roots_numeric(
     OracleError with a fresh `best_iterate`.
     """
     coeffs = [complex(c) for c in coeffs]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise DomainError("coefficients must be finite")
     if not coeffs or coeffs[-1] == 0:
         raise DomainError("leading coefficient must be nonzero")
     degree = len(coeffs) - 1
@@ -85,57 +88,50 @@ def _aberth(packed: bytes, seed: int) -> tuple[tuple[complex, ...], str | None]:
     parts = struct.unpack(f"<{len(packed) // 8}d", packed)
     coeffs = [complex(real, imag) for real, imag in zip(parts[::2], parts[1::2])]
     degree = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+    high_first = [c / coeffs[-1] for c in reversed(coeffs)]
+    sizes = [_magnitude(c) for c in high_first]
     # Fujiwara bound: every root has modulus <= 2 * max |a_{n-k}/a_n|^(1/k)
-    radius = 2.0 * max(
-        abs(monic[degree - k]) ** (1.0 / k) for k in range(1, degree + 1)
-    )
+    radius = 2.0 * max(sizes[k] ** (1.0 / k) for k in range(1, degree + 1))
     radius = max(radius, 1e-12)
-    rng = random.Random(seed)
-    phase = 2 * math.pi * rng.random()
+    phase = 2 * math.pi * random.Random(seed).random()
     current = [
         radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / degree + phase))
         for k in range(degree)
     ]
 
-    high_first = monic[::-1]
-    converged = False
+    bound = degree * sys.float_info.epsilon
+    done = [False] * degree
     for _ in range(MAX_ITERATIONS):
-        max_step = 0.0
         for k in range(degree):
+            if done[k]:
+                continue
             z = current[k]
-            value = 0j
-            slope = 0j
-            for c in high_first:
+            r = _magnitude(z)
+            value = slope = 0j
+            scale = 0.0
+            for c, size in zip(high_first, sizes):
                 slope = slope * z + value
                 value = value * z + c
-            if value == 0:
+                scale = scale * r + size
+            # an overflowed scale, or a NaN anywhere, never counts as done
+            if _magnitude(value) <= bound * scale < math.inf:
+                done[k] = True
                 continue
-            if slope == 0:
-                ratio = 0j
-            else:
-                ratio = value / slope
+            ratio = 0j if slope == 0 else value / slope
             repulse = 0j
             for j, w in enumerate(current):
                 if j != k and z != w:
                     repulse += 1 / (z - w)
             denom = 1 - ratio * repulse
-            step = ratio if denom == 0 else ratio / denom
-            current[k] = z - step
-            max_step = max(max_step, abs(step) / (1 + abs(current[k])))
-        if max_step <= STEP_TOLERANCE:
-            converged = True
-            break
-    if not converged:
-        return tuple(current), "root iteration did not converge"
+            current[k] = z - (ratio if denom == 0 else ratio / denom)
+        if all(done):
+            return tuple(current), None
+    return tuple(current), "root iteration did not converge"
 
-    scale = max(abs(c) for c in coeffs)
-    if degree <= 10:
-        worst = max(abs(_horner(monic, z)) * abs(lead) for z in current)
-        if worst > RESIDUAL_FACTOR * scale:
-            return tuple(current), f"root residual {worst:.3e} above tolerance"
-    return tuple(current), None
+
+def _magnitude(z: complex) -> float:
+    """|z|, or inf where abs() would raise OverflowError."""
+    return math.hypot(z.real, z.imag)
 
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:

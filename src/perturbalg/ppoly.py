@@ -78,6 +78,9 @@ class PerturbedPolynomial(Polynomial):
     def _like(self, coeffs) -> "PerturbedPolynomial":
         return PerturbedPolynomial(self.ring, coeffs, self.var)
 
+    def __reduce__(self):
+        return PerturbedPolynomial, (self.ring, self.coeffs, self.var)
+
     def _coerce(self, other) -> "PerturbedPolynomial":
         if isinstance(other, PerturbedPolynomial):
             if other.ring != self.ring:

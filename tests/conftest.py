@@ -82,11 +82,13 @@ def seeded(seed):
     return random.Random(seed)
 
 
-def assert_round_trips(value):
-    """pickle, copy and deepcopy each give an equal value that hashes alike."""
+def assert_round_trips(value, key=lambda v: v, hashed=True):
+    """pickle, copy and deepcopy each give a value of the same type whose key
+    is equal; a hashed value must also hash alike."""
     for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(copied) is type(value)
-        assert copied == value and hash(copied) == hash(value)
+        assert key(copied) == key(value)
+        assert not hashed or hash(copied) == hash(value)
 
 
 # Hulls at the root 1 on which the one-edge claim xi^m ~ -c_0/c_m is false for

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 from itertools import product
@@ -26,7 +27,7 @@ from perturbalg import (
 from perturbalg.errors import DomainError
 from perturbalg.goze import decompose
 
-from conftest import random_infinitesimal, seeded
+from conftest import assert_round_trips, random_infinitesimal, seeded
 
 
 def unit_matrix(n, i, j, scale=1):
@@ -508,3 +509,15 @@ def test_hermitian_first_order_matches_polarize():
             assert shift == alpha * expected
             # first-order perturbation theory: u* U u for the unit eigenvector u
             assert expected == rotated.rows[index][index]
+
+
+def test_matrices_pickle_and_copy(ring, t):
+    base = ConstantMatrix([[1, 1], [GaussianRational(0, 2), Fraction(1, 3)]])
+    perturbed = PerturbedMatrix(base, [[t, 0 * t], [t**2, -t]])
+    char_poly(base)
+    char_poly(perturbed)
+    # ConstantMatrix has no hash, and PerturbedMatrix compares by identity
+    assert_round_trips(base, hashed=False)
+    assert_round_trips(perturbed, key=lambda m: (m.base, m.pert), hashed=False)
+    for matrix in (base, perturbed):
+        assert copy.deepcopy(matrix)._charpoly is None  # the cache is not carried over

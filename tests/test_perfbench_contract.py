@@ -5,7 +5,7 @@ problem outside any error handling, so a renamed or removed entry point, or
 a changed return shape, ends the benchmark run.  These tests load
 `perfbench/workloads.py` and `perfbench/references.py` read-only and solve
 that problem through the same `SOLVERS` table, then check the outputs with
-the benchmark's own references.
+the benchmark's own references, and hold the oracle to converging on them.
 """
 
 import importlib.util
@@ -38,3 +38,9 @@ def test_warmup_problem_solves_and_checks(workload):
     else:
         findings = references.CHECKS[workload](problem, outputs)
     assert findings == []
+
+
+@pytest.mark.parametrize("workload", ["eigen", "pgcd", "roots"])
+def test_warmup_problem_oracle_converges(workload):
+    _, verdicts = workloads.SOLVERS[workload](workloads.warmup_problem(workload, 1))
+    assert "error" not in verdicts, verdicts

@@ -11,6 +11,7 @@ from perturbalg import (
     BalanceQuadratic,
     ConstantMatrix,
     ExactPolynomial,
+    ExactRationalFunction,
     GaussianRational,
     NonUnitError,
     PerturbedMatrix,
@@ -648,3 +649,14 @@ def test_exact_polynomials_pickle_and_copy():
         ExactPolynomial([1, Fraction(2, 3)], "p"),
     ):
         assert_round_trips(poly)
+
+
+def test_perturbed_polynomials_and_rational_functions_pickle_and_copy(ring, t):
+    for poly in (
+        PerturbedPolynomial(ring, []),
+        PerturbedPolynomial(ring, [t**2 - t, GaussianRational(0, 2), 1]),
+        PerturbedPolynomial(ring, [t, 1], "p"),
+    ):
+        assert_round_trips(poly, hashed=False)  # PerturbedPolynomial has no hash
+    for num, den in (([2, 4], [6, 2]), ([0], [5]), ([1, 2], [1, 3, 2])):
+        assert_round_trips(ExactRationalFunction(ExactPolynomial(num), ExactPolynomial(den)))
