@@ -290,7 +290,7 @@ def _case_pgcd(trunc, grid, seed, tolerance):
     a = parse_polynomial("X^3 - e1*X - 1 + e2", ring, "X")
     b = parse_polynomial("X^2 + e3*X - 1", ring, "X")
     result, _ = pgcd(a, b)
-    return verify_pgcd(a, b, min(grid), result)
+    return verify_pgcd(a, b, min(grid), result, tolerance, seed)
 
 
 def _case_transfer(trunc, grid, seed, tolerance):

@@ -37,8 +37,8 @@ def poly_roots_numeric(
     first; the rest start on a circle of radius given by the Fujiwara root
     bound with seed-determined phases.  A root stops once |p(z)| is within
     Horner's rounding error n * eps * sum |a_i| |z|^i (MPSolve's stop, which
-    multiple roots meet too); OracleError("root iteration did not converge")
-    after MAX_ITERATIONS sweeps is the only failure.
+    multiple roots meet too).  Every root returned is finite: OracleError for
+    a degree-1 root that overflows, or after MAX_ITERATIONS Aberth sweeps.
 
     The outcomes for the ROOTS_MEMO_SIZE most recently solved polynomials
     are remembered for the life of the process, keyed by the exact bits of
@@ -66,7 +66,10 @@ def poly_roots_numeric(
     if degree == 0:
         return roots
     if degree == 1:
-        return roots + [-coeffs[0] / coeffs[1]]
+        root = -coeffs[0] / coeffs[1]
+        if not cmath.isfinite(root):
+            raise OracleError("the root of a degree-1 polynomial overflows")
+        return roots + [root]
 
     parts = [part for c in coeffs for part in (c.real, c.imag)]
     found, failure = _aberth(struct.pack(f"<{len(parts)}d", *parts), seed)
@@ -309,65 +312,61 @@ def verify_pgcd(
     b: PerturbedPolynomial,
     t0: float,
     symbolic_pgcd: PerturbedPolynomial,
+    tolerance: float = 0.2,
+    seed: int = 0,
 ) -> ConvergenceReport:
-    """Numeric Euclidean algorithm versus the symbolic perturbed GCD.
+    """The sampled PGCD against the roots that a and b share, at the shadow and at t0.
 
-    Remainder coefficients at most 10*t0 in modulus count as numerically
-    zero; a remainder in the ambiguous band (10*t0, 100*t0] makes the check
-    inconclusive.  The surviving numeric GCD, normalized monic, must match
-    the sampled symbolic PGCD coefficient-by-coefficient within 10*t0.
+    In each sample every root of the PGCD is paired with the nearest unused root
+    of a and of b.  spread is the largest pairing distance, gap the smallest
+    distance between a leftover root of a and one of b (inf if either has none).
+    Fails when gap(0) <= NOISE_FLOOR (a shared root left out) or when collapse =
+    spread(0) / spread(t0), 0 if spread(0) <= NOISE_FLOOR, exceeds the tolerance;
+    inconclusive when drift = |gap(t0) / gap(0) - 1| does (t0 too large for how far
+    apart the unshared roots lie).  The one sample holds observed = spread(0),
+    predicted = spread(t0) and deviation = max(collapse, drift).
     """
-    threshold = 10 * t0
-    sampled_values = default_values(a.ring.generators, t0)
-    report = ConvergenceReport(tolerance=threshold)
-
-    def strip(coeffs: list[complex]) -> list[complex]:
-        while coeffs and abs(coeffs[-1]) <= threshold:
-            coeffs.pop()
-        return coeffs
-
-    previous = strip(a.numeric_coeffs(sampled_values))
-    current = strip(b.numeric_coeffs(sampled_values))
-    while True:
-        if not current:
-            break
-        peak = max(abs(c) for c in current)
-        if peak <= threshold:
-            break
-        if peak <= 10 * threshold:
-            report.inconclusive = True
-            report.note = f"remainder magnitude {peak:.3e} inside the ambiguous band"
-            return report
-        if len(previous) < len(current):
-            previous, current = current, previous
-            continue
-        rest = list(previous)
-        lead = current[-1]
-        for k in range(len(previous) - len(current), -1, -1):
-            factor = rest[k + len(current) - 1] / lead
-            for j, c in enumerate(current):
-                rest[k + j] -= factor * c
-        previous, current = current, strip(rest[: len(current) - 1])
-
-    if not previous:
-        report.note = "all numeric remainders fell below the zero threshold"
+    values = [default_values(a.ring.generators, v) for v in (0.0, *_descending_grid([t0]))]
+    (spread0, gap0), (spread, gap) = (_spread_and_gap(v, seed, a, b, symbolic_pgcd) for v in values)
+    collapse = spread0 / spread if 0 < spread < math.inf else math.inf
+    collapse = 0.0 if spread0 <= NOISE_FLOOR else collapse
+    drift = abs(gap / gap0 - 1) if NOISE_FLOOR < gap0 < math.inf else 0.0
+    sample = Sample(t0, spread0, spread, max(collapse, drift))
+    report = ConvergenceReport([sample], tolerance=tolerance)
+    if gap0 <= NOISE_FLOOR:
+        report.note = "a and b share a root the PGCD leaves out"
+    elif collapse > tolerance:
+        report.note = "the PGCD's roots do not close up at the shadow"
+    elif drift > tolerance:
         report.inconclusive = True
-        return report
-    numeric_gcd = [c / previous[-1] for c in previous]
-    symbolic = strip(symbolic_pgcd.numeric_coeffs(sampled_values))
-    if not symbolic:
-        report.note = "sampled symbolic PGCD fell below the zero threshold"
-        report.inconclusive = True
-        return report
-    symbolic = [c / symbolic[-1] for c in symbolic]
-    if len(numeric_gcd) != len(symbolic):
-        report.note = "numeric and symbolic PGCD degrees differ"
-        report.verdict = False
-        return report
-    worst = max(abs(x - y) for x, y in zip(numeric_gcd, symbolic))
-    report.samples.append(Sample(t0, worst, 0j, worst))
-    report.verdict = worst <= threshold
+        report.note = "t0 is too large for how far apart the unshared roots lie"
+    else:
+        report.verdict = True
     return report
+
+
+def _spread_and_gap(values, seed: int, a, b, pgcd) -> tuple[float, float]:
+    """(spread, gap) of a, b and the PGCD sampled at `values`, as verify_pgcd defines them."""
+    found = []
+    for poly in (a, b, pgcd):
+        try:
+            coeffs = poly.numeric_coeffs(values)
+        except OverflowError:
+            raise OracleError("a sampled coefficient overflows") from None
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        if not coeffs:
+            raise OracleError("a sampled polynomial vanishes")
+        found.append(poly_roots_numeric(coeffs, seed=seed))
+    roots_a, roots_b, claimed = found
+    if len(claimed) > min(len(roots_a), len(roots_b)):
+        raise OracleError("the sampled PGCD has more roots than a or b")
+    spread = 0.0
+    for roots in (roots_a, roots_b):
+        for z in claimed:
+            nearest = roots.pop(min(range(len(roots)), key=lambda k: _magnitude(roots[k] - z)))
+            spread = max(spread, _magnitude(nearest - z))
+    return spread, min((_magnitude(x - y) for x in roots_a for y in roots_b), default=math.inf)
 
 
 def verify_eigenvalues(

@@ -186,6 +186,15 @@ def test_every_verify_case(capsys, case):
     assert payload["verdict"] == ("fail" if refuted else "pass")
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+def test_verify_pgcd_reads_tolerance_and_seed(capsys, seed):
+    assert run(["verify", "--case", "pgcd", "--seed", seed]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 0.2
+    assert run(["verify", "--case", "pgcd", "--seed", seed, "--tolerance", "1e-9"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tolerance"] == 1e-9 and payload["verdict"] == "fail"
+
+
 def test_verify_refutation_fails_as_designed(capsys):
     code = run(["verify", "--case", "refute-half"])
     payload = json.loads(capsys.readouterr().out)

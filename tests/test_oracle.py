@@ -24,6 +24,7 @@ from perturbalg import (
     pgcd,
     poly_roots_numeric,
     root_correction,
+    univariate_ring,
     verify_eigenvalues,
     verify_pgcd,
     verify_quadratic_balance,
@@ -31,7 +32,7 @@ from perturbalg import (
 )
 from perturbalg import oracle
 from perturbalg.cli import run
-from perturbalg.errors import DomainError, OracleError
+from perturbalg.errors import DomainError, OracleError, PerturbAlgError
 from perturbalg.exactpoly import from_roots
 from perturbalg.oracle import default_values
 from perturbalg.parsing import parse_matrix_json, parse_polynomial
@@ -116,6 +117,13 @@ def test_roots_never_stop_on_an_overflowed_bound(seed):
     # rather than return two wrong roots of modulus about 1.8e306
     with pytest.raises(OracleError):
         poly_roots_numeric([2.8e115, -1.2e188, -1.3e-118], seed=seed)
+
+
+@pytest.mark.parametrize("coeffs", [[1.8e284, 7.1e-49], [0, 0, -1e300, 1e-300]])
+def test_a_degree_one_root_that_overflows_raises(coeffs):
+    # -c0/c1 of finite coefficients can still overflow: no root comes back infinite
+    with pytest.raises(OracleError, match="overflows"):
+        poly_roots_numeric(coeffs)
 
 
 _designed_roots = st.dictionaries(
@@ -531,6 +539,130 @@ def test_verify_pgcd_equal_inputs(ring, t):
     a = parse_polynomial("X^2 - 1 + t", ring, "X")
     result, _ = pgcd(a, a)
     assert verify_pgcd(a, a, 1e-4, result).verdict
+
+
+@pytest.mark.parametrize(
+    "a_text, b_text",
+    [
+        ("(X-2)*(X^2+1+t)", "(X-2)*(X+3-t)"),  # an exact shared factor
+        ("(X-1)^2*(X+2) + t", "(X-1)^2*(X-3) + t*X"),  # a shared double root
+        ("(X-1)^3*(X+2) + t", "(X-1)^3*(X-3) - t*X^2"),  # a shared triple root
+        ("t*X^2 + X - 1", "X^2 - 1"),  # an infinitesimal leading coefficient
+        ("(X-1000)*(X+2) + t", "(X-1000)*(X-3) + t*X"),
+        ("(X-1/1000)*(X+2) + t", "(X-1/1000)*(X-3) + t*X"),
+    ],
+)
+def test_verify_pgcd_passes_the_shared_roots(ring, a_text, b_text):
+    a, b = parse_polynomial(a_text, ring, "X"), parse_polynomial(b_text, ring, "X")
+    result, _ = pgcd(a, b)
+    assert result.degree >= 1
+    report = verify_pgcd(a, b, 1e-4, result)
+    assert report.verdict and report.samples[0].deviation <= 1e-2
+
+
+def test_verify_pgcd_inconclusive_when_unshared_roots_lie_close(ring):
+    # the unshared roots 1 and 1 + 1/10000 move by about t0 at t0 = 1e-4
+    a = parse_polynomial("(X-1)*(X+5) + 6*t", ring, "X")
+    b = parse_polynomial("(X-1-1/10000)*(X-3)", ring, "X")
+    result, _ = pgcd(a, b)
+    report = verify_pgcd(a, b, 1e-4, result)
+    assert report.inconclusive and not report.verdict
+    assert verify_pgcd(a, b, 1e-8, result).verdict
+
+
+@pytest.mark.parametrize("t0", [math.nan, -1.0, 0.0, 5.0])
+def test_verify_pgcd_checks_t0(ring, t0):
+    a = parse_polynomial("(X-1)*(X+2) + t", ring, "X")
+    b = parse_polynomial("(X-1)*(X-3)", ring, "X")
+    result, _ = pgcd(a, b)
+    with pytest.raises(DomainError, match=r"grid values must lie in \(0, 0.1\]"):
+        verify_pgcd(a, b, t0, result)
+
+
+def _pgcd_passes(a, b, claim) -> bool:
+    try:
+        return verify_pgcd(a, b, 1e-4, claim).verdict
+    except OracleError:  # a claim with more roots than a or b
+        return False
+
+
+_NOISE = ("e1", "e2", "e3", "e1*e2", "e1*e3", "e2*e3", "e3^2")
+
+
+@st.composite
+def _designed_pgcd(draw):
+    """num = G*C1 + noise, den = G*C2 + noise: integer roots, G of degree 1-2."""
+    gcd_degree = draw(st.integers(1, 2))
+    degrees = [draw(st.integers(max(2, gcd_degree), 5)) for _ in range(2)]
+    pool = draw(st.permutations(range(-4, 5)))
+    gcd_roots, pool = pool[:gcd_degree], pool[gcd_degree:]
+    texts, cofactor_roots = [], []
+    for degree in degrees:
+        roots, pool = pool[: degree - gcd_degree], pool[degree - gcd_degree :]
+        cofactor_roots += roots
+        terms = ["*".join(f"(X{-r:+d})" for r in gcd_roots + roots)]
+        for _ in range(draw(st.integers(1, 2))):
+            power = draw(st.integers(0, degree - 1))
+            monomial = draw(st.sampled_from(_NOISE)) + (f"*X^{power}" if power else "")
+            terms.append(f"{draw(st.sampled_from((-2, -1, 1, 2))):+d}*{monomial}")
+        texts.append(" ".join(terms))
+    return texts, cofactor_roots
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_designed_pgcd())
+def test_verify_pgcd_gate_on_designed_problems(design):
+    (a_text, b_text), cofactor_roots = design
+    ring = SeriesRing(("e1", "e2", "e3"), 6)
+    a, b = parse_polynomial(a_text, ring, "X"), parse_polynomial(b_text, ring, "X")
+    result, _ = pgcd(a, b)
+    assert _pgcd_passes(a, b, result)
+    wrong = [PerturbedPolynomial(ring, [1])]
+    wrong += [PerturbedPolynomial(ring, list(result.taylor_coefficients(s))) for s in (1, -1)]
+    wrong += [result * PerturbedPolynomial(ring, [-r, 1]) for r in cofactor_roots]
+    assert not any(_pgcd_passes(a, b, claim) for claim in wrong)
+
+
+def test_verify_pgcd_overflowing_sample_is_an_oracle_error(ring):
+    # the PGCD is the constant a(-1e300) = 1e600 + 1, past the float range
+    a = PerturbedPolynomial(ring, [1, 0, 1])
+    b = PerturbedPolynomial(ring, [1, GaussianRational(Fraction(1, 10**300))])
+    result, _ = pgcd(a, b)
+    with pytest.raises(OracleError, match="overflows"):
+        verify_pgcd(a, b, 1e-4, result)
+
+
+def test_verify_pgcd_spread_that_overflows_is_no_collapse(ring, t):
+    # at t0 the roots of a and of the claim are -1.5e308 and 1.5e308, whose
+    # distance overflows; the claim's root 5 is not a's root 1 at the shadow
+    small, huge = GaussianRational(Fraction(1, 10**10)), GaussianRational(15 * 10**299)
+    a = PerturbedPolynomial(ring, [-small + huge * t, small])
+    claim = PerturbedPolynomial(ring, [-5 * small - huge * t, small])
+    report = verify_pgcd(a, a, 1e-2, claim)
+    assert not report.verdict and report.samples[0].predicted == math.inf
+
+
+_extreme = st.builds(
+    lambda m, e: GaussianRational(Fraction(m) * Fraction(10) ** e),
+    st.integers(-9, 9).filter(bool),
+    st.integers(-300, 300),
+)
+_extreme_poly = st.lists(st.tuples(_extreme, _extreme, st.integers(1, 3)), min_size=2, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_extreme_poly, _extreme_poly)
+def test_verify_pgcd_raises_only_library_errors(a_rows, b_rows):
+    ring = univariate_ring(4)
+    t = ring.generator("t")
+    a, b = (
+        PerturbedPolynomial(ring, [c + d * t**k for c, d, k in rows]) for rows in (a_rows, b_rows)
+    )
+    try:
+        report = verify_pgcd(a, b, 1e-3, pgcd(a, b)[0])
+    except PerturbAlgError:
+        return
+    assert report.samples and report.tolerance == 0.2
 
 
 def test_verify_eigenvalues_jordan():
