@@ -315,28 +315,65 @@ def verify_pgcd(
     tolerance: float = 0.2,
     seed: int = 0,
 ) -> ConvergenceReport:
-    """The sampled PGCD against the roots that a and b share, at the shadow and at t0.
+    """The PGCD against the Bezout combination of a and b at the roots they share.
 
-    In each sample every root of the PGCD is paired with the nearest unused root
-    of a and of b.  spread is the largest pairing distance, gap the smallest
-    distance between a leftover root of a and one of b (inf if either has none).
-    Fails when gap(0) <= NOISE_FLOOR (a shared root left out) or when collapse =
-    spread(0) / spread(t0), 0 if spread(0) <= NOISE_FLOOR, exceeds the tolerance;
-    inconclusive when drift = |gap(t0) / gap(0) - 1| does (t0 too large for how far
-    apart the unshared roots lie).  The one sample holds observed = spread(0),
-    predicted = spread(t0) and deviation = max(collapse, drift).
+    At the shadow each root u of the PGCD is paired with the nearest unused root
+    of a and of b; roots count as equal where their inclusion discs meet.  The
+    roots left over are those of the shadow cofactors A and B.  To first order
+    the monic PGCD is p*a + q*b with p*A + q*B = 1 (the subresultant of its
+    degree), p and q interpolating 1/A at the unshared roots of b and 1/B at
+    those of a.  So at t0 it must take the value p(u)*a(u) + q(u)*b(u);
+    miss = |observed - predicted| / (max(|p(u)|, |q(u)|) * (|a(u)| + |b(u)|)),
+    the denominator floored at NOISE_FLOOR times the size of the evaluation.
+    A chain that stripped a divisor's infinitesimal leading terms leaves that
+    combination, so its PGCD can fail here.
+
+    Fails when the PGCD has more roots than a or b (or at t0 than at the
+    shadow), when one is not a root of a and of b at the shadow, when a and b
+    share a root there that it leaves out, or when miss > tolerance;
+    inconclusive when drift = |gap(t0) / gap(0) - 1| > tolerance, gap being the
+    least distance between unshared roots of a and b.  The sample
+    holds the monic PGCD's value (observed) and p(u)*a(u) + q(u)*b(u)
+    (predicted) at the worst u, and deviation = max(miss, drift).
     """
-    values = [default_values(a.ring.generators, v) for v in (0.0, *_descending_grid([t0]))]
-    (spread0, gap0), (spread, gap) = (_spread_and_gap(v, seed, a, b, symbolic_pgcd) for v in values)
-    collapse = spread0 / spread if 0 < spread < math.inf else math.inf
-    collapse = 0.0 if spread0 <= NOISE_FLOOR else collapse
-    drift = abs(gap / gap0 - 1) if NOISE_FLOOR < gap0 < math.inf else 0.0
-    sample = Sample(t0, spread0, spread, max(collapse, drift))
-    report = ConvergenceReport([sample], tolerance=tolerance)
-    if gap0 <= NOISE_FLOOR:
+    values = default_values(a.ring.generators, _descending_grid([t0])[0])
+    (a0, b0, g0), (a1, b1, g1) = (
+        [_sampled(p, v) for p in (a, b, symbolic_pgcd)] for v in (None, values)
+    )
+    report = ConvergenceReport(tolerance=tolerance)
+    shared = poly_roots_numeric(g0, seed=seed)
+    if len(g0) > min(len(a0), len(b0)) or len(g1) != len(g0):
+        report.note = "the PGCD has more roots than a or b, or at t0 than at the shadow"
+        return report
+    (paired_a, rest_a), (paired_b, rest_b) = (_split_roots(c, shared, seed) for c in (a0, b0))
+    if not all(
+        _magnitude(r - u) <= _inclusion_radius(g0, u) + _inclusion_radius(c, r)
+        for c, paired in ((a0, paired_a), (b0, paired_b))
+        for u, r in zip(shared, paired)
+    ):
+        report.note = "a root of the PGCD is not a root of a and b at the shadow"
+        return report
+    radii_a, radii_b = (
+        [_inclusion_radius(c, r) for r in rest] for c, rest in ((a0, rest_a), (b0, rest_b))
+    )
+    if any(
+        _magnitude(x - y) <= rx + ry
+        for x, rx in zip(rest_a, radii_a)
+        for y, ry in zip(rest_b, radii_b)
+    ):
         report.note = "a and b share a root the PGCD leaves out"
-    elif collapse > tolerance:
-        report.note = "the PGCD's roots do not close up at the shadow"
+        return report
+    try:
+        misses = [_bezout_miss(u, a0[-1], rest_a, b0[-1], rest_b, a1, b1, g1) for u in shared]
+    except ZeroDivisionError:
+        raise OracleError("a or b repeats a root they do not share") from None
+    miss, observed, predicted = max(misses, default=(0.0, 0j, 0j), key=lambda m: m[0])
+    gap0 = _gap(rest_a, rest_b)
+    gap = _gap(*(_split_roots(c, shared, seed)[1] for c in (a1, b1)))
+    drift = abs(gap / gap0 - 1) if 0 < gap0 < math.inf else 0.0
+    report.samples.append(Sample(t0, observed, predicted, max(miss, drift)))
+    if miss > tolerance:
+        report.note = "the PGCD is not p*a + q*b to first order at its roots"
     elif drift > tolerance:
         report.inconclusive = True
         report.note = "t0 is too large for how far apart the unshared roots lie"
@@ -345,28 +382,79 @@ def verify_pgcd(
     return report
 
 
-def _spread_and_gap(values, seed: int, a, b, pgcd) -> tuple[float, float]:
-    """(spread, gap) of a, b and the PGCD sampled at `values`, as verify_pgcd defines them."""
-    found = []
-    for poly in (a, b, pgcd):
-        try:
-            coeffs = poly.numeric_coeffs(values)
-        except OverflowError:
-            raise OracleError("a sampled coefficient overflows") from None
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            raise OracleError("a sampled polynomial vanishes")
-        found.append(poly_roots_numeric(coeffs, seed=seed))
-    roots_a, roots_b, claimed = found
-    if len(claimed) > min(len(roots_a), len(roots_b)):
-        raise OracleError("the sampled PGCD has more roots than a or b")
-    spread = 0.0
-    for roots in (roots_a, roots_b):
-        for z in claimed:
-            nearest = roots.pop(min(range(len(roots)), key=lambda k: _magnitude(roots[k] - z)))
-            spread = max(spread, _magnitude(nearest - z))
-    return spread, min((_magnitude(x - y) for x in roots_a for y in roots_b), default=math.inf)
+def _sampled(poly: PerturbedPolynomial, values) -> list[complex]:
+    """Coefficients at `values` (the shadow's for None), low degree first, leading zeros trimmed."""
+    try:
+        coeffs = poly.shadow().numeric_coeffs() if values is None else poly.numeric_coeffs(values)
+    except OverflowError:
+        raise OracleError("a sampled coefficient overflows") from None
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise OracleError("a sampled polynomial vanishes")
+    return coeffs
+
+
+def _split_roots(coeffs, shared, seed: int) -> tuple[list[complex], list[complex]]:
+    """(paired, rest): the unused root nearest each of `shared` in turn, and the roots left."""
+    roots = poly_roots_numeric(coeffs, seed=seed)
+    paired = [
+        roots.pop(min(range(len(roots)), key=lambda k: _magnitude(roots[k] - u)))
+        for u in shared
+        if roots
+    ]
+    return paired, roots
+
+
+def _gap(xs, ys) -> float:
+    return min((_magnitude(x - y) for x in xs for y in ys), default=math.inf)
+
+
+def _size(coeffs, z: complex) -> float:
+    """sum |a_i| |z|^i, the scale of Horner's rounding error at z."""
+    return _horner([abs(c) for c in coeffs], _magnitude(z)).real
+
+
+def _inclusion_radius(coeffs, z: complex) -> float:
+    """n * (|p(z)| + n * eps * _size) / |p'(z)|: a root of p lies this close to z.
+
+    The rounding term is the root finder's own stop, so the disc holds a root
+    however many roots cluster there.
+    """
+    n = len(coeffs) - 1
+    slope = _magnitude(_horner([k * c for k, c in enumerate(coeffs)][1:], z))
+    error = _magnitude(_horner(coeffs, z)) + n * sys.float_info.epsilon * _size(coeffs, z)
+    radius = n * error / slope if slope else (math.inf if error else 0.0)
+    return math.inf if math.isnan(radius) else radius
+
+
+def _bezout_miss(u, lead_a, rest_a, lead_b, rest_b, a, b, g) -> tuple[float, complex, complex]:
+    """(miss, observed, predicted) at the shared root u, as verify_pgcd defines them."""
+    p = _interpolate(rest_b, lambda x: 1 / (lead_a * math.prod(x - r for r in rest_a)), u)
+    q = (  # with no cofactor left Euclid keeps b, so the PGCD is b made monic
+        _interpolate(rest_a, lambda x: 1 / (lead_b * math.prod(x - r for r in rest_b)), u)
+        if rest_a or rest_b
+        else 1 / lead_b
+    )
+    at_a, at_b = _horner(a, u), _horner(b, u)
+    observed, predicted = _horner(g, u) / g[-1], p * at_a + q * at_b
+    size = max(_magnitude(p), _magnitude(q)) * (_magnitude(at_a) + _magnitude(at_b))
+    floor = NOISE_FLOOR * sum(
+        _magnitude(w) * _size(c, u) for w, c in ((1 / g[-1], g), (p, a), (q, b))
+    )
+    miss = _magnitude(observed - predicted)
+    ratio = miss / max(size, floor) if miss else 0.0
+    if math.isnan(ratio):
+        raise OracleError("the Bezout check overflows")
+    return ratio, observed, predicted
+
+
+def _interpolate(nodes, f, x: complex) -> complex:
+    """The Lagrange interpolant of f at `nodes`, evaluated at x (0 with no nodes)."""
+    return sum(
+        f(node) * math.prod((x - other) / (node - other) for j, other in enumerate(nodes) if j != k)
+        for k, node in enumerate(nodes)
+    )
 
 
 def verify_eigenvalues(

@@ -547,6 +547,9 @@ def test_verify_pgcd_equal_inputs(ring, t):
         ("(X-2)*(X^2+1+t)", "(X-2)*(X+3-t)"),  # an exact shared factor
         ("(X-1)^2*(X+2) + t", "(X-1)^2*(X-3) + t*X"),  # a shared double root
         ("(X-1)^3*(X+2) + t", "(X-1)^3*(X-3) - t*X^2"),  # a shared triple root
+        ("(X-1)^3*(X+2+t)", "(X-1)^3*(X-3)"),  # a triple root shared exactly
+        ("(X-1/3)^4*(X+2+t)", "(X-1/3)^4*(X-3)"),  # a fourfold root shared exactly
+        ("(X-1)^3*(X+2+t)", "(X-1)*(X-3)"),  # a triple root of a, simple in b
         ("t*X^2 + X - 1", "X^2 - 1"),  # an infinitesimal leading coefficient
         ("(X-1000)*(X+2) + t", "(X-1000)*(X-3) + t*X"),
         ("(X-1/1000)*(X+2) + t", "(X-1/1000)*(X-3) + t*X"),
@@ -579,11 +582,53 @@ def test_verify_pgcd_checks_t0(ring, t0):
         verify_pgcd(a, b, t0, result)
 
 
+def test_verify_pgcd_rejects_a_wrong_first_order_part(ring, t):
+    # the PGCD is X - 1 + t/5, the Bezout combination (a - b)/5; X - 1 + 1000*t has
+    # the right shadow but takes 1000*t0 at the shared root 1, not t0/5
+    a = parse_polynomial("(X-1)*(X+2) + t", ring, "X")
+    b = parse_polynomial("(X-1)*(X-3)", ring, "X")
+    result, _ = pgcd(a, b)
+    assert verify_pgcd(a, b, 1e-4, result).verdict
+    for wrong in ("X - 1 + 1000*t", "X - 1 + 1*t", "X - 1 + 1/5*t + 10*t*X"):
+        report = verify_pgcd(a, b, 1e-4, parse_polynomial(wrong, ring, "X"))
+        assert not report.verdict and not report.inconclusive, wrong
+        assert "first order" in report.note
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        "(X-1)*(X+2)*(X-3)",  # more roots than a or b
+        "X - 1 + t*X^2",  # a root that escapes to infinity at the shadow
+    ],
+)
+def test_verify_pgcd_fails_a_claim_with_extra_roots(ring, claim):
+    a = parse_polynomial("(X-1)*(X+2) + t", ring, "X")
+    b = parse_polynomial("(X-1)*(X-3)", ring, "X")
+    report = verify_pgcd(a, b, 1e-4, parse_polynomial(claim, ring, "X"))
+    assert not report.verdict and not report.inconclusive
+    assert report.note == "the PGCD has more roots than a or b, or at t0 than at the shadow"
+
+
+@pytest.mark.parametrize("claim", ["1", "(X-1)^2"])
+def test_verify_pgcd_fails_a_left_out_triple_root(ring, claim):
+    # the triple root's computed copies lie about 1e-5 apart, far above NOISE_FLOOR
+    a = parse_polynomial("(X-1)^3*(X+2+t)", ring, "X")
+    b = parse_polynomial("(X-1)^3*(X-3)", ring, "X")
+    report = verify_pgcd(a, b, 1e-4, parse_polynomial(claim, ring, "X"))
+    assert not report.verdict and report.note == "a and b share a root the PGCD leaves out"
+
+
+def test_verify_pgcd_repeated_unshared_zero_root_is_an_oracle_error(ring, t):
+    # the roots of a left over are 0, 0 and 1: the interpolation needs distinct nodes
+    a = parse_polynomial("X^3*(X-1) + t", ring, "X")
+    b = parse_polynomial("X*(X-2)", ring, "X")
+    with pytest.raises(OracleError, match="repeats a root"):
+        verify_pgcd(a, b, 1e-4, pgcd(a, b)[0])
+
+
 def _pgcd_passes(a, b, claim) -> bool:
-    try:
-        return verify_pgcd(a, b, 1e-4, claim).verdict
-    except OracleError:  # a claim with more roots than a or b
-        return False
+    return verify_pgcd(a, b, 1e-4, claim).verdict
 
 
 _NOISE = ("e1", "e2", "e3", "e1*e2", "e1*e3", "e2*e3", "e3^2")
@@ -620,6 +665,14 @@ def test_verify_pgcd_gate_on_designed_problems(design):
     wrong = [PerturbedPolynomial(ring, [1])]
     wrong += [PerturbedPolynomial(ring, list(result.taylor_coefficients(s))) for s in (1, -1)]
     wrong += [result * PerturbedPolynomial(ring, [-r, 1]) for r in cofactor_roots]
+    # the right shadow with a large first-order part, unless it is a unit multiple of
+    # result; k*t*X moves a root at 0 only at order t^2, so k*t0 must pass the tolerance
+    lead = PerturbedPolynomial(ring, [result.coeffs[-1]])
+    e1 = ring.generator("e1") * result.coeffs[-1]
+    for shift in ([10**5 * e1], [-(10**5) * e1], [0, 10**5 * e1], [0, -(10**5) * e1]):
+        claim = result + PerturbedPolynomial(ring, shift)
+        if not (claim * lead - result * PerturbedPolynomial(ring, [claim.coeffs[-1]])).is_zero():
+            wrong.append(claim)
     assert not any(_pgcd_passes(a, b, claim) for claim in wrong)
 
 
@@ -632,14 +685,14 @@ def test_verify_pgcd_overflowing_sample_is_an_oracle_error(ring):
         verify_pgcd(a, b, 1e-4, result)
 
 
-def test_verify_pgcd_spread_that_overflows_is_no_collapse(ring, t):
-    # at t0 the roots of a and of the claim are -1.5e308 and 1.5e308, whose
-    # distance overflows; the claim's root 5 is not a's root 1 at the shadow
+def test_verify_pgcd_root_that_overflows_at_t0_is_no_pass(ring, t):
+    # the claim's root 5 is not a's root 1 at the shadow; at t0 the roots of a
+    # and of the claim are -1.5e308 and 1.5e308, whose distance overflows
     small, huge = GaussianRational(Fraction(1, 10**10)), GaussianRational(15 * 10**299)
     a = PerturbedPolynomial(ring, [-small + huge * t, small])
     claim = PerturbedPolynomial(ring, [-5 * small - huge * t, small])
     report = verify_pgcd(a, a, 1e-2, claim)
-    assert not report.verdict and report.samples[0].predicted == math.inf
+    assert not report.verdict and "not a root of a and b" in report.note
 
 
 _extreme = st.builds(
@@ -662,7 +715,8 @@ def test_verify_pgcd_raises_only_library_errors(a_rows, b_rows):
         report = verify_pgcd(a, b, 1e-3, pgcd(a, b)[0])
     except PerturbAlgError:
         return
-    assert report.samples and report.tolerance == 0.2
+    assert report.tolerance == 0.2 and isinstance(report.verdict, bool)
+    assert not any(math.isnan(s.deviation) for s in report.samples)
 
 
 def test_verify_eigenvalues_jordan():
