@@ -153,16 +153,11 @@ def _cmd_goze(args) -> int:
     ring = ring_for(*texts, truncation=args.trunc)
     entries = [parse_series(text, ring) for text in texts]
     result = decompose(entries)
-    payload = {
-        "levels": [
-            {"alpha": str(alpha), "U": [str(u) for u in direction]}
-            for alpha, direction in result.levels
-        ],
-        "rank": result.rank(),
-    }
-    if result.truncation_limited:
-        payload["truncation_limited"] = True
-    _emit(args, payload)
+    levels = [
+        {"alpha": str(alpha), "U": [str(u) for u in direction]}
+        for alpha, direction in result.levels
+    ]
+    _emit(args, {"levels": levels, "rank": result.rank()})
     return 0
 
 

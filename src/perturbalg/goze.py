@@ -5,10 +5,9 @@ A vector E of infinitesimal series is rewritten as
     E = alpha_1*U_1 + alpha_1*alpha_2*U_2 + ... + alpha_1*...*alpha_l*U_l
 
 where every alpha_i is an infinitesimal series and the constant direction
-vectors U_i are linearly independent over Q(i).  The pivot convention (the
-entry of minimal valuation, lowest index on ties, becomes the next alpha)
-makes the result canonical and the recursion terminate in at most dim(E)
-levels.
+vectors U_i are linearly independent over Q(i).  Each level pivots on the
+entry of minimal valuation (lowest index on ties) of the undivided remainder,
+which makes the result canonical and ends it in at most dim(E) levels.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ class GozeDecomposition:
     ring: object
     dimension: int
     levels: list = field(default_factory=list)
-    truncation_limited: bool = False
 
     def rank(self) -> int:
         """Number of levels, i.e. the rank of the decomposed vector."""
@@ -102,48 +100,48 @@ def _pivot_index(residual) -> int:
     )
 
 
+def _level(remainder) -> tuple[TruncatedSeries, tuple[GaussianRational, ...]]:
+    """(pivot, U) of a nonzero remainder: U is the t^v coefficients over the pivot's."""
+    pivot = remainder[_pivot_index(remainder)]
+    index = (pivot.valuation(),)
+    lead = pivot.terms[index]
+    zero = GaussianRational(0)
+    return pivot, tuple(e.terms.get(index, zero) / lead for e in remainder)
+
+
 def first_level(entries) -> tuple[TruncatedSeries, tuple[GaussianRational, ...]]:
     """The first level (alpha_1, U_1) of decompose(entries), without the others.
 
-    alpha_1 is the pivot entry, of valuation v.  The standard part of
-    e / alpha_1 is the ratio of the t^v coefficients of e and alpha_1, so U_1
-    needs no series division.  Raises DomainError on the zero vector, which
-    has no levels, and on input that decompose rejects.
+    alpha_1 is the pivot entry, of valuation v, and U_1 the ratios of the t^v
+    coefficients of the entries to alpha_1's.  Raises DomainError on the zero
+    vector, which has no levels, and on input that decompose rejects.
     """
     entries = _validated(entries)
     if all(e.is_zero() for e in entries):
         raise DomainError("the zero vector has no first level")
-    alpha = entries[_pivot_index(entries)]
-    index = (alpha.valuation(),)
-    lead = alpha.terms[index]
-    zero = GaussianRational(0)
-    return alpha, tuple(e.terms.get(index, zero) / lead for e in entries)
+    return _level(entries)
 
 
 def decompose(entries) -> GozeDecomposition:
     """Decompose a vector of univariate infinitesimal series.
 
+    first_level's rule, repeated on the remainder E - sum_i prefix_i*U_i, with
+    prefix_i = alpha_1*...*alpha_i, until it is zero.  The level-l pivot is
+    prefix_l, exact in the ring, so alpha_l is that pivot over the previous one
+    (one series division per level), determined up to degree
+    T - val(prefix_(l-1)).
     Raises DomainError when an entry is not infinitesimal or the entries do
-    not share a univariate ring.  When the alpha-chain valuation reaches the
-    truncation bound before the residual vanishes, the result is flagged
-    truncation_limited and reconstruction holds up to degree T only (which is
-    all the ring can express anyway).
+    not share a univariate ring.
     """
     entries = _validated(entries)
     ring = entries[0].ring
     result = GozeDecomposition(ring=ring, dimension=len(entries))
-    residual = entries
-    chain_valuation = 0
-    while any(not e.is_zero() for e in residual):
-        alpha = residual[_pivot_index(residual)]
-        if chain_valuation + alpha.valuation() > ring.truncation:
-            result.truncation_limited = True
-            break
-        quotients = [divide_univariate(e, alpha) for e in residual]
-        direction = tuple(q.standard_part() for q in quotients)
-        result.levels.append((alpha, direction))
-        chain_valuation += alpha.valuation()
-        residual = [q - u for q, u in zip(quotients, direction)]
+    remainder, previous = entries, ring.one()
+    while any(remainder):
+        pivot, direction = _level(remainder)
+        result.levels.append((divide_univariate(pivot, previous), direction))
+        remainder = [e - pivot * u for e, u in zip(remainder, direction)]
+        previous = pivot
 
     # The pivot convention zeroes one coordinate per level, which forces the
     # direction rows to be unit-triangular up to a column permutation.

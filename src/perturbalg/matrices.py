@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
-from .goze import GozeDecomposition, first_level, rank_of_rows, row_reduce
+from .goze import first_level, rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational
 from .series import SeriesRing, TruncatedSeries
@@ -422,13 +422,7 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     )
 
 
-def eigenvalue_correction(
-    base: ConstantMatrix,
-    pert,
-    eigenvalue,
-    order: Optional[int] = None,
-    decomposition: Optional[GozeDecomposition] = None,
-) -> RootAsymptotics:
+def eigenvalue_correction(base: ConstantMatrix, pert, eigenvalue) -> RootAsymptotics:
     """Leading eigenvalue shift of A + E at an exact eigenvalue of A.
 
     Forms Xi = char_poly(A+E) - char_poly(A) and delegates to root_correction,
@@ -436,9 +430,7 @@ def eigenvalue_correction(
     """
     matrix = _on_base(base, pert)
     xi = perturbation_poly(matrix)
-    return root_correction(
-        char_poly(matrix.base), xi, eigenvalue, order, decomposition
-    )
+    return root_correction(char_poly(matrix.base), xi, eigenvalue)
 
 
 def conservative_residuals(base: ConstantMatrix, pert) -> list[TruncatedSeries]:

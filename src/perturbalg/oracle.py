@@ -199,6 +199,19 @@ def _judge(report: ConvergenceReport) -> ConvergenceReport:
     return report
 
 
+def _overflow_is_oracle_error(check):
+    """`check`, raising OracleError where a float sample of an exact value overflows."""
+
+    @functools.wraps(check)
+    def guarded(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except OverflowError:
+            raise OracleError("a sampled coefficient overflows") from None
+
+    return guarded
+
+
 def _descending_grid(grid: Sequence[float]) -> list[float]:
     """The grid from largest to smallest, once every value lies in (0, 0.1]."""
     grid = sorted(grid, reverse=True)
@@ -217,6 +230,7 @@ def _mixed(base_coeffs: Sequence[complex], shift_coeffs: Sequence[complex]) -> l
     ]
 
 
+@_overflow_is_oracle_error
 def _verify_branches(base, shift_poly, claim, grid, tolerance, seed) -> ConvergenceReport:
     """Test a claim at a root u of multiplicity m branch by branch.
 
@@ -307,6 +321,7 @@ def verify_quadratic_balance(
     return _verify_branches(base, shift_poly, balance, grid, tolerance, seed)
 
 
+@_overflow_is_oracle_error
 def verify_pgcd(
     a: PerturbedPolynomial,
     b: PerturbedPolynomial,
@@ -384,10 +399,7 @@ def verify_pgcd(
 
 def _sampled(poly: PerturbedPolynomial, values) -> list[complex]:
     """Coefficients at `values` (the shadow's for None), low degree first, leading zeros trimmed."""
-    try:
-        coeffs = poly.shadow().numeric_coeffs() if values is None else poly.numeric_coeffs(values)
-    except OverflowError:
-        raise OracleError("a sampled coefficient overflows") from None
+    coeffs = poly.shadow().numeric_coeffs() if values is None else poly.numeric_coeffs(values)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -457,6 +469,7 @@ def _interpolate(nodes, f, x: complex) -> complex:
     )
 
 
+@_overflow_is_oracle_error
 def verify_eigenvalues(
     matrix: PerturbedMatrix, t0: float, values=None, seed: int = 0
 ) -> list[complex]:
@@ -470,6 +483,7 @@ def verify_eigenvalues(
     return poly_roots_numeric(poly.numeric_coeffs(sampled_values), seed=seed)
 
 
+@_overflow_is_oracle_error
 def transfer_residual(function, report, point: complex, values) -> float:
     """|H(p0) - reduced(p0) - sum_g c_g(p0)*g| at sampled generator values.
 

@@ -64,14 +64,14 @@ def simplify(function: RationalFunction) -> SimplificationReport:
     """
     if function.num.is_zero():
         raise DomainError("zero numerator; nothing to simplify")
-    divisor_raw, trace = pgcd(function.num, function.den)
-    divisor, _ = divisor_raw.strip_infinitesimal_leading()
+    # den is not wholly infinitesimal, so pgcd takes a step and returns a stripped divisor
+    divisor, trace = pgcd(function.num, function.den)
     num_quotient, num_residual = euclid_divide(function.num, divisor)
     den_quotient, den_residual = euclid_divide(function.den, divisor)
     reduced = ExactRationalFunction(num_quotient.shadow(), den_quotient.shadow())
     report = SimplificationReport(
         reduced_shadow=reduced,
-        pgcd=divisor_raw,
+        pgcd=divisor,
         num_quotient=num_quotient,
         den_quotient=den_quotient,
         num_residual=num_residual,

@@ -1,8 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perturbalg import GaussianRational, SeriesRing, decompose, univariate_ring
+from perturbalg import (
+    GaussianRational,
+    SeriesRing,
+    TruncatedSeries,
+    decompose,
+    goze,
+    univariate_ring,
+)
 from perturbalg.errors import DomainError
 from perturbalg.goze import first_level, rank_of_rows, row_reduce
 
@@ -125,6 +134,77 @@ def test_first_level_rejects_what_decompose_rejects(ring, t):
             first_level(vector)
     with pytest.raises(DomainError):
         first_level([ring.zero(), ring.zero()])
+
+
+# a vector of univariate infinitesimals at truncation T: per entry, degree -> (re, im)
+_vectors = st.integers(1, 8).flatmap(
+    lambda truncation: st.tuples(
+        st.just(truncation),
+        st.lists(
+            st.dictionaries(
+                st.integers(1, truncation),
+                st.tuples(st.integers(-3, 3), st.integers(-1, 1)),
+                max_size=truncation,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+)
+
+
+def _in_ring(truncation, rows):
+    ring = univariate_ring(truncation)
+    return [
+        TruncatedSeries(ring, {(k,): GaussianRational(re, im) for k, (re, im) in row.items()})
+        for row in rows
+    ]
+
+
+def _up_to(series, degree):
+    return {index: c for index, c in series.terms.items() if index[0] <= degree}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_vectors)
+def test_decompose_properties(vector):
+    truncation, rows = vector
+    entries = _in_ring(truncation, rows)
+    result = decompose(entries)
+    assert result.reconstruct() == entries
+    assert all(alpha.is_infinitesimal() for alpha, _ in result.levels)
+    # U_l is 0 before its pivot coordinate and 1 at it, and later levels are 0 there
+    directions = [direction for _, direction in result.levels]
+    for level, direction in enumerate(directions):
+        pivot = next(i for i, u in enumerate(direction) if u)
+        assert direction[pivot] == 1
+        assert all(not later[pivot] for later in directions[level + 1:])
+    # alpha_l is determined up to degree T - val(alpha_1*...*alpha_(l-1)),
+    # so a finer ring agrees with it there and has the same directions
+    finer = decompose(_in_ring(truncation + 4, rows))
+    assert [u for _, u in finer.levels] == directions
+    chain = 0
+    for (alpha, _), (finer_alpha, _) in zip(result.levels, finer.levels):
+        assert _up_to(alpha, truncation - chain) == _up_to(finer_alpha, truncation - chain)
+        chain += alpha.valuation()
+
+
+def test_decompose_divides_once_per_level(monkeypatch, ring, t):
+    divide, calls = goze.divide_univariate, []
+
+    def counting(num, den):
+        calls.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(goze, "divide_univariate", counting)
+    vectors = [[t + t**3, t**2, 5 * t], [t, t**2, t**3, t**4], [2 * t, 6 * t, t**2]]
+    rng = seeded(26)
+    for _ in range(50):
+        vectors.append([random_infinitesimal(rng, ring) for _ in range(rng.randint(1, 5))])
+    for vector in vectors:
+        calls.clear()
+        result = decompose(vector)
+        assert len(calls) == result.rank()
 
 
 def test_row_reduce_matches_sympy():

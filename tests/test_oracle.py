@@ -685,6 +685,37 @@ def test_verify_pgcd_overflowing_sample_is_an_oracle_error(ring):
         verify_pgcd(a, b, 1e-4, result)
 
 
+def test_verify_root_asymptotics_overflowing_sample_is_an_oracle_error():
+    ring = univariate_ring(4)
+    base = ExactPolynomial([-1, 1])
+    shift = parse_polynomial("10^400*t", ring, "X")
+    claim = root_correction(base, shift, 1)
+    with pytest.raises(OracleError, match="overflows"):
+        verify_root_asymptotics(base, shift, claim)
+
+
+def test_verify_eigenvalues_overflowing_sample_is_an_oracle_error():
+    matrix = parse_matrix_json(
+        '{"n":2,"base":[["1","0"],["0","2"]],"pert":[["10^400*t","0"],["0","0"]]}', 4
+    )
+    with pytest.raises(OracleError, match="overflows"):
+        verify_eigenvalues(matrix, 1e-3)
+
+
+def test_transfer_residual_overflowing_sample_is_an_oracle_error():
+    from perturbalg.oracle import transfer_residual
+    from perturbalg.transfer import RationalFunction, simplify
+
+    ring = SeriesRing(("e1",), 4)
+    function = RationalFunction(
+        parse_polynomial("p^2 - 1 + 10^400*e1", ring, "p"),
+        parse_polynomial("p + 1", ring, "p"),
+    )
+    report = simplify(function)
+    with pytest.raises(OracleError, match="overflows"):
+        transfer_residual(function, report, 2.0, default_values(ring.generators, 1e-3))
+
+
 def test_verify_pgcd_root_that_overflows_at_t0_is_no_pass(ring, t):
     # the claim's root 5 is not a's root 1 at the shadow; at t0 the roots of a
     # and of the claim are -1.5e308 and 1.5e308, whose distance overflows
