@@ -35,6 +35,7 @@ from .oracle import (
     ConvergenceReport,
     Sample,
     _descending_grid,
+    _judge,
     default_values,
     transfer_residual,
     verify_pgcd,
@@ -289,6 +290,7 @@ def _case_pgcd(trunc, grid, seed, tolerance):
 
 
 def _case_transfer(trunc, grid, seed, tolerance):
+    """The first-order map leaves a second-order residual; no step is seeded."""
     ring = SeriesRing(("e1", "e2", "e3"), trunc)
     function = RationalFunction(
         parse_polynomial("p^3 - e1*p - 1 + e2", ring, "p"),
@@ -296,18 +298,19 @@ def _case_transfer(trunc, grid, seed, tolerance):
     )
     report = simplify(function)
     out = ConvergenceReport(tolerance=tolerance)
-    residuals = []
-    for t0 in grid:
-        values = default_values(ring.generators, t0)
-        residual = transfer_residual(function, report, 2.0, values)
-        residuals.append(residual)
-        out.samples.append(Sample(t0, residual, 0j, residual))
-    # quadratic decay: each 10x shrink of t0 divides the residual by ~100
-    out.verdict = all(
-        50 <= earlier / later <= 200
-        for earlier, later in zip(residuals, residuals[1:])
-    )
-    return out
+    points = [
+        (t0, transfer_residual(function, report, 2.0, default_values(ring.generators, t0)))
+        for t0 in grid
+    ]
+    for (t_prev, previous), (t0, residual) in zip(points, points[1:]):
+        # quadratic decay predicts each residual from the one before
+        predicted = previous * (t0 / t_prev) ** 2
+        deviation = abs(residual / predicted - 1) if predicted else math.inf
+        out.samples.append(Sample(t0, residual, predicted, deviation))
+    if not out.samples:
+        out.inconclusive = True
+        out.note = "one grid point leaves no decay to judge"
+    return _judge(out)
 
 
 _VERIFY_CASES = {
@@ -362,7 +365,8 @@ def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="perturbalg")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--trunc", type=_truncation, default=8, help="truncation degree T")
-    common.add_argument("--seed", type=int, default=0, help="oracle seed")
+    common.add_argument("--seed", type=int, default=0,
+                        help="oracle seed (verify --case transfer has no seeded step)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 

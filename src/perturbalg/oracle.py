@@ -337,7 +337,9 @@ def verify_pgcd(
     roots left over are those of the shadow cofactors A and B.  To first order
     the monic PGCD is p*a + q*b with p*A + q*B = 1 (the subresultant of its
     degree), p and q interpolating 1/A at the unshared roots of b and 1/B at
-    those of a.  So at t0 it must take the value p(u)*a(u) + q(u)*b(u);
+    those of a; where one side's roots repeat exactly (a deflated zero root),
+    its value at u is read off p*A + q*B = 1 instead.  So at t0 it must take
+    the value p(u)*a(u) + q(u)*b(u);
     miss = |observed - predicted| / (max(|p(u)|, |q(u)|) * (|a(u)| + |b(u)|)),
     the denominator floored at NOISE_FLOOR times the size of the evaluation.
     A chain that stripped a divisor's infinitesimal leading terms leaves that
@@ -381,7 +383,7 @@ def verify_pgcd(
     try:
         misses = [_bezout_miss(u, a0[-1], rest_a, b0[-1], rest_b, a1, b1, g1) for u in shared]
     except ZeroDivisionError:
-        raise OracleError("a or b repeats a root they do not share") from None
+        raise OracleError("a and b both repeat a root they do not share") from None
     miss, observed, predicted = max(misses, default=(0.0, 0j, 0j), key=lambda m: m[0])
     gap0 = _gap(rest_a, rest_b)
     gap = _gap(*(_split_roots(c, shared, seed)[1] for c in (a1, b1)))
@@ -442,12 +444,19 @@ def _inclusion_radius(coeffs, z: complex) -> float:
 
 def _bezout_miss(u, lead_a, rest_a, lead_b, rest_b, a, b, g) -> tuple[float, complex, complex]:
     """(miss, observed, predicted) at the shared root u, as verify_pgcd defines them."""
-    p = _interpolate(rest_b, lambda x: 1 / (lead_a * math.prod(x - r for r in rest_a)), u)
-    q = (  # with no cofactor left Euclid keeps b, so the PGCD is b made monic
-        _interpolate(rest_a, lambda x: 1 / (lead_b * math.prod(x - r for r in rest_b)), u)
-        if rest_a or rest_b
-        else 1 / lead_b
-    )
+    # an exactly repeated node (a deflated zero root) admits no Lagrange
+    # interpolant; p*A + q*B = 1 at u then gives that side from the other
+    if _repeats(rest_b):
+        q = _interpolate(rest_a, lambda x: 1 / _cofactor(lead_b, rest_b, x), u)
+        p = (1 - q * _cofactor(lead_b, rest_b, u)) / _cofactor(lead_a, rest_a, u)
+    else:
+        p = _interpolate(rest_b, lambda x: 1 / _cofactor(lead_a, rest_a, x), u)
+        if not (rest_a or rest_b):
+            q = 1 / lead_b  # with no cofactor left Euclid keeps b, so the PGCD is b made monic
+        elif _repeats(rest_a):
+            q = (1 - p * _cofactor(lead_a, rest_a, u)) / _cofactor(lead_b, rest_b, u)
+        else:
+            q = _interpolate(rest_a, lambda x: 1 / _cofactor(lead_b, rest_b, x), u)
     at_a, at_b = _horner(a, u), _horner(b, u)
     observed, predicted = _horner(g, u) / g[-1], p * at_a + q * at_b
     size = max(_magnitude(p), _magnitude(q)) * (_magnitude(at_a) + _magnitude(at_b))
@@ -459,6 +468,15 @@ def _bezout_miss(u, lead_a, rest_a, lead_b, rest_b, a, b, g) -> tuple[float, com
     if math.isnan(ratio):
         raise OracleError("the Bezout check overflows")
     return ratio, observed, predicted
+
+
+def _cofactor(lead, roots, x: complex) -> complex:
+    """lead * prod (x - r): the shadow cofactor A or B at x, from its lead and roots."""
+    return lead * math.prod(x - r for r in roots)
+
+
+def _repeats(nodes) -> bool:
+    return len(set(nodes)) < len(nodes)
 
 
 def _interpolate(nodes, f, x: complex) -> complex:

@@ -33,6 +33,13 @@ from .scalars import GaussianRational, _power, _reduced
 
 INFINITE = math.inf
 
+# The ring budget.  Euclid over a univariate ring costs about T^3 (one series
+# inversion per step), and a multivariate ring's cost grows with its count of
+# monomials of total degree <= T, C(m + T, m) in m generators; past either
+# bound a computation may run for minutes, so no ring is built there.
+MAX_TRUNCATION = 128
+MAX_MONOMIALS = 512
+
 CoefficientLike = Union[GaussianRational, Fraction, int]
 
 INFINITESIMAL = "infinitesimal"
@@ -52,6 +59,12 @@ class SeriesRing:
             raise ValueError("truncation bound must be >= 1")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator names must be distinct")
+        monomials = math.comb(len(self.generators) + self.truncation, self.truncation)
+        if self.truncation > MAX_TRUNCATION or monomials > MAX_MONOMIALS:
+            raise DomainError(
+                f"ring budget exceeded: truncation {self.truncation} (at most "
+                f"{MAX_TRUNCATION}), {monomials} monomials (at most {MAX_MONOMIALS})"
+            )
 
     @property
     def is_univariate(self) -> bool:

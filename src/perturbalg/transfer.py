@@ -2,8 +2,9 @@
 
 A rational function num/den whose polynomial coefficients carry infinitesimal
 uncertainty is reduced by the perturbed GCD; what remains is an exact reduced
-rational function plus an infinitesimal correction, whose first-order part is
-reported per uncertainty symbol as an exact rational function.
+rational function plus an infinitesimal correction.  The correction's
+first-order part is the derivative of num/den at the shadow, reported per
+uncertainty symbol as an exact rational function.
 """
 
 from __future__ import annotations
@@ -62,24 +63,22 @@ def simplify(function: RationalFunction) -> SimplificationReport:
     Exact coprime inputs come back unchanged (constant PGCD, zero residuals,
     empty first-order map).
     """
-    if function.num.is_zero():
-        raise DomainError("zero numerator; nothing to simplify")
+    first_order = first_order_correction(function)
     # den is not wholly infinitesimal, so pgcd takes a step and returns a stripped divisor
     divisor, trace = pgcd(function.num, function.den)
     num_quotient, num_residual = euclid_divide(function.num, divisor)
     den_quotient, den_residual = euclid_divide(function.den, divisor)
     reduced = ExactRationalFunction(num_quotient.shadow(), den_quotient.shadow())
-    report = SimplificationReport(
+    return SimplificationReport(
         reduced_shadow=reduced,
         pgcd=divisor,
         num_quotient=num_quotient,
         den_quotient=den_quotient,
         num_residual=num_residual,
         den_residual=den_residual,
+        first_order=first_order,
         trace=trace,
     )
-    report.first_order = _first_order_map(function, report)
-    return report
 
 
 def _degree_one_slice(poly: PerturbedPolynomial, generator: str) -> ExactPolynomial:
@@ -93,31 +92,24 @@ def _degree_one_slice(poly: PerturbedPolynomial, generator: str) -> ExactPolynom
     )
 
 
-def _first_order_map(function: RationalFunction, report: SimplificationReport) -> dict:
+def first_order_correction(function: RationalFunction) -> dict:
     """Coefficient of each uncertainty symbol in num/den - reduced_shadow.
 
-    With Y1/X1 the quotient shadows, num/den - Y1/X1 = N/(den*X1) where
-    N = num*X1 - Y1*den is wholly infinitesimal; slicing N at total degree 1
-    and dividing by the exact denominator shadow(den)*X1 gives the per-symbol
-    corrections, exact to first order.
+    The reduced shadow equals num0/den0, the quotient of the shadows, so the
+    coefficient of e_g is the derivative of num/den at the shadow:
+    (num_g*den0 - num0*den_g)/den0^2, num_g and den_g being the coefficients
+    of e_g.  It needs no PGCD.  Symbols with a zero derivative are omitted.
     """
-    ring = function.num.ring
-    num_shadow_quotient = report.num_quotient.shadow()
-    den_shadow_quotient = report.den_quotient.shadow()
-    difference = (
-        function.num * PerturbedPolynomial.from_exact(den_shadow_quotient, ring)
-        - PerturbedPolynomial.from_exact(num_shadow_quotient, ring) * function.den
-    )
-    denominator = function.den.shadow() * den_shadow_quotient
+    if function.num.is_zero():
+        raise DomainError("zero numerator; nothing to simplify")
+    num0, den0 = function.num.shadow(), function.den.shadow()
+    den0_squared = den0 * den0
     out = {}
-    for generator in ring.generators:
-        numerator = _degree_one_slice(difference, generator)
-        if numerator.is_zero():
-            continue
-        out[generator] = ExactRationalFunction(numerator, denominator)
+    for generator in function.num.ring.generators:
+        numerator = (
+            _degree_one_slice(function.num, generator) * den0
+            - num0 * _degree_one_slice(function.den, generator)
+        )
+        if not numerator.is_zero():
+            out[generator] = ExactRationalFunction(numerator, den0_squared)
     return out
-
-
-def first_order_correction(function: RationalFunction) -> dict:
-    """Per-symbol first-order correction map (see simplify)."""
-    return simplify(function).first_order

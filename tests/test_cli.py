@@ -195,6 +195,21 @@ def test_verify_pgcd_reads_tolerance_and_seed(capsys, seed):
     assert payload["tolerance"] == 1e-9 and payload["verdict"] == "fail"
 
 
+def test_verify_transfer_judges_the_decay_by_tolerance(capsys):
+    assert run(["verify", "--case", "transfer"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # each sample predicts the residual from the one before as quadratic decay
+    assert [s["t0"] for s in payload["samples"]] == [1e-3, 1e-4]
+    assert all(s["deviation"] < 0.05 for s in payload["samples"])
+    assert run(["verify", "--case", "transfer", "--tolerance", "1e-9"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "fail" and not payload["inconclusive"]
+    assert run(["verify", "--case", "transfer", "--grid", "1e-3"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["samples"] == [] and payload["inconclusive"]
+    assert payload["note"] == "one grid point leaves no decay to judge"
+
+
 def test_verify_refutation_fails_as_designed(capsys):
     code = run(["verify", "--case", "refute-half"])
     payload = json.loads(capsys.readouterr().out)
@@ -320,6 +335,21 @@ def one_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # at T = 1600 this Euclid would run for minutes (its cost grows as T^3)
+        (["pgcd", "--p1", "X^2", "--p2", "(1+t)*X + 1", "--trunc", "1600"],
+         "truncation 1600 (at most 128), 1601 monomials (at most 512)"),
+        (["simplify-tf", "--num", "p + e1 + e2 + e3 + e4 + e5", "--den", "p + 1"],
+         "truncation 8 (at most 128), 1287 monomials (at most 512)"),
+    ],
+)
+def test_rings_past_the_budget_are_domain_errors(capsys, argv, message):
+    assert run(argv) == 2
+    assert one_error_line(capsys) == f"error: ring budget exceeded: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -619,12 +619,19 @@ def test_verify_pgcd_fails_a_left_out_triple_root(ring, claim):
     assert not report.verdict and report.note == "a and b share a root the PGCD leaves out"
 
 
-def test_verify_pgcd_repeated_unshared_zero_root_is_an_oracle_error(ring, t):
-    # the roots of a left over are 0, 0 and 1: the interpolation needs distinct nodes
+def test_verify_pgcd_repeated_unshared_zero_root_gets_a_verdict(ring):
+    # the roots of a left over are 0, 0 and 1, which no Lagrange interpolant
+    # takes as nodes; p*A + q*B = 1 at the shared root 0 gives that side
     a = parse_polynomial("X^3*(X-1) + t", ring, "X")
     b = parse_polynomial("X*(X-2)", ring, "X")
-    with pytest.raises(OracleError, match="repeats a root"):
-        verify_pgcd(a, b, 1e-4, pgcd(a, b)[0])
+    for first, second in ((a, b), (b, a)):
+        claim = pgcd(first, second)[0]
+        assert claim == parse_polynomial("4*X + t", ring, "X")
+        report = verify_pgcd(first, second, 1e-4, claim)
+        assert report.verdict and report.samples[0].deviation < 1e-3
+        wrong = verify_pgcd(first, second, 1e-4, parse_polynomial("4*X + 2*t", ring, "X"))
+        assert not wrong.verdict and not wrong.inconclusive
+        assert wrong.note == "the PGCD is not p*a + q*b to first order at its roots"
 
 
 def _pgcd_passes(a, b, claim) -> bool:

@@ -17,6 +17,7 @@ from perturbalg import (
     univariate_ring,
 )
 from perturbalg.errors import DomainError
+from perturbalg.series import MAX_MONOMIALS, MAX_TRUNCATION
 
 from conftest import assert_round_trips, random_series, random_unit, seeded
 
@@ -31,6 +32,25 @@ def test_addition_cancels(ring, t):
 
 def test_truncation_boundary(ring, t):
     assert (t ** ring.truncation) * t == ring.zero()
+
+
+def test_ring_budget():
+    assert SeriesRing(("t",), MAX_TRUNCATION).truncation == MAX_TRUNCATION
+    with pytest.raises(DomainError, match="ring budget exceeded"):
+        SeriesRing(("t",), MAX_TRUNCATION + 1)
+    for width in range(2, 11):
+        generators = tuple(f"e{k}" for k in range(width))
+        largest = max(
+            t for t in range(1, MAX_TRUNCATION + 1)
+            if math.comb(width + t, width) <= MAX_MONOMIALS
+        )
+        assert SeriesRing(generators, largest).truncation == largest
+        with pytest.raises(DomainError, match=f"{math.comb(width + largest + 1, width)} monomials"):
+            SeriesRing(generators, largest + 1)
+    # the rings of the tests, the README and the benchmark workloads fit
+    SeriesRing(("t",), 12)
+    SeriesRing(("e1", "e2", "e3"), 8)
+    SeriesRing(("t", "e1", "e2", "e3"), 8)
 
 
 def test_incompatible_rings_rejected(ring, t):

@@ -1,13 +1,21 @@
+from itertools import product
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perturbalg import (
     ExactPolynomial,
     ExactRationalFunction,
+    GaussianRational,
     PerturbedPolynomial,
     RationalFunction,
     SeriesRing,
+    TruncatedSeries,
     first_order_correction,
+    ppoly,
     simplify,
+    transfer,
     univariate_ring,
 )
 from perturbalg.errors import DomainError
@@ -128,3 +136,95 @@ def test_oracle_residual_shrinks_quadratically(worked_function):
         ]
         factor = residuals[0] / residuals[1]
         assert 50 <= factor <= 200
+
+
+def _quotient_formula(function):
+    """The first-order map read through the PGCD reduction: N_g/(den0*X1).
+
+    Y1/X1 are the shadows of the quotients of num and den by the PGCD and
+    N = num*X1 - Y1*den; the map is kept here as the reference for the
+    derivative that first_order_correction computes.
+    """
+    report = simplify(function)
+    ring = function.num.ring
+    y1, x1 = report.num_quotient.shadow(), report.den_quotient.shadow()
+    difference = (
+        function.num * PerturbedPolynomial.from_exact(x1, ring)
+        - PerturbedPolynomial.from_exact(y1, ring) * function.den
+    )
+    out = {}
+    for position, generator in enumerate(ring.generators):
+        unit = tuple(int(i == position) for i in range(len(ring.generators)))
+        numerator = ExactPolynomial([c.terms.get(unit, 0) for c in difference.coeffs], "p")
+        if not numerator.is_zero():
+            out[generator] = ExactRationalFunction(numerator, function.den.shadow() * x1)
+    return out
+
+
+_GAUSSIAN = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _transfer_functions(draw):
+    """num = G*C1 and den = G*C2 plus noise up to degree 2 in one to three generators.
+
+    G has up to two Gaussian integer roots and C1, C2 Gaussian coefficients;
+    at times an extra top coefficient that is pure noise makes a leading
+    coefficient infinitesimal.
+    """
+    generators = draw(st.sampled_from([("t",), ("e1", "e2"), ("e1", "e2", "e3")]))
+    ring = SeriesRing(generators, 4)
+    width = len(generators)
+    noise = [i for i in product(range(3), repeat=width) if 1 <= sum(i) <= 2]
+    common = ExactPolynomial([1], "p")
+    for root in draw(st.lists(_GAUSSIAN, max_size=2)):
+        common = common * ExactPolynomial([-root, 1], "p")
+
+    def polynomial():
+        cofactor = ExactPolynomial(draw(st.lists(_GAUSSIAN, min_size=1, max_size=3)), "p")
+        shadows = list((common * cofactor).coeffs) + [0] * draw(st.integers(0, 1))
+        coeffs = []
+        for shadow in shadows:
+            terms = draw(st.dictionaries(st.sampled_from(noise), _GAUSSIAN, max_size=3))
+            terms[(0,) * width] = shadow
+            coeffs.append(TruncatedSeries(ring, terms))
+        return PerturbedPolynomial(ring, coeffs, "p")
+
+    num, den = polynomial(), polynomial()
+    assume(not num.is_zero() and not den.shadow().is_zero())
+    return RationalFunction(num, den)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_transfer_functions())
+def test_first_order_is_the_quotient_formula(function):
+    expected = _quotient_formula(function)
+    corrections = first_order_correction(function)
+    assert corrections == expected
+    assert {g: str(c) for g, c in corrections.items()} == {g: str(c) for g, c in expected.items()}
+    assert simplify(function).first_order == corrections
+
+
+def test_first_order_needs_no_pgcd(worked_function, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the first-order map ran the PGCD reduction")
+
+    for module in (transfer, ppoly):
+        for name in ("pgcd", "euclid_divide"):
+            monkeypatch.setattr(module, name, refuse)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(PerturbedPolynomial, name, refuse)
+    assert first_order_correction(worked_function) == {
+        "e1": rational([0, -1], [-1, 0, 1]),
+        "e2": rational([1], [-1, 0, 1]),
+        "e3": rational([0, -1, -1, -1], [-1, -1, 1, 1]),
+    }
+
+
+def test_first_order_of_a_zero_numerator_is_a_domain_error():
+    ring = univariate_ring(8)
+    function = RationalFunction(
+        PerturbedPolynomial.zero(ring, "p"), parse_polynomial("p + 1", ring, "p")
+    )
+    with pytest.raises(DomainError, match="zero numerator"):
+        first_order_correction(function)
