@@ -9,46 +9,61 @@
 Generators are `t` and `e1` .. `e9`; the indeterminate is `X` for polynomials
 and `p` for transfer functions.  Matrices are read from JSON, not from the
 grammar.  Offsets in errors and spans are 0-based byte positions.
+
+Every rule returns a value in one sparse form, `_Value`: a map from X-degree
+to the rows of that coefficient, {packed exponent: (degree, re, im)} as in
+series.py, all over one common denominator.  Sums, differences and products
+are loops over those rows that keep the term order of the series and
+polynomial arithmetic they stand for, and truncate in the generators inside
+the product.  The result is built once, when the parse ends: one series per
+X-degree, reduced to its own denominator.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .matrices import ConstantMatrix, PerturbedMatrix
 from .ppoly import MAX_POWER_BITS, PerturbedPolynomial, _coefficient_bits
-from .scalars import GaussianRational
-from .series import SeriesRing, TruncatedSeries
+from .scalars import GaussianRational, _power
+from .series import SeriesRing, TruncatedSeries, _from_ints, _merge, _mul_rows, _scaled
 from .transfer import RationalFunction
 
 MAX_INPUT_BYTES = 1 << 20
 MAX_POLY_DEGREE = 512
-# Every numerator and denominator the parser builds has at most MAX_POWER_BITS
-# bits (see ppoly).  An integer literal may have MAX_LITERAL_DIGITS digits,
-# so it stays below 2^MAX_POWER_BITS.  `^` is an exponent overflow when the
-# exponent times the bits one factor can add, ceil(log2 |n|) for the largest
-# numerator or denominator n among the base's coefficients, plus the bits of
-# the binomial coefficients of a base of two or more terms, exceeds the bound;
-# powers of 0, 1, i and the generators add none.  A binomial coefficient
+# Every coefficient the parser builds is a fraction whose reduced numerator
+# and denominator have at most MAX_POWER_BITS bits (see ppoly).  An integer
+# literal may have MAX_LITERAL_DIGITS digits, so it stays below
+# 2^MAX_POWER_BITS.  `^` is an exponent overflow when the exponent times the
+# bits one factor can add, ceil(log2 |n|) for the largest numerator or
+# denominator n among the base's coefficients, plus the bits of the binomial
+# coefficients of a base of two or more terms, exceeds the bound; powers of
+# 0, 1, i and the generators add none.  A binomial coefficient
 # C(e, k) < 2^(k * bits(e)) multiplies k factors of positive degree, so
 # truncation keeps k <= min(e, T) of them in the generators (in X the degree
 # bound keeps e <= MAX_POLY_DEGREE).  A product, sum or difference whose
-# result exceeds the bound is a coefficient overflow.
+# result exceeds the bound is a coefficient overflow.  A product whose
+# factors' degrees in the indeterminate add up past MAX_POLY_DEGREE is a
+# degree overflow, found before the product is built.
 MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS)) - 1
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
-_TOKEN_PATTERN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),]))")
+# a token after optional whitespace; the last group is any other character,
+# an error, so the matches cover the text up to trailing whitespace
+_TOKEN_PATTERN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),])|(\S))")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | "op" | "end"
     text: str
     offset: int
+
+
+_KINDS = (None, "int", "name", "op")  # by the group of _TOKEN_PATTERN that matched
 
 
 def _line_column(text: str, offset: int):
@@ -76,23 +91,15 @@ def tokenize(text: str) -> tuple[Token, ...]:
 @functools.lru_cache(maxsize=4)
 def _scan(text: str) -> tuple[Token, ...]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_PATTERN.match(text, pos)
-        if not match:
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise _error(text, bad, f"unexpected character {text[bad]!r}")
-        if match.group(1):
-            if len(match.group(1)) > MAX_LITERAL_DIGITS:
-                raise _error(text, match.start(1), "literal overflow")
-            tokens.append(Token("int", match.group(1), match.start(1)))
-        elif match.group(2):
-            tokens.append(Token("name", match.group(2), match.start(2)))
-        elif match.group(3):
-            tokens.append(Token("op", match.group(3), match.start(3)))
-        pos = match.end()
+    for match in _TOKEN_PATTERN.finditer(text):
+        group = match.lastindex
+        word = match.group(group)
+        start = match.start(group)
+        if group == 4:
+            raise _error(text, start, f"unexpected character {word!r}")
+        if group == 1 and len(word) > MAX_LITERAL_DIGITS:
+            raise _error(text, start, "literal overflow")
+        tokens.append(Token(_KINDS[group], word, start))
     tokens.append(Token("end", "", len(text)))
     return tuple(tokens)
 
@@ -110,6 +117,92 @@ def _generator_names(scanned) -> tuple[str, ...]:
             if token.kind == "name" and GENERATOR_PATTERN.match(token.text):
                 seen.add(token.text)
     return tuple(sorted(seen, key=lambda g: (g != "t", g)))
+
+
+class _Value:
+    """A parsed value: X-degree -> {packed exponent: (degree, re, im)} over `den`.
+
+    Each X-degree's map holds the rows of one series coefficient (see
+    series.py), all over the one denominator `den`; the zero coefficients are
+    left out.  `bound` is the ring's truncation.
+    """
+
+    __slots__ = ("bound", "den", "coeffs")
+
+    def __init__(self, bound: int, den: int, coeffs: dict):
+        self.bound = bound
+        self.den = den
+        self.coeffs = coeffs
+
+    @property
+    def degree(self) -> int:
+        """The degree in the indeterminate, -1 for zero."""
+        return max(self.coeffs, default=-1)
+
+    def pairs(self):
+        """The (den, rows) pair of each nonzero coefficient, for the bit count."""
+        return ((self.den, rows) for rows in self.coeffs.values())
+
+    def __neg__(self) -> "_Value":
+        return _Value(
+            self.bound, self.den, {x: _scaled(rows, -1) for x, rows in self.coeffs.items()}
+        )
+
+    def add(self, other: "_Value", sign: int) -> "_Value":
+        """self + sign*other, coefficient by coefficient as a sum of series."""
+        common = math.lcm(self.den, other.den)
+        scale = common // self.den
+        coeffs = {x: _scaled(rows, scale) for x, rows in self.coeffs.items()}
+        scale = sign * (common // other.den)
+        for x, rows in other.coeffs.items():
+            acc = coeffs.get(x)
+            if acc is None:
+                coeffs[x] = _scaled(rows, scale)
+                continue
+            _merge(acc, rows, scale)
+            if not acc:
+                del coeffs[x]
+        return _reduced_value(self.bound, coeffs, common)
+
+    def __mul__(self, other: "_Value") -> "_Value":
+        """The product as a dense polynomial product of series.
+
+        The X-degree pairs run in ascending order, and each pair's series
+        product is summed into its place, so the rows come in the order of
+        that product.
+        """
+        coeffs: dict = {}
+        right = sorted(other.coeffs.items())
+        for xa, rows_a in sorted(self.coeffs.items()):
+            for xb, rows_b in right:
+                product = _mul_rows(rows_a, rows_b, self.bound)
+                acc = coeffs.get(xa + xb)
+                if acc is None:
+                    coeffs[xa + xb] = product
+                else:
+                    _merge(acc, product, 1)
+        coeffs = {x: rows for x, rows in coeffs.items() if rows}
+        return _reduced_value(self.bound, coeffs, self.den * other.den)
+
+
+def _reduced_value(bound: int, coeffs: dict, den: int) -> _Value:
+    """The value of `coeffs` over `den`, divided by the gcd of den and every part."""
+    if den == 1:
+        return _Value(bound, 1, coeffs)
+    divisor = den
+    for rows in coeffs.values():
+        for _, re, im in rows.values():
+            divisor = math.gcd(divisor, re, im)
+            if divisor == 1:
+                return _Value(bound, den, coeffs)
+    return _Value(
+        bound,
+        den // divisor,
+        {
+            x: {key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in rows.items()}
+            for x, rows in coeffs.items()
+        },
+    )
 
 
 class _Parser:
@@ -139,7 +232,7 @@ class _Parser:
 
     # grammar rules -------------------------------------------------------
 
-    def parse_expression(self) -> PerturbedPolynomial:
+    def parse_expression(self) -> _Value:
         token = self.peek()
         negate = False
         if token.kind == "op" and token.text in "+-":
@@ -153,28 +246,30 @@ class _Parser:
             if token.kind == "op" and token.text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                value = value - rhs if token.text == "-" else value + rhs
-                value = self._bounded(value, token)
+                value = self._bounded(value.add(rhs, -1 if token.text == "-" else 1), token)
             else:
                 return value
 
-    def parse_term(self) -> PerturbedPolynomial:
+    def parse_term(self) -> _Value:
         value = self.parse_factor()
         while True:
             token = self.peek()
             if token.kind == "op" and token.text == "*":
                 self.advance()
-                value = self._bounded(value * self.parse_factor(), token)
+                factor = self.parse_factor()
+                if value.degree + factor.degree > MAX_POLY_DEGREE:
+                    self.fail(token, "degree overflow")
+                value = self._bounded(value * factor, token)
             else:
                 return value
 
-    def _bounded(self, value: PerturbedPolynomial, token: Token) -> PerturbedPolynomial:
+    def _bounded(self, value: _Value, token: Token) -> _Value:
         """The result of the operator `token`, unless it passes MAX_POWER_BITS."""
-        if _coefficient_bits(value) > MAX_POWER_BITS:
+        if _coefficient_bits(value.pairs(), MAX_POWER_BITS) > MAX_POWER_BITS:
             self.fail(token, "coefficient overflow")
         return value
 
-    def parse_factor(self) -> PerturbedPolynomial:
+    def parse_factor(self) -> _Value:
         base = self.parse_atom()
         token = self.peek()
         if token.kind == "op" and token.text == "^":
@@ -187,28 +282,29 @@ class _Parser:
             if base.degree >= 1 and base.degree * exponent > MAX_POLY_DEGREE:
                 self.fail(exponent_token, "exponent overflow")
             binomial = 0
-            if sum(len(c.rows) for c in base.coeffs) > 1:
+            if sum(len(rows) for rows in base.coeffs.values()) > 1:
                 binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
-            if exponent * _coefficient_bits(base) + binomial > MAX_POWER_BITS:
+            if exponent * _coefficient_bits(base.pairs()) + binomial > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
-            return base ** exponent
+            return _power(self._constant(1, 0, 1), base, exponent)
         return base
 
-    def parse_atom(self) -> PerturbedPolynomial:
+    def parse_atom(self) -> _Value:
         token = self.peek()
         if token.kind == "int":
-            return self._constant(self.parse_rational())
+            return self.parse_rational()
         if token.kind == "name":
             self.advance()
             name = token.text
             if name == "i":
-                return self._constant(GaussianRational(0, 1))
+                return self._constant(0, 1, 1)
             if name == self.var:
-                return PerturbedPolynomial(
-                    self.ring, [self.ring.zero(), self.ring.one()], self.var
-                )
-            if name in self.ring.generators:
-                return self._constant(self.ring.generator(name))
+                return _Value(self.ring.truncation, 1, {1: {0: (0, 1, 0)}})
+            generators = self.ring.generators
+            if name in generators:
+                # the packed key of the exponent vector with a 1 in this place
+                key = (self.ring.truncation + 1) ** (len(generators) - 1 - generators.index(name))
+                return _Value(self.ring.truncation, 1, {0: {key: (1, 1, 0)}})
             if GENERATOR_PATTERN.match(name):
                 self.fail(token, f"generator {name!r} missing from the ring")
             self.fail(token, f"unknown symbol {name!r}")
@@ -219,7 +315,7 @@ class _Parser:
             return inner
         self.fail(token, "syntax error: expected a value")
 
-    def parse_rational(self) -> GaussianRational:
+    def parse_rational(self) -> _Value:
         whole = self.advance()
         numerator = int(whole.text)
         token = self.peek()
@@ -236,20 +332,32 @@ class _Parser:
             denominator = int(den_token.text)
             if denominator == 0:
                 self.fail(den_token, "zero denominator")
-            return GaussianRational(Fraction(numerator, denominator))
-        return GaussianRational(numerator)
+            return self._constant(numerator, 0, denominator)
+        return self._constant(numerator, 0, 1)
 
-    def _constant(self, value) -> PerturbedPolynomial:
-        if isinstance(value, TruncatedSeries):
-            return PerturbedPolynomial(self.ring, [value], self.var or "X")
-        return PerturbedPolynomial(
-            self.ring, [self.ring.constant(value)], self.var or "X"
-        )
+    def _constant(self, re: int, im: int, den: int) -> _Value:
+        """The constant (re + im*i)/den."""
+        coeffs = {0: {0: (0, re, im)}} if re or im else {}
+        return _reduced_value(self.ring.truncation, coeffs, den)
 
     def finish(self, token_description="end of input"):
         token = self.peek()
         if token.kind != "end":
             self.fail(token, f"syntax error: expected {token_description}")
+
+    # results -------------------------------------------------------------
+
+    def series(self, value: _Value) -> TruncatedSeries:
+        """The coefficient of X^0 of a value."""
+        return _from_ints(self.ring, value.coeffs.get(0, {}), value.den)
+
+    def polynomial(self, value: _Value) -> PerturbedPolynomial:
+        coeffs = value.coeffs
+        return PerturbedPolynomial(
+            self.ring,
+            [_from_ints(self.ring, coeffs.get(x, {}), value.den) for x in range(value.degree + 1)],
+            self.var or "X",
+        )
 
 
 def ring_for(*texts: str, truncation: int = 8) -> SeriesRing:
@@ -265,35 +373,35 @@ def parse_series(text: str, ring: SeriesRing) -> TruncatedSeries:
 def _series(parser: _Parser) -> TruncatedSeries:
     value = parser.parse_expression()
     parser.finish()
-    return value.coefficient(0)
+    return parser.series(value)
 
 
 def parse_polynomial(text: str, ring: SeriesRing, var: str = "X") -> PerturbedPolynomial:
     parser = _Parser(text, ring, var=var)
     value = parser.parse_expression()
     parser.finish()
-    return value
+    return parser.polynomial(value)
 
 
 def parse_scalar(text: str) -> GaussianRational:
     """An exact scalar; generator tokens are rejected, so no truncation hides `t^9`."""
     parser = _Parser(text, SeriesRing(("t",), 1), var=None)
-    value = parser.parse_expression().coefficient(0)
+    value = parser.parse_expression()
     parser.finish()
     if any(token.kind == "name" and GENERATOR_PATTERN.match(token.text) for token in parser.tokens):
         raise ParseError("expected an exact scalar, found generator terms")
-    return value.standard_part()
+    return parser.series(value).standard_part()
 
 
 def parse_rational_function(
     text: str, ring: SeriesRing, var: str = "p"
 ) -> RationalFunction:
     parser = _Parser(text, ring, var=var)
-    num = parser.parse_expression()
+    num = parser.polynomial(parser.parse_expression())
     token = parser.peek()
     if token.kind == "op" and token.text == "/":
         parser.advance()
-        den = parser.parse_expression()
+        den = parser.polynomial(parser.parse_expression())
     else:
         den = PerturbedPolynomial(ring, [ring.one()], var)
     parser.finish()

@@ -40,17 +40,28 @@ from .series import SeriesRing, TruncatedSeries, divide_univariate
 MAX_POWER_BITS = 4096
 
 
-def _coefficient_bits(poly: "PerturbedPolynomial") -> int:
+def _coefficient_bits(coefficients, within: int = 0) -> int:
     """ceil(log2 |n|) for the largest numerator or denominator n of a coefficient.
 
-    A nonzero row numerator `part` over `den` is the reduced fraction
+    `coefficients` yields the (den, rows) pairs of series in the row form of
+    series.py; rows of several coefficients may share one den.  A nonzero
+    row numerator `part` over `den` is the reduced fraction
     (part // g) / (den // g) with g = gcd(part, den); a zero part has
-    denominator 1, which adds no bits.
+    denominator 1, which adds no bits.  A pair whose den and parts all have
+    at most `within` bits is skipped without a gcd: its count is at most
+    `within`, so a count above `within` is exact, and a caller that compares
+    the count with `within` gets the answer of the full count.
     """
+    limit = 1 << within
     bits = 0
-    for series in poly.coeffs:
-        den = series.den
-        for _, re, im in series.rows.values():
+    for den, rows in coefficients:
+        if den < limit:
+            for _, re, im in rows.values():
+                if not (-limit < re < limit and -limit < im < limit):
+                    break
+            else:
+                continue
+        for _, re, im in rows.values():
             for part in (re, im):
                 if part:
                     g = math.gcd(part, den)
@@ -180,7 +191,8 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
     while not current.is_infinitesimal():  # a zero remainder is infinitesimal too
         divisor, stripped = current.strip_infinitesimal_leading()
         _, remainder = euclid_divide(previous, divisor)
-        if _coefficient_bits(remainder) > MAX_POWER_BITS:
+        pairs = ((c.den, c.rows) for c in remainder.coeffs)
+        if _coefficient_bits(pairs, MAX_POWER_BITS) > MAX_POWER_BITS:
             raise DomainError(f"PGCD remainder coefficient passes {MAX_POWER_BITS} bits")
         trace.append(RemainderStep(remainder, stripped))
         previous, current = divisor, remainder

@@ -122,19 +122,19 @@ class TruncatedSeries:
             for exponent in index:
                 key = key * base + exponent
             rows[key] = _row(sum(index), coeff, den)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_terms", clean)
+        _set_ring(self, ring)
+        _set_den(self, den)
+        _set_rows(self, rows)
+        _set_terms(self, clean)
 
     @classmethod
     def _of_rows(cls, ring: SeriesRing, den: int, rows: dict) -> "TruncatedSeries":
         """Series of canonical rows over `den`, without the checks of __init__."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_terms", None)
+        self = _new(cls)
+        _set_ring(self, ring)
+        _set_den(self, den)
+        _set_rows(self, rows)
+        _set_terms(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -154,7 +154,7 @@ class TruncatedSeries:
                 _unpack(key, base, width): _reduced(re, im, self.den)
                 for key, (_, re, im) in self.rows.items()
             }
-            object.__setattr__(self, "_terms", terms)
+            _set_terms(self, terms)
         return terms
 
     # -- plumbing -------------------------------------------------------------
@@ -205,8 +205,9 @@ class TruncatedSeries:
     # -- ring operations ------------------------------------------------------
     #
     # Sums and products run on the rows: a sum scales both operands to the
-    # lcm of their denominators, a product works over the product of them,
-    # and `_from_ints` divides the result by the gcd of its denominator and
+    # lcm of their denominators, a product works over the product of them
+    # (a product by an exact scalar or by one term scales each row), and
+    # `_from_ints` divides the result by the gcd of its denominator and
     # numerators.  A term enters the result at its first nonzero contribution
     # and leaves it when it cancels, so results keep the term order of the
     # GaussianRational loop; multivariate `numeric_sample` sums in that order.
@@ -231,63 +232,28 @@ class TruncatedSeries:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return TruncatedSeries._of_rows(
-            self.ring,
-            self.den,
-            {key: (degree, -re, -im) for key, (degree, re, im) in self.rows.items()},
-        )
+        return TruncatedSeries._of_rows(self.ring, self.den, _scaled(self.rows, -1))
 
     def _add(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         """self + sign*other."""
         common = math.lcm(self.den, other.den)
-        scale_a, scale_b = common // self.den, sign * (common // other.den)
-        acc = {
-            key: (degree, re * scale_a, im * scale_a)
-            for key, (degree, re, im) in self.rows.items()
-        }
-        for key, (degree, re, im) in other.rows.items():
-            re *= scale_b
-            im *= scale_b
-            cell = acc.get(key)
-            if cell is None:
-                acc[key] = (degree, re, im)
-                continue
-            re += cell[1]
-            im += cell[2]
-            if re or im:
-                acc[key] = (degree, re, im)
-            else:
-                del acc[key]
+        acc = _scaled(self.rows, common // self.den)
+        _merge(acc, other.rows, sign * (common // other.den))
         return _from_ints(self.ring, acc, common)
 
     def __mul__(self, other):
+        if isinstance(other, (GaussianRational, Fraction, int)):
+            # an exact scalar scales each row and keeps the row order
+            scalar = GaussianRational.coerce(other)
+            if not scalar:
+                return TruncatedSeries._of_rows(self.ring, 1, {})
+            acc = _times_term(self.rows, 0, 0, scalar.a, scalar.b, self.ring.truncation)
+            return _from_ints(self.ring, acc, self.den * scalar.d)
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        bound = self.ring.truncation
-        rows_b = [(key, *row) for key, row in other.rows.items()]
-        capped = {}  # degree cap -> the rows of b within it, in b's order
-        acc: dict = {}
-        for ka, (dega, ar, ai) in self.rows.items():
-            cap = bound - dega
-            within = capped.get(cap)
-            if within is None:
-                within = capped[cap] = [row for row in rows_b if row[1] <= cap]
-            for kb, degb, br, bi in within:
-                key = ka + kb  # no carry: the product term has degree <= T
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                cell = acc.get(key)
-                if cell is None:
-                    acc[key] = (dega + degb, re, im)
-                    continue
-                re += cell[1]
-                im += cell[2]
-                if re or im:
-                    acc[key] = (cell[0], re, im)
-                else:
-                    del acc[key]
+        acc = _mul_rows(self.rows, other.rows, self.ring.truncation)
         return _from_ints(self.ring, acc, self.den * other.den)
 
     __rmul__ = __mul__
@@ -430,6 +396,14 @@ class TruncatedSeries:
         return f"<series {self} @T={self.ring.truncation}>"
 
 
+# the slot setters, which skip the __setattr__ that keeps a series immutable
+_new = object.__new__
+_set_ring = TruncatedSeries.ring.__set__
+_set_den = TruncatedSeries.den.__set__
+_set_rows = TruncatedSeries.rows.__set__
+_set_terms = TruncatedSeries._terms.__set__
+
+
 # -- integer kernel --------------------------------------------------------------
 #
 # An exponent tuple packs into one int in base T+1, so the packed keys of two
@@ -442,6 +416,84 @@ def _unpack(key: int, base: int, width: int) -> tuple:
     for position in range(width - 1, -1, -1):
         key, index[position] = divmod(key, base)
     return tuple(index)
+
+
+def _scaled(rows: dict, scale: int) -> dict:
+    """A copy of `rows` with every numerator times the int `scale`."""
+    return {key: (degree, re * scale, im * scale) for key, (degree, re, im) in rows.items()}
+
+
+def _merge(acc: dict, rows: dict, scale: int) -> None:
+    """Add `rows` times the int `scale` into `acc` in place.
+
+    A new key enters at the end and a key that cancels leaves, as in a sum
+    of series.
+    """
+    for key, (degree, re, im) in rows.items():
+        re *= scale
+        im *= scale
+        cell = acc.get(key)
+        if cell is None:
+            acc[key] = (degree, re, im)
+            continue
+        re += cell[1]
+        im += cell[2]
+        if re or im:
+            acc[key] = (degree, re, im)
+        else:
+            del acc[key]
+
+
+def _mul_rows(rows_a: dict, rows_b: dict, bound: int) -> dict:
+    """The nonzero rows of the product of two row maps, truncated past degree `bound`.
+
+    The product is over the product of the operands' denominators.  A key
+    enters at its first nonzero contribution, in the order of a's rows then
+    b's, and leaves when it cancels.
+    """
+    if len(rows_b) == 1:
+        ((kb, (degb, br, bi)),) = rows_b.items()
+        return _times_term(rows_a, kb, degb, br, bi, bound)
+    if len(rows_a) == 1:
+        ((ka, (dega, ar, ai)),) = rows_a.items()
+        return _times_term(rows_b, ka, dega, ar, ai, bound)
+    rows_b = [(key, *row) for key, row in rows_b.items()]
+    capped = {}  # degree cap -> the rows of b within it, in b's order
+    acc: dict = {}
+    for ka, (dega, ar, ai) in rows_a.items():
+        cap = bound - dega
+        within = capped.get(cap)
+        if within is None:
+            within = capped[cap] = [row for row in rows_b if row[1] <= cap]
+        for kb, degb, br, bi in within:
+            key = ka + kb  # no carry: the product term has degree <= T
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            cell = acc.get(key)
+            if cell is None:
+                acc[key] = (dega + degb, re, im)
+                continue
+            re += cell[1]
+            im += cell[2]
+            if re or im:
+                acc[key] = (cell[0], re, im)
+            else:
+                del acc[key]
+    return acc
+
+
+def _times_term(rows: dict, key: int, degree: int, re: int, im: int, bound: int) -> dict:
+    """`rows` times the one row (key, degree, re, im), truncated past degree `bound`.
+
+    Distinct keys stay distinct and a product of nonzero Gaussian integers
+    is nonzero, so the rows keep their order and none cancels.
+    """
+    cap = bound - degree
+    return {
+        k + key: (d + degree, r * re - i * im, r * im + i * re)
+        for k, (d, r, i) in rows.items()
+        if d <= cap
+    }
 
 
 def _row(degree: int, coeff: GaussianRational, den: int) -> tuple:

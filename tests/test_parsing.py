@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perturbalg import (
     ConstantMatrix,
@@ -13,8 +15,11 @@ from perturbalg import (
 )
 from perturbalg import parsing
 from perturbalg.errors import DomainError
+from perturbalg.exactpoly import Polynomial
+from perturbalg.ppoly import PerturbedPolynomial
 from perturbalg.parsing import (
     MAX_LITERAL_DIGITS,
+    MAX_POLY_DEGREE,
     MAX_POWER_BITS,
     parse_matrix_json,
     parse_polynomial,
@@ -258,3 +263,174 @@ def test_print_parse_round_trip(kind, text):
         value = parse_polynomial(text, ring)
         again = parse_polynomial(str(value), ring)
     assert again == value
+
+
+# -- the parse equals the value the same tree builds by polynomial arithmetic ----
+
+_PROPERTY_RING = SeriesRing(("t", "e1", "e2"), 3)
+_leaves = st.one_of(
+    st.sampled_from(("X", "t", "e1", "e2")),
+    st.sampled_from(("X", "i")),
+    st.tuples(st.just("rational"), st.integers(0, 12), st.integers(1, 6)),
+)
+
+
+@st.composite
+def _trees(draw, depth=4):
+    """An expression tree; inner nodes are drawn more often than leaves, so
+    products of sums, whose X-degree pairs meet in one place, are common."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(_leaves)
+    op = draw(st.sampled_from(("+", "-", "*", "*", "^", "neg")))
+    if op == "^":
+        return op, draw(_trees(depth - 1)), draw(st.integers(0, 3))
+    if op == "neg":
+        return op, draw(_trees(depth - 1))
+    return op, draw(_trees(depth - 1)), draw(_trees(depth - 1))
+
+
+# binding strength: a child binding less tightly than its place needs
+# parentheses, and so does the right operand of an operator of its own level
+_LEVEL = {"+": 1, "-": 1, "*": 2, "^": 3}
+
+
+def _level(tree) -> int:
+    return _LEVEL.get(tree[0], 4) if isinstance(tree, tuple) else 4
+
+
+def _render(tree, place: int = 0) -> str:
+    if isinstance(tree, str):
+        return tree
+    op = tree[0]
+    if op == "rational":
+        _, num, den = tree
+        text = str(num) if den == 1 else f"{num}/{den}"
+    elif op == "neg":
+        text = f"(-{_render(tree[1], 2)})"
+    elif op == "^":
+        text = f"{_render(tree[1], 4)}^{tree[2]}"
+    else:
+        level = _LEVEL[op]
+        text = f"{_render(tree[1], level)} {op} {_render(tree[2], level + 1)}"
+    return f"({text})" if _level(tree) < place else text
+
+
+def _build(tree) -> PerturbedPolynomial:
+    ring = _PROPERTY_RING
+    if isinstance(tree, str):
+        if tree == "X":
+            return PerturbedPolynomial(ring, [0, 1])
+        if tree == "i":
+            return PerturbedPolynomial(ring, [GaussianRational(0, 1)])
+        return PerturbedPolynomial(ring, [ring.generator(tree)])
+    op = tree[0]
+    if op == "rational":
+        return PerturbedPolynomial(ring, [GaussianRational(Fraction(tree[1], tree[2]))])
+    if op == "neg":
+        return -_build(tree[1])
+    if op == "^":
+        return _build(tree[1]) ** tree[2]
+    left, right = _build(tree[1]), _build(tree[2])
+    return {"+": left + right, "-": left - right, "*": left * right}[op]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees())
+@example(("*", ("+", ("rational", 1, 1), "X"), ("+", "t", "X")))  # X^1 from two pairs
+def test_parse_matches_polynomial_arithmetic(tree):
+    text = _render(tree)
+    parsed = parse_polynomial(text, _PROPERTY_RING)
+    built = _build(tree)
+    assert parsed == built
+    assert str(parsed) == str(built)
+    # the row order too: multivariate numeric_sample sums in it
+    assert [(c.den, list(c.rows.items())) for c in parsed.coeffs] == [
+        (c.den, list(c.rows.items())) for c in built.coeffs
+    ]
+
+
+# -- every parse error, with its message and offset -------------------------------
+
+# (text, offset, message); "{x}" is the indeterminate, and a row that names
+# it is skipped for a series or a matrix entry
+ERROR_TABLE = [
+    ("1 +", 3, "syntax error: expected a value"),
+    ("(1 + t", 6, "syntax error: expected ')'"),
+    ("t^ + 1", 3, "syntax error: expected an integer exponent"),
+    ("t t", 2, "syntax error: expected end of input"),
+    ("1 $ t", 2, "unexpected character '$'"),
+    ("1 + q", 4, "unknown symbol 'q'"),
+    ("1 + e5", 4, "generator 'e5' missing from the ring"),
+    ("t + 1/0", 6, "zero denominator"),
+    ("t - 9" + "9" * MAX_LITERAL_DIGITS, 4, "literal overflow"),
+    ("3^2049*t", 2, "exponent overflow"),
+    ("{x}^513", 2, "exponent overflow"),
+    ("2^4096 + 2^4096", 7, "coefficient overflow"),
+    ("2^4096 - 1/3", 7, "coefficient overflow"),
+    ("3^2048*3^2048", 6, "coefficient overflow"),
+    ("{x}^512*{x}", 5, "degree overflow"),
+]
+
+
+def _error_of(call):
+    with pytest.raises(ParseError) as info:
+        call()
+    return str(info.value), info.value.offset
+
+
+@pytest.mark.parametrize("template,offset,message", ERROR_TABLE)
+def test_parse_error_table(template, offset, message):
+    ring = SeriesRing(("t",), 8)
+    expected = (f"{message} (line 1, column {offset})", offset)
+    assert _error_of(lambda: parse_polynomial(template.format(x="X"), ring)) == expected
+    function = template.format(x="p")
+    assert _error_of(lambda: parse_rational_function(function, ring)) == expected
+    if "{x}" in template:
+        return
+    assert _error_of(lambda: parse_series(template, ring)) == expected
+    if "e5" in template:
+        return  # a matrix's ring holds every generator its entries name
+    matrix = json.dumps({"n": 1, "base": [["0"]], "pert": [[template]]})
+    assert _error_of(lambda: parse_matrix_json(matrix)) == expected
+
+
+def test_degree_overflow_at_the_first_product_past_the_bound():
+    ring = SeriesRing(("t",), 8)
+    assert parse_polynomial(f"X^{MAX_POLY_DEGREE - 1}*X", ring).degree == MAX_POLY_DEGREE
+    # 64 factors of degree 512: the first product already passes the bound,
+    # so nothing after it is built
+    text = "*".join([f"X^{MAX_POLY_DEGREE}"] * 64)
+    assert _error_of(lambda: parse_polynomial(text, ring)) == (
+        "degree overflow (line 1, column 5)",
+        5,
+    )
+    text = "X" + "*X" * MAX_POLY_DEGREE
+    assert _error_of(lambda: parse_polynomial(text, ring)) == (
+        f"degree overflow (line 1, column {len(text) - 2})",
+        len(text) - 2,
+    )
+
+
+def test_parse_builds_no_series_polynomial(monkeypatch):
+    # a degree-10 text in the style of the roots corpus
+    terms = [f"({(-1) ** k * (k + 2)}*t + {k + 1}*t^2)*X^{k}" for k in range(10, 1, -1)]
+    text = " + ".join(terms) + " - 7*X + (3 - 2*t)"
+    ring = SeriesRing(("t",), 4)
+    counts = {"mul": 0, "lift": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted("mul", Polynomial.__mul__))
+    monkeypatch.setattr(Polynomial, "__rmul__", counted("mul", Polynomial.__rmul__))
+    monkeypatch.setattr(
+        PerturbedPolynomial, "_lift", counted("lift", PerturbedPolynomial._lift)
+    )
+    poly = parse_polynomial(text, ring)
+    assert poly.degree == 10
+    assert counts["mul"] == 0
+    assert counts["lift"] <= poly.degree + 1
