@@ -167,10 +167,9 @@ class Polynomial:
 
         Pass j of the repeated synthetic division by X - point leaves the
         remainder P^(j)(point)/j! in place j and the next quotient above it; a
-        caller that stops early skips the remaining passes.  The point is an
-        exact scalar, and each step multiplies a coefficient by it as a scalar.
+        caller that stops early skips the remaining passes.
         """
-        point = GaussianRational.coerce(point)
+        point = self._lift(point)
         shifted = list(self.coeffs)
         for j in range(len(shifted)):
             for k in range(len(shifted) - 2, j - 1, -1):

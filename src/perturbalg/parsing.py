@@ -31,7 +31,16 @@ from .errors import ParseError
 from .matrices import ConstantMatrix, PerturbedMatrix
 from .ppoly import MAX_POWER_BITS, PerturbedPolynomial, _coefficient_bits
 from .scalars import GaussianRational, _power
-from .series import SeriesRing, TruncatedSeries, _from_ints, _merge, _mul_rows, _scaled
+from .series import (
+    SeriesRing,
+    TruncatedSeries,
+    _divided,
+    _from_ints,
+    _merge,
+    _mul_rows,
+    _rows_gcd,
+    _scaled,
+)
 from .transfer import RationalFunction
 
 MAX_INPUT_BYTES = 1 << 20
@@ -53,7 +62,9 @@ MAX_POLY_DEGREE = 512
 MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS)) - 1
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
 # a token after optional whitespace; the last group is any other character,
-# an error, so the matches cover the text up to trailing whitespace
+# an error, so the matches cover the text up to its trailing whitespace,
+# where the scan stops: a match tried at each place of a whitespace run that
+# ends the text would fail only at its end, at a cost quadratic in the run
 _TOKEN_PATTERN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^(),])|(\S))")
 
 
@@ -91,7 +102,7 @@ def tokenize(text: str) -> tuple[Token, ...]:
 @functools.lru_cache(maxsize=4)
 def _scan(text: str) -> tuple[Token, ...]:
     tokens = []
-    for match in _TOKEN_PATTERN.finditer(text):
+    for match in _TOKEN_PATTERN.finditer(text, 0, len(text.rstrip())):
         group = match.lastindex
         word = match.group(group)
         start = match.start(group)
@@ -187,22 +198,10 @@ class _Value:
 
 def _reduced_value(bound: int, coeffs: dict, den: int) -> _Value:
     """The value of `coeffs` over `den`, divided by the gcd of den and every part."""
-    if den == 1:
-        return _Value(bound, 1, coeffs)
-    divisor = den
-    for rows in coeffs.values():
-        for _, re, im in rows.values():
-            divisor = math.gcd(divisor, re, im)
-            if divisor == 1:
-                return _Value(bound, den, coeffs)
-    return _Value(
-        bound,
-        den // divisor,
-        {
-            x: {key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in rows.items()}
-            for x, rows in coeffs.items()
-        },
-    )
+    divisor = _rows_gcd(den, coeffs.values())
+    if divisor == 1:
+        return _Value(bound, den, coeffs)
+    return _Value(bound, den // divisor, {x: _divided(rows, divisor) for x, rows in coeffs.items()})
 
 
 class _Parser:

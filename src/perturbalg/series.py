@@ -206,7 +206,7 @@ class TruncatedSeries:
     #
     # Sums and products run on the rows: a sum scales both operands to the
     # lcm of their denominators, a product works over the product of them
-    # (a product by an exact scalar or by one term scales each row), and
+    # (a product by one term, such as an exact scalar, scales each row), and
     # `_from_ints` divides the result by the gcd of its denominator and
     # numerators.  A term enters the result at its first nonzero contribution
     # and leaves it when it cancels, so results keep the term order of the
@@ -242,13 +242,6 @@ class TruncatedSeries:
         return _from_ints(self.ring, acc, common)
 
     def __mul__(self, other):
-        if isinstance(other, (GaussianRational, Fraction, int)):
-            # an exact scalar scales each row and keeps the row order
-            scalar = GaussianRational.coerce(other)
-            if not scalar:
-                return TruncatedSeries._of_rows(self.ring, 1, {})
-            acc = _times_term(self.rows, 0, 0, scalar.a, scalar.b, self.ring.truncation)
-            return _from_ints(self.ring, acc, self.den * scalar.d)
         try:
             other = self._coerce(other)
         except TypeError:
@@ -504,16 +497,26 @@ def _row(degree: int, coeff: GaussianRational, den: int) -> tuple:
 
 def _from_ints(ring: SeriesRing, acc: dict, common: int) -> TruncatedSeries:
     """Series of the nonzero rows `acc` over `common`, divided by their gcd."""
-    divisor = common
-    for _, re, im in acc.values():
-        divisor = math.gcd(divisor, re, im)
-        if divisor == 1:
-            return TruncatedSeries._of_rows(ring, common, acc)
-    return TruncatedSeries._of_rows(
-        ring,
-        common // divisor,
-        {key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in acc.items()},
-    )
+    divisor = _rows_gcd(common, (acc,))
+    if divisor == 1:
+        return TruncatedSeries._of_rows(ring, common, acc)
+    return TruncatedSeries._of_rows(ring, common // divisor, _divided(acc, divisor))
+
+
+def _rows_gcd(den: int, row_maps) -> int:
+    """The gcd of `den` and every numerator of the row maps; it stops at 1."""
+    divisor = den
+    for rows in row_maps:
+        for _, re, im in rows.values():
+            divisor = math.gcd(divisor, re, im)
+            if divisor == 1:
+                return 1
+    return divisor
+
+
+def _divided(rows: dict, divisor: int) -> dict:
+    """A copy of `rows` with every numerator divided by `divisor`, which divides it."""
+    return {key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in rows.items()}
 
 
 # -- valuation shift -------------------------------------------------------------

@@ -59,6 +59,22 @@ def test_each_text_is_scanned_once():
         parsing.tokenize("\u00e9" * (parsing.MAX_INPUT_BYTES // 2 + 1))
 
 
+def test_long_whitespace_scans_in_linear_time():
+    # a whitespace run that ends the text holds no token; the scan stops
+    # before it, where trying a token at each of its places costs its length
+    # squared (minutes for this text)
+    assert parsing.tokenize("1" + " " * 200_000) == (
+        parsing.Token("int", "1", 0),
+        parsing.Token("end", "", 200_001),
+    )
+    assert parsing.tokenize(" \t\n" * 100_000 + "X") == (
+        parsing.Token("name", "X", 300_000),
+        parsing.Token("end", "", 300_001),
+    )
+    ring = SeriesRing(("t",), 8)
+    assert parse_polynomial("X + t" + "\n" * 200_000, ring) == parse_polynomial("X + t", ring)
+
+
 def test_each_matrix_entry_is_scanned_once():
     # n^2 perturbation entries overrun the memo of the last few texts, so the
     # ring and the parses must share one scan of each
@@ -368,6 +384,9 @@ ERROR_TABLE = [
     ("2^4096 + 2^4096", 7, "coefficient overflow"),
     ("2^4096 - 1/3", 7, "coefficient overflow"),
     ("3^2048*3^2048", 6, "coefficient overflow"),
+    # one bit past the bound, in a numerator and in a denominator
+    ("2^4096*2", 6, "coefficient overflow"),
+    ("1/2^4096*1/2", 8, "coefficient overflow"),
     ("{x}^512*{x}", 5, "degree overflow"),
 ]
 

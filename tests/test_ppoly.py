@@ -295,6 +295,12 @@ def test_taylor_coefficients_match_derivatives():
                 for j in range(poly.degree + 1)
             ]
             assert list(poly.taylor_coefficients(root)) == expected
+        # a perturbed polynomial also shifts to a series point
+        point = root + ring.generator("t") - 2 * ring.generator("e1")
+        expected = [
+            poly.derivative(j).evaluate(point) / math.factorial(j) for j in range(poly.degree + 1)
+        ]
+        assert list(poly.taylor_coefficients(point)) == expected
     assert list(ExactPolynomial([]).taylor_coefficients(1)) == []
 
 
@@ -348,7 +354,17 @@ def test_coefficient_bits_match_terms():
             coeffs.append(TruncatedSeries(ring, terms))
         poly = PerturbedPolynomial(ring, coeffs)
         pairs = [(c.den, c.rows) for c in poly.coeffs]
-        assert _coefficient_bits(pairs) == reference_coefficient_bits(poly)
+        reference = reference_coefficient_bits(poly)
+        assert _coefficient_bits(pairs) == reference
+        # a cut at `within` bits skips pairs that fit, so only the comparison
+        # with `within` is kept, and a count above it stays exact
+        for within in {1, 2, 4, 16, 79, 80, 81, reference - 1, reference, reference + 1}:
+            if within < 0:
+                continue
+            cut = _coefficient_bits(pairs, within)
+            assert (cut > within) == (reference > within)
+            if reference > within:
+                assert cut == reference
 
 
 def test_root_correction_simple(ring, t):
