@@ -115,7 +115,9 @@ def _asym_payload(result) -> dict:
 def _branches(base: ExactPolynomial, shift, root, declared) -> list:
     """JSON payloads of the branches at a root, once its declared multiplicity holds."""
     branches = dominant_balance(base, shift, root)
-    if declared is not None and declared != (mult := base.multiplicity(root)):
+    # the branch orders add up to the multiplicity; a balance holds two
+    mult = sum(2 if isinstance(b, BalanceQuadratic) else b.order for b in branches)
+    if declared is not None and declared != mult:
         raise DomainError(f"declared multiplicity {declared} but {root} has multiplicity {mult}")
     return [_asym_payload(branch) for branch in branches]
 

@@ -29,9 +29,10 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .matrices import ConstantMatrix, PerturbedMatrix
-from .ppoly import MAX_POWER_BITS, PerturbedPolynomial, _coefficient_bits
+from .ppoly import PerturbedPolynomial
 from .scalars import GaussianRational, _power
 from .series import (
+    MAX_POWER_BITS,
     SeriesRing,
     TruncatedSeries,
     _divided,
@@ -40,17 +41,18 @@ from .series import (
     _mul_rows,
     _rows_gcd,
     _scaled,
+    _stored_bits,
 )
 from .transfer import RationalFunction
 
 MAX_INPUT_BYTES = 1 << 20
 MAX_POLY_DEGREE = 512
-# Every coefficient the parser builds is a fraction whose reduced numerator
-# and denominator have at most MAX_POWER_BITS bits (see ppoly).  An integer
-# literal may have MAX_LITERAL_DIGITS digits, so it stays below
-# 2^MAX_POWER_BITS.  `^` is an exponent overflow when the exponent times the
-# bits one factor can add, ceil(log2 |n|) for the largest numerator or
-# denominator n among the base's coefficients, plus the bits of the binomial
+MAX_NESTING = 100  # open '(' at once; each costs the descent a few stack frames
+# Every integer a parsed value stores, its common denominator and each
+# numerator over it, has at most MAX_POWER_BITS bits (see series); so does
+# an integer literal of MAX_LITERAL_DIGITS digits.  `^` is an exponent
+# overflow when the exponent times the bits one factor can add, those of the
+# largest integer the base stores, plus the bits of the binomial
 # coefficients of a base of two or more terms, exceeds the bound; powers of
 # 0, 1, i and the generators add none.  A binomial coefficient
 # C(e, k) < 2^(k * bits(e)) multiplies k factors of positive degree, so
@@ -151,7 +153,7 @@ class _Value:
         return max(self.coeffs, default=-1)
 
     def pairs(self):
-        """The (den, rows) pair of each nonzero coefficient, for the bit count."""
+        """The (den, rows) pair of each nonzero coefficient, for `_stored_bits`."""
         return ((self.den, rows) for rows in self.coeffs.values())
 
     def __neg__(self) -> "_Value":
@@ -211,6 +213,7 @@ class _Parser:
         self.var = var  # indeterminate name, or None for plain series
         self.tokens = tokenize(text) if tokens is None else tokens
         self.position = 0
+        self.depth = 0  # the '(' open at this point
 
     def peek(self) -> Token:
         return self.tokens[self.position]
@@ -264,7 +267,7 @@ class _Parser:
 
     def _bounded(self, value: _Value, token: Token) -> _Value:
         """The result of the operator `token`, unless it passes MAX_POWER_BITS."""
-        if _coefficient_bits(value.pairs(), MAX_POWER_BITS) > MAX_POWER_BITS:
+        if _stored_bits(value.pairs()) > MAX_POWER_BITS:
             self.fail(token, "coefficient overflow")
         return value
 
@@ -283,7 +286,7 @@ class _Parser:
             binomial = 0
             if sum(len(rows) for rows in base.coeffs.values()) > 1:
                 binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
-            if exponent * _coefficient_bits(base.pairs()) + binomial > MAX_POWER_BITS:
+            if exponent * _stored_bits(base.pairs()) + binomial > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
             return _power(self._constant(1, 0, 1), base, exponent)
         return base
@@ -308,9 +311,13 @@ class _Parser:
                 self.fail(token, f"generator {name!r} missing from the ring")
             self.fail(token, f"unknown symbol {name!r}")
         if token.kind == "op" and token.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(token, "nesting overflow")
             self.advance()
             inner = self.parse_expression()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         self.fail(token, "syntax error: expected a value")
 
@@ -416,7 +423,8 @@ def parse_matrix_json(text: str, truncation: int = 8):
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deep
         raise ParseError(f"invalid matrix JSON: {exc}") from None
     if not isinstance(data, dict) or "base" not in data:
         raise ParseError("matrix JSON needs a 'base' field")

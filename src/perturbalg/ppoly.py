@@ -16,7 +16,6 @@ any hull.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -32,42 +31,13 @@ from .errors import (
 from .exactpoly import ExactPolynomial, Polynomial
 from .goze import GozeDecomposition
 from .scalars import GaussianRational
-from .series import SeriesRing, TruncatedSeries, divide_univariate
-
-# The most bits a numerator or denominator may have: 1234 decimal digits,
-# within Python's 4300-digit limit on converting an int to or from text.  The
-# parser bounds what it builds by it, and pgcd bounds its remainders.
-MAX_POWER_BITS = 4096
-
-
-def _coefficient_bits(coefficients, within: int = 0) -> int:
-    """ceil(log2 |n|) for the largest numerator or denominator n of a coefficient.
-
-    `coefficients` yields the (den, rows) pairs of series in the row form of
-    series.py; rows of several coefficients may share one den.  A nonzero
-    row numerator `part` over `den` is the reduced fraction
-    (part // g) / (den // g) with g = gcd(part, den); a zero part has
-    denominator 1, which adds no bits.  A pair whose den and parts all have
-    at most `within` bits is skipped without a gcd: its count is at most
-    `within`, so a count above `within` is exact, and a caller that compares
-    the count with `within` gets the answer of the full count.
-    """
-    limit = 1 << within
-    bits = 0
-    for den, rows in coefficients:
-        if den < limit:
-            for _, re, im in rows.values():
-                if not (-limit < re < limit and -limit < im < limit):
-                    break
-            else:
-                continue
-        for _, re, im in rows.values():
-            for part in (re, im):
-                if part:
-                    g = math.gcd(part, den)
-                    for n in (abs(part) // g, den // g):
-                        bits = max(bits, (n - 1).bit_length())
-    return bits
+from .series import (
+    MAX_POWER_BITS,
+    SeriesRing,
+    TruncatedSeries,
+    _stored_bits,
+    divide_univariate,
+)
 
 
 class PerturbedPolynomial(Polynomial):
@@ -178,8 +148,8 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
     exact inputs.  Divisors whose leading coefficients are infinitesimal but
     which are not wholly infinitesimal have those terms stripped (recorded in
     the trace) so every division is by a unit leading coefficient.  A remainder
-    with a numerator or denominator of more than MAX_POWER_BITS bits raises
-    DomainError.
+    that stores an integer of more than MAX_POWER_BITS bits, a coefficient's
+    common denominator or a numerator over it, raises DomainError.
     """
     if a.is_zero() or b.is_zero():
         raise DomainError("PGCD requires two nonzero polynomials")
@@ -191,8 +161,7 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
     while not current.is_infinitesimal():  # a zero remainder is infinitesimal too
         divisor, stripped = current.strip_infinitesimal_leading()
         _, remainder = euclid_divide(previous, divisor)
-        pairs = ((c.den, c.rows) for c in remainder.coeffs)
-        if _coefficient_bits(pairs, MAX_POWER_BITS) > MAX_POWER_BITS:
+        if _stored_bits((c.den, c.rows) for c in remainder.coeffs) > MAX_POWER_BITS:
             raise DomainError(f"PGCD remainder coefficient passes {MAX_POWER_BITS} bits")
         trace.append(RemainderStep(remainder, stripped))
         previous, current = divisor, remainder
@@ -310,7 +279,6 @@ def root_correction(
     base: ExactPolynomial,
     shift_poly: PerturbedPolynomial,
     root,
-    order: Optional[int] = None,
     decomposition: Optional[GozeDecomposition] = None,
 ) -> RootAsymptotics:
     """Leading asymptotics of a root of multiplicity k under perturbation.
@@ -321,29 +289,29 @@ def root_correction(
     above it; any other hull, Xi(u) = 0 included, raises DegenerateError
     (dominant_balance gives its branches).  With a decomposition of Xi's
     coefficient vector the right-hand side is expressed through the first
-    level whose direction polynomial does not vanish at u.
+    level whose direction polynomial does not vanish at u.  Later levels have
+    higher valuation, so a decomposition of Xi gives that level's term the
+    leading part of Xi(u); any other decomposition raises DomainError.
     """
     root, mult, scale, coeffs, _, edges = _newton_polygon(base, shift_poly, root)
-    if order is not None and order != mult:
-        raise DomainError(
-            f"declared multiplicity {order} but {root} has multiplicity {mult}"
-        )
     if edges != [(0, mult, False)]:
         raise DegenerateError(
             "the Newton polygon is not one edge from (0, val Xi(u)) to "
             f"({mult}, 0); use dominant_balance"
         )
+    rhs = (coeffs[0] * scale).leading_part()
     if decomposition is None:
-        return RootAsymptotics(root, mult, (coeffs[0] * scale).leading_part())
+        return RootAsymptotics(root, mult, rhs)
     prefix = decomposition.ring.one()
     for level_index, (alpha, direction) in enumerate(decomposition.levels):
         prefix = prefix * alpha
         value = ExactPolynomial(direction, shift_poly.var).evaluate(root)
         if value:
-            return RootAsymptotics(root, mult, prefix * (value * scale), level_index)
-    raise DegenerateError(
-        "every direction polynomial vanishes at the root; use dominant_balance"
-    )
+            claim = prefix * (value * scale)
+            if claim.leading_part() != rhs:
+                break
+            return RootAsymptotics(root, mult, claim, level_index)
+    raise DomainError("the decomposition does not match Xi at the root")
 
 
 def dominant_balance(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):

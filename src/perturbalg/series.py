@@ -519,6 +519,25 @@ def _divided(rows: dict, divisor: int) -> dict:
     return {key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in rows.items()}
 
 
+# The most bits an integer a value stores may have: 1234 decimal digits,
+# within Python's 4300-digit limit on converting an int to or from text.  The
+# parser bounds what it builds by it, and pgcd bounds its remainders.
+MAX_POWER_BITS = 4096
+
+
+def _stored_bits(pairs) -> int:
+    """ceil(log2 |n|) for the largest den or row part n of the (den, rows) pairs.
+
+    Each integer counts as stored, not as a fraction reduced by a gcd.
+    """
+    largest = 1
+    for den, rows in pairs:
+        largest = max(largest, den)
+        for _, re, im in rows.values():
+            largest = max(largest, abs(re), abs(im))
+    return (largest - 1).bit_length()
+
+
 # -- valuation shift -------------------------------------------------------------
 
 

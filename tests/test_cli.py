@@ -241,6 +241,16 @@ def test_oversized_scalar_power_is_a_parse_error(capsys):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    # without the bounds the recursive descent, or json, raises RecursionError
+    deep = "(" * 300 + "t" + ")" * 300
+    assert run(["roots", "--base", "X-1", f"--pert={deep}", "--root", "1"]) == 1
+    assert capsys.readouterr().err == "error: nesting overflow (line 1, column 100)\n"
+    assert run(["charpoly", "--matrix", "[" * 20_000 + "]" * 20_000]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid matrix JSON: ") and err.count("\n") == 1
+
+
 def test_power_of_a_sum_is_bounded_before_it_is_computed(capsys, monkeypatch):
     # 1 + t adds no bits per factor, but the binomial coefficients of
     # (1 + t)^(10^700) at T = 8 have about 8 * 2326 bits

@@ -19,6 +19,7 @@ from perturbalg.exactpoly import Polynomial
 from perturbalg.ppoly import PerturbedPolynomial
 from perturbalg.parsing import (
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     MAX_POLY_DEGREE,
     MAX_POWER_BITS,
     parse_matrix_json,
@@ -163,6 +164,10 @@ def test_scalar_power_overflow():
     # units add no bits, however large the exponent
     assert parse_scalar("(-1)^100001") == -1
     assert parse_scalar("i^100002") == -1
+    # 1/2 + 1/3*t stores 3, 2 and 6, so each factor adds ceil(log2 6) = 3 bits
+    # and the binomial coefficients 8 * bits(1300) = 88: 3988 bits fit
+    largest = parse_series("(1/2 + 1/3*t)^1300", ring)
+    assert largest == (GaussianRational(Fraction(1, 2)) + ring.generator("t") / 3) ** 1300
 
 
 def test_coefficient_and_literal_overflow():
@@ -182,6 +187,46 @@ def test_coefficient_and_literal_overflow():
     for text in ("X - 9" + longest, "X^1" + longest, "1/7" + longest, "0" + longest):
         with pytest.raises(ParseError, match="literal overflow"):
             parse_polynomial(text, ring)
+
+
+def _primes(count: int) -> list:
+    found = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return found
+
+
+def test_coefficient_overflow_counts_the_stored_denominator():
+    # each term 1/p^e*X^k fits on its own, but the sum stores the product of
+    # the denominators: the first sum passes the bound, so nothing after it
+    # is built (counting reduced fractions instead, the parse took minutes)
+    primes = _primes(400)
+    terms = []
+    for k in range(1, 101):
+        p = primes[k + 299]  # the (k + 300)-th prime
+        terms.append(f"1/{p}^{4000 // p.bit_length()}*X^{k}")
+    text = " + ".join(terms)
+    assert text.startswith("1/1993^363*X^1 + ")
+    assert _error_of(lambda: parse_polynomial(text, SeriesRing(("t",), 8))) == (
+        "coefficient overflow (line 1, column 15)",
+        15,
+    )
+
+
+def test_nesting_overflow():
+    ring = SeriesRing(("t",), 8)
+    deepest = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_series(deepest, ring) == ring.generator("t")
+    assert parse_polynomial(f"X*{deepest}", ring) == parse_polynomial("t*X", ring)
+    # the first '(' past the bound fails before the descent goes deeper
+    text = "(" * 100_000 + "t" + ")" * 100_000
+    assert _error_of(lambda: parse_series(text, ring)) == (
+        f"nesting overflow (line 1, column {MAX_NESTING})",
+        MAX_NESTING,
+    )
 
 
 def test_imaginary_unit():
@@ -236,6 +281,9 @@ def test_matrix_json_errors():
         parse_matrix_json('{"n":2,"base":[["1","0"]]}')
     with pytest.raises(DomainError):
         parse_matrix_json('{"n":1,"base":[["0"]],"pert":[["1 + t"]]}')
+    # json gives up on deep nesting with a RecursionError
+    with pytest.raises(ParseError, match="invalid matrix JSON: maximum recursion depth"):
+        parse_matrix_json("[" * 20_000 + "]" * 20_000)
 
 
 @pytest.mark.parametrize(
@@ -381,12 +429,18 @@ ERROR_TABLE = [
     ("t - 9" + "9" * MAX_LITERAL_DIGITS, 4, "literal overflow"),
     ("3^2049*t", 2, "exponent overflow"),
     ("{x}^513", 2, "exponent overflow"),
+    # the base stores 6, 3 and 2: 1400 * 3 + 88 bits pass the bound
+    ("(1/2 + 1/3*t)^1400", 14, "exponent overflow"),
     ("2^4096 + 2^4096", 7, "coefficient overflow"),
     ("2^4096 - 1/3", 7, "coefficient overflow"),
     ("3^2048*3^2048", 6, "coefficient overflow"),
     # one bit past the bound, in a numerator and in a denominator
     ("2^4096*2", 6, "coefficient overflow"),
     ("1/2^4096*1/2", 8, "coefficient overflow"),
+    # each coefficient reduces to a fraction within the bound, but the sum
+    # stores their common denominator 2^4000 * 3^2000
+    ("1/2^4000*{x} + 1/3^2000*{x}^2", 11, "coefficient overflow"),
+    ("(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1), MAX_NESTING, "nesting overflow"),
     ("{x}^512*{x}", 5, "degree overflow"),
 ]
 

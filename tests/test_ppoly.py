@@ -39,7 +39,7 @@ from perturbalg.errors import (
     UnsupportedOrderError,
 )
 from perturbalg.exactpoly import from_roots
-from perturbalg.ppoly import _coefficient_bits
+from perturbalg.series import _stored_bits
 
 from conftest import (
     NOT_ONE_EDGE,
@@ -321,21 +321,21 @@ def test_first_nonzero_derivative():
     assert ExactPolynomial([-1, 1]).multiplicity(2) == 0
 
 
-def reference_coefficient_bits(poly) -> int:
-    """The bit count read off the terms view: its definition."""
-    return max(
-        (
-            (abs(part) - 1).bit_length()
-            for series in poly.coeffs
-            for c in series.terms.values()
-            for part in (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-            if part
-        ),
-        default=0,
-    )
+def reference_stored_bits(poly) -> int:
+    """The bit count read off the terms view: its definition.
+
+    A coefficient stores the lcm of its terms' denominators and each real or
+    imaginary part times that lcm.
+    """
+    stored = [1]
+    for series in poly.coeffs:
+        parts = [f for c in series.terms.values() for f in (c.re, c.im)]
+        den = math.lcm(*(f.denominator for f in parts))
+        stored += [den, *(abs(int(f * den)) for f in parts)]
+    return (max(stored) - 1).bit_length()
 
 
-def test_coefficient_bits_match_terms():
+def test_stored_bits_match_terms():
     rng = seeded(32)
     ring = SeriesRing(("e1", "e2", "e3"), 4)
 
@@ -353,18 +353,21 @@ def test_coefficient_bits_match_terms():
                 terms[index] = GaussianRational(Fraction(part(), den_re), Fraction(part(), den_im))
             coeffs.append(TruncatedSeries(ring, terms))
         poly = PerturbedPolynomial(ring, coeffs)
-        pairs = [(c.den, c.rows) for c in poly.coeffs]
-        reference = reference_coefficient_bits(poly)
-        assert _coefficient_bits(pairs) == reference
-        # a cut at `within` bits skips pairs that fit, so only the comparison
-        # with `within` is kept, and a count above it stays exact
-        for within in {1, 2, 4, 16, 79, 80, 81, reference - 1, reference, reference + 1}:
-            if within < 0:
-                continue
-            cut = _coefficient_bits(pairs, within)
-            assert (cut > within) == (reference > within)
-            if reference > within:
-                assert cut == reference
+        assert _stored_bits((c.den, c.rows) for c in poly.coeffs) == reference_stored_bits(poly)
+
+
+def test_stored_bits_count_integers_as_stored():
+    assert _stored_bits([]) == 0
+    assert _stored_bits([(1, {})]) == 0
+    # ceil(log2 |n|): a power of two has its exponent, one more adds a bit
+    assert _stored_bits([(2**4096, {})]) == 4096
+    assert _stored_bits([(2**4096 + 1, {})]) == 4097
+    assert _stored_bits([(1, {0: (0, 0, -(2**80))})]) == 80
+    assert _stored_bits([(3, {0: (0, -(2**80) - 1, 0)})]) == 81
+    # 2/6 reduces to 1/3, but the pair stores 6: no gcd is taken
+    assert _stored_bits([(6, {0: (0, 2, 0)})]) == 3
+    # pairs of one value may share a den; the largest integer of all counts
+    assert _stored_bits([(5, {0: (0, 1, 0)}), (5, {7: (1, 0, 100)})]) == 7
 
 
 def test_root_correction_simple(ring, t):
@@ -388,13 +391,6 @@ def test_root_correction_degenerate(ring):
         )
 
 
-def test_root_correction_mult_mismatch(ring, t):
-    with pytest.raises(DomainError):
-        root_correction(
-            ExactPolynomial([1, -2, 1]), PerturbedPolynomial(ring, [-t]), 1, order=1
-        )
-
-
 def test_root_correction_with_decomposition(ring, t):
     # Xi = t*(X - 2) + t^2: decomposition levels t*(-2, 1) then t*(1, 0)
     shift = PerturbedPolynomial(ring, [t**2 - 2 * t, t])
@@ -405,6 +401,18 @@ def test_root_correction_with_decomposition(ring, t):
     assert asym.leading_level == 1
     direct = root_correction(base, shift, 2)
     assert asym.rhs.leading_part() == direct.rhs
+
+
+def test_root_correction_rejects_a_decomposition_of_another_vector(ring, t):
+    # Xi = (t^2 - 2*t) + t*X at the root 2 of X^2 - 4: Xi(2) = t^2
+    shift = PerturbedPolynomial(ring, [t**2 - 2 * t, t])
+    base = ExactPolynomial([-4, 0, 1])
+    assert str(root_correction(base, shift, 2)) == "xi ~ -1/4*t^2 (at root 2)"
+    for vector in ([t, t], [t**2 - 2 * t, t, t]):
+        with pytest.raises(DomainError, match="decomposition does not match Xi"):
+            root_correction(base, shift, 2, decomposition=decompose(vector))
+    matching = root_correction(base, shift, 2, decomposition=decompose(list(shift.coeffs)))
+    assert (matching.rhs, matching.leading_level) == (t**2 * Fraction(-1, 4), 1)
 
 
 @pytest.mark.parametrize(
