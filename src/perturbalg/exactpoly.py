@@ -133,8 +133,9 @@ class Polynomial:
             factor = rest[k + other.degree] * lead_inv
             quotient[k] = factor
             if factor:
-                for j, b in enumerate(other.coeffs):
-                    rest[k + j] = rest[k + j] - factor * b
+                # rest[k + other.degree] - factor * leading is 0 and never read again
+                for j in range(other.degree):
+                    rest[k + j] = rest[k + j] - factor * other.coeffs[j]
         return self._like(quotient), self._like(rest[: other.degree])
 
     def __floordiv__(self, other):

@@ -24,7 +24,7 @@ from .exactpoly import ExactPolynomial
 from .goze import first_level, rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational
-from .series import SeriesRing, TruncatedSeries
+from .series import SeriesRing, TruncatedSeries, sum_of_products
 
 
 class ConstantMatrix:
@@ -286,6 +286,8 @@ def polarize(k: int, *matrices):
 
 def _dot(xs, ys, start):
     """start + sum of x*y over the pairs, skipping products with a zero factor."""
+    if isinstance(start, TruncatedSeries):
+        return sum_of_products(start, zip(xs, ys))
     total = start
     for x, y in zip(xs, ys):
         if x and y:

@@ -52,9 +52,10 @@ MAX_NESTING = 100  # open '(' at once; each costs the descent a few stack frames
 # numerator over it, has at most MAX_POWER_BITS bits (see series); so does
 # an integer literal of MAX_LITERAL_DIGITS digits.  `^` is an exponent
 # overflow when the exponent times the bits one factor can add, those of the
-# largest integer the base stores, plus the bits of the binomial
-# coefficients of a base of two or more terms, exceeds the bound; powers of
-# 0, 1, i and the generators add none.  A binomial coefficient
+# largest integer the base stores and one more for a numerator a + b*i with
+# a, b != 0 (|a + b*i| <= sqrt(2) * max(|a|, |b|)), plus the bits of the
+# binomial coefficients of a base of two or more terms, exceeds the bound;
+# powers of 0, 1, i and the generators add none.  A binomial coefficient
 # C(e, k) < 2^(k * bits(e)) multiplies k factors of positive degree, so
 # truncation keeps k <= min(e, T) of them in the generators (in X the degree
 # bound keeps e <= MAX_POLY_DEGREE).  A product, sum or difference whose
@@ -286,7 +287,8 @@ class _Parser:
             binomial = 0
             if sum(len(rows) for rows in base.coeffs.values()) > 1:
                 binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
-            if exponent * _stored_bits(base.pairs()) + binomial > MAX_POWER_BITS:
+            gaussian = any(re and im for _, rows in base.pairs() for _, re, im in rows.values())
+            if exponent * (_stored_bits(base.pairs()) + gaussian) + binomial > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
             return _power(self._constant(1, 0, 1), base, exponent)
         return base

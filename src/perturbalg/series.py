@@ -15,7 +15,9 @@ canonical, so gcd(D, every numerator) = 1 and the zero series has D = 1.
 A GaussianRational (a + b*i)/d is the same form for one coefficient, so a row
 over D is (a, b) scaled by D/d, and a row (re, im) over D is the scalar
 (re, im, D) divided by its gcd.  `terms`, the exponent-tuple ->
-GaussianRational dict, is a view of the rows built on first read.
+GaussianRational dict, is a view of the rows built on first read, and
+`invert` keeps the inverse it computes.  `sum_of_products` sums x*y over
+many pairs in one row map, which it normalises once.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
@@ -96,7 +98,7 @@ def univariate_ring(truncation: int = 8, name: str = "t") -> SeriesRing:
 class TruncatedSeries:
     """Immutable sparse series: packed exponent -> (degree, re*D, im*D) over one D."""
 
-    __slots__ = ("ring", "den", "rows", "_terms")
+    __slots__ = ("ring", "den", "rows", "_terms", "_inverse")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple, GaussianRational]):
         width = len(ring.generators)
@@ -126,6 +128,7 @@ class TruncatedSeries:
         _set_den(self, den)
         _set_rows(self, rows)
         _set_terms(self, clean)
+        _set_inverse(self, None)
 
     @classmethod
     def _of_rows(cls, ring: SeriesRing, den: int, rows: dict) -> "TruncatedSeries":
@@ -135,6 +138,7 @@ class TruncatedSeries:
         _set_den(self, den)
         _set_rows(self, rows)
         _set_terms(self, None)
+        _set_inverse(self, None)
         return self
 
     def __setattr__(self, name, value):
@@ -211,6 +215,7 @@ class TruncatedSeries:
     # numerators.  A term enters the result at its first nonzero contribution
     # and leaves it when it cancels, so results keep the term order of the
     # GaussianRational loop; multivariate `numeric_sample` sums in that order.
+    # A sum of products may not: a key that cancels part-way re-enters at the end.
 
     def __add__(self, other):
         try:
@@ -288,11 +293,13 @@ class TruncatedSeries:
         return self.valuation() == 0
 
     def invert(self) -> "TruncatedSeries":
-        """Inverse of a unit, by geometric expansion of (c0*(1+m))^-1.
+        """Inverse of a unit, by geometric expansion of (c0*(1+m))^-1; cached.
 
         Raises NonUnitError when the constant term vanishes; to divide by a
         univariate non-unit, use divide_univariate.
         """
+        if self._inverse is not None:
+            return self._inverse
         c0 = self.standard_part()
         if not c0:
             raise NonUnitError("series with zero constant term has no inverse")
@@ -305,7 +312,8 @@ class TruncatedSeries:
             if power.is_zero():
                 break
             acc = acc + power
-        return acc * c0_inv
+        _set_inverse(self, acc * c0_inv)
+        return self._inverse
 
     def leading_part(self) -> "TruncatedSeries":
         """Terms of minimal total degree only (0 for the zero series)."""
@@ -395,6 +403,7 @@ _set_ring = TruncatedSeries.ring.__set__
 _set_den = TruncatedSeries.den.__set__
 _set_rows = TruncatedSeries.rows.__set__
 _set_terms = TruncatedSeries._terms.__set__
+_set_inverse = TruncatedSeries._inverse.__set__
 
 
 # -- integer kernel --------------------------------------------------------------
@@ -437,23 +446,27 @@ def _merge(acc: dict, rows: dict, scale: int) -> None:
             del acc[key]
 
 
-def _mul_rows(rows_a: dict, rows_b: dict, bound: int) -> dict:
-    """The nonzero rows of the product of two row maps, truncated past degree `bound`.
+def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) -> dict:
+    """`acc` plus `scale` times the product of two row maps, truncated past degree `bound`.
 
-    The product is over the product of the operands' denominators.  A key
-    enters at its first nonzero contribution, in the order of a's rows then
-    b's, and leaves when it cancels.
+    The product is over the product of the operands' denominators; without
+    `acc` it goes into a new map.  A key enters at its first nonzero
+    contribution, in the order of a's rows then b's, and leaves when it
+    cancels.
     """
-    if len(rows_b) == 1:
-        ((kb, (degb, br, bi)),) = rows_b.items()
-        return _times_term(rows_a, kb, degb, br, bi, bound)
-    if len(rows_a) == 1:
-        ((ka, (dega, ar, ai)),) = rows_a.items()
-        return _times_term(rows_b, ka, dega, ar, ai, bound)
+    if acc is None:
+        if len(rows_b) == 1:
+            ((kb, (degb, br, bi)),) = rows_b.items()
+            return _times_term(rows_a, kb, degb, br * scale, bi * scale, bound)
+        if len(rows_a) == 1:
+            ((ka, (dega, ar, ai)),) = rows_a.items()
+            return _times_term(rows_b, ka, dega, ar * scale, ai * scale, bound)
+        acc = {}
     rows_b = [(key, *row) for key, row in rows_b.items()]
     capped = {}  # degree cap -> the rows of b within it, in b's order
-    acc: dict = {}
     for ka, (dega, ar, ai) in rows_a.items():
+        ar *= scale
+        ai *= scale
         cap = bound - dega
         within = capped.get(cap)
         if within is None:
@@ -473,6 +486,21 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int) -> dict:
             else:
                 del acc[key]
     return acc
+
+
+def sum_of_products(start: TruncatedSeries, pairs) -> TruncatedSeries:
+    """start + the sum of x*y over the (x, y) pairs of series of start's ring.
+
+    Every product goes into one row map over the lcm of the denominators,
+    normalised once.  A key that cancels part-way through re-enters at the
+    end, so the rows may come in another order than those of a loop of sums.
+    """
+    pairs = [(x, y) for x, y in pairs if x.rows and y.rows]
+    common = math.lcm(start.den, *(x.den * y.den for x, y in pairs))
+    acc = _scaled(start.rows, common // start.den)
+    for x, y in pairs:
+        _mul_rows(x.rows, y.rows, start.ring.truncation, acc, common // (x.den * y.den))
+    return _from_ints(start.ring, acc, common)
 
 
 def _times_term(rows: dict, key: int, degree: int, re: int, im: int, bound: int) -> dict:

@@ -241,6 +241,13 @@ def test_oversized_scalar_power_is_a_parse_error(capsys):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def test_power_of_a_gaussian_base_is_a_parse_error(capsys):
+    # each factor of 1 + i adds a bit: without it the root stores 50,001-bit
+    # parts and fails to print
+    assert run(["roots", "--base", "X - 1", "--pert", "t", "--root", "(1+i)^100000"]) == 1
+    assert capsys.readouterr().err == "error: exponent overflow (line 1, column 6)\n"
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     # without the bounds the recursive descent, or json, raises RecursionError
     deep = "(" * 300 + "t" + ")" * 300

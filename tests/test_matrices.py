@@ -24,8 +24,10 @@ from perturbalg import (
     univariate_ring,
     xi_first_order,
 )
+from perturbalg import matrices
 from perturbalg.errors import DomainError
 from perturbalg.goze import decompose
+from perturbalg.series import TruncatedSeries
 
 from conftest import assert_round_trips, random_infinitesimal, seeded
 
@@ -443,6 +445,34 @@ def test_char_poly_computed_once_per_matrix(ring, t):
     matrix = PerturbedMatrix(JORDAN2, [[ring.zero(), ring.zero()], [t, ring.zero()]])
     assert char_poly(matrix) is char_poly(matrix)
     assert char_poly(matrix.base) is char_poly(matrix.base)
+
+
+def test_berkowitz_dot_products_build_no_product_series(ring, monkeypatch):
+    # each dot product goes into one row map; a product series per term would
+    # count here once per nonzero pair
+    rng = seeded(31)
+    matrix = PerturbedMatrix(random_constant(rng, 5), random_perturbation(rng, ring, 5))
+    depth = [0]
+    products = [0]
+    dot, mul = matrices._dot, TruncatedSeries.__mul__
+
+    def counted_dot(*args):
+        depth[0] += 1
+        try:
+            return dot(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_mul(self, other):
+        products[0] += depth[0] > 0
+        return mul(self, other)
+
+    monkeypatch.setattr(matrices, "_dot", counted_dot)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    poly = char_poly(matrix)
+    assert products[0] == 0
+    monkeypatch.undo()
+    assert poly == PerturbedPolynomial(ring, char_poly_by_minors(matrix))
 
 
 def test_xi_first_order_matches_polarize():

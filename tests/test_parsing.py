@@ -161,6 +161,11 @@ def test_scalar_power_overflow():
     for text in (f"(1 + t)^{2**512}", f"(1/2 - e1*t)^{2**512}", f"X - (i + t^3)^{10**700}"):
         with pytest.raises(ParseError, match="exponent overflow"):
             parse_polynomial(text, ring_for(text))
+    # |1 + i| = sqrt(2): one bit per factor, and (1 + i)^4096 = (2*i)^2048 = 2^2048
+    assert parse_scalar("(1+i)^4096") == GaussianRational(2**2048)
+    for text in ("(1+i)^4097", "(3 + 2*i)^1366", "(1 + i + t)^4097", "X - (1/3 + 1/3*i)^1366"):
+        with pytest.raises(ParseError, match="exponent overflow"):
+            parse_polynomial(text, ring)
     # units add no bits, however large the exponent
     assert parse_scalar("(-1)^100001") == -1
     assert parse_scalar("i^100002") == -1
@@ -431,6 +436,9 @@ ERROR_TABLE = [
     ("{x}^513", 2, "exponent overflow"),
     # the base stores 6, 3 and 2: 1400 * 3 + 88 bits pass the bound
     ("(1/2 + 1/3*t)^1400", 14, "exponent overflow"),
+    # a numerator with both parts nonzero adds one bit per factor
+    ("(1+i)^64000", 6, "exponent overflow"),
+    ("(1+i+t)^64000", 8, "exponent overflow"),
     ("2^4096 + 2^4096", 7, "coefficient overflow"),
     ("2^4096 - 1/3", 7, "coefficient overflow"),
     ("3^2048*3^2048", 6, "coefficient overflow"),

@@ -136,6 +136,27 @@ def test_euclid_self(worked_pair):
     assert remainder.is_zero()
 
 
+def test_euclid_skips_the_leading_product(ring, t, monkeypatch):
+    # each of the q + 1 steps makes one product for the quotient coefficient
+    # and d for the rest; rest[k + d] - factor * lead is 0 and never read
+    rng = seeded(41)
+    a = PerturbedPolynomial(ring, [k + 2 + random_infinitesimal(rng, ring) for k in range(6)])
+    b = PerturbedPolynomial(ring, [k + 3 + random_infinitesimal(rng, ring) for k in range(3)])
+    b.leading.invert()  # cached, so the division below makes no inversion product
+    products = [0]
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    quotient, remainder = divmod(a, b)
+    assert products[0] == (quotient.degree + 1) * (b.degree + 1) == 4 * 3
+    monkeypatch.undo()
+    assert b * quotient + remainder == a and remainder.degree < b.degree
+
+
 def test_euclid_non_unit_divisor(ring, t):
     with pytest.raises(NonUnitError):
         euclid_divide(

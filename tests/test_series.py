@@ -17,7 +17,7 @@ from perturbalg import (
     univariate_ring,
 )
 from perturbalg.errors import DomainError
-from perturbalg.series import MAX_MONOMIALS, MAX_TRUNCATION
+from perturbalg.series import MAX_MONOMIALS, MAX_TRUNCATION, sum_of_products
 
 from conftest import assert_round_trips, random_series, random_unit, seeded
 
@@ -528,6 +528,61 @@ def test_stored_form_matches_terms(pair, scalar):
     # a constant hashes like its coefficient, whichever way it was built
     constant = a - a + scalar
     assert constant == scalar and hash(constant) == hash(GaussianRational.coerce(scalar))
+
+
+@st.composite
+def product_sums(draw):
+    """A start series and (x, y) pairs, some cancelling a pair or the start."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    width, bound = len(ring.generators), ring.truncation
+
+    def one():
+        exponents = st.tuples(*[st.integers(0, bound)] * width)
+        return TruncatedSeries(ring, draw(st.dictionaries(exponents, coefficients, max_size=6)))
+
+    start, pairs = one(), []
+    for _ in range(draw(st.integers(0, 5))):
+        x, y = one(), one()
+        pairs.append((x, y))
+        if draw(st.booleans()):
+            pairs.append((-x, y))
+        if draw(st.booleans()):
+            start = start - x * y
+    return start, pairs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(product_sums())
+def test_sum_of_products_matches_the_loop(case):
+    start, pairs = case
+    total = start
+    for x, y in pairs:
+        total = total + x * y
+    result = sum_of_products(start, pairs)
+    assert result == total and str(result) == str(total)
+    assert_stored_form(result)
+
+
+def test_sum_of_products_row_order(ring, t):
+    # the product's first t cancels the start's and its second comes back at
+    # the end; a loop of sums adds (1 + t)^2 = 1 + 2*t + t^2 in one piece
+    start = -t + 5
+    pairs = [(1 + t, t + 1)]
+    total = start + (1 + t) * (t + 1)
+    result = sum_of_products(start, pairs)
+    assert result == total == 6 + t + t**2
+    assert list(total.terms) == [(1,), (0,), (2,)]
+    assert list(result.terms) == [(0,), (2,), (1,)]
+    assert sum_of_products(start, []) == start
+
+
+def test_invert_is_cached(ring, t):
+    unit = 2 + t - 3 * t**2
+    assert unit.invert() is unit.invert()
+    assert unit * unit.invert() == 1
+    # a copy starts without the inverse and computes the same one
+    copied = pickle.loads(pickle.dumps(unit))
+    assert copied.invert() == unit.invert() and copied.invert() is not unit.invert()
 
 
 def test_terms_is_a_cached_read_only_view(ring, t):

@@ -52,6 +52,24 @@ def test_worked_reduction(worked_function):
     )
 
 
+def test_simplify_expands_each_inverse_once(worked_function, monkeypatch):
+    # pgcd inverts the divisor's leading coefficient, and both divisions by
+    # the PGCD reuse that inverse
+    invert = TruncatedSeries.invert
+    inverted, expansions = set(), [0]
+
+    def counted(self):
+        inverted.add(self)
+        expansions[0] += self._inverse is None
+        return invert(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", counted)
+    report = simplify(worked_function)
+    assert expansions[0] == len(inverted) == 2
+    monkeypatch.undo()
+    assert report.reduced_shadow == rational([1, 1, 1], [1, 1])
+
+
 def test_worked_first_order(worked_function):
     corrections = first_order_correction(worked_function)
     assert corrections["e1"] == rational([0, -1], [-1, 0, 1])
