@@ -156,12 +156,8 @@ class Polynomial:
         return poly
 
     def evaluate(self, point):
-        """Horner evaluation at a point of the coefficient domain (scalars are lifted)."""
-        point = self._lift(point)
-        acc = self._lift(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """P(point), by Horner: pass 0 of `taylor_coefficients` (scalars are lifted)."""
+        return next(self.taylor_coefficients(point), self._lift(0))
 
     def taylor_coefficients(self, point):
         """P^(j)(point)/j! for j = 0, 1, ..., deg P: the coefficients of P(X + point).

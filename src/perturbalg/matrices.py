@@ -479,10 +479,11 @@ def hermitian_first_order(
     if not alpha.is_infinitesimal():
         raise DomainError("alpha must be infinitesimal")
     eigenvalue = GaussianRational.coerce(eigenvalue)
-    characteristic = char_poly(base)
-    if characteristic.evaluate(eigenvalue):
+    # C_A(lambda), then C_A'(lambda): the first two values of one Taylor shift
+    taylor = char_poly(base).taylor_coefficients(eigenvalue)
+    if next(taylor):
         raise DomainError(f"{eigenvalue} is not an eigenvalue of the base matrix")
-    slope = characteristic.derivative().evaluate(eigenvalue)
+    slope = next(taylor)
     if not slope:
         raise DomainError(f"{eigenvalue} is not a simple eigenvalue")
     shift = ExactPolynomial(_first_order_coeffs(base, direction)).evaluate(eigenvalue)

@@ -10,21 +10,22 @@ Generators are `t` and `e1` .. `e9`; the indeterminate is `X` for polynomials
 and `p` for transfer functions.  Matrices are read from JSON, not from the
 grammar.  Offsets in errors and spans are 0-based byte positions.
 
-Every rule returns a value in one sparse form, `_Value`: a map from X-degree
-to the rows of that coefficient, {packed exponent: (degree, re, im)} as in
-series.py, all over one common denominator.  Sums, differences and products
-are loops over those rows that keep the term order of the series and
-polynomial arithmetic they stand for, and truncate in the generators inside
-the product.  The result is built once, when the parse ends: one series per
-X-degree, reduced to its own denominator.
+Every rule returns a value in one sparse form, `_Value`: the rows of a series
+as in series.py, {packed key: (degree, re, im)} over one common denominator,
+whose packed key carries the degree in the indeterminate as its top digit
+(Monagan and Pearce pack every variable so).  Sums, differences and products
+are the series kernel's row operations, which keep the term order of the
+polynomial arithmetic they stand for and truncate in the generators inside
+the product.  The X-degrees are split apart once, when the parse ends: one
+series per X-degree, reduced to its own denominator.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import re
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -35,13 +36,13 @@ from .series import (
     MAX_POWER_BITS,
     SeriesRing,
     TruncatedSeries,
-    _divided,
     _from_ints,
     _merge,
     _mul_rows,
-    _rows_gcd,
+    _reduced_rows,
     _scaled,
     _stored_bits,
+    _sum_rows,
 )
 from .transfer import RationalFunction
 
@@ -61,7 +62,10 @@ MAX_NESTING = 100  # open '(' at once; each costs the descent a few stack frames
 # bound keeps e <= MAX_POLY_DEGREE).  A product, sum or difference whose
 # result exceeds the bound is a coefficient overflow.  A product whose
 # factors' degrees in the indeterminate add up past MAX_POLY_DEGREE is a
-# degree overflow, found before the product is built.
+# degree overflow, found before the product is built, and so is a product
+# overflow: one whose operands' counts of rows multiply past
+# MAX_PRODUCT_PAIRS, at a `*` or at the exponent of the `^` it is part of.
+MAX_PRODUCT_PAIRS = 1 << 24
 MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS)) - 1
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
 # a token after optional whitespace; the last group is any other character,
@@ -133,78 +137,58 @@ def _generator_names(scanned) -> tuple[str, ...]:
     return tuple(sorted(seen, key=lambda g: (g != "t", g)))
 
 
-class _Value:
-    """A parsed value: X-degree -> {packed exponent: (degree, re, im)} over `den`.
+class _ProductOverflow(Exception):
+    """A product of values would visit more than MAX_PRODUCT_PAIRS pairs of rows."""
 
-    Each X-degree's map holds the rows of one series coefficient (see
-    series.py), all over the one denominator `den`; the zero coefficients are
-    left out.  `bound` is the ring's truncation.
+
+class _Value:
+    """A parsed value: {x*top + k: (degree, re, im)} over `den`, one row map.
+
+    The rows of a series (see series.py) with the indeterminate's degree x as
+    one more digit above the generators' packed exponent k, `top` = (T+1)^m for
+    m generators: packed keys still add without a carry, and `degree` counts
+    the generators only, so sums, products and their truncation are the series
+    kernel's own.  `bound` is the ring's truncation.
     """
 
-    __slots__ = ("bound", "den", "coeffs")
+    __slots__ = ("bound", "top", "den", "rows")
 
-    def __init__(self, bound: int, den: int, coeffs: dict):
+    def __init__(self, bound: int, top: int, den: int, rows: dict):
+        """The value of the nonzero `rows` over `den`, divided by their gcd."""
         self.bound = bound
-        self.den = den
-        self.coeffs = coeffs
+        self.top = top
+        self.den, self.rows = _reduced_rows(den, rows)
 
     @property
     def degree(self) -> int:
         """The degree in the indeterminate, -1 for zero."""
-        return max(self.coeffs, default=-1)
-
-    def pairs(self):
-        """The (den, rows) pair of each nonzero coefficient, for `_stored_bits`."""
-        return ((self.den, rows) for rows in self.coeffs.values())
+        return max(self.rows) // self.top if self.rows else -1
 
     def __neg__(self) -> "_Value":
-        return _Value(
-            self.bound, self.den, {x: _scaled(rows, -1) for x, rows in self.coeffs.items()}
-        )
+        return _Value(self.bound, self.top, self.den, _scaled(self.rows, -1))
 
     def add(self, other: "_Value", sign: int) -> "_Value":
-        """self + sign*other, coefficient by coefficient as a sum of series."""
-        common = math.lcm(self.den, other.den)
-        scale = common // self.den
-        coeffs = {x: _scaled(rows, scale) for x, rows in self.coeffs.items()}
-        scale = sign * (common // other.den)
-        for x, rows in other.coeffs.items():
-            acc = coeffs.get(x)
-            if acc is None:
-                coeffs[x] = _scaled(rows, scale)
-                continue
-            _merge(acc, rows, scale)
-            if not acc:
-                del coeffs[x]
-        return _reduced_value(self.bound, coeffs, common)
+        """self + sign*other."""
+        common, acc = _sum_rows(self.den, self.rows, other.den, other.rows, sign)
+        return _Value(self.bound, self.top, common, acc)
 
     def __mul__(self, other: "_Value") -> "_Value":
-        """The product as a dense polynomial product of series.
+        """Each X-degree of self, in ascending order, times all of other, summed.
 
-        The X-degree pairs run in ascending order, and each pair's series
-        product is summed into its place, so the rows come in the order of
-        that product.
+        Every coefficient then sums whole series products in the order of a
+        dense polynomial product: summed term by term, a key that an earlier
+        X-degree put in could cancel part-way and move to the end.
         """
-        coeffs: dict = {}
-        right = sorted(other.coeffs.items())
-        for xa, rows_a in sorted(self.coeffs.items()):
-            for xb, rows_b in right:
-                product = _mul_rows(rows_a, rows_b, self.bound)
-                acc = coeffs.get(xa + xb)
-                if acc is None:
-                    coeffs[xa + xb] = product
-                else:
-                    _merge(acc, product, 1)
-        coeffs = {x: rows for x, rows in coeffs.items() if rows}
-        return _reduced_value(self.bound, coeffs, self.den * other.den)
+        if len(self.rows) * len(other.rows) > MAX_PRODUCT_PAIRS:
+            raise _ProductOverflow
 
+        def x_degree(item):
+            return item[0] // self.top
 
-def _reduced_value(bound: int, coeffs: dict, den: int) -> _Value:
-    """The value of `coeffs` over `den`, divided by the gcd of den and every part."""
-    divisor = _rows_gcd(den, coeffs.values())
-    if divisor == 1:
-        return _Value(bound, den, coeffs)
-    return _Value(bound, den // divisor, {x: _divided(rows, divisor) for x, rows in coeffs.items()})
+        acc: dict = {}
+        for _, rows in groupby(sorted(self.rows.items(), key=x_degree), key=x_degree):
+            _merge(acc, _mul_rows(dict(rows), other.rows, self.bound), 1)
+        return _Value(self.bound, self.top, self.den * other.den, acc)
 
 
 class _Parser:
@@ -215,6 +199,8 @@ class _Parser:
         self.tokens = tokenize(text) if tokens is None else tokens
         self.position = 0
         self.depth = 0  # the '(' open at this point
+        # one more digit above the packed exponents, for the degree in the indeterminate
+        self.top = (ring.truncation + 1) ** len(ring.generators)
 
     def peek(self) -> Token:
         return self.tokens[self.position]
@@ -262,13 +248,16 @@ class _Parser:
                 factor = self.parse_factor()
                 if value.degree + factor.degree > MAX_POLY_DEGREE:
                     self.fail(token, "degree overflow")
-                value = self._bounded(value * factor, token)
+                try:
+                    value = self._bounded(value * factor, token)
+                except _ProductOverflow:
+                    self.fail(token, "product overflow")
             else:
                 return value
 
     def _bounded(self, value: _Value, token: Token) -> _Value:
         """The result of the operator `token`, unless it passes MAX_POWER_BITS."""
-        if _stored_bits(value.pairs()) > MAX_POWER_BITS:
+        if _stored_bits(((value.den, value.rows),)) > MAX_POWER_BITS:
             self.fail(token, "coefficient overflow")
         return value
 
@@ -285,12 +274,16 @@ class _Parser:
             if base.degree >= 1 and base.degree * exponent > MAX_POLY_DEGREE:
                 self.fail(exponent_token, "exponent overflow")
             binomial = 0
-            if sum(len(rows) for rows in base.coeffs.values()) > 1:
+            if len(base.rows) > 1:
                 binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
-            gaussian = any(re and im for _, rows in base.pairs() for _, re, im in rows.values())
-            if exponent * (_stored_bits(base.pairs()) + gaussian) + binomial > MAX_POWER_BITS:
+            gaussian = any(re and im for _, re, im in base.rows.values())
+            bits = _stored_bits(((base.den, base.rows),))
+            if exponent * (bits + gaussian) + binomial > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
-            return _power(self._constant(1, 0, 1), base, exponent)
+            try:
+                return _power(self._constant(1, 0, 1), base, exponent)
+            except _ProductOverflow:
+                self.fail(exponent_token, "product overflow")
         return base
 
     def parse_atom(self) -> _Value:
@@ -303,12 +296,12 @@ class _Parser:
             if name == "i":
                 return self._constant(0, 1, 1)
             if name == self.var:
-                return _Value(self.ring.truncation, 1, {1: {0: (0, 1, 0)}})
+                return _Value(self.ring.truncation, self.top, 1, {self.top: (0, 1, 0)})
             generators = self.ring.generators
             if name in generators:
                 # the packed key of the exponent vector with a 1 in this place
                 key = (self.ring.truncation + 1) ** (len(generators) - 1 - generators.index(name))
-                return _Value(self.ring.truncation, 1, {0: {key: (1, 1, 0)}})
+                return _Value(self.ring.truncation, self.top, 1, {key: (1, 1, 0)})
             if GENERATOR_PATTERN.match(name):
                 self.fail(token, f"generator {name!r} missing from the ring")
             self.fail(token, f"unknown symbol {name!r}")
@@ -345,8 +338,8 @@ class _Parser:
 
     def _constant(self, re: int, im: int, den: int) -> _Value:
         """The constant (re + im*i)/den."""
-        coeffs = {0: {0: (0, re, im)}} if re or im else {}
-        return _reduced_value(self.ring.truncation, coeffs, den)
+        rows = {0: (0, re, im)} if re or im else {}
+        return _Value(self.ring.truncation, self.top, den, rows)
 
     def finish(self, token_description="end of input"):
         token = self.peek()
@@ -356,15 +349,17 @@ class _Parser:
     # results -------------------------------------------------------------
 
     def series(self, value: _Value) -> TruncatedSeries:
-        """The coefficient of X^0 of a value."""
-        return _from_ints(self.ring, value.coeffs.get(0, {}), value.den)
+        """A value parsed without the indeterminate: its rows are a series' own."""
+        return TruncatedSeries._of_rows(self.ring, value.den, value.rows)
 
     def polynomial(self, value: _Value) -> PerturbedPolynomial:
-        coeffs = value.coeffs
+        """The polynomial of a value: its rows split by X-degree, each one series."""
+        coeffs = [{} for _ in range(value.degree + 1)]
+        for key, row in value.rows.items():
+            x, k = divmod(key, self.top)
+            coeffs[x][k] = row
         return PerturbedPolynomial(
-            self.ring,
-            [_from_ints(self.ring, coeffs.get(x, {}), value.den) for x in range(value.degree + 1)],
-            self.var or "X",
+            self.ring, [_from_ints(self.ring, rows, value.den) for rows in coeffs], self.var or "X"
         )
 
 

@@ -241,9 +241,7 @@ class TruncatedSeries:
 
     def _add(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         """self + sign*other."""
-        common = math.lcm(self.den, other.den)
-        acc = _scaled(self.rows, common // self.den)
-        _merge(acc, other.rows, sign * (common // other.den))
+        common, acc = _sum_rows(self.den, self.rows, other.den, other.rows, sign)
         return _from_ints(self.ring, acc, common)
 
     def __mul__(self, other):
@@ -410,7 +408,8 @@ _set_inverse = TruncatedSeries._inverse.__set__
 #
 # An exponent tuple packs into one int in base T+1, so the packed keys of two
 # terms add to the packed key of their product whenever that product has total
-# degree <= T.
+# degree <= T.  The parser adds the degree in the polynomial indeterminate as
+# one more digit above them, and runs these row functions on that form too.
 
 def _unpack(key: int, base: int, width: int) -> tuple:
     """The exponent tuple of a packed key."""
@@ -444,6 +443,14 @@ def _merge(acc: dict, rows: dict, scale: int) -> None:
             acc[key] = (degree, re, im)
         else:
             del acc[key]
+
+
+def _sum_rows(den_a: int, rows_a: dict, den_b: int, rows_b: dict, sign: int):
+    """(common, acc): rows_a/den_a + sign*rows_b/den_b as new rows over the lcm, unreduced."""
+    common = math.lcm(den_a, den_b)
+    acc = _scaled(rows_a, common // den_a)
+    _merge(acc, rows_b, sign * (common // den_b))
+    return common, acc
 
 
 def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) -> dict:
@@ -525,26 +532,21 @@ def _row(degree: int, coeff: GaussianRational, den: int) -> tuple:
 
 def _from_ints(ring: SeriesRing, acc: dict, common: int) -> TruncatedSeries:
     """Series of the nonzero rows `acc` over `common`, divided by their gcd."""
-    divisor = _rows_gcd(common, (acc,))
+    return TruncatedSeries._of_rows(ring, *_reduced_rows(common, acc))
+
+
+def _reduced_rows(common: int, acc: dict):
+    """(den, rows): the nonzero rows `acc` over `common`, divided by the gcd of all."""
+    divisor = common
+    for _, re, im in acc.values():
+        divisor = math.gcd(divisor, re, im)
+        if divisor == 1:
+            break
     if divisor == 1:
-        return TruncatedSeries._of_rows(ring, common, acc)
-    return TruncatedSeries._of_rows(ring, common // divisor, _divided(acc, divisor))
-
-
-def _rows_gcd(den: int, row_maps) -> int:
-    """The gcd of `den` and every numerator of the row maps; it stops at 1."""
-    divisor = den
-    for rows in row_maps:
-        for _, re, im in rows.values():
-            divisor = math.gcd(divisor, re, im)
-            if divisor == 1:
-                return 1
-    return divisor
-
-
-def _divided(rows: dict, divisor: int) -> dict:
-    """A copy of `rows` with every numerator divided by `divisor`, which divides it."""
-    return {key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in rows.items()}
+        return common, acc
+    return common // divisor, {
+        key: (degree, re // divisor, im // divisor) for key, (degree, re, im) in acc.items()
+    }
 
 
 # The most bits an integer a value stores may have: 1234 decimal digits,

@@ -459,3 +459,12 @@ def test_hermitian_rejections_are_domain_errors(capsys, matrix, direction, alpha
             "--alpha", alpha, "--eigenvalue", eigenvalue]
     assert run(argv) == 2
     assert one_error_line(capsys) == message
+
+
+def test_product_of_a_long_sum_is_a_parse_error(capsys):
+    # every other bound passes; the power stops at its first square past
+    # MAX_PRODUCT_PAIRS, that of (1 + X + t + e1 + e2)^32, long before the
+    # square of ^256 would pair 41,415 rows with as many
+    pert = "t*(1+X+t+e1+e2)^512"
+    assert run(["roots", "--base", "X - 1", "--pert", pert, "--root", "1"]) == 1
+    assert capsys.readouterr().err == "error: product overflow (line 1, column 16)\n"

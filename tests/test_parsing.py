@@ -406,6 +406,28 @@ def _build(tree) -> PerturbedPolynomial:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_trees())
 @example(("*", ("+", ("rational", 1, 1), "X"), ("+", "t", "X")))  # X^1 from two pairs
+# a generator at degree T next to a positive X-degree: packed keys do not carry
+@example(("+", ("*", ("^", "e2", 3), ("^", "X", 2)), ("*", ("^", "t", 3), "X")))
+# a product that truncates in the generators at several X-degrees at once
+@example(("*", ("^", ("+", "X", "t"), 3), ("^", ("-", "X", ("*", "e1", "e2")), 2)))
+# (X^2 + 2*t - X^2*t - X) * (X*t + 2 + X^2*t + 2*X): X^3*t gets -1 from -X
+# times X^2*t, then +1 and -2 from X^2 and -X^2*t times X*t and 2*X; summed
+# term by term it would cancel part-way and move behind X^3 and X^3*t^2
+@example(
+    (
+        "*",
+        (
+            "-",
+            ("-", ("+", ("^", "X", 2), ("*", ("rational", 2, 1), "t")), ("*", ("^", "X", 2), "t")),
+            "X",
+        ),
+        (
+            "+",
+            ("+", ("+", ("*", "X", "t"), ("rational", 2, 1)), ("*", ("^", "X", 2), "t")),
+            ("*", ("rational", 2, 1), "X"),
+        ),
+    )
+)
 def test_parse_matches_polynomial_arithmetic(tree):
     text = _render(tree)
     parsed = parse_polynomial(text, _PROPERTY_RING)
@@ -515,3 +537,44 @@ def test_parse_builds_no_series_polynomial(monkeypatch):
     assert poly.degree == 10
     assert counts["mul"] == 0
     assert counts["lift"] <= poly.degree + 1
+
+
+def test_a_product_multiplies_rows_once_per_x_degree(monkeypatch):
+    # one row map per value: X^3 and X^2 take 3 row products and the square
+    # one per X-degree of its left factor; a product per pair of X-degrees
+    # would take 16 for the square alone
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mul_rows(*args, **kwargs)
+
+    mul_rows = parsing._mul_rows
+    monkeypatch.setattr(parsing, "_mul_rows", counted)
+    poly = parse_polynomial("(X^3+X^2+X+1)^2", SeriesRing(("t",), 8))
+    assert [c.standard_part() for c in poly.coeffs] == [1, 2, 3, 4, 3, 2, 1]
+    assert len(calls) <= 7
+
+
+def test_product_overflow_at_the_operator():
+    # (1 + X + t + e1 + e2)^32 stores 4,455 rows at T = 8, and its largest
+    # product, the last square, pairs 1,815^2 of them
+    ring = SeriesRing(("t", "e1", "e2"), 8)
+    base = "(1+X+t+e1+e2)"
+    power = parse_polynomial(f"{base}^32", ring)
+    assert power.degree == 32
+    assert sum(len(c.rows) for c in power.coeffs) == 4455
+    # the square that ^64 needs pairs 4,455^2 rows, past MAX_PRODUCT_PAIRS: the
+    # error is at the exponent, and ^512 stops at the same square
+    assert 4455**2 > parsing.MAX_PRODUCT_PAIRS
+    for text, offset in ((f"{base}^64", 14), (f"t*{base}^512", 16)):
+        assert _error_of(lambda: parse_polynomial(text, ring)) == (
+            f"product overflow (line 1, column {offset})",
+            offset,
+        )
+    # a `*` of two such powers fails at the `*`, before its product is built
+    text = f"{base}^32*{base}^32 + t"
+    assert _error_of(lambda: parse_polynomial(text, ring)) == (
+        "product overflow (line 1, column 16)",
+        16,
+    )
