@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DomainError, RingMismatchError
 from .scalars import GaussianRational, _power
-from .series import _monomial_text, format_terms
+from .series import _monomial_text, format_terms, sum_of_products
 
 
 class Polynomial:
@@ -103,14 +103,14 @@ class Polynomial:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return self._like(())
-        out = [self._lift(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        zero = self._lift(0)
+        out = []
+        for k in range(len(a) + len(b) - 1):
+            low = max(0, k + 1 - len(b))  # the pairs a_i*b_(k-i) with i >= low
+            out.append(sum_of_products(zero, zip(a[low:k + 1], b[k - low::-1])))
         return self._like(out)
 
     __rmul__ = __mul__
@@ -118,8 +118,11 @@ class Polynomial:
     def __divmod__(self, other):
         """Euclidean division self = other*q + r with deg r < deg other.
 
-        The divisor's leading coefficient must be invertible in the
-        coefficient domain; `_invert` raises when it is not.
+        With a = self and b = other of degree m, each quotient coefficient,
+        top down, is q_k = (a_(k+m) - sum_(i>k) q_i*b_(k+m-i)) / b_m and each
+        remainder coefficient r_j = a_j - sum_i q_i*b_(j-i), one sum of
+        products each.  The divisor's leading coefficient must be invertible
+        in the coefficient domain; `_invert` raises when it is not.
         """
         other = self._coerce(other)
         if other.is_zero():
@@ -127,16 +130,15 @@ class Polynomial:
         lead_inv = self._invert(other.leading)
         if self.degree < other.degree:
             return self._like(()), self
-        quotient = [None] * (self.degree - other.degree + 1)
-        rest = list(self.coeffs)
-        for k in range(self.degree - other.degree, -1, -1):
-            factor = rest[k + other.degree] * lead_inv
-            quotient[k] = factor
-            if factor:
-                # rest[k + other.degree] - factor * leading is 0 and never read again
-                for j in range(other.degree):
-                    rest[k + j] = rest[k + j] - factor * other.coeffs[j]
-        return self._like(quotient), self._like(rest[: other.degree])
+        a, m = self.coeffs, other.degree
+        minus_b = [-c for c in other.coeffs[:m]]
+        quotient = [None] * (self.degree - m + 1)
+        for k in range(len(quotient) - 1, -1, -1):
+            # q_(k+1), q_(k+2), ... against b_(m-1), b_(m-2), ...
+            pairs = zip(quotient[k + 1:], minus_b[::-1])
+            quotient[k] = sum_of_products(a[k + m], pairs) * lead_inv
+        remainder = [sum_of_products(a[j], zip(quotient, minus_b[j::-1])) for j in range(m)]
+        return self._like(quotient), self._like(remainder)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

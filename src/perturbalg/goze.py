@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, PerturbAlgError
 from .scalars import GaussianRational
-from .series import TruncatedSeries, divide_univariate
+from .series import TruncatedSeries, _check_bits, divide_univariate
 
 
 @dataclass
@@ -130,8 +130,9 @@ def decompose(entries) -> GozeDecomposition:
     prefix_l, exact in the ring, so alpha_l is that pivot over the previous one
     (one series division per level), determined up to degree
     T - val(prefix_(l-1)).
-    Raises DomainError when an entry is not infinitesimal or the entries do
-    not share a univariate ring.
+    Raises DomainError when an entry is not infinitesimal, the entries do
+    not share a univariate ring, or a level stores more than MAX_POWER_BITS
+    bits.
     """
     entries = _validated(entries)
     ring = entries[0].ring
@@ -139,7 +140,9 @@ def decompose(entries) -> GozeDecomposition:
     remainder, previous = entries, ring.one()
     while any(remainder):
         pivot, direction = _level(remainder)
-        result.levels.append((divide_univariate(pivot, previous), direction))
+        alpha = divide_univariate(pivot, previous)
+        _check_bits((alpha, *direction), "Goze level")
+        result.levels.append((alpha, direction))
         remainder = [e - pivot * u for e, u in zip(remainder, direction)]
         previous = pivot
 

@@ -24,7 +24,7 @@ from .exactpoly import ExactPolynomial
 from .goze import first_level, rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational
-from .series import SeriesRing, TruncatedSeries, sum_of_products
+from .series import SeriesRing, TruncatedSeries, _check_bits, sum_of_products
 
 
 class ConstantMatrix:
@@ -284,17 +284,6 @@ def polarize(k: int, *matrices):
     return total
 
 
-def _dot(xs, ys, start):
-    """start + sum of x*y over the pairs, skipping products with a zero factor."""
-    if isinstance(start, TruncatedSeries):
-        return sum_of_products(start, zip(xs, ys))
-    total = start
-    for x, y in zip(xs, ys):
-        if x and y:
-            total = total + x * y
-    return total
-
-
 def _berkowitz(rows, zero, one) -> list:
     """Coefficients of det(X*I - M), highest degree first (Berkowitz 1984).
 
@@ -303,7 +292,8 @@ def _berkowitz(rows, zero, one) -> list:
     corner a:  p' = T p, where T is the lower-triangular Toeplitz matrix
     with first column 1, -a, -R c, -R M c, ..., -R M^(r-1) c.  It uses no
     division, so it is exact over any commutative ring, and costs about
-    n^4/4 ring products in all.
+    n^4/4 ring products in all.  A coefficient that stores more than
+    MAX_POWER_BITS bits raises DomainError.
     """
     coeffs = [one]
     for r in range(len(rows)):
@@ -313,15 +303,16 @@ def _berkowitz(rows, zero, one) -> list:
         toeplitz = [one, -rows[r][r]]
         for power in range(r):
             if power:
-                vector = [_dot(block_row, vector, zero) for block_row in block]
-            toeplitz.append(-_dot(row, vector, zero))
+                vector = [sum_of_products(zero, zip(block_row, vector)) for block_row in block]
+            toeplitz.append(-sum_of_products(zero, zip(row, vector)))
         # (T p)_i = sum_j toeplitz[i - j] * coeffs[j]; the terms with
         # coeffs[0] = one or toeplitz[0] = one need no product.
         extended = [one]
         for i in range(1, r + 2):
             start = toeplitz[i] + coeffs[i] if i <= r else toeplitz[i]
-            extended.append(_dot(toeplitz[i - 1:0:-1], coeffs[1:], start))
+            extended.append(sum_of_products(start, zip(toeplitz[i - 1:0:-1], coeffs[1:])))
         coeffs = extended
+    _check_bits(coeffs, "characteristic polynomial coefficient")
     return coeffs
 
 

@@ -14,10 +14,9 @@ Every rule returns a value in one sparse form, `_Value`: the rows of a series
 as in series.py, {packed key: (degree, re, im)} over one common denominator,
 whose packed key carries the degree in the indeterminate as its top digit
 (Monagan and Pearce pack every variable so).  Sums, differences and products
-are the series kernel's row operations, which keep the term order of the
-polynomial arithmetic they stand for and truncate in the generators inside
-the product.  The X-degrees are split apart once, when the parse ends: one
-series per X-degree, reduced to its own denominator.
+are the series kernel's row operations, which truncate in the generators
+inside the product.  The X-degrees are split apart once, when the parse ends:
+one series per X-degree, reduced to its own denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from itertools import groupby
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -37,7 +35,6 @@ from .series import (
     SeriesRing,
     TruncatedSeries,
     _from_ints,
-    _merge,
     _mul_rows,
     _reduced_rows,
     _scaled,
@@ -63,9 +60,15 @@ MAX_NESTING = 100  # open '(' at once; each costs the descent a few stack frames
 # result exceeds the bound is a coefficient overflow.  A product whose
 # factors' degrees in the indeterminate add up past MAX_POLY_DEGREE is a
 # degree overflow, found before the product is built, and so is a product
-# overflow: one whose operands' counts of rows multiply past
-# MAX_PRODUCT_PAIRS, at a `*` or at the exponent of the `^` it is part of.
+# overflow: the product, at a `*` or at the exponent of the `^` it is part
+# of, whose operands' counts of rows multiply to a number that takes the
+# parse's total past MAX_PRODUCT_PAIRS.  The total counts every product of
+# the parse (of a whole matrix, for matrix JSON), so that a text of many
+# products within the bound cannot run for hours.
 MAX_PRODUCT_PAIRS = 1 << 24
+# Berkowitz's char_poly costs about n^4/4 series products for an n-by-n
+# matrix; a larger order is a parse error before any entry is parsed.
+MAX_MATRIX_ORDER = 16
 MAX_LITERAL_DIGITS = len(str(1 << MAX_POWER_BITS)) - 1
 GENERATOR_PATTERN = re.compile(r"^(t|e[1-9])$")
 # a token after optional whitespace; the last group is any other character,
@@ -138,7 +141,7 @@ def _generator_names(scanned) -> tuple[str, ...]:
 
 
 class _ProductOverflow(Exception):
-    """A product of values would visit more than MAX_PRODUCT_PAIRS pairs of rows."""
+    """The products of a parse would visit more than MAX_PRODUCT_PAIRS pairs of rows."""
 
 
 class _Value:
@@ -148,51 +151,41 @@ class _Value:
     one more digit above the generators' packed exponent k, `top` = (T+1)^m for
     m generators: packed keys still add without a carry, and `degree` counts
     the generators only, so sums, products and their truncation are the series
-    kernel's own.  `bound` is the ring's truncation.
+    kernel's own.  `parser` is the parse the value belongs to: its ring, its
+    `top` and its running count of the pairs of rows its products visit.
     """
 
-    __slots__ = ("bound", "top", "den", "rows")
+    __slots__ = ("parser", "den", "rows")
 
-    def __init__(self, bound: int, top: int, den: int, rows: dict):
+    def __init__(self, parser: "_Parser", den: int, rows: dict):
         """The value of the nonzero `rows` over `den`, divided by their gcd."""
-        self.bound = bound
-        self.top = top
+        self.parser = parser
         self.den, self.rows = _reduced_rows(den, rows)
 
     @property
     def degree(self) -> int:
         """The degree in the indeterminate, -1 for zero."""
-        return max(self.rows) // self.top if self.rows else -1
+        return max(self.rows) // self.parser.top if self.rows else -1
 
     def __neg__(self) -> "_Value":
-        return _Value(self.bound, self.top, self.den, _scaled(self.rows, -1))
+        return _Value(self.parser, self.den, _scaled(self.rows, -1))
 
     def add(self, other: "_Value", sign: int) -> "_Value":
         """self + sign*other."""
         common, acc = _sum_rows(self.den, self.rows, other.den, other.rows, sign)
-        return _Value(self.bound, self.top, common, acc)
+        return _Value(self.parser, common, acc)
 
     def __mul__(self, other: "_Value") -> "_Value":
-        """Each X-degree of self, in ascending order, times all of other, summed.
-
-        Every coefficient then sums whole series products in the order of a
-        dense polynomial product: summed term by term, a key that an earlier
-        X-degree put in could cancel part-way and move to the end.
-        """
-        if len(self.rows) * len(other.rows) > MAX_PRODUCT_PAIRS:
+        parser = self.parser
+        parser.pairs += len(self.rows) * len(other.rows)
+        if parser.pairs > MAX_PRODUCT_PAIRS:
             raise _ProductOverflow
-
-        def x_degree(item):
-            return item[0] // self.top
-
-        acc: dict = {}
-        for _, rows in groupby(sorted(self.rows.items(), key=x_degree), key=x_degree):
-            _merge(acc, _mul_rows(dict(rows), other.rows, self.bound), 1)
-        return _Value(self.bound, self.top, self.den * other.den, acc)
+        rows = _mul_rows(self.rows, other.rows, parser.ring.truncation)
+        return _Value(parser, self.den * other.den, rows)
 
 
 class _Parser:
-    def __init__(self, text: str, ring: SeriesRing, var, tokens=None):
+    def __init__(self, text: str, ring: SeriesRing, var, tokens=None, pairs: int = 0):
         self.text = text
         self.ring = ring
         self.var = var  # indeterminate name, or None for plain series
@@ -201,6 +194,7 @@ class _Parser:
         self.depth = 0  # the '(' open at this point
         # one more digit above the packed exponents, for the degree in the indeterminate
         self.top = (ring.truncation + 1) ** len(ring.generators)
+        self.pairs = pairs  # pairs of rows the parse's products have visited
 
     def peek(self) -> Token:
         return self.tokens[self.position]
@@ -296,12 +290,12 @@ class _Parser:
             if name == "i":
                 return self._constant(0, 1, 1)
             if name == self.var:
-                return _Value(self.ring.truncation, self.top, 1, {self.top: (0, 1, 0)})
+                return _Value(self, 1, {self.top: (0, 1, 0)})
             generators = self.ring.generators
             if name in generators:
                 # the packed key of the exponent vector with a 1 in this place
                 key = (self.ring.truncation + 1) ** (len(generators) - 1 - generators.index(name))
-                return _Value(self.ring.truncation, self.top, 1, {key: (1, 1, 0)})
+                return _Value(self, 1, {key: (1, 1, 0)})
             if GENERATOR_PATTERN.match(name):
                 self.fail(token, f"generator {name!r} missing from the ring")
             self.fail(token, f"unknown symbol {name!r}")
@@ -339,7 +333,7 @@ class _Parser:
     def _constant(self, re: int, im: int, den: int) -> _Value:
         """The constant (re + im*i)/den."""
         rows = {0: (0, re, im)} if re or im else {}
-        return _Value(self.ring.truncation, self.top, den, rows)
+        return _Value(self, den, rows)
 
     def finish(self, token_description="end of input"):
         token = self.peek()
@@ -415,8 +409,8 @@ def parse_matrix_json(text: str, truncation: int = 8):
     """Matrix input: {"n": 2, "base": [[...]], "pert": [[...]] (optional)}.
 
     Base entries must be exact scalars; perturbation entries are series with
-    valuation >= 1.  Returns a ConstantMatrix, or a PerturbedMatrix when a
-    perturbation block is present.
+    valuation >= 1.  The order is at most MAX_MATRIX_ORDER.  Returns a
+    ConstantMatrix, or a PerturbedMatrix when a perturbation block is present.
     """
     try:
         data = json.loads(text)
@@ -433,6 +427,8 @@ def parse_matrix_json(text: str, truncation: int = 8):
     order = data.get("n", len(base_rows))
     if len(base_rows) != order or any(len(row) != order for row in base_rows):
         raise ParseError("matrix JSON shape does not match 'n'")
+    if order > MAX_MATRIX_ORDER:
+        raise ParseError(f"matrix order {order} exceeds {MAX_MATRIX_ORDER}")
     base = ConstantMatrix([[parse_scalar(str(entry)) for entry in row] for row in base_rows])
     if "pert" not in data:
         return base
@@ -444,8 +440,10 @@ def parse_matrix_json(text: str, truncation: int = 8):
     texts = [str(entry) for row in pert_rows for entry in row]
     scanned = [tokenize(text) for text in texts]
     ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
-    entries = [
-        _series(_Parser(text, ring, None, tokens)) for text, tokens in zip(texts, scanned)
-    ]
+    entries, pairs = [], 0
+    for text, tokens in zip(texts, scanned):
+        parser = _Parser(text, ring, None, tokens, pairs)  # one product budget for all
+        entries.append(_series(parser))
+        pairs = parser.pairs
     pert = [entries[k * order:(k + 1) * order] for k in range(order)]
     return PerturbedMatrix(base, pert)  # validates infinitesimality (domain error)

@@ -31,13 +31,7 @@ from .errors import (
 from .exactpoly import ExactPolynomial, Polynomial
 from .goze import GozeDecomposition
 from .scalars import GaussianRational
-from .series import (
-    MAX_POWER_BITS,
-    SeriesRing,
-    TruncatedSeries,
-    _stored_bits,
-    divide_univariate,
-)
+from .series import SeriesRing, TruncatedSeries, _check_bits, divide_univariate
 
 
 class PerturbedPolynomial(Polynomial):
@@ -161,8 +155,7 @@ def pgcd(a: PerturbedPolynomial, b: PerturbedPolynomial):
     while not current.is_infinitesimal():  # a zero remainder is infinitesimal too
         divisor, stripped = current.strip_infinitesimal_leading()
         _, remainder = euclid_divide(previous, divisor)
-        if _stored_bits((c.den, c.rows) for c in remainder.coeffs) > MAX_POWER_BITS:
-            raise DomainError(f"PGCD remainder coefficient passes {MAX_POWER_BITS} bits")
+        _check_bits(remainder.coeffs, "PGCD remainder coefficient")
         trace.append(RemainderStep(remainder, stripped))
         previous, current = divisor, remainder
     return previous, trace
@@ -253,12 +246,14 @@ def _newton_polygon(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root
     (the rest vanish), and its first `stills` entries vanish.  Each edge
     (i, k, inside) joins hull vertices i < k of the points (j, val c_j) and
     (m, 0); `inside` tells whether a third point lies on it.  Only valuations
-    are read, so no two series are divided.
+    are read, so no two series are divided.  A c_j or c_m that stores more
+    than MAX_POWER_BITS bits raises DomainError.
     """
     if not shift_poly.is_infinitesimal():
         raise DomainError("the perturbation polynomial must be wholly infinitesimal")
     root, mult, scale = _sensitivity(base, root)
     coeffs = list(islice(shift_poly.taylor_coefficients(root), mult))
+    _check_bits([*coeffs, scale], "Newton-polygon coefficient")
     points = [(j, c.valuation()) for j, c in enumerate(coeffs) if not c.is_zero()]
     points.append((mult, 0))  # c_m is P^(m)(u)/m! = -1/scale at leading order
     stills, v_i = points[0]

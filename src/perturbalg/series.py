@@ -16,8 +16,9 @@ A GaussianRational (a + b*i)/d is the same form for one coefficient, so a row
 over D is (a, b) scaled by D/d, and a row (re, im) over D is the scalar
 (re, im, D) divided by its gcd.  `terms`, the exponent-tuple ->
 GaussianRational dict, is a view of the rows built on first read, and
-`invert` keeps the inverse it computes.  `sum_of_products` sums x*y over
-many pairs in one row map, which it normalises once.
+`invert` keeps the inverse it computes.  `sum_of_products` is every sum of
+products, start + sum of x*y: over series it works in one row map, which it
+normalises once.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
@@ -149,7 +150,7 @@ class TruncatedSeries:
 
     @property
     def terms(self) -> dict:
-        """Exponent tuple -> GaussianRational, in row order; built once, on first read."""
+        """Exponent tuple -> GaussianRational; built once, on first read."""
         terms = self._terms
         if terms is None:
             base = self.ring.truncation + 1
@@ -207,15 +208,6 @@ class TruncatedSeries:
         return hash((self.ring, self.den, frozenset(self.rows.items())))
 
     # -- ring operations ------------------------------------------------------
-    #
-    # Sums and products run on the rows: a sum scales both operands to the
-    # lcm of their denominators, a product works over the product of them
-    # (a product by one term, such as an exact scalar, scales each row), and
-    # `_from_ints` divides the result by the gcd of its denominator and
-    # numerators.  A term enters the result at its first nonzero contribution
-    # and leaves it when it cancels, so results keep the term order of the
-    # GaussianRational loop; multivariate `numeric_sample` sums in that order.
-    # A sum of products may not: a key that cancels part-way re-enters at the end.
 
     def __add__(self, other):
         try:
@@ -361,7 +353,9 @@ class TruncatedSeries:
 
         `values` is either one complex number (used for every generator) or a
         mapping from generator name to complex value.  Univariate series are
-        evaluated Horner-style; multivariate ones term by term.
+        evaluated Horner-style; multivariate ones term by term, in ascending
+        packed key: row order carries no meaning, so the sample depends on the
+        value alone.
         """
         if isinstance(values, Mapping):
             point = [complex(values[g]) for g in self.ring.generators]
@@ -379,7 +373,8 @@ class TruncatedSeries:
             return acc
         base = self.ring.truncation + 1
         acc = 0j
-        for key, (_, re, im) in self.rows.items():
+        for key in sorted(self.rows):
+            _, re, im = self.rows[key]
             monomial = 1.0 + 0j
             for value, exponent in zip(point, _unpack(key, base, len(point))):
                 monomial *= value**exponent
@@ -425,11 +420,7 @@ def _scaled(rows: dict, scale: int) -> dict:
 
 
 def _merge(acc: dict, rows: dict, scale: int) -> None:
-    """Add `rows` times the int `scale` into `acc` in place.
-
-    A new key enters at the end and a key that cancels leaves, as in a sum
-    of series.
-    """
+    """Add `rows` times the int `scale` into `acc` in place; a key that cancels leaves."""
     for key, (degree, re, im) in rows.items():
         re *= scale
         im *= scale
@@ -457,9 +448,7 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) 
     """`acc` plus `scale` times the product of two row maps, truncated past degree `bound`.
 
     The product is over the product of the operands' denominators; without
-    `acc` it goes into a new map.  A key enters at its first nonzero
-    contribution, in the order of a's rows then b's, and leaves when it
-    cancels.
+    `acc` it goes into a new map.  A key that cancels leaves.
     """
     if acc is None:
         if len(rows_b) == 1:
@@ -470,7 +459,7 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) 
             return _times_term(rows_b, ka, dega, ar * scale, ai * scale, bound)
         acc = {}
     rows_b = [(key, *row) for key, row in rows_b.items()]
-    capped = {}  # degree cap -> the rows of b within it, in b's order
+    capped = {}  # degree cap -> the rows of b within it
     for ka, (dega, ar, ai) in rows_a.items():
         ar *= scale
         ai *= scale
@@ -495,13 +484,18 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) 
     return acc
 
 
-def sum_of_products(start: TruncatedSeries, pairs) -> TruncatedSeries:
-    """start + the sum of x*y over the (x, y) pairs of series of start's ring.
+def sum_of_products(start, pairs):
+    """start + the sum of x*y over the (x, y) pairs, skipping pairs with a zero factor.
 
-    Every product goes into one row map over the lcm of the denominators,
-    normalised once.  A key that cancels part-way through re-enters at the
-    end, so the rows may come in another order than those of a loop of sums.
+    For a series `start` the pairs are series of its ring, and every product
+    goes into one row map over the lcm of the denominators, normalised once;
+    for an exact scalar it is a loop of sums.
     """
+    if not isinstance(start, TruncatedSeries):
+        for x, y in pairs:
+            if x and y:
+                start = start + x * y
+        return start
     pairs = [(x, y) for x, y in pairs if x.rows and y.rows]
     common = math.lcm(start.den, *(x.den * y.den for x, y in pairs))
     acc = _scaled(start.rows, common // start.den)
@@ -514,7 +508,7 @@ def _times_term(rows: dict, key: int, degree: int, re: int, im: int, bound: int)
     """`rows` times the one row (key, degree, re, im), truncated past degree `bound`.
 
     Distinct keys stay distinct and a product of nonzero Gaussian integers
-    is nonzero, so the rows keep their order and none cancels.
+    is nonzero, so no row cancels.
     """
     cap = bound - degree
     return {
@@ -551,7 +545,9 @@ def _reduced_rows(common: int, acc: dict):
 
 # The most bits an integer a value stores may have: 1234 decimal digits,
 # within Python's 4300-digit limit on converting an int to or from text.  The
-# parser bounds what it builds by it, and pgcd bounds its remainders.
+# parser bounds what it builds by it, and `_check_bits` what is computed from
+# parsed input and printed: PGCD remainders, characteristic polynomials, Goze
+# levels and Newton-polygon coefficients.
 MAX_POWER_BITS = 4096
 
 
@@ -566,6 +562,17 @@ def _stored_bits(pairs) -> int:
         for _, re, im in rows.values():
             largest = max(largest, abs(re), abs(im))
     return (largest - 1).bit_length()
+
+
+def _check_bits(values, what: str) -> None:
+    """Raise DomainError "`what` passes ..." if one of the series or exact
+    scalars `values` stores an integer of more than MAX_POWER_BITS bits."""
+    stored = (
+        (v.den, v.rows) if isinstance(v, TruncatedSeries) else (v.d, {0: (0, v.a, v.b)})
+        for v in values
+    )
+    if _stored_bits(stored) > MAX_POWER_BITS:
+        raise DomainError(f"{what} passes {MAX_POWER_BITS} bits")
 
 
 # -- valuation shift -------------------------------------------------------------

@@ -279,6 +279,41 @@ def test_pgcd_remainder_growth_is_a_domain_error(capsys):
     assert capsys.readouterr().err == "error: PGCD remainder coefficient passes 4096 bits\n"
 
 
+def _diagonal(entry):
+    return [[entry if i == j else "0" for j in range(4)] for i in range(4)]
+
+
+BIG_PERTURBATION = json.dumps({"n": 4, "base": _diagonal("0"), "pert": _diagonal("2^4000*t")})
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # each input is within the parser's bound; what is computed from it is not
+        (["charpoly", "--matrix", BIG_PERTURBATION], "characteristic polynomial coefficient"),
+        (["conservative", "--matrix", BIG_PERTURBATION], "characteristic polynomial coefficient"),
+        (
+            ["charpoly", "--matrix", json.dumps({"n": 4, "base": _diagonal("2^4000")})],
+            "characteristic polynomial coefficient",
+        ),
+        (["goze", "--vector", "t + 2^4000*t^2, 3*t^2"], "Goze level"),
+        (
+            ["roots", "--base", "X - 2^4000", "--pert", "t*X^512", "--root", "2^4000"],
+            "Newton-polygon coefficient",
+        ),
+    ],
+)
+def test_oversized_result_is_a_domain_error(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message} passes 4096 bits\n"
+
+
+def test_matrix_order_past_the_bound_is_a_parse_error(capsys):
+    matrix = json.dumps({"n": 17, "base": [["1"] * 17] * 17})
+    assert run(["charpoly", "--matrix", matrix]) == 1
+    assert capsys.readouterr().err == "error: matrix order 17 exceeds 16\n"
+
+
 def test_nonpositive_trunc_is_a_usage_error(capsys):
     for value in ("0", "-3", "two"):
         assert run(["goze", "--vector", "t", "--trunc", value]) == 1

@@ -149,3 +149,28 @@ def test_scalar_parts_are_read_only_for_printing():
                 builders[where] = function
     assert readers == {}
     assert builders == {}
+
+
+# the row format of a series is known to series.py and to the parser, which
+# builds values in it; every other layer reaches the rows through
+# sum_of_products and the series operators
+ROW_KERNEL = {
+    "_mul_rows", "_merge", "_scaled", "_sum_rows", "_reduced_rows", "_from_ints", "_times_term"
+}
+
+
+def test_only_series_and_parsing_import_the_row_kernel():
+    importers = {}
+    for name, tree, _ in parsed_modules():
+        if name in ("series.py", "parsing.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = ROW_KERNEL.intersection(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                used = ROW_KERNEL.intersection((node.attr,))
+            else:
+                continue
+            if used:
+                importers.setdefault(name, set()).update(used)
+    assert importers == {}

@@ -454,7 +454,7 @@ def test_berkowitz_dot_products_build_no_product_series(ring, monkeypatch):
     matrix = PerturbedMatrix(random_constant(rng, 5), random_perturbation(rng, ring, 5))
     depth = [0]
     products = [0]
-    dot, mul = matrices._dot, TruncatedSeries.__mul__
+    dot, mul = matrices.sum_of_products, TruncatedSeries.__mul__
 
     def counted_dot(*args):
         depth[0] += 1
@@ -467,7 +467,7 @@ def test_berkowitz_dot_products_build_no_product_series(ring, monkeypatch):
         products[0] += depth[0] > 0
         return mul(self, other)
 
-    monkeypatch.setattr(matrices, "_dot", counted_dot)
+    monkeypatch.setattr(matrices, "sum_of_products", counted_dot)
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
     poly = char_poly(matrix)
     assert products[0] == 0

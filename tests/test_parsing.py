@@ -291,6 +291,17 @@ def test_matrix_json_errors():
         parse_matrix_json("[" * 20_000 + "]" * 20_000)
 
 
+def test_matrix_order_is_bounded():
+    def square(n, entry):
+        return json.dumps({"n": n, "base": [[entry] * n] * n, "pert": [["t"] * n] * n})
+
+    order = parsing.MAX_MATRIX_ORDER
+    assert parse_matrix_json(square(order, "1")).n == order
+    # the order is checked before any entry is parsed: this entry is an error
+    with pytest.raises(ParseError, match=f"matrix order {order + 1} exceeds {order}"):
+        parse_matrix_json(square(order + 1, "1 $"))
+
+
 @pytest.mark.parametrize(
     "text,field",
     [
@@ -412,7 +423,7 @@ def _build(tree) -> PerturbedPolynomial:
 @example(("*", ("^", ("+", "X", "t"), 3), ("^", ("-", "X", ("*", "e1", "e2")), 2)))
 # (X^2 + 2*t - X^2*t - X) * (X*t + 2 + X^2*t + 2*X): X^3*t gets -1 from -X
 # times X^2*t, then +1 and -2 from X^2 and -X^2*t times X*t and 2*X; summed
-# term by term it would cancel part-way and move behind X^3 and X^3*t^2
+# term by term it cancels part-way, so its row moves behind X^3 and X^3*t^2
 @example(
     (
         "*",
@@ -434,10 +445,9 @@ def test_parse_matches_polynomial_arithmetic(tree):
     built = _build(tree)
     assert parsed == built
     assert str(parsed) == str(built)
-    # the row order too: multivariate numeric_sample sums in it
-    assert [(c.den, list(c.rows.items())) for c in parsed.coeffs] == [
-        (c.den, list(c.rows.items())) for c in built.coeffs
-    ]
+    # the float sample too, to the bit, whatever order each side stores its rows in
+    point = {"t": 1e-3, "e1": 2e-3, "e2": 3e-3}
+    assert repr(parsed.numeric_coeffs(point)) == repr(built.numeric_coeffs(point))
 
 
 # -- every parse error, with its message and offset -------------------------------
@@ -577,4 +587,39 @@ def test_product_overflow_at_the_operator():
     assert _error_of(lambda: parse_polynomial(text, ring)) == (
         "product overflow (line 1, column 16)",
         16,
+    )
+
+
+def test_product_budget_is_shared_by_a_parse(monkeypatch):
+    # each product of (1+X+t+t^2) by itself pairs 16 rows (and t^2 one), within
+    # a budget of 20; the parse's second product takes its total past it
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", 20)
+    ring = SeriesRing(("t",), 8)
+    factor = "(1+X+t+t^2)"
+    assert parse_polynomial(f"{factor}*{factor}", ring).degree == 2
+    assert parse_polynomial(f"{factor}^2", ring).degree == 2
+    # at the second `*`, or at the exponent of the square
+    pairs = f"{factor}*{factor}"
+    for text, offset in ((f"{pairs} + {pairs}", 37), (f"{pairs} - {factor}^2", 38)):
+        assert _error_of(lambda: parse_polynomial(text, ring)) == (
+            f"product overflow (line 1, column {offset})",
+            offset,
+        )
+    # numerator and denominator of a rational function are one parse
+    function = f"{factor}*{factor}".replace("X", "p")
+    assert _error_of(lambda: parse_rational_function(f"{function}/{function}", ring)) == (
+        "product overflow (line 1, column 35)",
+        35,
+    )
+    # and so are the entries of one matrix
+    square = "(t+e1+e2+e3)^2"
+
+    def matrix(second):
+        return json.dumps({"n": 2, "base": [["0", "0"]] * 2, "pert": [[square, second], ["t", "t"]]})
+
+    parsed = parse_matrix_json(matrix("t"))
+    assert parsed.pert[0][0] == parse_series(square, parsed.ring)
+    assert _error_of(lambda: parse_matrix_json(matrix(square))) == (
+        "product overflow (line 1, column 13)",
+        13,
     )

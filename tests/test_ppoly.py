@@ -39,6 +39,7 @@ from perturbalg.errors import (
     UnsupportedOrderError,
 )
 from perturbalg.exactpoly import from_roots
+from perturbalg import series
 from perturbalg.series import _stored_bits
 
 from conftest import (
@@ -137,20 +138,22 @@ def test_euclid_self(worked_pair):
 
 
 def test_euclid_skips_the_leading_product(ring, t, monkeypatch):
-    # each of the q + 1 steps makes one product for the quotient coefficient
-    # and d for the rest; rest[k + d] - factor * lead is 0 and never read
+    # q_k pairs q_(k+1), ... with b_(d-1), ... and takes one product by the
+    # inverse of b's leading coefficient; r_j pairs q_0, ... with b_j, ...: in
+    # all each q_i meets each of b_0 .. b_(d-1) once, and q_i * b_d is never
+    # formed.  Every product of two series is one row product.
     rng = seeded(41)
     a = PerturbedPolynomial(ring, [k + 2 + random_infinitesimal(rng, ring) for k in range(6)])
     b = PerturbedPolynomial(ring, [k + 3 + random_infinitesimal(rng, ring) for k in range(3)])
     b.leading.invert()  # cached, so the division below makes no inversion product
     products = [0]
-    mul = TruncatedSeries.__mul__
+    mul_rows = series._mul_rows
 
-    def counted(self, other):
+    def counted(*args, **kwargs):
         products[0] += 1
-        return mul(self, other)
+        return mul_rows(*args, **kwargs)
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    monkeypatch.setattr(series, "_mul_rows", counted)
     quotient, remainder = divmod(a, b)
     assert products[0] == (quotient.degree + 1) * (b.degree + 1) == 4 * 3
     monkeypatch.undo()

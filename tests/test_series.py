@@ -576,6 +576,21 @@ def test_sum_of_products_row_order(ring, t):
     assert sum_of_products(start, []) == start
 
 
+def test_numeric_sample_ignores_row_order():
+    # start + x*y in one row map and as a loop of sums: the product's t cancels
+    # the start's, so the two store their rows in different orders; summed in
+    # row order, their floats differed in the last digit
+    ring = SeriesRing(("t", "e1"), 3)
+    t, e1 = ring.generator("t"), ring.generator("e1")
+    start = Fraction(1, 3) - Fraction(3, 2) * t - 2 * t * e1
+    x, y = 1 + t + 5 * e1, 1 + t / 2 + 2 * e1
+    one_map, loop = sum_of_products(start, [(x, y)]), start + x * y
+    assert one_map == loop
+    assert list(one_map.rows) != list(loop.rows)
+    point = {"t": 0.1, "e1": 0.3}
+    assert repr(one_map.numeric_sample(point)) == repr(loop.numeric_sample(point))
+
+
 def test_invert_is_cached(ring, t):
     unit = 2 + t - 3 * t**2
     assert unit.invert() is unit.invert()
