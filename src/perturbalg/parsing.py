@@ -425,7 +425,9 @@ def parse_matrix_json(text: str, truncation: int = 8):
             raise ParseError(f"matrix JSON {field!r} must be a list of lists")
     base_rows = data["base"]
     order = data.get("n", len(base_rows))
-    if len(base_rows) != order or any(len(row) != order for row in base_rows):
+    if not isinstance(order, int) or len(base_rows) != order or any(
+        len(row) != order for row in base_rows
+    ):
         raise ParseError("matrix JSON shape does not match 'n'")
     if order > MAX_MATRIX_ORDER:
         raise ParseError(f"matrix order {order} exceeds {MAX_MATRIX_ORDER}")

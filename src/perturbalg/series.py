@@ -373,8 +373,7 @@ class TruncatedSeries:
             return acc
         base = self.ring.truncation + 1
         acc = 0j
-        for key in sorted(self.rows):
-            _, re, im = self.rows[key]
+        for key, (_, re, im) in sorted(self.rows.items()):
             monomial = 1.0 + 0j
             for value, exponent in zip(point, _unpack(key, base, len(point))):
                 monomial *= value**exponent
@@ -565,8 +564,12 @@ def _stored_bits(pairs) -> int:
 
 
 def _check_bits(values, what: str) -> None:
-    """Raise DomainError "`what` passes ..." if one of the series or exact
-    scalars `values` stores an integer of more than MAX_POWER_BITS bits."""
+    """Raise DomainError, "`what` passes ... bits", past MAX_POWER_BITS.
+
+    That is, if one of the series or exact scalars `values` stores an integer
+    of more bits: a series' denominator or a numerator over it, a scalar's
+    a, b or d.
+    """
     stored = (
         (v.den, v.rows) if isinstance(v, TruncatedSeries) else (v.d, {0: (0, v.a, v.b)})
         for v in values

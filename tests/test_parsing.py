@@ -284,6 +284,9 @@ def test_matrix_json_errors():
         parse_matrix_json("not json")
     with pytest.raises(ParseError):
         parse_matrix_json('{"n":2,"base":[["1","0"]]}')
+    # an order that equals the row count but is no int
+    with pytest.raises(ParseError, match="shape does not match"):
+        parse_matrix_json('{"n":1.0,"base":[["0"]],"pert":[["t"]]}')
     with pytest.raises(DomainError):
         parse_matrix_json('{"n":1,"base":[["0"]],"pert":[["1 + t"]]}')
     # json gives up on deep nesting with a RecursionError
