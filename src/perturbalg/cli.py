@@ -46,6 +46,7 @@ from .parsing import (
     parse_polynomial,
     parse_scalar,
     parse_series,
+    parse_series_list,
     ring_for,
     scan_generator_names,
 )
@@ -152,9 +153,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_goze(args) -> int:
-    texts = [chunk.strip() for chunk in args.vector.split(",")]
-    ring = ring_for(*texts, truncation=args.trunc)
-    entries = [parse_series(text, ring) for text in texts]
+    entries = parse_series_list([chunk.strip() for chunk in args.vector.split(",")], args.trunc)
     result = decompose(entries)
     levels = [
         {"alpha": str(alpha), "U": [str(u) for u in direction]}

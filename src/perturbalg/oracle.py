@@ -231,10 +231,23 @@ def _mixed(base_coeffs: Sequence[complex], shift_coeffs: Sequence[complex]) -> l
 
 
 @_overflow_is_oracle_error
-def _verify_branches(base, shift_poly, claim, grid, tolerance, seed) -> ConvergenceReport:
-    """Test a claim at a root u of multiplicity m branch by branch.
+def verify_root_asymptotics(
+    base: ExactPolynomial,
+    shift_poly: PerturbedPolynomial,
+    claim: RootAsymptotics | BalanceQuadratic,
+    grid: Sequence[float] = (1e-2, 1e-3, 1e-4),
+    tolerance: float = 0.2,
+    seed: int = 0,
+) -> ConvergenceReport:
+    """Test a claim at a root u of multiplicity m branch by branch, against P + Xi(t0).
 
-    At each grid point the m roots of P + Xi(t0) nearest u form the cluster.
+    A claim predicts the size of its shift at each grid point: |rhs|^(1/q)
+    for xi^q ~ rhs, the larger root for a BalanceQuadratic.  A point where
+    another shadow root lies within 10x that size cannot separate the
+    cluster and is skipped; with fewer than two points kept (one, on a
+    one-point grid) the claim is inconclusive and no root is solved.
+
+    At each kept point the m roots of P + Xi(t0) nearest u form the cluster.
     For xi^q ~ rhs (q <= m) the q cluster shifts xi_j whose size is nearest
     |rhs|^(1/q) must each satisfy xi_j^q / rhs -> 1; the sample keeps the
     worst of them.  A zero right-hand side requires |xi_j^q| <= 10 * t0^2
@@ -247,42 +260,48 @@ def _verify_branches(base, shift_poly, claim, grid, tolerance, seed) -> Converge
     multiplicity = base.multiplicity(claim.base_root)
     if multiplicity == 0:
         raise DomainError("asymptotics anchored at a non-root")
-    order = 2 if isinstance(claim, BalanceQuadratic) else claim.order
+    balance = isinstance(claim, BalanceQuadratic)
+    order = 2 if balance else claim.order
     if order > multiplicity:
         raise DomainError(f"order {order} exceeds multiplicity {multiplicity}")
     base_coeffs = base.numeric_coeffs()
-    # the nearest shadow root past u's own m copies, found once; a
-    # perturbation within a tenth of its distance is too large to cluster the
-    # roots unambiguously
+    # the nearest shadow root past u's own m copies, found once
     distances = sorted(abs(r - root) for r in poly_roots_numeric(base_coeffs, seed=seed))
     nearest_other = distances[multiplicity] if len(distances) > multiplicity else math.inf
 
+    kept = []
     for t0 in grid:
         sampled_values = default_values(shift_poly.ring.generators, t0)
-        shift_coeffs = shift_poly.numeric_coeffs(sampled_values)
-        max_pert = max((abs(c) for c in shift_coeffs), default=0.0)
-        if nearest_other <= 10 * max_pert:
-            report.inconclusive = True
-            report.note = "another shadow root lies within 10x the perturbation size"
-            return _judge(report)
-        all_roots = poly_roots_numeric(_mixed(base_coeffs, shift_coeffs), seed=seed)
-        shifts = sorted((r - root for r in all_roots), key=abs)[:multiplicity]
-
-        if isinstance(claim, BalanceQuadratic):
+        if balance:
             a2 = complex(claim.quad_coeff)
             a1 = claim.linear.numeric_sample(sampled_values)
             a0 = claim.constant.numeric_sample(sampled_values)
             disc = cmath.sqrt(a1 * a1 - 4 * a2 * a0)
-            predicted_pair = [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
+            predicted = [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
+            size = max(map(abs, predicted))
+        else:
+            predicted = claim.rhs.numeric_sample(sampled_values)
+            size = abs(predicted) ** (1 / order)
+        if nearest_other > 10 * size:
+            kept.append((t0, sampled_values, predicted, size))
+    if len(kept) < min(2, len(grid)):
+        report.inconclusive = True
+        report.note = "another shadow root lies within 10x the predicted shift"
+        return _judge(report)
+
+    for t0, sampled_values, predicted, size in kept:
+        shift_coeffs = shift_poly.numeric_coeffs(sampled_values)
+        all_roots = poly_roots_numeric(_mixed(base_coeffs, shift_coeffs), seed=seed)
+        shifts = sorted((r - root for r in all_roots), key=abs)[:multiplicity]
+
+        if balance:
             deviation = min(
                 max(abs(o / p - 1) for o, p in zip(shifts, pair))
-                for pair in (predicted_pair, predicted_pair[::-1])
+                for pair in (predicted, predicted[::-1])
             )
-            report.samples.append(Sample(t0, shifts[0], predicted_pair[0], deviation))
+            report.samples.append(Sample(t0, shifts[0], predicted[0], deviation))
             continue
 
-        predicted = claim.rhs.numeric_sample(sampled_values)
-        size = abs(predicted) ** (1 / order)
         branches = sorted(shifts, key=lambda xi: abs(abs(xi) - size))[:order]
         deviation = abs if predicted == 0 else (lambda observed: abs(observed / predicted - 1))
         observed = max((xi**order for xi in branches), key=deviation)
@@ -297,28 +316,7 @@ def _verify_branches(base, shift_poly, claim, grid, tolerance, seed) -> Converge
     return _judge(report)
 
 
-def verify_root_asymptotics(
-    base: ExactPolynomial,
-    shift_poly: PerturbedPolynomial,
-    asym: RootAsymptotics,
-    grid: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    tolerance: float = 0.2,
-    seed: int = 0,
-) -> ConvergenceReport:
-    """Numerically test xi^k ~ rhs, branch by branch, against the roots of P + Xi(t0)."""
-    return _verify_branches(base, shift_poly, asym, grid, tolerance, seed)
-
-
-def verify_quadratic_balance(
-    base: ExactPolynomial,
-    shift_poly: PerturbedPolynomial,
-    balance: BalanceQuadratic,
-    grid: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    tolerance: float = 0.2,
-    seed: int = 0,
-) -> ConvergenceReport:
-    """Check both branches of a balanced double-root quadratic numerically."""
-    return _verify_branches(base, shift_poly, balance, grid, tolerance, seed)
+verify_quadratic_balance = verify_root_asymptotics
 
 
 @_overflow_is_oracle_error

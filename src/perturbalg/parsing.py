@@ -34,11 +34,11 @@ from .series import (
     MAX_POWER_BITS,
     SeriesRing,
     TruncatedSeries,
+    _bits_of,
     _from_ints,
     _mul_rows,
     _reduced_rows,
     _scaled,
-    _stored_bits,
     _sum_rows,
 )
 from .transfer import RationalFunction
@@ -61,11 +61,15 @@ MAX_NESTING = 100  # open '(' at once; each costs the descent a few stack frames
 # factors' degrees in the indeterminate add up past MAX_POLY_DEGREE is a
 # degree overflow, found before the product is built, and so is a product
 # overflow: the product, at a `*` or at the exponent of the `^` it is part
-# of, whose operands' counts of rows multiply to a number that takes the
-# parse's total past MAX_PRODUCT_PAIRS.  The total counts every product of
-# the parse (of a whole matrix, for matrix JSON), so that a text of many
-# products within the bound cannot run for hours.
+# of, whose weight takes the parse's total past MAX_PRODUCT_PAIRS.  A
+# product's weight is its pairs of rows, each operand's count of rows times
+# the PRODUCT_WORD_BITS words of the widest integer it stores, since pairing
+# two integers costs about the product of their sizes.  The total counts
+# every product of the parse (of all entries, for a list of series such as
+# a matrix), so that a text of many products within the bound cannot run
+# for hours.
 MAX_PRODUCT_PAIRS = 1 << 24
+PRODUCT_WORD_BITS = 256
 # Berkowitz's char_poly costs about n^4/4 series products for an n-by-n
 # matrix; a larger order is a parse error before any entry is parsed.
 MAX_MATRIX_ORDER = 16
@@ -152,15 +156,18 @@ class _Value:
     m generators: packed keys still add without a carry, and `degree` counts
     the generators only, so sums, products and their truncation are the series
     kernel's own.  `parser` is the parse the value belongs to: its ring, its
-    `top` and its running count of the pairs of rows its products visit.
+    `top` and its running count of the weight of its products.  `bits` is
+    the bits of the widest integer it stores (`_bits_of`), found once when it
+    is built.
     """
 
-    __slots__ = ("parser", "den", "rows")
+    __slots__ = ("parser", "den", "rows", "bits")
 
     def __init__(self, parser: "_Parser", den: int, rows: dict):
         """The value of the nonzero `rows` over `den`, divided by their gcd."""
         self.parser = parser
         self.den, self.rows = _reduced_rows(den, rows)
+        self.bits = _bits_of(self.den, self.rows)
 
     @property
     def degree(self) -> int:
@@ -177,7 +184,10 @@ class _Value:
 
     def __mul__(self, other: "_Value") -> "_Value":
         parser = self.parser
-        parser.pairs += len(self.rows) * len(other.rows)
+        parser.pairs += (
+            len(self.rows) * (1 + self.bits // PRODUCT_WORD_BITS)
+            * len(other.rows) * (1 + other.bits // PRODUCT_WORD_BITS)
+        )
         if parser.pairs > MAX_PRODUCT_PAIRS:
             raise _ProductOverflow
         rows = _mul_rows(self.rows, other.rows, parser.ring.truncation)
@@ -194,7 +204,7 @@ class _Parser:
         self.depth = 0  # the '(' open at this point
         # one more digit above the packed exponents, for the degree in the indeterminate
         self.top = (ring.truncation + 1) ** len(ring.generators)
-        self.pairs = pairs  # pairs of rows the parse's products have visited
+        self.pairs = pairs  # the weight of the products the parse has built
 
     def peek(self) -> Token:
         return self.tokens[self.position]
@@ -251,7 +261,7 @@ class _Parser:
 
     def _bounded(self, value: _Value, token: Token) -> _Value:
         """The result of the operator `token`, unless it passes MAX_POWER_BITS."""
-        if _stored_bits(((value.den, value.rows),)) > MAX_POWER_BITS:
+        if value.bits > MAX_POWER_BITS:
             self.fail(token, "coefficient overflow")
         return value
 
@@ -271,8 +281,7 @@ class _Parser:
             if len(base.rows) > 1:
                 binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
             gaussian = any(re and im for _, re, im in base.rows.values())
-            bits = _stored_bits(((base.den, base.rows),))
-            if exponent * (bits + gaussian) + binomial > MAX_POWER_BITS:
+            if exponent * (base.bits + gaussian) + binomial > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
             try:
                 return _power(self._constant(1, 0, 1), base, exponent)
@@ -373,6 +382,23 @@ def _series(parser: _Parser) -> TruncatedSeries:
     return parser.series(value)
 
 
+def parse_series_list(texts, truncation: int) -> list[TruncatedSeries]:
+    """Series in one ring, with the generators of all `texts`, and one product budget.
+
+    Each text is scanned once, for the ring and for its parse (a long list
+    overruns the memo that `tokenize` keeps); an error's offset lies in its
+    own text.
+    """
+    scanned = [tokenize(text) for text in texts]
+    ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
+    entries, pairs = [], 0
+    for text, tokens in zip(texts, scanned):
+        parser = _Parser(text, ring, None, tokens, pairs)
+        entries.append(_series(parser))
+        pairs = parser.pairs
+    return entries
+
+
 def parse_polynomial(text: str, ring: SeriesRing, var: str = "X") -> PerturbedPolynomial:
     parser = _Parser(text, ring, var=var)
     value = parser.parse_expression()
@@ -437,15 +463,6 @@ def parse_matrix_json(text: str, truncation: int = 8):
     pert_rows = data["pert"]
     if len(pert_rows) != order or any(len(row) != order for row in pert_rows):
         raise ParseError("perturbation shape does not match 'n'")
-    # each entry is scanned once, for the ring and for its parse: n^2 texts
-    # overrun the memo that `tokenize` keeps
-    texts = [str(entry) for row in pert_rows for entry in row]
-    scanned = [tokenize(text) for text in texts]
-    ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
-    entries, pairs = [], 0
-    for text, tokens in zip(texts, scanned):
-        parser = _Parser(text, ring, None, tokens, pairs)  # one product budget for all
-        entries.append(_series(parser))
-        pairs = parser.pairs
+    entries = parse_series_list([str(entry) for row in pert_rows for entry in row], truncation)
     pert = [entries[k * order:(k + 1) * order] for k in range(order)]
     return PerturbedMatrix(base, pert)  # validates infinitesimality (domain error)

@@ -550,17 +550,24 @@ def _reduced_rows(common: int, acc: dict):
 MAX_POWER_BITS = 4096
 
 
+def _bits_of(den: int, rows: dict) -> int:
+    """ceil(log2 |n|) for the largest of `den` and the row parts n of `rows`."""
+    largest = den
+    for _, re, im in rows.values():
+        # comparisons, not calls of max and abs: the parser sizes every value it builds
+        if re > largest or -re > largest:
+            largest = abs(re)
+        if im > largest or -im > largest:
+            largest = abs(im)
+    return (largest - 1).bit_length()
+
+
 def _stored_bits(pairs) -> int:
-    """ceil(log2 |n|) for the largest den or row part n of the (den, rows) pairs.
+    """The largest `_bits_of` the (den, rows) pairs, 0 for none.
 
     Each integer counts as stored, not as a fraction reduced by a gcd.
     """
-    largest = 1
-    for den, rows in pairs:
-        largest = max(largest, den)
-        for _, re, im in rows.values():
-            largest = max(largest, abs(re), abs(im))
-    return (largest - 1).bit_length()
+    return max((_bits_of(den, rows) for den, rows in pairs), default=0)
 
 
 def _check_bits(values, what: str) -> None:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from perturbalg import parsing
 from perturbalg.cli import run
 from perturbalg.ppoly import PerturbedPolynomial
 
@@ -494,6 +495,18 @@ def test_hermitian_rejections_are_domain_errors(capsys, matrix, direction, alpha
             "--alpha", alpha, "--eigenvalue", eigenvalue]
     assert run(argv) == 2
     assert one_error_line(capsys) == message
+
+
+def test_goze_vector_entries_share_one_product_budget(capsys, monkeypatch):
+    # each entry pairs 4 rows in its powers and 9 at its `*`, within a budget
+    # of 20; the second entry's `*` takes the vector's total past it, and the
+    # error is at that entry's own column 11
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", 20)
+    entry = "(t+t^2+t^3)*(1+t+t^2)"
+    assert run(["goze", "--vector", entry]) == 0
+    capsys.readouterr()
+    assert run(["goze", "--vector", f"{entry}, {entry}"]) == 1
+    assert one_error_line(capsys) == "error: product overflow (line 1, column 11)\n"
 
 
 def test_product_of_a_long_sum_is_a_parse_error(capsys):

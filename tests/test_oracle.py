@@ -483,12 +483,38 @@ def test_conservative_soundness_at_grid_point(ring, t):
 
 
 def test_verify_inconclusive_when_roots_collide(ring, t):
-    # shadow roots 1 and 1 + 1/1000 sit closer than 10x the perturbation
+    # shadow roots 1 and 1 + 1/1000 sit closer than 10x the predicted shift t0
     base = from_roots([1, Fraction(1001, 1000)])
     shift = PerturbedPolynomial(ring, [t])
     asym = RootAsymptotics(GaussianRational(1), 1, t)
     report = verify_root_asymptotics(base, shift, asym, grid=(1e-2,))
     assert report.inconclusive and not report.verdict
+
+
+def test_a_grid_point_too_coarse_for_the_cluster_is_skipped(ring, t):
+    # the root 1 of (X - 1)(X - 1001/1000) moves by about 1000*t0: at 1e-2 past
+    # the other root, at 1e-8 and 1e-9 within a tenth of the way to it
+    base = from_roots([1, Fraction(1001, 1000)])
+    shift = PerturbedPolynomial(ring, [t])
+    claim = root_correction(base, shift, 1)
+    report = verify_root_asymptotics(base, shift, claim, (1e-2, 1e-8, 1e-9))
+    assert report.verdict and [s.t0 for s in report.samples] == [1e-8, 1e-9]
+    # with one point kept the claim is inconclusive, and no P + Xi(t0) is solved
+    oracle._aberth.cache_clear()
+    report = verify_root_asymptotics(base, shift, claim, (1e-2, 1e-8))
+    assert report.inconclusive and not report.verdict and report.samples == []
+    assert report.note == "another shadow root lies within 10x the predicted shift"
+    assert oracle._aberth.cache_info().misses == 1  # the shadow's roots
+
+
+def test_a_zero_prediction_fails_on_a_first_order_shift(ring, t):
+    # the root 1 of X - 1 moves to 1 - t, but the claim says xi ~ 0
+    base = ExactPolynomial([-1, 1])
+    shift = PerturbedPolynomial(ring, [t])
+    report = verify_root_asymptotics(base, shift, RootAsymptotics(GaussianRational(1), 1, ring.zero()))
+    assert not report.verdict and not report.inconclusive
+    assert report.note == "zero prediction but observed shift is first order"
+    assert len(report.samples) == 1
 
 
 def test_verify_pgcd_worked_instance():

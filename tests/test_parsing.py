@@ -593,6 +593,25 @@ def test_product_overflow_at_the_operator():
     )
 
 
+def test_a_product_is_weighted_by_the_words_of_its_integers():
+    # two factors of 387 rows pair 149,769 rows, within MAX_PRODUCT_PAIRS;
+    # with 4000-bit coefficients each operand's rows weigh 16 words, so the
+    # product fails at its `*` before it is built
+    ring = SeriesRing(("t",), 128)
+
+    def factor(coeff):
+        return "(" + " + ".join(f"{coeff}*X^{a}*t^{b}" for a in range(3) for b in range(129)) + ")"
+
+    assert 387**2 < parsing.MAX_PRODUCT_PAIRS < (387 * 16) ** 2
+    small = factor(2)
+    assert parse_polynomial(f"{small}*{small}", ring).degree == 4
+    heavy = factor("2^4000")
+    assert _error_of(lambda: parse_polynomial(f"{heavy}*{heavy}", ring)) == (
+        f"product overflow (line 1, column {len(heavy)})",
+        len(heavy),
+    )
+
+
 def test_product_budget_is_shared_by_a_parse(monkeypatch):
     # each product of (1+X+t+t^2) by itself pairs 16 rows (and t^2 one), within
     # a budget of 20; the parse's second product takes its total past it

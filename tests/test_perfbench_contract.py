@@ -6,6 +6,7 @@ a changed return shape, ends the benchmark run.  These tests load
 `perfbench/workloads.py` and `perfbench/references.py` read-only and solve
 that problem through the same `SOLVERS` table, then check the outputs with
 the benchmark's own references, and hold the oracle to converging on them.
+The oracle is also held to passing no wrong claim built from the corpora.
 """
 
 import importlib.util
@@ -44,3 +45,50 @@ def test_warmup_problem_solves_and_checks(workload):
 def test_warmup_problem_oracle_converges(workload):
     _, verdicts = workloads.SOLVERS[workload](workloads.warmup_problem(workload, 1))
     assert "error" not in verdicts, verdicts
+
+
+def _corpus_claims(workload, seed):
+    """(base, Xi, claim) for each root claim on the corpus, built without the oracle."""
+    from perturbalg import goze, matrices, parsing, ppoly
+    from perturbalg.errors import DegenerateError
+
+    for problem in workloads.corpus(workload, seed, workloads.corpus_size(workload, 10)):
+        if workload == "eigen":
+            matrix = parsing.parse_matrix_json(problem["text"], workloads.EIGEN_TRUNC)
+            base, xi = matrices.char_poly(matrix.base), matrices.perturbation_poly(matrix)
+            for claim in ppoly.dominant_balance(base, xi, problem["target"]):
+                yield base, xi, claim
+            continue
+        ring = parsing.ring_for(problem["xi"], truncation=workloads.ROOTS_TRUNC)
+        base = parsing.parse_polynomial(problem["base"], ring, "X").shadow()
+        xi = parsing.parse_polynomial(problem["xi"], ring, "X")
+        decomposition = goze.decompose(list(xi.coeffs))
+        for root, _ in problem["roots"]:
+            try:
+                yield base, xi, ppoly.root_correction(base, xi, root, decomposition=decomposition)
+            except DegenerateError:
+                for claim in ppoly.dominant_balance(base, xi, root):
+                    yield base, xi, claim
+
+
+@pytest.mark.parametrize("workload, wrong_claims", [("roots", 5544), ("eigen", 160)])
+def test_no_wrong_claim_on_the_corpora_passes(workload, wrong_claims):
+    # every nonzero power claim, with its right-hand side doubled and negated
+    import dataclasses
+
+    from perturbalg import oracle
+    from perturbalg.ppoly import RootAsymptotics
+
+    passed, count = [], 0
+    for seed in (101, 7):
+        for base, xi, claim in _corpus_claims(workload, seed):
+            if not isinstance(claim, RootAsymptotics) or claim.rhs.is_zero():
+                continue
+            for rhs in (claim.rhs * 2, -claim.rhs):
+                wrong = dataclasses.replace(claim, rhs=rhs)
+                count += 1
+                if workloads._oracle(
+                    lambda: oracle.verify_root_asymptotics(base, xi, wrong, workloads.ORACLE_GRID)
+                ) == "pass":
+                    passed.append((seed, str(base), str(xi), str(wrong.rhs)))
+    assert passed == [] and count == wrong_claims
