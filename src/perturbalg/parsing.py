@@ -61,13 +61,13 @@ MAX_NESTING = 100  # open '(' at once; each costs the descent a few stack frames
 # factors' degrees in the indeterminate add up past MAX_POLY_DEGREE is a
 # degree overflow, found before the product is built, and so is a product
 # overflow: the product, at a `*` or at the exponent of the `^` it is part
-# of, whose weight takes the parse's total past MAX_PRODUCT_PAIRS.  A
-# product's weight is its pairs of rows, each operand's count of rows times
-# the PRODUCT_WORD_BITS words of the widest integer it stores, since pairing
-# two integers costs about the product of their sizes.  The total counts
-# every product of the parse (of all entries, for a list of series such as
-# a matrix), so that a text of many products within the bound cannot run
-# for hours.
+# of, whose weight takes the parse's total past MAX_PRODUCT_PAIRS.  The
+# weight is the product of the operands' counts of rows, each times
+# 1 + bits // PRODUCT_WORD_BITS for the bits of the widest integer that
+# operand stores, since multiplying two integers costs about the product of
+# their sizes.  The total counts every product of the parse (of all
+# entries, for a list of series such as a matrix), so that a text of many
+# products within the bound cannot run for hours.
 MAX_PRODUCT_PAIRS = 1 << 24
 PRODUCT_WORD_BITS = 256
 # Berkowitz's char_poly costs about n^4/4 series products for an n-by-n

@@ -430,6 +430,7 @@ def test_verify_branch_statements(ring, t):
 
 
 def test_verify_quadratic_balance(ring, t):
+    assert verify_quadratic_balance is verify_root_asymptotics  # one checker, two names
     base = ExactPolynomial([1, -2, 1])
     shift = PerturbedPolynomial(ring, [-t - t**2, t])
     (balance,) = dominant_balance(base, shift, 1)

@@ -9,6 +9,7 @@ the benchmark's own references, and hold the oracle to converging on them.
 The oracle is also held to passing no wrong claim built from the corpora.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -74,8 +75,6 @@ def _corpus_claims(workload, seed):
 @pytest.mark.parametrize("workload, wrong_claims", [("roots", 5544), ("eigen", 160)])
 def test_no_wrong_claim_on_the_corpora_passes(workload, wrong_claims):
     # every nonzero power claim, with its right-hand side doubled and negated
-    import dataclasses
-
     from perturbalg import oracle
     from perturbalg.ppoly import RootAsymptotics
 
