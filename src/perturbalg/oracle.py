@@ -241,11 +241,11 @@ def verify_root_asymptotics(
 ) -> ConvergenceReport:
     """Test a claim at a root u of multiplicity m branch by branch, against P + Xi(t0).
 
-    A claim predicts the size of its shift at each grid point: |rhs|^(1/q)
-    for xi^q ~ rhs, the larger root for a BalanceQuadratic.  A point where
-    another shadow root lies within 10x that size cannot separate the
-    cluster and is skipped; with fewer than two points kept (one, on a
-    one-point grid) the claim is inconclusive and no root is solved.
+    A grid point is skipped where another shadow root lies within 10x the
+    largest shift the claim accepts there: max(|rhs|, 10 * t0^2)^(1/q) for
+    xi^q ~ rhs, the larger root of a BalanceQuadratic.  With fewer than two
+    points kept (one, on a one-point grid) the claim is inconclusive and no
+    root is solved.
 
     At each kept point the m roots of P + Xi(t0) nearest u form the cluster.
     For xi^q ~ rhs (q <= m) the q cluster shifts xi_j whose size is nearest
@@ -278,11 +278,12 @@ def verify_root_asymptotics(
             a0 = claim.constant.numeric_sample(sampled_values)
             disc = cmath.sqrt(a1 * a1 - 4 * a2 * a0)
             predicted = [(-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)]
-            size = max(map(abs, predicted))
+            size = reach = max(map(abs, predicted))
         else:
             predicted = claim.rhs.numeric_sample(sampled_values)
             size = abs(predicted) ** (1 / order)
-        if nearest_other > 10 * size:
+            reach = max(abs(predicted), 10 * t0 * t0) ** (1 / order)
+        if nearest_other > 10 * reach:
             kept.append((t0, sampled_values, predicted, size))
     if len(kept) < min(2, len(grid)):
         report.inconclusive = True

@@ -562,26 +562,18 @@ def _bits_of(den: int, rows: dict) -> int:
     return (largest - 1).bit_length()
 
 
-def _stored_bits(pairs) -> int:
-    """The largest `_bits_of` the (den, rows) pairs, 0 for none.
-
-    Each integer counts as stored, not as a fraction reduced by a gcd.
-    """
-    return max((_bits_of(den, rows) for den, rows in pairs), default=0)
-
-
 def _check_bits(values, what: str) -> None:
     """Raise DomainError, "`what` passes ... bits", past MAX_POWER_BITS.
 
     That is, if one of the series or exact scalars `values` stores an integer
     of more bits: a series' denominator or a numerator over it, a scalar's
-    a, b or d.
+    a, b or d.  Each integer counts as stored, not as a fraction reduced by a gcd.
     """
     stored = (
         (v.den, v.rows) if isinstance(v, TruncatedSeries) else (v.d, {0: (0, v.a, v.b)})
         for v in values
     )
-    if _stored_bits(stored) > MAX_POWER_BITS:
+    if max((_bits_of(den, rows) for den, rows in stored), default=0) > MAX_POWER_BITS:
         raise DomainError(f"{what} passes {MAX_POWER_BITS} bits")
 
 

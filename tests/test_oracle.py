@@ -508,6 +508,17 @@ def test_a_grid_point_too_coarse_for_the_cluster_is_skipped(ring, t):
     assert oracle._aberth.cache_info().misses == 1  # the shadow's roots
 
 
+def test_a_zero_prediction_is_gated_by_the_shift_it_accepts(ring, t):
+    # P + Xi = (X - 1 - d)(X - 1 - t): the root 1 moves by t, and the root of
+    # P + Xi nearest 1 is the other shadow root 1 + d, within 10 * t0^2 of it
+    d = Fraction(1, 10**9)
+    base = from_roots([1, 1 + d])
+    shift = PerturbedPolynomial(ring, [t * (1 + d), -t])
+    claim = RootAsymptotics(GaussianRational(1), 1, ring.zero())
+    report = verify_root_asymptotics(base, shift, claim, GRID)
+    assert report.inconclusive and not report.verdict and report.samples == []
+
+
 def test_a_zero_prediction_fails_on_a_first_order_shift(ring, t):
     # the root 1 of X - 1 moves to 1 - t, but the claim says xi ~ 0
     base = ExactPolynomial([-1, 1])

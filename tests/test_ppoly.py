@@ -40,7 +40,7 @@ from perturbalg.errors import (
 )
 from perturbalg.exactpoly import from_roots
 from perturbalg import series
-from perturbalg.series import _stored_bits
+from perturbalg.series import _bits_of
 
 from conftest import (
     NOT_ONE_EDGE,
@@ -377,21 +377,21 @@ def test_stored_bits_match_terms():
                 terms[index] = GaussianRational(Fraction(part(), den_re), Fraction(part(), den_im))
             coeffs.append(TruncatedSeries(ring, terms))
         poly = PerturbedPolynomial(ring, coeffs)
-        assert _stored_bits((c.den, c.rows) for c in poly.coeffs) == reference_stored_bits(poly)
+        stored = max((_bits_of(c.den, c.rows) for c in poly.coeffs), default=0)
+        assert stored == reference_stored_bits(poly)
 
 
 def test_stored_bits_count_integers_as_stored():
-    assert _stored_bits([]) == 0
-    assert _stored_bits([(1, {})]) == 0
+    assert _bits_of(1, {}) == 0
     # ceil(log2 |n|): a power of two has its exponent, one more adds a bit
-    assert _stored_bits([(2**4096, {})]) == 4096
-    assert _stored_bits([(2**4096 + 1, {})]) == 4097
-    assert _stored_bits([(1, {0: (0, 0, -(2**80))})]) == 80
-    assert _stored_bits([(3, {0: (0, -(2**80) - 1, 0)})]) == 81
-    # 2/6 reduces to 1/3, but the pair stores 6: no gcd is taken
-    assert _stored_bits([(6, {0: (0, 2, 0)})]) == 3
-    # pairs of one value may share a den; the largest integer of all counts
-    assert _stored_bits([(5, {0: (0, 1, 0)}), (5, {7: (1, 0, 100)})]) == 7
+    assert _bits_of(2**4096, {}) == 4096
+    assert _bits_of(2**4096 + 1, {}) == 4097
+    assert _bits_of(1, {0: (0, 0, -(2**80))}) == 80
+    assert _bits_of(3, {0: (0, -(2**80) - 1, 0)}) == 81
+    # 2/6 reduces to 1/3, but the value stores 6: no gcd is taken
+    assert _bits_of(6, {0: (0, 2, 0)}) == 3
+    # the rows share the den; the largest integer of all counts
+    assert _bits_of(5, {0: (0, 1, 0), 7: (1, 0, 100)}) == 7
 
 
 def test_root_correction_simple(ring, t):
