@@ -6,11 +6,13 @@ recovers k! * Q^(k)) expand the characteristic polynomial of a perturbed
 matrix exactly, order by order in the perturbation.
 
 `minor_sum`, `polarize` and `charpoly_expansion` evaluate these definitions
-directly and serve as the reference.  `char_poly` and the first-order forms
-use Berkowitz's division-free algorithm instead, which takes polynomial
-time and stays exact over the truncated series ring (not a field); the
-first-order forms come from one extra generator s, as
-Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U).
+directly and serve as the reference.  `char_poly` uses Berkowitz's
+division-free algorithm instead, which takes polynomial time and stays exact
+over the truncated series ring (not a field), and the first-order forms are
+read off its output, as Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U):
+`xi_first_order` reads [t^v] of the cached char_poly(A + E), and
+`hermitian_first_order` reads [s^1] of char_poly(A + s*U) over a ring in
+one extra generator s truncated at degree 1.
 """
 
 from __future__ import annotations
@@ -372,46 +374,30 @@ def charpoly_expansion(base: ConstantMatrix, pert, k: int):
     return total
 
 
-# Coefficients of char_poly(A + s*U) are only needed to first order in s.
-_FIRST_ORDER_RING = SeriesRing(("s",), 1)
-
-
-def _first_order_coeffs(base: ConstantMatrix, direction: ConstantMatrix) -> list:
-    """[s^1] of the coefficients of char_poly(A + s*U), lowest degree first.
-
-    The coefficient of X^(n-k) is (-1)^k Theta(A,...,A,U)/(k-1)!, by
-    Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U); the list has n entries.
-    """
-    ring = _FIRST_ORDER_RING
-    rows = [
-        [TruncatedSeries(ring, {(0,): a, (1,): u}) for a, u in zip(row_a, row_u)]
-        for row_a, row_u in zip(base.rows, direction.rows)
-    ]
-    coeffs = _berkowitz(rows, ring.zero(), ring.one())
-    zero = GaussianRational(0)
-    return [c.terms.get((1,), zero) for c in reversed(coeffs[1:])]
-
-
 def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     """First-order part of char_poly(A+E) - char_poly(A).
 
-    E is decomposed (row-major flattening) as alpha_1*U_1 + ...; the result is
+    E is decomposed (row-major flattening) as alpha_1*U_1 + ..., alpha_1 of
+    valuation v with t^v coefficient `lead`; the result is
 
         alpha_1 * sum_k (-1)^k Theta(A,...,A,U_1)/(k-1)! * X^(n-k)
 
     and the exact difference minus this polynomial has coefficient valuations
-    strictly above v(alpha_1).
+    strictly above v.  Since Q(A+E) = Q(A) + DQ(A)[E] + O(t^(2v)), each sum is
+    [t^v] of the coefficient of char_poly(A+E) over `lead`, so the result is
+    read off the matrix's cached characteristic polynomial.
     """
-    n = base.n
-    flat = [entry for row in _on_base(base, pert).pert for entry in row]
+    matrix = _on_base(base, pert)
+    flat = [entry for row in matrix.pert for entry in row]
     if all(entry.is_zero() for entry in flat):
         raise DomainError("zero perturbation has no first-order part")
-    alpha1, u1_flat = first_level(flat)
-    direction = ConstantMatrix(
-        [u1_flat[i * n:(i + 1) * n] for i in range(n)]
-    )
+    alpha1 = first_level(flat)[0]  # before char_poly, so rejected input costs nothing
+    index = (alpha1.valuation(),)
+    lead = alpha1.terms[index]
+    zero = GaussianRational(0)
+    coeffs = char_poly(matrix).coeffs[:base.n]
     return PerturbedPolynomial(
-        alpha1.ring, [alpha1 * c for c in _first_order_coeffs(base, direction)]
+        alpha1.ring, [alpha1 * (c.terms.get(index, zero) / lead) for c in coeffs]
     )
 
 
@@ -451,6 +437,10 @@ def orbit_dimension(matrix: ConstantMatrix) -> int:
     return rank_of_rows(columns)
 
 
+# char_poly(A + s*U) is only needed to first order in s.
+_FIRST_ORDER_RING = SeriesRing(("s",), 1)
+
+
 def hermitian_first_order(
     base: ConstantMatrix,
     direction: ConstantMatrix,
@@ -477,5 +467,8 @@ def hermitian_first_order(
     slope = next(taylor)
     if not slope:
         raise DomainError(f"{eigenvalue} is not a simple eigenvalue")
-    shift = ExactPolynomial(_first_order_coeffs(base, direction)).evaluate(eigenvalue)
-    return alpha * (-shift / slope)
+    s = _FIRST_ORDER_RING.generator("s")
+    deformed = char_poly(PerturbedMatrix(base, [[s * u for u in row] for row in direction.rows]))
+    zero = GaussianRational(0)
+    first = ExactPolynomial([c.terms.get((1,), zero) for c in deformed.coeffs[:base.n]])
+    return alpha * (-first.evaluate(eigenvalue) / slope)

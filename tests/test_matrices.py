@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturbalg import (
     ConstantMatrix,
@@ -475,6 +477,16 @@ def test_berkowitz_dot_products_build_no_product_series(ring, monkeypatch):
     assert poly == PerturbedPolynomial(ring, char_poly_by_minors(matrix))
 
 
+def first_order_reference(base, pert):
+    """alpha_1 * first_order_by_polarize(A, U_1) for E's first level (alpha_1, U_1)."""
+    n = base.n
+    alpha, flat = decompose([entry for row in pert for entry in row]).levels[0]
+    direction = ConstantMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
+    return PerturbedPolynomial(
+        alpha.ring, [alpha * c for c in first_order_by_polarize(base, direction)]
+    )
+
+
 def test_xi_first_order_matches_polarize():
     rng = seeded(52)
     ring = univariate_ring(8)
@@ -482,12 +494,101 @@ def test_xi_first_order_matches_polarize():
         n = rng.randint(1, 4)
         base = random_gaussian(rng, n)
         pert = [[random_infinitesimal(rng, ring) for _ in range(n)] for _ in range(n)]
-        alpha, flat = decompose([entry for row in pert for entry in row]).levels[0]
-        direction = ConstantMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
-        expected = PerturbedPolynomial(
-            ring, [alpha * c for c in first_order_by_polarize(base, direction)]
+        assert xi_first_order(base, pert) == first_order_reference(base, pert)
+
+
+def _edge_cases():
+    rng = seeded(54)
+    ring = univariate_ring(8)
+    t = ring.generator("t")
+    f, g = random_gaussian(rng, 3), random_gaussian(rng, 3)
+    gaussian_lead = [[t**3 * x for x in row] for row in random_gaussian(rng, 3).rows]
+    gaussian_lead[0][0] = GaussianRational(2, 1) * t**2 + t**4  # the pivot: lead 2+i
+    gaussian_lead[2][1] = GaussianRational(-1, 3) * t**2
+    return {
+        "v=2": (
+            random_gaussian(rng, 3),
+            [[t**2 * x + t**3 * y for x, y in zip(rf, rg)] for rf, rg in zip(f.rows, g.rows)],
+        ),
+        "v=T": (
+            random_gaussian(rng, 3),
+            [[t**ring.truncation * x for x in row] for row in (f + unit_matrix(3, 1, 2)).rows],
+        ),
+        "gaussian-lead": (random_gaussian(rng, 3), gaussian_lead),
+        "1x1": (ConstantMatrix([[GaussianRational(2, -1)]]), [[3 * t**2 - t**5]]),
+    }
+
+
+EDGE_CASES = _edge_cases()
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_xi_first_order_edge_valuations(case):
+    base, pert = EDGE_CASES[case]
+    first = xi_first_order(base, pert)
+    assert first == first_order_reference(base, pert)
+    valuation = min(entry.valuation() for row in pert for entry in row)
+    xi = perturbation_poly(PerturbedMatrix(base, pert))
+    assert all(c.valuation() > valuation for c in (xi - first).coeffs)
+
+
+def test_xi_first_order_reuses_the_cached_char_poly(ring, t, monkeypatch):
+    calls = [0]
+    berkowitz = matrices._berkowitz
+
+    def counted(*args):
+        calls[0] += 1
+        return berkowitz(*args)
+
+    monkeypatch.setattr(matrices, "_berkowitz", counted)
+    rng = seeded(55)
+    pert = random_perturbation(rng, ring, 4)
+    pert[0][0] = t
+    matrix = PerturbedMatrix(random_constant(rng, 4), pert)
+    char_poly(matrix)
+    calls[0] = 0
+    xi_first_order(matrix.base, matrix)
+    assert calls[0] == 0
+    xi_first_order(matrix.base, pert)
+    assert calls[0] == 1
+    calls[0] = 0
+    multi = SeriesRing(("e1", "e2"), 4)
+    with pytest.raises(DomainError):
+        xi_first_order(JORDAN2, [[multi.zero()] * 2, [multi.generator("e1"), multi.zero()]])
+    with pytest.raises(DomainError):
+        xi_first_order(JORDAN2, [[ring.zero()] * 2, [ring.zero()] * 2])
+    assert calls[0] == 0
+
+
+gaussians = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.integers(-2, 2),
+)
+
+
+@st.composite
+def perturbed_matrices(draw):
+    n = draw(st.integers(1, 4))
+    ring = univariate_ring(4)
+    entries = st.dictionaries(
+        st.integers(1, ring.truncation).map(lambda k: (k,)), gaussians, max_size=3
+    )
+    base = ConstantMatrix([[draw(gaussians) for _ in range(n)] for _ in range(n)])
+    return PerturbedMatrix(
+        base, [[TruncatedSeries(ring, draw(entries)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(perturbed_matrices())
+def test_char_poly_and_first_order_match_the_definitions(matrix):
+    # Berkowitz against minor sums, and its [t^v] read against polarize
+    assert char_poly(matrix) == PerturbedPolynomial(matrix.ring, char_poly_by_minors(matrix))
+    if any(entry for row in matrix.pert for entry in row):
+        assert xi_first_order(matrix.base, matrix) == first_order_reference(
+            matrix.base, matrix.pert
         )
-        assert xi_first_order(base, pert) == expected
 
 
 def householder(v):
