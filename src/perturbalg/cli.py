@@ -117,7 +117,7 @@ def _branches(base: ExactPolynomial, shift, root, declared) -> list:
     """JSON payloads of the branches at a root, once its declared multiplicity holds."""
     branches = dominant_balance(base, shift, root)
     # the branch orders add up to the multiplicity; a balance holds two
-    mult = sum(2 if isinstance(b, BalanceQuadratic) else b.order for b in branches)
+    mult = sum(branch.order for branch in branches)
     if declared is not None and declared != mult:
         raise DomainError(f"declared multiplicity {declared} but {root} has multiplicity {mult}")
     return [_asym_payload(branch) for branch in branches]

@@ -92,17 +92,13 @@ def _validated(entries) -> list[TruncatedSeries]:
     return entries
 
 
-def _pivot_index(residual) -> int:
-    """Index of the nonzero entry of minimal valuation, lowest index on ties."""
-    return min(
-        (i for i, e in enumerate(residual) if not e.is_zero()),
-        key=lambda i: residual[i].valuation(),
-    )
-
-
 def _level(remainder) -> tuple[TruncatedSeries, tuple[GaussianRational, ...]]:
-    """(pivot, U) of a nonzero remainder: U is the t^v coefficients over the pivot's."""
-    pivot = remainder[_pivot_index(remainder)]
+    """(pivot, U) of a nonzero remainder: U is the t^v coefficients over the pivot's.
+
+    The pivot is the nonzero entry of minimal valuation, lowest index on ties
+    (min keeps the first of equal keys).
+    """
+    pivot = min((e for e in remainder if not e.is_zero()), key=TruncatedSeries.valuation)
     index = (pivot.valuation(),)
     lead = pivot.terms[index]
     zero = GaussianRational(0)

@@ -10,9 +10,9 @@ directly and serve as the reference.  `char_poly` uses Berkowitz's
 division-free algorithm instead, which takes polynomial time and stays exact
 over the truncated series ring (not a field), and the first-order forms are
 read off its output, as Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U):
-`xi_first_order` reads [t^v] of the cached char_poly(A + E), and
-`hermitian_first_order` reads [s^1] of char_poly(A + s*U) over a ring in
-one extra generator s truncated at degree 1.
+`_first_order` reads [t^v] of a cached char_poly(A + E) over the t^v
+coefficient of alpha, with alpha_1 for `xi_first_order` and s at T = 1 for
+`hermitian_first_order`.
 """
 
 from __future__ import annotations
@@ -236,10 +236,6 @@ def minor_sum(matrix, k: int):
     return total
 
 
-def _add_rows(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def polarize(k: int, *matrices):
     """Symmetric k-linear polarization of the k-th minor sum.
 
@@ -258,15 +254,8 @@ def polarize(k: int, *matrices):
         raise DomainError(f"polarization order {k} exceeds the matrix order {n}")
 
     # Repeated arguments are common (A, ..., A, E, ..., E); label equal
-    # operands so identical subset sums are evaluated once.
-    labels = []
-    for rows in rows_list:
-        for seen_label, seen_rows in enumerate(rows_list[:len(labels)]):
-            if rows == seen_rows:
-                labels.append(labels[seen_label])
-                break
-        else:
-            labels.append(len(labels))
+    # operands by their first place so identical subset sums are evaluated once.
+    labels = [rows_list.index(rows) for rows in rows_list]
 
     cache = {}
     total = None
@@ -274,10 +263,9 @@ def polarize(k: int, *matrices):
         key = tuple(sorted(labels[i] for i in range(k) if mask & (1 << i)))
         value = cache.get(key)
         if value is None:
-            acc = None
-            for i in range(k):
-                if mask & (1 << i):
-                    acc = rows_list[i] if acc is None else _add_rows(acc, rows_list[i])
+            chosen = [rows_list[i] for i in range(k) if mask & (1 << i)]
+            # the entrywise sum of the chosen arguments, left to right
+            acc = [[sum(cells[1:], cells[0]) for cells in zip(*rows)] for rows in zip(*chosen)]
             value = minor_sum(acc, k)
             cache[key] = value
         if (k - bin(mask).count("1")) % 2:
@@ -325,18 +313,18 @@ def char_poly(matrix):
     PerturbedPolynomial over their series ring.  Computed by Berkowitz's
     algorithm once per matrix; later calls return the same polynomial.
     """
-    if isinstance(matrix, ConstantMatrix):
-        if matrix._charpoly is None:
+    if not isinstance(matrix, (ConstantMatrix, PerturbedMatrix)):
+        raise TypeError("char_poly expects a ConstantMatrix or a PerturbedMatrix")
+    if matrix._charpoly is None:
+        if isinstance(matrix, ConstantMatrix):
             coeffs = _berkowitz(matrix.rows, GaussianRational(0), GaussianRational(1))
-            object.__setattr__(matrix, "_charpoly", ExactPolynomial(coeffs[::-1]))
-        return matrix._charpoly
-    if isinstance(matrix, PerturbedMatrix):
-        if matrix._charpoly is None:
+            poly = ExactPolynomial(coeffs[::-1])
+        else:
             ring = matrix.ring
             coeffs = _berkowitz(matrix.total(), ring.zero(), ring.one())
-            object.__setattr__(matrix, "_charpoly", PerturbedPolynomial(ring, coeffs[::-1]))
-        return matrix._charpoly
-    raise TypeError("char_poly expects a ConstantMatrix or a PerturbedMatrix")
+            poly = PerturbedPolynomial(ring, coeffs[::-1])
+        object.__setattr__(matrix, "_charpoly", poly)
+    return matrix._charpoly
 
 
 def perturbation_poly(matrix: PerturbedMatrix) -> PerturbedPolynomial:
@@ -378,27 +366,33 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     """First-order part of char_poly(A+E) - char_poly(A).
 
     E is decomposed (row-major flattening) as alpha_1*U_1 + ..., alpha_1 of
-    valuation v with t^v coefficient `lead`; the result is
+    valuation v; the result is
 
         alpha_1 * sum_k (-1)^k Theta(A,...,A,U_1)/(k-1)! * X^(n-k)
 
     and the exact difference minus this polynomial has coefficient valuations
-    strictly above v.  Since Q(A+E) = Q(A) + DQ(A)[E] + O(t^(2v)), each sum is
-    [t^v] of the coefficient of char_poly(A+E) over `lead`, so the result is
-    read off the matrix's cached characteristic polynomial.
+    strictly above v.  The sums are `_first_order`'s read of alpha_1 on the
+    matrix's cached characteristic polynomial.
     """
     matrix = _on_base(base, pert)
     flat = [entry for row in matrix.pert for entry in row]
     if all(entry.is_zero() for entry in flat):
         raise DomainError("zero perturbation has no first-order part")
     alpha1 = first_level(flat)[0]  # before char_poly, so rejected input costs nothing
-    index = (alpha1.valuation(),)
-    lead = alpha1.terms[index]
+    return PerturbedPolynomial(alpha1.ring, [alpha1 * c for c in _first_order(matrix, alpha1)])
+
+
+def _first_order(matrix: PerturbedMatrix, alpha: TruncatedSeries) -> list[GaussianRational]:
+    """Coefficients, low first, of sum_k (-1)^k Theta(A,...,A,U)/(k-1)! X^(n-k).
+
+    For A + E with E = alpha*U + O(t^(v+1)), alpha of valuation v, each is
+    [t^v] of char_poly(A+E)'s over alpha's t^v coefficient, since
+    Q(A+E) = Q(A) + DQ(A)[E] + O(t^(2v)).
+    """
+    index = (alpha.valuation(),)
+    lead = alpha.terms[index]
     zero = GaussianRational(0)
-    coeffs = char_poly(matrix).coeffs[:base.n]
-    return PerturbedPolynomial(
-        alpha1.ring, [alpha1 * (c.terms.get(index, zero) / lead) for c in coeffs]
-    )
+    return [c.terms.get(index, zero) / lead for c in char_poly(matrix).coeffs[:matrix.n]]
 
 
 def eigenvalue_correction(base: ConstantMatrix, pert, eigenvalue) -> RootAsymptotics:
@@ -423,18 +417,15 @@ def conservative_residuals(base: ConstantMatrix, pert) -> list[TruncatedSeries]:
 
 def orbit_dimension(matrix: ConstantMatrix) -> int:
     """Dimension of the conjugation orbit: rank of M -> M*A - A*M."""
-    n = matrix.n
-    columns = []
-    for i in range(n):
-        for j in range(n):
-            # image of the basis matrix with a single 1 at (i, j)
-            image = [[GaussianRational(0)] * n for _ in range(n)]
-            for l in range(n):
-                image[i][l] = image[i][l] + matrix.rows[j][l]
-            for r in range(n):
-                image[r][j] = image[r][j] - matrix.rows[r][i]
-            columns.append([image[r][c] for r in range(n) for c in range(n)])
-    return rank_of_rows(columns)
+    n, rows, zero = matrix.n, matrix.rows, GaussianRational(0)
+    # the image E_ij*A - A*E_ij of the basis matrix with a single 1 at (i, j)
+    return rank_of_rows(
+        [
+            [(rows[j][c] if r == i else zero) - (rows[r][i] if c == j else zero)
+             for r in range(n) for c in range(n)]
+            for i in range(n) for j in range(n)
+        ]
+    )
 
 
 # char_poly(A + s*U) is only needed to first order in s.
@@ -468,7 +459,6 @@ def hermitian_first_order(
     if not slope:
         raise DomainError(f"{eigenvalue} is not a simple eigenvalue")
     s = _FIRST_ORDER_RING.generator("s")
-    deformed = char_poly(PerturbedMatrix(base, [[s * u for u in row] for row in direction.rows]))
-    zero = GaussianRational(0)
-    first = ExactPolynomial([c.terms.get((1,), zero) for c in deformed.coeffs[:base.n]])
+    deformed = PerturbedMatrix(base, [[s * u for u in row] for row in direction.rows])
+    first = ExactPolynomial(_first_order(deformed, s))
     return alpha * (-first.evaluate(eigenvalue) / slope)

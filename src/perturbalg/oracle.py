@@ -261,7 +261,7 @@ def verify_root_asymptotics(
     if multiplicity == 0:
         raise DomainError("asymptotics anchored at a non-root")
     balance = isinstance(claim, BalanceQuadratic)
-    order = 2 if balance else claim.order
+    order = claim.order
     if order > multiplicity:
         raise DomainError(f"order {order} exceeds multiplicity {multiplicity}")
     base_coeffs = base.numeric_coeffs()

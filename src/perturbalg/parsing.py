@@ -91,14 +91,10 @@ class Token(NamedTuple):
 _KINDS = (None, "int", "name", "op")  # by the group of _TOKEN_PATTERN that matched
 
 
-def _line_column(text: str, offset: int):
+def _error(text: str, offset: int, message: str) -> ParseError:
     line = text.count("\n", 0, offset) + 1
     last_break = text.rfind("\n", 0, offset)
-    return line, offset - last_break - 1 if last_break >= 0 else offset
-
-
-def _error(text: str, offset: int, message: str) -> ParseError:
-    line, column = _line_column(text, offset)
+    column = offset - last_break - 1 if last_break >= 0 else offset
     return ParseError(message, offset=offset, line=line, column=column)
 
 
@@ -344,10 +340,16 @@ class _Parser:
         rows = {0: (0, re, im)} if re or im else {}
         return _Value(self, den, rows)
 
-    def finish(self, token_description="end of input"):
+    def finish(self):
         token = self.peek()
         if token.kind != "end":
-            self.fail(token, f"syntax error: expected {token_description}")
+            self.fail(token, "syntax error: expected end of input")
+
+    def whole(self) -> _Value:
+        """An expression that runs to the end of the input."""
+        value = self.parse_expression()
+        self.finish()
+        return value
 
     # results -------------------------------------------------------------
 
@@ -373,13 +375,8 @@ def ring_for(*texts: str, truncation: int = 8) -> SeriesRing:
 
 
 def parse_series(text: str, ring: SeriesRing) -> TruncatedSeries:
-    return _series(_Parser(text, ring, var=None))
-
-
-def _series(parser: _Parser) -> TruncatedSeries:
-    value = parser.parse_expression()
-    parser.finish()
-    return parser.series(value)
+    parser = _Parser(text, ring, var=None)
+    return parser.series(parser.whole())
 
 
 def parse_series_list(texts, truncation: int) -> list[TruncatedSeries]:
@@ -394,23 +391,24 @@ def parse_series_list(texts, truncation: int) -> list[TruncatedSeries]:
     entries, pairs = [], 0
     for text, tokens in zip(texts, scanned):
         parser = _Parser(text, ring, None, tokens, pairs)
-        entries.append(_series(parser))
+        entries.append(parser.series(parser.whole()))
         pairs = parser.pairs
     return entries
 
 
 def parse_polynomial(text: str, ring: SeriesRing, var: str = "X") -> PerturbedPolynomial:
     parser = _Parser(text, ring, var=var)
-    value = parser.parse_expression()
-    parser.finish()
-    return parser.polynomial(value)
+    return parser.polynomial(parser.whole())
+
+
+# one ring for every parse_scalar: it rejects generators, so T = 1 loses nothing
+_SCALAR_RING = SeriesRing(("t",), 1)
 
 
 def parse_scalar(text: str) -> GaussianRational:
     """An exact scalar; generator tokens are rejected, so no truncation hides `t^9`."""
-    parser = _Parser(text, SeriesRing(("t",), 1), var=None)
-    value = parser.parse_expression()
-    parser.finish()
+    parser = _Parser(text, _SCALAR_RING, var=None)
+    value = parser.whole()
     if any(token.kind == "name" and GENERATOR_PATTERN.match(token.text) for token in parser.tokens):
         raise ParseError("expected an exact scalar, found generator terms")
     return parser.series(value).standard_part()
@@ -451,7 +449,8 @@ def parse_matrix_json(text: str, truncation: int = 8):
             raise ParseError(f"matrix JSON {field!r} must be a list of lists")
     base_rows = data["base"]
     order = data.get("n", len(base_rows))
-    if not isinstance(order, int) or len(base_rows) != order or any(
+    # json reads true as a bool, which isinstance counts as an int
+    if type(order) is not int or len(base_rows) != order or any(
         len(row) != order for row in base_rows
     ):
         raise ParseError("matrix JSON shape does not match 'n'")

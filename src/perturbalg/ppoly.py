@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .errors import (
     DegenerateError,
@@ -198,8 +198,10 @@ class BalanceQuadratic:
     Returned for the three-point Newton-polygon edge of a double root, where
     the two branch magnitudes coincide and the correction is a root of a
     genuine quadratic whose roots need not live in the coefficient ring.
+    `order` is its count of branches, as for a RootAsymptotics.
     """
 
+    order: ClassVar[int] = 2
     base_root: GaussianRational
     quad_coeff: GaussianRational
     linear: TruncatedSeries

@@ -6,7 +6,8 @@ so two values are equal exactly when their triples are.  A product is one
 Gaussian-integer product and one gcd, and an int operand is (n, 0, 1) without
 a Fraction.  It is the form a series row uses (see series.py).  The parts
 `re` and `im`, and `norm2()`, are Fractions for the few readers that want
-them: formatting, hashing of a real value with a denominator, and tests.
+them: formatting (`_scalar_pieces`, which str() and series.py's term
+formatter share), hashing of a real value with a denominator, and tests.
 """
 
 from __future__ import annotations
@@ -168,18 +169,12 @@ class GaussianRational:
     # -- formatting (matches the expression grammar) -------------------------
 
     def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        sign = "-" if im < 0 else "+"
-        im_text = "i" if abs(im) == 1 else f"{abs(im)}*i"
-        return f"{re} {sign} {im_text}"
+        if self.a and self.b:
+            # re, then the signed pieces of the imaginary part
+            sign, text = _scalar_pieces(_reduced(0, self.b, self.d), with_monomial=False)
+            return f"{self.re} {sign} {text}"
+        sign, text = _scalar_pieces(self, with_monomial=False)
+        return text if sign == "+" else f"-{text}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -208,6 +203,18 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     if g == 1:
         return _of(a, b, d)
     return _of(a // g, b // g, d // g)
+
+
+def _scalar_pieces(coeff: GaussianRational, with_monomial: bool):
+    """Return (sign, factor_text) for one term; factor_text may be empty."""
+    if coeff.a and coeff.b:
+        return "+", f"({coeff})"
+    # at most one part is nonzero, so a + b carries its sign
+    sign = "-" if coeff.a + coeff.b < 0 else "+"
+    magnitude = abs(coeff.im if coeff.b else coeff.re)
+    if coeff.b == 0:
+        return sign, "" if with_monomial and magnitude == 1 else str(magnitude)
+    return sign, "i" if magnitude == 1 else f"{magnitude}*i"
 
 
 def _sum(x: GaussianRational, a: int, b: int, d: int) -> GaussianRational:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DomainError, NonUnitError, RingMismatchError
-from .scalars import GaussianRational, _power, _reduced
+from .scalars import GaussianRational, _power, _reduced, _scalar_pieces
 
 INFINITE = math.inf
 
@@ -623,22 +623,6 @@ def divide_univariate(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSe
 
 
 # -- grammar-compatible formatting --------------------------------------------------
-
-
-def _scalar_pieces(coeff: GaussianRational, with_monomial: bool):
-    """Return (sign, factor_text) for one term; factor_text may be empty."""
-    if coeff.im == 0:
-        sign = "-" if coeff.re < 0 else "+"
-        magnitude = abs(coeff.re)
-        if with_monomial and magnitude == 1:
-            return sign, ""
-        return sign, str(magnitude)
-    if coeff.re == 0:
-        sign = "-" if coeff.im < 0 else "+"
-        magnitude = abs(coeff.im)
-        text = "i" if magnitude == 1 else f"{magnitude}*i"
-        return sign, text
-    return "+", f"({coeff})"
 
 
 def _monomial_text(generators, index) -> str:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from perturbalg import (
     ExactPolynomial,
@@ -32,6 +33,22 @@ def random_scalar(rng, span=5, denominators=5):
     )
 
 
+# strategy: re + im*i, each part one of random_scalar's values
+_parts = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5))
+gaussian_scalars = st.builds(GaussianRational, _parts, _parts)
+
+
+def gaussian_series(ring, min_valuation=0):
+    """Strategy: random_series's series (1 to 6 terms of degree <= T), Gaussian coefficients."""
+    bound = ring.truncation
+    exponents = st.tuples(*[st.integers(0, bound)] * len(ring.generators)).filter(
+        lambda index: min_valuation <= sum(index) <= bound
+    )
+    return st.dictionaries(exponents, gaussian_scalars, min_size=1, max_size=6).map(
+        lambda terms: TruncatedSeries(ring, terms)
+    )
+
+
 def random_series(rng, ring, max_degree=None, min_valuation=0, span=5):
     """Random series with integer-ish rational coefficients."""
     max_degree = ring.truncation if max_degree is None else max_degree
@@ -44,12 +61,6 @@ def random_series(rng, ring, max_degree=None, min_valuation=0, span=5):
                 break
         terms[index] = random_scalar(rng, span)
     return TruncatedSeries(ring, terms)
-
-
-def random_unit(rng, ring):
-    series = random_series(rng, ring)
-    offset = GaussianRational(rng.randint(1, 5))
-    return series + (offset - series.standard_part())
 
 
 def random_infinitesimal(rng, ring, max_valuation=4):

@@ -440,6 +440,12 @@ def test_hostile_matrix_json_is_a_parse_error(capsys, matrix):
     assert one_error_line(capsys).startswith("error: matrix JSON '")
 
 
+def test_boolean_matrix_order_is_a_parse_error(capsys):
+    # json reads true as a bool, which isinstance counts as the int 1
+    assert run(["charpoly", "--matrix", '{"n":true,"base":[["2"]]}']) == 1
+    assert one_error_line(capsys) == "error: matrix JSON shape does not match 'n'\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [

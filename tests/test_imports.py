@@ -124,11 +124,10 @@ def test_only_samplers_build_complex_values_outside_the_oracle():
     assert builders == {}
 
 
-# a scalar is the integer triple (a, b, d): outside scalars.py only the series
-# formatter reads its Fraction parts, and scalars.py and series.py build a
-# Fraction only for those views
+# a scalar is the integer triple (a, b, d): only scalars.py, whose one
+# formatter serves every printer, reads its Fraction parts, and scalars.py and
+# series.py build a Fraction only for those views
 FRACTION_VIEWS = {"re", "im", "norm2"}
-PART_READERS = {"_scalar_pieces"}
 
 
 def test_scalar_parts_are_read_only_for_printing():
@@ -138,7 +137,7 @@ def test_scalar_parts_are_read_only_for_printing():
             where = f"{name}:{getattr(node, 'lineno', 0)}"
             function = enclosing.get(node, "<module>")
             reads = isinstance(node, ast.Attribute) and node.attr in ("re", "im")
-            if reads and name != "scalars.py" and function not in PART_READERS:
+            if reads and name != "scalars.py":
                 readers[where] = function
             builds = (
                 isinstance(node, ast.Call)

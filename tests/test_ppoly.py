@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perturbalg import (
@@ -46,6 +46,8 @@ from conftest import (
     NOT_ONE_EDGE,
     NOT_ONE_EDGE_IDS,
     assert_round_trips,
+    gaussian_scalars,
+    gaussian_series,
     not_one_edge,
     random_exact_poly,
     random_infinitesimal,
@@ -258,32 +260,44 @@ def test_pgcd_keeps_input_when_other_is_infinitesimal(ring, t):
     assert result == a and trace == []
 
 
-def test_pgcd_shadow_property_random():
-    rng = seeded(33)
-    ring = SeriesRing(("t",), 8)
-    passes = 0
-    while passes < 50:
-        d = random_exact_poly(rng, max_degree=2)
-        if d.degree < 1:
-            continue
-        a1 = random_exact_poly(rng, max_degree=2)
-        a2 = random_exact_poly(rng, max_degree=2)
-        if a1.is_zero() or a2.is_zero() or poly_gcd(a1, a2).degree != 0:
-            continue
-        noisy = []
-        for cofactor in (a1, a2):
-            product = PerturbedPolynomial.from_exact(d * cofactor, ring)
-            noise = PerturbedPolynomial(
-                ring,
-                [
-                    random_infinitesimal(rng, ring)
-                    for _ in range(product.degree + 1)
-                ],
-            )
-            noisy.append(product + noise)
-        result, _ = pgcd(noisy[0], noisy[1])
-        assert monic_shadow(result) == d.monic()
-        passes += 1
+def exact_polys(min_degree):
+    """Strategy: random_exact_poly's polynomials of degree <= 2, Gaussian coefficients."""
+    return st.lists(gaussian_scalars, min_size=min_degree + 1, max_size=3).map(
+        lambda coeffs: ExactPolynomial(coeffs[:-1] + [coeffs[-1] or GaussianRational(1)])
+    )
+
+
+_factors, _cofactors = exact_polys(1), exact_polys(0)
+_SHADOW_RING = SeriesRing(("t",), 8)
+# random_infinitesimal's noise: a series of valuation >= 1, plus t^k (k <= 4)
+# where it is zero or of valuation above 4
+_noise = st.tuples(gaussian_series(_SHADOW_RING, min_valuation=1), st.integers(1, 4)).map(
+    lambda pair: pair[0]
+    if pair[0] and pair[0].valuation() <= 4
+    else pair[0] + _SHADOW_RING.generator("t") ** pair[1]
+)
+
+
+@st.composite
+def shared_factors(draw):
+    """(d, [d*a1 + noise, d*a2 + noise]) with deg d in 1..2 and a1, a2 coprime."""
+    d = draw(_factors)
+    cofactors = draw(_cofactors), draw(_cofactors)
+    assume(poly_gcd(*cofactors).degree == 0)
+    noisy = []
+    for cofactor in cofactors:
+        product = PerturbedPolynomial.from_exact(d * cofactor, _SHADOW_RING)
+        noise = [draw(_noise) for _ in range(product.degree + 1)]
+        noisy.append(product + PerturbedPolynomial(_SHADOW_RING, noise))
+    return d, noisy
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(shared_factors())
+def test_pgcd_shadow_property_random(case):
+    d, (a, b) = case
+    result, _ = pgcd(a, b)
+    assert monic_shadow(result) == d.monic()
 
 
 def test_sensitivity_simple_root(ring, t):
