@@ -1,0 +1,30 @@
+"""The current code answers every problem of the golden records as they say.
+
+The records (see `golden_corpus.py`) hold the printed outputs, verdicts and
+CLI results of 984 problems of the benchmark corpora.  A change that keeps
+its outputs byte-identical passes unchanged; the first problem that differs
+is printed with both texts.
+"""
+
+import json
+
+import golden_corpus
+import pytest
+
+
+@pytest.mark.parametrize(
+    "workload, seed",
+    [(workload, seed) for workload, seeds in golden_corpus.SEEDS.items() for seed in seeds],
+)
+def test_outputs_match_the_golden_records(workload, seed):
+    recorded = golden_corpus.load(workload, seed)
+    current = list(golden_corpus.build(workload, seed))
+    assert len(recorded) == len(current) == golden_corpus.workloads.corpus_size(workload, 10)
+    for old, new in zip(recorded, current):
+        if old != new:
+            pytest.fail(
+                f"{workload} at seed {seed}, problem {old['id']}, differs\n"
+                f"recorded: {json.dumps(old, indent=1, sort_keys=True)}\n"
+                f"current:  {json.dumps(new, indent=1, sort_keys=True)}",
+                pytrace=False,
+            )
