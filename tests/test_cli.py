@@ -140,6 +140,10 @@ def test_orbitdim(capsys):
     )
     assert code == 0
     assert payload["dimension"] == 0
+    # a pert block is allowed and left unread: the orbit is the base's
+    code, payload = run_json(capsys, ["orbitdim", "--matrix", JORDAN2])
+    assert code == 0
+    assert payload["dimension"] == 2
 
 
 def test_hermitian(capsys):
@@ -494,6 +498,9 @@ def test_unknown_verify_case_lists_the_known_ones(capsys):
          "error: 5 is not an eigenvalue of the base matrix\n"),
         ('{"n":2,"base":[["1","0"],["0","1"]]}', '{"n":2,"base":[["1","0"],["0","0"]]}', "t", "1",
          "error: 1 is not a simple eigenvalue\n"),
+        ('{"n":2,"base":[["0","0"],["0","1"]],"pert":[["t","0"],["0","0"]]}',
+         '{"n":2,"base":[["1","0"],["0","0"]]}', "t", "0",
+         "error: hermitian takes exact base and direction matrices\n"),
     ],
 )
 def test_hermitian_rejections_are_domain_errors(capsys, matrix, direction, alpha, eigenvalue, message):
@@ -501,6 +508,18 @@ def test_hermitian_rejections_are_domain_errors(capsys, matrix, direction, alpha
             "--alpha", alpha, "--eigenvalue", eigenvalue]
     assert run(argv) == 2
     assert one_error_line(capsys) == message
+
+
+@pytest.mark.parametrize("argv", [["eigshift", "--eigenvalue", "0"], ["conservative"]])
+def test_eigshift_and_conservative_need_a_pert_block(capsys, argv):
+    assert run([*argv, "--matrix", DIAG01]) == 2
+    assert one_error_line(capsys) == f"error: {argv[0]} needs a matrix with a 'pert' block\n"
+
+
+def test_an_oracle_error_exits_3(capsys):
+    # the one input known to end a verify case in OracleError, not in a verdict
+    assert run(["verify", "--case", "nilpotent3", "--grid", "1e-300"]) == 3
+    assert one_error_line(capsys) == "oracle error: root iteration did not converge\n"
 
 
 def test_goze_vector_entries_share_one_product_budget(capsys, monkeypatch):

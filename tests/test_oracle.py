@@ -78,6 +78,11 @@ def test_roots_reject_zero_leading():
         poly_roots_numeric([1, 2, 0])
 
 
+def test_roots_reject_a_degree_above_30():
+    with pytest.raises(DomainError, match="degree above 30"):
+        poly_roots_numeric([1] * 32)
+
+
 def test_roots_self_test_random():
     rng = seeded(51)
     for _ in range(50):
@@ -452,6 +457,17 @@ def test_grid_must_lie_in_the_unit_tenth(ring, t):
             verify_root_asymptotics(base, PerturbedPolynomial(ring, [-t]), claim, grid)
 
 
+@pytest.mark.parametrize(
+    "root, order, message",
+    [(2, 1, "asymptotics anchored at a non-root"), (1, 2, "order 2 exceeds multiplicity 1")],
+)
+def test_verify_rejects_a_claim_the_base_root_cannot_carry(ring, t, root, order, message):
+    base = ExactPolynomial([-1, 0, 1])
+    claim = RootAsymptotics(GaussianRational(root), order, t)
+    with pytest.raises(DomainError, match=message):
+        verify_root_asymptotics(base, PerturbedPolynomial(ring, [t]), claim, GRID)
+
+
 def test_verify_mixed_scale_branches(ring, t):
     base = ExactPolynomial([1, -2, 1])
     shift = PerturbedPolynomial(ring, [-t - t**3, t])
@@ -801,6 +817,12 @@ def test_verify_eigenvalues_jordan():
     )
     eigenvalues = verify_eigenvalues(matrix, 1e-6)
     assert match_roots(eigenvalues, [1 - 1e-3, 1 + 1e-3]) < 1e-9
+
+
+def test_verify_eigenvalues_rejects_an_order_above_8(ring, t):
+    matrix = PerturbedMatrix(ConstantMatrix.identity(9), [[t] * 9] * 9)
+    with pytest.raises(DomainError, match="above order 8"):
+        verify_eigenvalues(matrix, 1e-3)
 
 
 def test_verify_eigenvalues_unperturbed_diagonal(ring):

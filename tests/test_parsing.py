@@ -290,6 +290,14 @@ def test_matrix_json_errors():
             parse_matrix_json(f'{{"n":{order},"base":[["0"]],"pert":[["t"]]}}')
     with pytest.raises(DomainError):
         parse_matrix_json('{"n":1,"base":[["0"]],"pert":[["1 + t"]]}')
+    identity = '"n":2,"base":[["1","0"],["0","1"]]'
+    for text, message in (
+        ('{"n":1,"pert":[["t"]]}', "matrix JSON needs a 'base' field"),
+        (f'{{{identity},"pert":[["t","0"]]}}', "perturbation shape does not match 'n'"),
+        (f'{{{identity},"pert":[["t"],["0","t"]]}}', "perturbation shape does not match 'n'"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_matrix_json(text)
     # json gives up on deep nesting with a RecursionError
     with pytest.raises(ParseError, match="invalid matrix JSON: maximum recursion depth"):
         parse_matrix_json("[" * 20_000 + "]" * 20_000)

@@ -116,6 +116,20 @@ def test_infinitesimal_denominator_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "den_ring, den_var, message",
+    [
+        (SeriesRing(("t",), 4), "p", "numerator and denominator from different rings"),
+        (SeriesRing(("t",), 8), "X", "numerator and denominator in different variables"),
+    ],
+)
+def test_rational_function_needs_one_ring_and_one_indeterminate(den_ring, den_var, message):
+    num = parse_polynomial("p + t", univariate_ring(8), "p")
+    den = parse_polynomial(f"{den_var} + 1", den_ring, den_var)
+    with pytest.raises(DomainError, match=message):
+        RationalFunction(num, den)
+
+
 def test_reduction_matches_shadow_gcd():
     rng = __import__("random").Random(61)
     from conftest import random_exact_poly, random_infinitesimal
