@@ -32,6 +32,8 @@ from .matrices import (
     perturbation_poly,
 )
 from .oracle import (
+    DEFAULT_GRID,
+    DEFAULT_TOLERANCE,
     ConvergenceReport,
     Sample,
     _descending_grid,
@@ -59,7 +61,7 @@ from .ppoly import (
     pgcd,
     root_correction,
 )
-from .series import SeriesRing, univariate_ring
+from .series import DEFAULT_TRUNCATION, SeriesRing, univariate_ring
 from .transfer import RationalFunction, simplify
 
 
@@ -169,10 +171,15 @@ def _cmd_charpoly(args) -> int:
     return 0
 
 
-def _cmd_eigshift(args) -> int:
+def _perturbed_matrix(args) -> PerturbedMatrix:
     matrix = parse_matrix_json(args.matrix, args.trunc)
     if not isinstance(matrix, PerturbedMatrix):
-        raise DomainError("eigshift needs a matrix with a 'pert' block")
+        raise DomainError(f"{args.command} needs a matrix with a 'pert' block")
+    return matrix
+
+
+def _cmd_eigshift(args) -> int:
+    matrix = _perturbed_matrix(args)
     eigenvalue = parse_scalar(args.eigenvalue)
     branches = _branches(
         char_poly(matrix.base), perturbation_poly(matrix), eigenvalue, args.mult
@@ -185,9 +192,7 @@ def _cmd_eigshift(args) -> int:
 
 
 def _cmd_conservative(args) -> int:
-    matrix = parse_matrix_json(args.matrix, args.trunc)
-    if not isinstance(matrix, PerturbedMatrix):
-        raise DomainError("conservative needs a matrix with a 'pert' block")
+    matrix = _perturbed_matrix(args)
     residuals = conservative_residuals(matrix.base, matrix)
     _emit(
         args,
@@ -365,7 +370,8 @@ def _grid(text: str) -> list[float]:
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="perturbalg")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trunc", type=_truncation, default=8, help="truncation degree T")
+    common.add_argument("--trunc", type=_truncation, default=DEFAULT_TRUNCATION,
+                        help="truncation degree T")
     common.add_argument("--seed", type=int, default=0,
                         help="oracle seed (verify --case transfer has no seeded step)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
@@ -422,9 +428,9 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a named oracle check")
     p.add_argument("--case", required=True)
-    p.add_argument("--grid", type=_grid, default="1e-2,1e-3,1e-4",
+    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID,
                    help="comma-separated sample scales, each in (0, 0.1]")
-    p.add_argument("--tolerance", type=float, default=0.2)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(handler=_cmd_verify)
     return parser
 

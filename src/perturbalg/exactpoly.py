@@ -10,11 +10,11 @@ and the base polynomials whose roots get corrected.
 from __future__ import annotations
 
 from .errors import DomainError, RingMismatchError
-from .scalars import GaussianRational, _power
+from .scalars import GaussianRational, _Immutable, _power
 from .series import _monomial_text, format_terms, sum_of_products
 
 
-class Polynomial:
+class Polynomial(_Immutable):
     """Dense polynomial in one indeterminate, low degree first; immutable.
 
     The arithmetic, Horner evaluation, Euclidean division and printing
@@ -35,9 +35,6 @@ class Polynomial:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
         object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def degree(self) -> int:
@@ -250,7 +247,7 @@ def from_roots(roots) -> ExactPolynomial:
     return poly
 
 
-class ExactRationalFunction:
+class ExactRationalFunction(_Immutable):
     """Quotient of exact polynomials, kept coprime with a monic denominator.
 
     A normalized value with equality and printing, and no arithmetic.
@@ -274,9 +271,6 @@ class ExactRationalFunction:
             den = den * lead_inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactRationalFunction is immutable")
 
     def __reduce__(self):
         return ExactRationalFunction, (self.num, self.den)

@@ -25,11 +25,11 @@ from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
 from .goze import first_level, rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _Immutable
 from .series import SeriesRing, TruncatedSeries, _check_bits, sum_of_products
 
 
-class ConstantMatrix:
+class ConstantMatrix(_Immutable):
     """Square matrix of Gaussian rationals."""
 
     __slots__ = ("n", "rows", "_charpoly")
@@ -42,9 +42,6 @@ class ConstantMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_charpoly", None)  # set by char_poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstantMatrix is immutable")
 
     def __reduce__(self):  # through the constructor, so _charpoly starts empty
         return ConstantMatrix, (self.rows,)
@@ -131,7 +128,7 @@ class ConstantMatrix:
         return f"ConstantMatrix({[[str(x) for x in row] for row in self.rows]})"
 
 
-class PerturbedMatrix:
+class PerturbedMatrix(_Immutable):
     """A + E: exact base matrix plus an infinitesimal series matrix."""
 
     __slots__ = ("base", "pert", "ring", "_charpoly")
@@ -157,9 +154,6 @@ class PerturbedMatrix:
         object.__setattr__(self, "pert", tuple(tuple(row) for row in pert))
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_charpoly", None)  # set by char_poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PerturbedMatrix is immutable")
 
     def __reduce__(self):  # through the constructor, so _charpoly starts empty
         return PerturbedMatrix, (self.base, self.pert)

@@ -15,6 +15,7 @@ import random
 import struct
 import sys
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import DomainError, OracleError
@@ -25,6 +26,8 @@ from .ppoly import BalanceQuadratic, PerturbedPolynomial, RootAsymptotics
 MAX_ITERATIONS = 200
 NOISE_FLOOR = 1e-6  # deviations below this are rounding noise, not asymptotics
 ROOTS_MEMO_SIZE = 64  # distinct polynomials poly_roots_numeric remembers
+DEFAULT_GRID = (1e-2, 1e-3, 1e-4)  # the values t0 a claim is sampled at
+DEFAULT_TOLERANCE = 0.2  # the deviation a check passes at its last sample
 
 
 def poly_roots_numeric(
@@ -171,7 +174,7 @@ class ConvergenceReport:
 
     samples: list[Sample] = field(default_factory=list)
     verdict: bool = False
-    tolerance: float = 0.2
+    tolerance: float = DEFAULT_TOLERANCE
     inconclusive: bool = False
     note: str = ""
 
@@ -220,23 +223,13 @@ def _descending_grid(grid: Sequence[float]) -> list[float]:
     return grid
 
 
-def _mixed(base_coeffs: Sequence[complex], shift_coeffs: Sequence[complex]) -> list:
-    """Coefficients of P + Xi(t0), low degree first."""
-    size = max(len(base_coeffs), len(shift_coeffs))
-    return [
-        (base_coeffs[i] if i < len(base_coeffs) else 0)
-        + (shift_coeffs[i] if i < len(shift_coeffs) else 0)
-        for i in range(size)
-    ]
-
-
 @_overflow_is_oracle_error
 def verify_root_asymptotics(
     base: ExactPolynomial,
     shift_poly: PerturbedPolynomial,
     claim: RootAsymptotics | BalanceQuadratic,
-    grid: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    tolerance: float = 0.2,
+    grid: Sequence[float] = DEFAULT_GRID,
+    tolerance: float = DEFAULT_TOLERANCE,
     seed: int = 0,
 ) -> ConvergenceReport:
     """Test a claim at a root u of multiplicity m branch by branch, against P + Xi(t0).
@@ -292,7 +285,8 @@ def verify_root_asymptotics(
 
     for t0, sampled_values, predicted, size in kept:
         shift_coeffs = shift_poly.numeric_coeffs(sampled_values)
-        all_roots = poly_roots_numeric(_mixed(base_coeffs, shift_coeffs), seed=seed)
+        mixed = [p + x for p, x in zip_longest(base_coeffs, shift_coeffs, fillvalue=0)]
+        all_roots = poly_roots_numeric(mixed, seed=seed)
         shifts = sorted((r - root for r in all_roots), key=abs)[:multiplicity]
 
         if balance:
@@ -326,7 +320,7 @@ def verify_pgcd(
     b: PerturbedPolynomial,
     t0: float,
     symbolic_pgcd: PerturbedPolynomial,
-    tolerance: float = 0.2,
+    tolerance: float = DEFAULT_TOLERANCE,
     seed: int = 0,
 ) -> ConvergenceReport:
     """The PGCD against the Bezout combination of a and b at the roots they share.

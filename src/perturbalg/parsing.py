@@ -31,6 +31,7 @@ from .matrices import ConstantMatrix, PerturbedMatrix
 from .ppoly import PerturbedPolynomial
 from .scalars import GaussianRational, _power
 from .series import (
+    DEFAULT_TRUNCATION,
     MAX_POWER_BITS,
     SeriesRing,
     TruncatedSeries,
@@ -296,11 +297,9 @@ class _Parser:
                 return self._constant(0, 1, 1)
             if name == self.var:
                 return _Value(self, 1, {self.top: (0, 1, 0)})
-            generators = self.ring.generators
-            if name in generators:
-                # the packed key of the exponent vector with a 1 in this place
-                key = (self.ring.truncation + 1) ** (len(generators) - 1 - generators.index(name))
-                return _Value(self, 1, {key: (1, 1, 0)})
+            if name in self.ring.generators:
+                generator = self.ring.generator(name)
+                return _Value(self, generator.den, generator.rows)
             if GENERATOR_PATTERN.match(name):
                 self.fail(token, f"generator {name!r} missing from the ring")
             self.fail(token, f"unknown symbol {name!r}")
@@ -368,7 +367,7 @@ class _Parser:
         )
 
 
-def ring_for(*texts: str, truncation: int = 8) -> SeriesRing:
+def ring_for(*texts: str, truncation: int = DEFAULT_TRUNCATION) -> SeriesRing:
     """Shared ring covering every generator mentioned in the given texts."""
     names = scan_generator_names(*texts)
     return SeriesRing(names or ("t",), truncation)
@@ -429,7 +428,7 @@ def parse_rational_function(
     return RationalFunction(num, den)
 
 
-def parse_matrix_json(text: str, truncation: int = 8):
+def parse_matrix_json(text: str, truncation: int = DEFAULT_TRUNCATION):
     """Matrix input: {"n": 2, "base": [[...]], "pert": [[...]] (optional)}.
 
     Base entries must be exact scalars; perturbation entries are series with

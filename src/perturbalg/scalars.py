@@ -33,7 +33,16 @@ def _power(one, base, exponent: int):
     return one if result is None else result
 
 
-class GaussianRational:
+class _Immutable:
+    """Base of every immutable value: its constructor sets slots past this __setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(_Immutable):
     """Number (a + b*i)/d with integers a, b and d > 0, gcd(a, b, d) = 1.
 
     Instances are immutable.  The form is canonical, so equality and hashing
@@ -57,9 +66,6 @@ class GaussianRational:
         _set_a(self, a)
         _set_b(self, b)
         _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
         return _of, (self.a, self.b, self.d)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DomainError, NonUnitError, RingMismatchError
-from .scalars import GaussianRational, _power, _reduced, _scalar_pieces
+from .scalars import GaussianRational, _Immutable, _power, _reduced, _scalar_pieces
 
 INFINITE = math.inf
 
@@ -42,6 +42,7 @@ INFINITE = math.inf
 # bound a computation may run for minutes, so no ring is built there.
 MAX_TRUNCATION = 128
 MAX_MONOMIALS = 512
+DEFAULT_TRUNCATION = 8
 
 CoefficientLike = Union[GaussianRational, Fraction, int]
 
@@ -55,7 +56,7 @@ class SeriesRing:
     """Ambient ring: generator names plus the total-degree truncation T."""
 
     generators: tuple[str, ...]
-    truncation: int = 8
+    truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
         if self.truncation < 1:
@@ -92,11 +93,11 @@ class SeriesRing:
         return TruncatedSeries(self, {index: GaussianRational(1)})
 
 
-def univariate_ring(truncation: int = 8, name: str = "t") -> SeriesRing:
+def univariate_ring(truncation: int = DEFAULT_TRUNCATION, name: str = "t") -> SeriesRing:
     return SeriesRing((name,), truncation)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Immutable):
     """Immutable sparse series: packed exponent -> (degree, re*D, im*D) over one D."""
 
     __slots__ = ("ring", "den", "rows", "_terms", "_inverse")
@@ -141,9 +142,6 @@ class TruncatedSeries:
         _set_terms(self, None)
         _set_inverse(self, None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     def __reduce__(self):
         return TruncatedSeries._of_rows, (self.ring, self.den, self.rows)
@@ -418,9 +416,12 @@ def _scaled(rows: dict, scale: int) -> dict:
     return {key: (degree, re * scale, im * scale) for key, (degree, re, im) in rows.items()}
 
 
-def _merge(acc: dict, rows: dict, scale: int) -> None:
-    """Add `rows` times the int `scale` into `acc` in place; a key that cancels leaves."""
-    for key, (degree, re, im) in rows.items():
+def _sum_rows(den_a: int, rows_a: dict, den_b: int, rows_b: dict, sign: int):
+    """(common, acc): rows_a/den_a + sign*rows_b/den_b as nonzero rows over the lcm, unreduced."""
+    common = math.lcm(den_a, den_b)
+    acc = _scaled(rows_a, common // den_a)
+    scale = sign * (common // den_b)
+    for key, (degree, re, im) in rows_b.items():
         re *= scale
         im *= scale
         cell = acc.get(key)
@@ -433,13 +434,6 @@ def _merge(acc: dict, rows: dict, scale: int) -> None:
             acc[key] = (degree, re, im)
         else:
             del acc[key]
-
-
-def _sum_rows(den_a: int, rows_a: dict, den_b: int, rows_b: dict, sign: int):
-    """(common, acc): rows_a/den_a + sign*rows_b/den_b as new rows over the lcm, unreduced."""
-    common = math.lcm(den_a, den_b)
-    acc = _scaled(rows_a, common // den_a)
-    _merge(acc, rows_b, sign * (common // den_b))
     return common, acc
 
 

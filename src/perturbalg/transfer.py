@@ -83,13 +83,8 @@ def simplify(function: RationalFunction) -> SimplificationReport:
 
 def _degree_one_slice(poly: PerturbedPolynomial, generator: str) -> ExactPolynomial:
     """Exact polynomial of the coefficients of one generator at total degree 1."""
-    position = poly.ring.generators.index(generator)
-    unit = tuple(
-        1 if i == position else 0 for i in range(len(poly.ring.generators))
-    )
-    return ExactPolynomial(
-        [c.terms.get(unit, 0) for c in poly.coeffs], poly.var
-    )
+    (unit,) = poly.ring.generator(generator).terms
+    return ExactPolynomial([c.terms.get(unit, 0) for c in poly.coeffs], poly.var)
 
 
 def first_order_correction(function: RationalFunction) -> dict:

@@ -153,9 +153,7 @@ def test_scalar_parts_are_read_only_for_printing():
 # the row format of a series is known to series.py and to the parser, which
 # builds values in it; every other layer reaches the rows through
 # sum_of_products and the series operators
-ROW_KERNEL = {
-    "_mul_rows", "_merge", "_scaled", "_sum_rows", "_reduced_rows", "_from_ints", "_times_term"
-}
+ROW_KERNEL = {"_mul_rows", "_scaled", "_sum_rows", "_reduced_rows", "_from_ints", "_times_term"}
 
 
 def test_only_series_and_parsing_import_the_row_kernel():
@@ -173,3 +171,23 @@ def test_only_series_and_parsing_import_the_row_kernel():
             if used:
                 importers.setdefault(name, set()).update(used)
     assert importers == {}
+
+
+def test_only_the_immutable_base_guards_attributes():
+    # every immutable value refuses to set or delete an attribute by one rule,
+    # scalars._Immutable's
+    guards = set()
+    for name, tree, _ in parsed_modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    defined = {item.name}
+                elif isinstance(item, ast.Assign):
+                    defined = {target.id for target in item.targets if isinstance(target, ast.Name)}
+                else:
+                    continue
+                if defined & {"__setattr__", "__delattr__"}:
+                    guards.add(f"{name}:{node.name}")
+    assert guards == {"scalars.py:_Immutable"}
