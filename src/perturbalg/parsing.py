@@ -385,9 +385,14 @@ def parse_series_list(texts, truncation: int) -> list[TruncatedSeries]:
     overruns the memo that `tokenize` keeps); an error's offset lies in its
     own text.
     """
+    return _series_list(texts, truncation, 0)
+
+
+def _series_list(texts, truncation: int, pairs: int) -> list[TruncatedSeries]:
+    """parse_series_list's series, on a product budget of which `pairs` is spent."""
     scanned = [tokenize(text) for text in texts]
     ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
-    entries, pairs = [], 0
+    entries = []
     for text, tokens in zip(texts, scanned):
         parser = _Parser(text, ring, None, tokens, pairs)
         entries.append(parser.series(parser.whole()))
@@ -406,11 +411,23 @@ _SCALAR_RING = SeriesRing(("t",), 1)
 
 def parse_scalar(text: str) -> GaussianRational:
     """An exact scalar; generator tokens are rejected, so no truncation hides `t^9`."""
-    parser = _Parser(text, _SCALAR_RING, var=None)
-    value = parser.whole()
-    if any(token.kind == "name" and GENERATOR_PATTERN.match(token.text) for token in parser.tokens):
-        raise ParseError("expected an exact scalar, found generator terms")
-    return parser.series(value).standard_part()
+    return _exact_scalars([text], 0)[0][0]
+
+
+def _exact_scalars(texts, pairs: int):
+    """(scalars, pairs): parse_scalar of each text, and the product budget then spent.
+
+    The texts share one budget, of which `pairs` is spent before the first.
+    """
+    scalars = []
+    for text in texts:
+        parser = _Parser(text, _SCALAR_RING, None, None, pairs)
+        value = parser.whole()
+        if any(t.kind == "name" and GENERATOR_PATTERN.match(t.text) for t in parser.tokens):
+            raise ParseError("expected an exact scalar, found generator terms")
+        scalars.append(parser.series(value).standard_part())
+        pairs = parser.pairs
+    return scalars, pairs
 
 
 def parse_rational_function(
@@ -431,14 +448,17 @@ def parse_rational_function(
 def parse_matrix_json(text: str, truncation: int = DEFAULT_TRUNCATION):
     """Matrix input: {"n": 2, "base": [[...]], "pert": [[...]] (optional)}.
 
-    Base entries must be exact scalars; perturbation entries are series with
-    valuation >= 1.  The order is at most MAX_MATRIX_ORDER.  Returns a
-    ConstantMatrix, or a PerturbedMatrix when a perturbation block is present.
+    Each entry is a JSON string or integer.  Base entries must be exact
+    scalars; perturbation entries are series with valuation >= 1.  Every
+    entry, base then perturbation, is parsed on one product budget.  The
+    order is at most MAX_MATRIX_ORDER.  Returns a ConstantMatrix, or a
+    PerturbedMatrix when a perturbation block is present.
     """
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # json raises RecursionError on arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
+        # json raises RecursionError on arrays or objects nested too deep, and
+        # ValueError past Python's 4300-digit limit on an int read from text
         raise ParseError(f"invalid matrix JSON: {exc}") from None
     if not isinstance(data, dict) or "base" not in data:
         raise ParseError("matrix JSON needs a 'base' field")
@@ -446,6 +466,9 @@ def parse_matrix_json(text: str, truncation: int = DEFAULT_TRUNCATION):
         rows = data.get(field, [])
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ParseError(f"matrix JSON {field!r} must be a list of lists")
+        # json reads true and false as bools, which isinstance counts as ints
+        if not all(type(entry) in (str, int) for row in rows for entry in row):
+            raise ParseError(f"matrix JSON {field!r} entries must be strings or integers")
     base_rows = data["base"]
     order = data.get("n", len(base_rows))
     # json reads true as a bool, which isinstance counts as an int
@@ -455,12 +478,13 @@ def parse_matrix_json(text: str, truncation: int = DEFAULT_TRUNCATION):
         raise ParseError("matrix JSON shape does not match 'n'")
     if order > MAX_MATRIX_ORDER:
         raise ParseError(f"matrix order {order} exceeds {MAX_MATRIX_ORDER}")
-    base = ConstantMatrix([[parse_scalar(str(entry)) for entry in row] for row in base_rows])
+    scalars, pairs = _exact_scalars([str(entry) for row in base_rows for entry in row], 0)
+    base = ConstantMatrix([scalars[k * order:(k + 1) * order] for k in range(order)])
     if "pert" not in data:
         return base
     pert_rows = data["pert"]
     if len(pert_rows) != order or any(len(row) != order for row in pert_rows):
         raise ParseError("perturbation shape does not match 'n'")
-    entries = parse_series_list([str(entry) for row in pert_rows for entry in row], truncation)
+    entries = _series_list([str(entry) for row in pert_rows for entry in row], truncation, pairs)
     pert = [entries[k * order:(k + 1) * order] for k in range(order)]
     return PerturbedMatrix(base, pert)  # validates infinitesimality (domain error)

@@ -34,11 +34,14 @@ def _power(one, base, exponent: int):
 
 
 class _Immutable:
-    """Base of every immutable value: its constructor sets slots past this __setattr__."""
+    """Base of every immutable value: only its constructor sets its slots, and none is deleted."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 

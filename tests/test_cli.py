@@ -437,6 +437,7 @@ def test_exact_base_rejects_generators(capsys, base):
         '{"base": [1]}',
         '{"base": [["1"]], "pert": 3}',
         '{"base": [["1"]], "pert": [1]}',
+        '{"base": [[null]]}',
     ],
 )
 def test_hostile_matrix_json_is_a_parse_error(capsys, matrix):

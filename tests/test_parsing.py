@@ -277,6 +277,7 @@ def test_matrix_json():
     assert matrix.pert[1][0] == matrix.ring.generator("t")
     identity = parse_matrix_json('{"n":2,"base":[["1","0"],["0","1"]]}')
     assert isinstance(identity, ConstantMatrix)
+    assert parse_matrix_json('{"base":[[1,0],[0,1]]}') == identity
 
 
 def test_matrix_json_errors():
@@ -295,6 +296,13 @@ def test_matrix_json_errors():
         ('{"n":1,"pert":[["t"]]}', "matrix JSON needs a 'base' field"),
         (f'{{{identity},"pert":[["t","0"]]}}', "perturbation shape does not match 'n'"),
         (f'{{{identity},"pert":[["t"],["0","t"]]}}', "perturbation shape does not match 'n'"),
+        # an entry is a JSON string or integer, never read from another value's str
+        ('{"n":1,"base":[[null]]}', "matrix JSON 'base' entries must be strings or integers"),
+        ('{"n":1,"base":[[true]]}', "matrix JSON 'base' entries must be strings or integers"),
+        ('{"n":1,"base":[[1.5]]}', "matrix JSON 'base' entries must be strings or integers"),
+        ('{"n":1,"base":[["0"]],"pert":[[{"a":1}]]}',
+         "matrix JSON 'pert' entries must be strings or integers"),
+        ('{"base":[[' + "1" * 5000 + "]]}", "invalid matrix JSON: Exceeds the limit"),
     ):
         with pytest.raises(ParseError, match=message):
             parse_matrix_json(text)
@@ -665,3 +673,17 @@ def test_product_budget_is_shared_by_a_parse(monkeypatch):
         "product overflow (line 1, column 13)",
         13,
     )
+    # the base entries as well, and the pert entries spend what they leave
+    eight = "*".join(["2"] * 9)  # 8 products of one pair
+
+    def spent(base, pert=None):
+        data = {"n": 2, "base": [base[:2], base[2:]]}
+        if pert is not None:
+            data["pert"] = [pert[:2], pert[2:]]
+        return lambda: parse_matrix_json(json.dumps(data))
+
+    overflow = ("product overflow (line 1, column 9)", 9)  # at the fifth `*`
+    assert spent([eight, eight, "0", "0"])().rows[0][0] == 512
+    assert _error_of(spent([eight, eight, eight, "0"])) == overflow
+    assert spent([eight, eight, "0", "0"], ["t*t*t*t*t", "t", "t", "t"])().ring.truncation == 8
+    assert _error_of(spent([eight, eight, "0", "0"], ["t*t*t*t*t*t", "t", "t", "t"])) == overflow

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturbalg import (
+    ConstantMatrix,
     ExactPolynomial,
+    ExactRationalFunction,
     GaussianRational,
+    PerturbedMatrix,
     PerturbedPolynomial,
     univariate_ring,
 )
@@ -196,3 +199,32 @@ def test_series_row_round_trip(z, scale, degree):
 def test_gaussian_rationals_pickle_and_copy():
     for z in (0, -7, GaussianRational(Fraction(1, 3), Fraction(-5, 6)), GaussianRational(0, 1)):
         assert_round_trips(GaussianRational.coerce(z))
+
+
+def _immutable_values():
+    """One value of each immutable class, keyed by class name, with an attribute it has."""
+    ring = univariate_ring(4)
+    t = ring.generator("t")
+    base = ConstantMatrix([[1, 2], [3, 4]])
+    return {
+        "GaussianRational": (GaussianRational(3), "a"),
+        "TruncatedSeries": (1 + t, "rows"),
+        "ExactPolynomial": (ExactPolynomial([1, 2]), "coeffs"),
+        "ExactRationalFunction": (
+            ExactRationalFunction(ExactPolynomial([1]), ExactPolynomial([1, 1])),
+            "num",
+        ),
+        "ConstantMatrix": (base, "rows"),
+        "PerturbedMatrix": (PerturbedMatrix(base, [[t, t], [t, t]]), "pert"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_immutable_values()))
+def test_immutable_values_refuse_to_set_or_delete_an_attribute(kind):
+    value, attribute = _immutable_values()[kind]
+    before, text = getattr(value, attribute), str(value)
+    with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+        setattr(value, attribute, None)
+    with pytest.raises(AttributeError, match=f"^{kind} is immutable$"):
+        delattr(value, attribute)
+    assert getattr(value, attribute) is before and str(value) == text
