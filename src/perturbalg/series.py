@@ -89,8 +89,9 @@ class SeriesRing:
     def generator(self, name: str) -> "TruncatedSeries":
         if name not in self.generators:
             raise ValueError(f"{name!r} is not a generator of this ring")
-        index = tuple(1 if g == name else 0 for g in self.generators)
-        return TruncatedSeries(self, {index: GaussianRational(1)})
+        # the packed key of the exponent vector with a 1 in this place
+        key = (self.truncation + 1) ** (len(self.generators) - 1 - self.generators.index(name))
+        return TruncatedSeries._of_rows(self, 1, {key: (1, 1, 0)})
 
 
 def univariate_ring(truncation: int = DEFAULT_TRUNCATION, name: str = "t") -> SeriesRing:
