@@ -106,31 +106,33 @@ def _aberth(packed: bytes, seed: int) -> tuple[tuple[complex, ...], str | None]:
     ]
 
     bound = degree * sys.float_info.epsilon
-    done = [False] * degree
+    hypot = math.hypot
+    terms = list(zip(high_first, sizes))
+    moving = list(range(degree))  # the roots not yet done, in sweep order
     for _ in range(MAX_ITERATIONS):
-        for k in range(degree):
-            if done[k]:
-                continue
+        still = []
+        for k in moving:
             z = current[k]
-            r = _magnitude(z)
+            r = hypot(z.real, z.imag)
             value = slope = 0j
             scale = 0.0
-            for c, size in zip(high_first, sizes):
+            for c, size in terms:
                 slope = slope * z + value
                 value = value * z + c
                 scale = scale * r + size
             # an overflowed scale, or a NaN anywhere, never counts as done
-            if _magnitude(value) <= bound * scale < math.inf:
-                done[k] = True
+            if hypot(value.real, value.imag) <= bound * scale < math.inf:
                 continue
+            still.append(k)
             ratio = 0j if slope == 0 else value / slope
             repulse = 0j
-            for j, w in enumerate(current):
-                if j != k and z != w:
+            for w in current:
+                if w != z:
                     repulse += 1 / (z - w)
             denom = 1 - ratio * repulse
             current[k] = z - (ratio if denom == 0 else ratio / denom)
-        if all(done):
+        moving = still
+        if not moving:
             return tuple(current), None
     return tuple(current), "root iteration did not converge"
 
@@ -223,6 +225,51 @@ def _descending_grid(grid: Sequence[float]) -> list[float]:
     return grid
 
 
+class _Solved:
+    """The roots of P and of each P + Xi(t0) solved so far for one (P, Xi, seed).
+
+    A failure raises and leaves no entry, so it is raised again on the next call.
+    """
+
+    def __init__(self, base: ExactPolynomial, shift_poly: PerturbedPolynomial, seed: int):
+        self.base, self.shift_poly, self.seed = base, shift_poly, seed
+        self.base_coeffs = base.numeric_coeffs()
+        self.base_roots = poly_roots_numeric(self.base_coeffs, seed=seed)
+        self.shifted: dict[float, list[complex]] = {}
+
+    def roots_at(self, t0: float) -> list[complex]:
+        """The roots of P + Xi(t0), Xi sampled at default_values."""
+        roots = self.shifted.get(t0)
+        if roots is None:
+            values = default_values(self.shift_poly.ring.generators, t0)
+            shift_coeffs = self.shift_poly.numeric_coeffs(values)
+            mixed = [p + x for p, x in zip_longest(self.base_coeffs, shift_coeffs, fillvalue=0)]
+            roots = self.shifted[t0] = poly_roots_numeric(mixed, seed=self.seed)
+        return roots
+
+
+_last_solved: _Solved | None = None
+
+
+def _solved(base: ExactPolynomial, shift_poly: PerturbedPolynomial, seed: int) -> _Solved:
+    """The memo of the last problem checked, or a fresh one for a new (P, Xi, seed).
+
+    P and Xi are immutable and compared by identity, so the claims on one
+    problem share its roots without hashing a series; the memo holds both,
+    so neither id can be reused while it is kept.
+    """
+    global _last_solved
+    solved = _last_solved
+    if (
+        solved is None
+        or solved.base is not base
+        or solved.shift_poly is not shift_poly
+        or solved.seed != seed
+    ):
+        solved = _last_solved = _Solved(base, shift_poly, seed)
+    return solved
+
+
 @_overflow_is_oracle_error
 def verify_root_asymptotics(
     base: ExactPolynomial,
@@ -257,9 +304,9 @@ def verify_root_asymptotics(
     order = claim.order
     if order > multiplicity:
         raise DomainError(f"order {order} exceeds multiplicity {multiplicity}")
-    base_coeffs = base.numeric_coeffs()
+    problem = _solved(base, shift_poly, seed)
     # the nearest shadow root past u's own m copies, found once
-    distances = sorted(abs(r - root) for r in poly_roots_numeric(base_coeffs, seed=seed))
+    distances = sorted(abs(r - root) for r in problem.base_roots)
     nearest_other = distances[multiplicity] if len(distances) > multiplicity else math.inf
 
     kept = []
@@ -277,17 +324,14 @@ def verify_root_asymptotics(
             size = abs(predicted) ** (1 / order)
             reach = max(abs(predicted), 10 * t0 * t0) ** (1 / order)
         if nearest_other > 10 * reach:
-            kept.append((t0, sampled_values, predicted, size))
+            kept.append((t0, predicted, size))
     if len(kept) < min(2, len(grid)):
         report.inconclusive = True
         report.note = "another shadow root lies within 10x the predicted shift"
         return _judge(report)
 
-    for t0, sampled_values, predicted, size in kept:
-        shift_coeffs = shift_poly.numeric_coeffs(sampled_values)
-        mixed = [p + x for p, x in zip_longest(base_coeffs, shift_coeffs, fillvalue=0)]
-        all_roots = poly_roots_numeric(mixed, seed=seed)
-        shifts = sorted((r - root for r in all_roots), key=abs)[:multiplicity]
+    for t0, predicted, size in kept:
+        shifts = sorted((r - root for r in problem.roots_at(t0)), key=abs)[:multiplicity]
 
         if balance:
             deviation = min(

@@ -421,11 +421,12 @@ def _exact_scalars(texts, pairs: int):
     """
     scalars = []
     for text in texts:
-        parser = _Parser(text, _SCALAR_RING, None, None, pairs)
-        value = parser.whole()
-        if any(t.kind == "name" and GENERATOR_PATTERN.match(t.text) for t in parser.tokens):
+        tokens = tokenize(text)
+        # before the parse, so that every generator, not only the ring's `t`, breaks this rule
+        if any(t.kind == "name" and GENERATOR_PATTERN.match(t.text) for t in tokens):
             raise ParseError("expected an exact scalar, found generator terms")
-        scalars.append(parser.series(value).standard_part())
+        parser = _Parser(text, _SCALAR_RING, None, tokens, pairs)
+        scalars.append(parser.series(parser.whole()).standard_part())
         pairs = parser.pairs
     return scalars, pairs
 

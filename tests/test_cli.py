@@ -424,6 +424,19 @@ def test_exact_scalars_reject_generators_beyond_the_truncation(capsys, argv):
     assert one_error_line(capsys) == "error: expected an exact scalar, found generator terms\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--base", "X^2 - 1", "--pert=-t", "--root", "e1"],
+        ["charpoly", "--matrix", '{"base":[["e2"]]}'],
+    ],
+)
+def test_exact_scalars_reject_every_generator_name(capsys, argv):
+    # e1 to e9 break the rule `t` breaks, whatever ring the scalar is parsed in
+    assert run(argv) == 1
+    assert one_error_line(capsys) == "error: expected an exact scalar, found generator terms\n"
+
+
 @pytest.mark.parametrize("base", ["X^2 - 2*X + 1 + t^9", "X^2 + t", "X^2 - 2*X + 1 + 0*t"])
 def test_exact_base_rejects_generators(capsys, base):
     assert run(["roots", "--base", base, "--pert=-t", "--root", "1"]) == 2

@@ -1,7 +1,8 @@
 """The current code answers every problem of the golden records as they say.
 
 The records (see `golden_corpus.py`) hold the printed outputs, verdicts and
-CLI results of 984 problems of the benchmark corpora.  A change that keeps
+CLI results of 984 problems of the benchmark corpora, and the exit code,
+stdout and stderr of each failing CLI call of `ERROR_CALLS`.  A change that keeps
 its outputs byte-identical passes unchanged; the first problem that differs
 is printed with both texts.
 """
@@ -28,3 +29,11 @@ def test_outputs_match_the_golden_records(workload, seed):
                 f"current:  {json.dumps(new, indent=1, sort_keys=True)}",
                 pytrace=False,
             )
+
+
+def test_failing_calls_match_the_golden_records():
+    recorded = golden_corpus.load_errors()
+    assert [r["argv"] for r in recorded] == [list(argv) for argv in golden_corpus.ERROR_CALLS]
+    for old in recorded:
+        new = golden_corpus.build_error(old["argv"])
+        assert new == old, old["argv"]

@@ -331,6 +331,84 @@ def test_claims_on_one_polynomial_share_aberth_runs(ring, t, balanced):
     assert oracle._aberth.cache_info().misses <= 1 + len(GRID)
 
 
+def _cold(base, shift, claim, grid=GRID) -> dict:
+    """The report of a claim checked with both of the oracle's memos empty."""
+    oracle._last_solved = None
+    oracle._aberth.cache_clear()
+    return _verify(base, shift, claim, grid).to_dict()
+
+
+def _count_numeric_coeffs(monkeypatch) -> list:
+    """The t0 of each PerturbedPolynomial.numeric_coeffs call from here on."""
+    calls = []
+    sample = PerturbedPolynomial.numeric_coeffs
+
+    def counted(self, values):
+        calls.append(values["t"])
+        return sample(self, values)
+
+    monkeypatch.setattr(PerturbedPolynomial, "numeric_coeffs", counted)
+    return calls
+
+
+def test_claims_on_one_problem_sample_xi_once_per_t0(ring, t, monkeypatch):
+    base = from_roots([1, 1, 3, -2])
+    shift = PerturbedPolynomial(ring, [t**2 - t, t])
+    claims = list(dominant_balance(base, shift, 1))
+    claims += [root_correction(base, shift, root) for root in (3, -2)]
+    oracle._last_solved = None
+    calls = _count_numeric_coeffs(monkeypatch)
+    for claim in claims:
+        assert _verify(base, shift, claim).verdict
+    assert sorted(calls, reverse=True) == list(GRID)
+
+
+def _two_problems(ring, t):
+    """Two (P, Xi, claims), and a third Xi equal to the first but a distinct object."""
+    double = from_roots([1, 1, 3])
+    balanced = [t**2 - t, t]
+    first = (double, PerturbedPolynomial(ring, balanced), [])
+    first[2].extend(dominant_balance(double, first[1], 1))
+    first[2].append(root_correction(double, first[1], 3))
+    simple = from_roots([2, -1, 5])
+    second = (simple, PerturbedPolynomial(ring, [t, 0, t]), [])
+    second[2].extend(root_correction(simple, second[1], root) for root in (2, -1, 5))
+    return first, second, PerturbedPolynomial(ring, balanced)
+
+
+def test_interleaved_problems_report_as_cold_calls(ring, t):
+    first, second, _ = _two_problems(ring, t)
+    calls = [(p, c) for pair in zip(first[2], second[2]) for p, c in zip((first, second), pair)]
+    cold = [_cold(p[0], p[1], claim) for p, claim in calls]
+    oracle._last_solved = None
+    assert [_verify(p[0], p[1], claim).to_dict() for p, claim in calls] == cold
+
+
+def test_an_equal_but_distinct_xi_reports_as_a_cold_call(ring, t, monkeypatch):
+    (base, shift, claims), _, twin = _two_problems(ring, t)
+    assert twin == shift and twin is not shift
+    cold = [_cold(base, twin, claim) for claim in claims]
+    _verify(base, shift, claims[0])
+    calls = _count_numeric_coeffs(monkeypatch)
+    assert [_verify(base, twin, claim).to_dict() for claim in claims] == cold
+    assert len(calls) == len(GRID)  # the memo is keyed by identity: twin is solved afresh
+
+
+def test_a_failure_at_one_t0_is_raised_for_every_claim(ring, t, monkeypatch):
+    # P + Xi(t0) = t0 X^3 + X^2 - 1: at the least subnormal t0 its monic form
+    # overflows and Aberth fails, while at 1e-2 it is solved once
+    base = from_roots([1, -1])
+    shift = PerturbedPolynomial(ring, [0, 0, 0, t])
+    claims = [root_correction(base, shift, root) for root in (1, -1)]
+    grid = (1e-2, 5e-324)
+    oracle._last_solved = None
+    calls = _count_numeric_coeffs(monkeypatch)
+    for claim in claims:
+        with pytest.raises(OracleError, match="root iteration did not converge"):
+            _verify(base, shift, claim, grid)
+    assert calls == [1e-2, 5e-324, 5e-324]
+
+
 def _passes(base, shift, claim) -> bool:
     try:
         report = _verify(base, shift, claim)
@@ -516,7 +594,9 @@ def test_a_grid_point_too_coarse_for_the_cluster_is_skipped(ring, t):
     claim = root_correction(base, shift, 1)
     report = verify_root_asymptotics(base, shift, claim, (1e-2, 1e-8, 1e-9))
     assert report.verdict and [s.t0 for s in report.samples] == [1e-8, 1e-9]
-    # with one point kept the claim is inconclusive, and no P + Xi(t0) is solved
+    # with one point kept the claim is inconclusive, and no P + Xi(t0) is solved:
+    # with both memos cold, the shadow is the one polynomial Aberth runs on
+    oracle._last_solved = None
     oracle._aberth.cache_clear()
     report = verify_root_asymptotics(base, shift, claim, (1e-2, 1e-8))
     assert report.inconclusive and not report.verdict and report.samples == []
