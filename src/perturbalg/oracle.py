@@ -293,6 +293,10 @@ def verify_root_asymptotics(
     worst of them.  A zero right-hand side requires |xi_j^q| <= 10 * t0^2
     instead.  A BalanceQuadratic pairs its two predicted roots with the two
     cluster shifts by the better of the two matchings.
+
+    The roots of P and of each P + Xi(t0) are kept for the last
+    (base, shift_poly, seed) checked, compared by identity, so the claims on
+    one problem solve each polynomial once.
     """
     grid = _descending_grid(grid)
     report = ConvergenceReport(tolerance=tolerance)

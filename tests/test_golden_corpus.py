@@ -2,9 +2,9 @@
 
 The records (see `golden_corpus.py`) hold the printed outputs, verdicts and
 CLI results of 984 problems of the benchmark corpora, and the exit code,
-stdout and stderr of each failing CLI call of `ERROR_CALLS`.  A change that keeps
-its outputs byte-identical passes unchanged; the first problem that differs
-is printed with both texts.
+stdout and stderr of each failing CLI call of `ERROR_CALLS`.  A change that
+keeps its outputs byte-identical passes unchanged; the first problem that
+differs is printed with both texts.
 """
 
 import json

@@ -364,28 +364,28 @@ def test_claims_on_one_problem_sample_xi_once_per_t0(ring, t, monkeypatch):
 
 
 def _two_problems(ring, t):
-    """Two (P, Xi, claims), and a third Xi equal to the first but a distinct object."""
-    double = from_roots([1, 1, 3])
-    balanced = [t**2 - t, t]
-    first = (double, PerturbedPolynomial(ring, balanced), [])
-    first[2].extend(dominant_balance(double, first[1], 1))
-    first[2].append(root_correction(double, first[1], 3))
-    simple = from_roots([2, -1, 5])
-    second = (simple, PerturbedPolynomial(ring, [t, 0, t]), [])
-    second[2].extend(root_correction(simple, second[1], root) for root in (2, -1, 5))
-    return first, second, PerturbedPolynomial(ring, balanced)
+    """Two (P, Xi, claims) on different bases, a double root among them."""
+    double, simple = from_roots([1, 1, 3]), from_roots([2, -1, 5])
+    balanced = PerturbedPolynomial(ring, [t**2 - t, t])
+    spread = PerturbedPolynomial(ring, [t, 0, t])
+    at_double = [*dominant_balance(double, balanced, 1), root_correction(double, balanced, 3)]
+    return [
+        (double, balanced, at_double),
+        (simple, spread, [root_correction(simple, spread, root) for root in (2, -1, 5)]),
+    ]
 
 
 def test_interleaved_problems_report_as_cold_calls(ring, t):
-    first, second, _ = _two_problems(ring, t)
-    calls = [(p, c) for pair in zip(first[2], second[2]) for p, c in zip((first, second), pair)]
-    cold = [_cold(p[0], p[1], claim) for p, claim in calls]
+    problems = _two_problems(ring, t)
+    calls = [(base, shift, claims[k]) for k in range(2) for base, shift, claims in problems]
+    cold = [_cold(*call) for call in calls]
     oracle._last_solved = None
-    assert [_verify(p[0], p[1], claim).to_dict() for p, claim in calls] == cold
+    assert [_verify(*call).to_dict() for call in calls] == cold
 
 
 def test_an_equal_but_distinct_xi_reports_as_a_cold_call(ring, t, monkeypatch):
-    (base, shift, claims), _, twin = _two_problems(ring, t)
+    base, shift, claims = _two_problems(ring, t)[0]
+    twin = PerturbedPolynomial(ring, shift.coeffs)
     assert twin == shift and twin is not shift
     cold = [_cold(base, twin, claim) for claim in claims]
     _verify(base, shift, claims[0])

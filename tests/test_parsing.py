@@ -251,7 +251,9 @@ def test_scalar_rejects_series():
         parse_scalar("1 + t")
 
 
-@pytest.mark.parametrize("text", ["1 + t^3", "1 + t^9", "t^9", "0*t", "1 + 0*t^2", "e1", "2*e9 + 1"])
+@pytest.mark.parametrize(
+    "text", ["1 + t^3", "1 + t^9", "t^9", "0*t", "1 + 0*t^2", "e1", "2*e9 + 1"]
+)
 def test_scalar_rejects_every_generator_token(text):
     # exactness is read off the tokens: no truncation can drop a generator term
     with pytest.raises(ParseError, match="expected an exact scalar, found generator terms"):
