@@ -12,7 +12,6 @@ import cmath
 import functools
 import math
 import random
-import struct
 import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -25,7 +24,6 @@ from .ppoly import BalanceQuadratic, PerturbedPolynomial, RootAsymptotics
 
 MAX_ITERATIONS = 200
 NOISE_FLOOR = 1e-6  # deviations below this are rounding noise, not asymptotics
-ROOTS_MEMO_SIZE = 64  # distinct polynomials poly_roots_numeric remembers
 DEFAULT_GRID = (1e-2, 1e-3, 1e-4)  # the values t0 a claim is sampled at
 DEFAULT_TOLERANCE = 0.2  # the deviation a check passes at its last sample
 
@@ -41,14 +39,9 @@ def poly_roots_numeric(
     bound with seed-determined phases.  A root stops once |p(z)| is within
     Horner's rounding error n * eps * sum |a_i| |z|^i (MPSolve's stop, which
     multiple roots meet too).  Every root returned is finite: OracleError for
-    a degree-1 root that overflows, or after MAX_ITERATIONS Aberth sweeps.
-
-    The outcomes for the ROOTS_MEMO_SIZE most recently solved polynomials
-    are remembered for the life of the process, keyed by the exact bits of
-    the deflated coefficients (so -0.0 and 0.0 differ) and the seed.  Several claims checked against one
-    P + Xi(t0) therefore run Aberth once per distinct polynomial.  Every
-    call gets a fresh list, and a remembered failure is raised as a fresh
-    OracleError with a fresh `best_iterate`.
+    a degree-1 root that overflows, or after MAX_ITERATIONS Aberth sweeps,
+    with the last iterates as its `best_iterate`.  Nothing is remembered
+    between calls.
     """
     coeffs = [complex(c) for c in coeffs]
     if not all(map(cmath.isfinite, coeffs)):
@@ -74,26 +67,6 @@ def poly_roots_numeric(
             raise OracleError("the root of a degree-1 polynomial overflows")
         return roots + [root]
 
-    parts = [part for c in coeffs for part in (c.real, c.imag)]
-    found, failure = _aberth(struct.pack(f"<{len(parts)}d", *parts), seed)
-    if failure is not None:
-        error = OracleError(failure)
-        error.best_iterate = roots + list(found)
-        raise error
-    return roots + list(found)
-
-
-@functools.lru_cache(maxsize=ROOTS_MEMO_SIZE)
-def _aberth(packed: bytes, seed: int) -> tuple[tuple[complex, ...], str | None]:
-    """(iterates, None) on success, (best iterates, OracleError message) on failure.
-
-    `packed` holds the real and imaginary parts of coefficients low degree
-    first, degree at least 2, no zero root.  A failure is returned rather
-    than raised, so the cache keeps it.
-    """
-    parts = struct.unpack(f"<{len(packed) // 8}d", packed)
-    coeffs = [complex(real, imag) for real, imag in zip(parts[::2], parts[1::2])]
-    degree = len(coeffs) - 1
     high_first = [c / coeffs[-1] for c in reversed(coeffs)]
     sizes = [_magnitude(c) for c in high_first]
     # Fujiwara bound: every root has modulus <= 2 * max |a_{n-k}/a_n|^(1/k)
@@ -133,8 +106,10 @@ def _aberth(packed: bytes, seed: int) -> tuple[tuple[complex, ...], str | None]:
             current[k] = z - (ratio if denom == 0 else ratio / denom)
         moving = still
         if not moving:
-            return tuple(current), None
-    return tuple(current), "root iteration did not converge"
+            return roots + current
+    error = OracleError("root iteration did not converge")
+    error.best_iterate = roots + current
+    raise error
 
 
 def _magnitude(z: complex) -> float:
@@ -217,6 +192,15 @@ def _overflow_is_oracle_error(check):
     return guarded
 
 
+def _trimmed(coeffs: list[complex]) -> list[complex]:
+    """`coeffs`, low degree first, without the leading ones that sample to exactly 0."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise OracleError("a sampled polynomial vanishes")
+    return coeffs
+
+
 def _descending_grid(grid: Sequence[float]) -> list[float]:
     """The grid from largest to smallest, once every value lies in (0, 0.1]."""
     grid = sorted(grid, reverse=True)
@@ -228,12 +212,12 @@ def _descending_grid(grid: Sequence[float]) -> list[float]:
 class _Solved:
     """The roots of P and of each P + Xi(t0) solved so far for one (P, Xi, seed).
 
-    A failure raises and leaves no entry, so it is raised again on the next call.
+    A failure raises and leaves no entry, so the next claim runs Aberth again.
     """
 
     def __init__(self, base: ExactPolynomial, shift_poly: PerturbedPolynomial, seed: int):
         self.base, self.shift_poly, self.seed = base, shift_poly, seed
-        self.base_coeffs = base.numeric_coeffs()
+        self.base_coeffs = _trimmed(base.numeric_coeffs())
         self.base_roots = poly_roots_numeric(self.base_coeffs, seed=seed)
         self.shifted: dict[float, list[complex]] = {}
 
@@ -244,7 +228,7 @@ class _Solved:
             values = default_values(self.shift_poly.ring.generators, t0)
             shift_coeffs = self.shift_poly.numeric_coeffs(values)
             mixed = [p + x for p, x in zip_longest(self.base_coeffs, shift_coeffs, fillvalue=0)]
-            roots = self.shifted[t0] = poly_roots_numeric(mixed, seed=self.seed)
+            roots = self.shifted[t0] = poly_roots_numeric(_trimmed(mixed), seed=self.seed)
         return roots
 
 
@@ -284,8 +268,8 @@ def verify_root_asymptotics(
     A grid point is skipped where another shadow root lies within 10x the
     largest shift the claim accepts there: max(|rhs|, 10 * t0^2)^(1/q) for
     xi^q ~ rhs, the larger root of a BalanceQuadratic.  With fewer than two
-    points kept (one, on a one-point grid) the claim is inconclusive and no
-    root is solved.
+    points kept (one, on a one-point grid) the claim is inconclusive, and
+    only the roots of P are solved.
 
     At each kept point the m roots of P + Xi(t0) nearest u form the cluster.
     For xi^q ~ rhs (q <= m) the q cluster shifts xi_j whose size is nearest
@@ -294,9 +278,9 @@ def verify_root_asymptotics(
     instead.  A BalanceQuadratic pairs its two predicted roots with the two
     cluster shifts by the better of the two matchings.
 
-    The roots of P and of each P + Xi(t0) are kept for the last
-    (base, shift_poly, seed) checked, compared by identity, so the claims on
-    one problem solve each polynomial once.
+    P and each P + Xi(t0), leading zeros trimmed, are solved once for the
+    claims on one problem: their roots are kept for the last (base,
+    shift_poly, seed) checked, compared by identity.
     """
     grid = _descending_grid(grid)
     report = ConvergenceReport(tolerance=tolerance)
@@ -443,11 +427,7 @@ def verify_pgcd(
 def _sampled(poly: PerturbedPolynomial, values) -> list[complex]:
     """Coefficients at `values` (the shadow's for None), low degree first, leading zeros trimmed."""
     coeffs = poly.shadow().numeric_coeffs() if values is None else poly.numeric_coeffs(values)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise OracleError("a sampled polynomial vanishes")
-    return coeffs
+    return _trimmed(coeffs)
 
 
 def _split_roots(coeffs, shared, seed: int) -> tuple[list[complex], list[complex]]:

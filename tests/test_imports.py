@@ -191,3 +191,22 @@ def test_only_the_immutable_base_guards_attributes():
                 if defined & {"__setattr__", "__delattr__"}:
                     guards.add(f"{name}:{node.name}")
     assert guards == {"scalars.py:_Immutable"}
+
+
+# a memo kept for the life of the process makes a result depend on what was
+# computed before it; the one such memo is the token scan of the last texts
+def test_only_the_token_scan_is_a_process_wide_memo():
+    memos = set()
+    for name, tree, enclosing in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if {"lru_cache", "cache"} & {alias.name for alias in node.names}:
+                    memos.add(f"{name}:<from functools import>")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("lru_cache", "cache")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                memos.add(f"{name}:{enclosing.get(node, '<module>')}")
+    assert memos == {"parsing.py:_scan"}

@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -109,10 +110,10 @@ def test_roots_self_test_random():
     ],
 )
 def test_roots_reject_non_finite_coefficients(coeffs):
-    oracle._aberth.cache_clear()
+    oracle._last_solved = None
     with pytest.raises(DomainError, match="finite"):
         poly_roots_numeric(coeffs)
-    assert oracle._aberth.cache_info().currsize == 0
+    assert oracle._last_solved is None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -205,9 +206,9 @@ _coefficient_lists = st.one_of(
 
 def _reference_outcome(coeffs, seed=0):
     """_outcome of the Aberth loop written out again: a Horner closure, a
-    generator sum and a list of the roots still moving, kept to show the
-    memo changes no float operation.  A root stops once |p(z)| <= n * eps *
-    sum |a_i| |z|^i for the monic p, with a finite right-hand side."""
+    generator sum and a list of the roots still moving, kept to pin the
+    order of the sweep's float operations.  A root stops once |p(z)| <= n *
+    eps * sum |a_i| |z|^i for the monic p, with a finite right-hand side."""
     if len(coeffs) - next(k for k, c in enumerate(coeffs) if c != 0) < 3:
         return _outcome(coeffs, seed)  # no Aberth run below degree 2
     coeffs = [complex(c) for c in coeffs]
@@ -261,43 +262,14 @@ def _reference_outcome(coeffs, seed=0):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_coefficient_lists, st.integers(0, 3))
-def test_memo_replays_cold_bits(coeffs, seed):
-    oracle._aberth.cache_clear()
-    cold = _outcome(coeffs, seed)
-    assert cold == _reference_outcome(coeffs, seed)
-    # a neighbour that differs only in the signs of its zero parts is solved
-    # between the cold and the warm call; it must not share the entry
+def test_roots_match_the_reference_loop_bit_for_bit(coeffs, seed):
+    first = _outcome(coeffs, seed)
+    assert first == _reference_outcome(coeffs, seed)
+    # a neighbour that differs only in the signs of its zero parts, solved
+    # in between, leaves the next call's bits as they were
     flipped = [complex(-z.real if z.real == 0 else z.real, z.imag) for z in coeffs]
     _outcome(flipped, seed)
-    assert _outcome(coeffs, seed) == cold
-    oracle._aberth.cache_clear()
-    assert _outcome(coeffs, seed) == cold
-
-
-def test_memo_keys_on_exact_bits():
-    oracle._aberth.cache_clear()
-    for coeffs in ([1, 0.0, 3, 1], [1, -0.0, 3, 1], [1, complex(0, -0.0), 3, 1]):
-        poly_roots_numeric(coeffs)
-    assert oracle._aberth.cache_info().misses == 3
-    poly_roots_numeric([1, -0.0, 3, 1])
-    poly_roots_numeric([1, -0.0, 3, 1], seed=1)
-    assert oracle._aberth.cache_info()[:2] == (1, 4)
-
-
-def test_memo_replays_a_failure_as_a_fresh_error():
-    overflowing = [1e308, 0, 0, 1e-308]  # finite, but its monic form is not
-    oracle._aberth.cache_clear()
-    with pytest.raises(OracleError) as first:
-        poly_roots_numeric(overflowing)
-    kept = list(first.value.best_iterate)
-    first.value.best_iterate.append(5j)
-    first.value.best_iterate[0] = 7
-    with pytest.raises(OracleError) as second:
-        poly_roots_numeric(overflowing)
-    assert oracle._aberth.cache_info().hits == 1
-    assert second.value is not first.value
-    assert str(second.value) == str(first.value) == "root iteration did not converge"
-    assert second.value.best_iterate == kept
+    assert _outcome(coeffs, seed) == first
 
 
 @pytest.mark.parametrize("coeffs", [[6, -5, 1], [0, 6, -5, 1]])
@@ -316,7 +288,7 @@ def _verify(base, shift, claim, grid=GRID):
 
 
 @pytest.mark.parametrize("balanced", [True, False])
-def test_claims_on_one_polynomial_share_aberth_runs(ring, t, balanced):
+def test_claims_on_one_polynomial_share_aberth_runs(ring, t, balanced, monkeypatch):
     """Every claim perfbench's roots workload makes on one (P, Xi) passes,
     both when the double root 1 balances three terms and when Xi(1) = 0
     splits it into xi ~ 0 and a first-order branch."""
@@ -325,16 +297,29 @@ def test_claims_on_one_polynomial_share_aberth_runs(ring, t, balanced):
     claims = list(dominant_balance(base, shift, 1))
     claims += [root_correction(base, shift, root) for root in (3, -2)]
     assert len(claims) == (3 if balanced else 4)
-    oracle._aberth.cache_clear()
+    oracle._last_solved = None
+    solved = _count_roots_calls(monkeypatch)
     for claim in claims:
         assert _verify(base, shift, claim).verdict
-    assert oracle._aberth.cache_info().misses <= 1 + len(GRID)
+    assert len(solved) <= 1 + len(GRID)
+
+
+def _count_roots_calls(monkeypatch) -> list:
+    """The coefficients of each poly_roots_numeric call the oracle makes from here on."""
+    calls = []
+    solve = oracle.poly_roots_numeric
+
+    def counted(coeffs, seed=0):
+        calls.append(coeffs)
+        return solve(coeffs, seed)
+
+    monkeypatch.setattr(oracle, "poly_roots_numeric", counted)
+    return calls
 
 
 def _cold(base, shift, claim, grid=GRID) -> dict:
-    """The report of a claim checked with both of the oracle's memos empty."""
+    """The report of a claim checked with the oracle's memo empty."""
     oracle._last_solved = None
-    oracle._aberth.cache_clear()
     return _verify(base, shift, claim, grid).to_dict()
 
 
@@ -586,7 +571,7 @@ def test_verify_inconclusive_when_roots_collide(ring, t):
     assert report.inconclusive and not report.verdict
 
 
-def test_a_grid_point_too_coarse_for_the_cluster_is_skipped(ring, t):
+def test_a_grid_point_too_coarse_for_the_cluster_is_skipped(ring, t, monkeypatch):
     # the root 1 of (X - 1)(X - 1001/1000) moves by about 1000*t0: at 1e-2 past
     # the other root, at 1e-8 and 1e-9 within a tenth of the way to it
     base = from_roots([1, Fraction(1001, 1000)])
@@ -595,13 +580,13 @@ def test_a_grid_point_too_coarse_for_the_cluster_is_skipped(ring, t):
     report = verify_root_asymptotics(base, shift, claim, (1e-2, 1e-8, 1e-9))
     assert report.verdict and [s.t0 for s in report.samples] == [1e-8, 1e-9]
     # with one point kept the claim is inconclusive, and no P + Xi(t0) is solved:
-    # with both memos cold, the shadow is the one polynomial Aberth runs on
+    # with the memo cold, the shadow is the one polynomial the oracle solves
     oracle._last_solved = None
-    oracle._aberth.cache_clear()
+    solved = _count_roots_calls(monkeypatch)
     report = verify_root_asymptotics(base, shift, claim, (1e-2, 1e-8))
     assert report.inconclusive and not report.verdict and report.samples == []
     assert report.note == "another shadow root lies within 10x the predicted shift"
-    assert oracle._aberth.cache_info().misses == 1  # the shadow's roots
+    assert solved == [base.numeric_coeffs()]  # the shadow's roots
 
 
 def test_a_zero_prediction_is_gated_by_the_shift_it_accepts(ring, t):
@@ -623,6 +608,30 @@ def test_a_zero_prediction_fails_on_a_first_order_shift(ring, t):
     assert not report.verdict and not report.inconclusive
     assert report.note == "zero prediction but observed shift is first order"
     assert len(report.samples) == 1
+
+
+@pytest.mark.parametrize(
+    "base_coeffs, shift_coeffs, deviations",
+    [
+        # the X^3 coefficient t - 100*t^2 of Xi is 0.01 - 0.01 = 0.0 at t0 = 1e-2,
+        # where P + Xi(t0) is the quadratic X^2 - 1 + t0 it samples to
+        ([-1, 0, 1], lambda t: [t, 0, 0, t - 100 * t**2], [0.50, 0.051, 0.0051]),
+        # P = (X - 1)(X/10^400 + 1): its X^2 coefficient underflows to 0.0
+        ([-1, 1 - Fraction(1, 10**400), Fraction(1, 10**400)], lambda t: [t], [0, 0, 0]),
+    ],
+    ids=["shifted", "base"],
+)
+def test_a_leading_coefficient_that_samples_to_zero_is_trimmed(
+    ring, t, base_coeffs, shift_coeffs, deviations
+):
+    base = ExactPolynomial(base_coeffs)
+    shift = PerturbedPolynomial(ring, shift_coeffs(t))
+    sampled = zip_longest(base.numeric_coeffs(), shift.numeric_coeffs({"t": 1e-2}), fillvalue=0)
+    assert [p + x for p, x in sampled][-1] == 0  # the top coefficient of P + Xi(1e-2)
+    claim = root_correction(base, shift, 1)
+    report = verify_root_asymptotics(base, shift, claim, GRID)
+    assert report.verdict, report.to_dict()
+    assert [s.deviation for s in report.samples] == pytest.approx(deviations, rel=0.05, abs=1e-12)
 
 
 def test_verify_pgcd_worked_instance():
