@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DomainError, RingMismatchError
 from .scalars import GaussianRational, _Immutable, _power
-from .series import _monomial_text, format_terms, sum_of_products
+from .series import _monomial_text, format_terms, sum_of_products, taylor_shift
 
 
 class Polynomial(_Immutable):
@@ -163,14 +163,10 @@ class Polynomial(_Immutable):
 
         Pass j of the repeated synthetic division by X - point leaves the
         remainder P^(j)(point)/j! in place j and the next quotient above it; a
-        caller that stops early skips the remaining passes.
+        caller that stops early skips the remaining passes.  The passes run
+        on integers, in `series.taylor_shift`.
         """
-        point = self._lift(point)
-        shifted = list(self.coeffs)
-        for j in range(len(shifted)):
-            for k in range(len(shifted) - 2, j - 1, -1):
-                shifted[k] = shifted[k] + shifted[k + 1] * point
-            yield shifted[j]
+        return taylor_shift(self.coeffs, self._lift(point))
 
     def __str__(self):
         return format_terms(

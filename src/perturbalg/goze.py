@@ -12,20 +12,66 @@ which makes the result canonical and ends it in at most dim(E) levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DomainError, PerturbAlgError
 from .scalars import GaussianRational
 from .series import TruncatedSeries, _check_bits, divide_univariate
 
 
-@dataclass
 class GozeDecomposition:
-    """Ordered levels (alpha_i, U_i) over a shared univariate ring."""
+    """Ordered levels (alpha_i, U_i) over a shared univariate ring, built as they are read.
 
-    ring: object
-    dimension: int
-    levels: list = field(default_factory=list)
+    Iteration builds the levels one at a time, so a reader that stops early,
+    as root_correction does, builds only the levels it reads; each level
+    checks its bits when it is built.  `levels`, rank(), reconstruct() and
+    direction_rows() build every level and check that the directions are
+    independent.
+    """
+
+    __slots__ = ("ring", "dimension", "_built", "_remainder", "_previous", "_pivot", "_checked")
+
+    def __init__(self, entries: list[TruncatedSeries]):
+        self.ring = entries[0].ring
+        self.dimension = len(entries)
+        self._built = []  # the levels built so far
+        self._remainder = entries  # E less the terms of the built levels but the last
+        self._previous = self.ring.one()  # the pivot before the last built level's
+        self._pivot = None  # the last built level's pivot, until it leaves the remainder
+        self._checked = False
+
+    def _grow(self) -> bool:
+        """Build the next level; False once the remainder is zero."""
+        if self._pivot is not None:
+            direction = self._built[-1][1]
+            self._remainder = [e - self._pivot * u for e, u in zip(self._remainder, direction)]
+            self._previous, self._pivot = self._pivot, None
+        if not any(self._remainder):
+            return False
+        pivot, direction = _level(self._remainder)
+        alpha = divide_univariate(pivot, self._previous)
+        _check_bits((alpha, *direction), "Goze level")
+        self._built.append((alpha, direction))
+        self._pivot = pivot
+        return True
+
+    def __iter__(self):
+        index = 0
+        while index < len(self._built) or self._grow():
+            yield self._built[index]
+            index += 1
+
+    @property
+    def levels(self) -> list:
+        """Every level, once the directions are checked independent."""
+        if not self._checked:
+            while self._grow():
+                pass
+            # The pivot convention zeroes one coordinate per level, which forces
+            # the direction rows to be unit-triangular up to a column permutation.
+            rows = [list(direction) for _, direction in self._built]
+            if rows and rank_of_rows(rows) != len(rows):
+                raise PerturbAlgError("internal error: dependent direction vectors")
+            self._checked = True
+        return self._built
 
     def rank(self) -> int:
         """Number of levels, i.e. the rank of the decomposed vector."""
@@ -125,25 +171,10 @@ def decompose(entries) -> GozeDecomposition:
     prefix_i = alpha_1*...*alpha_i, until it is zero.  The level-l pivot is
     prefix_l, exact in the ring, so alpha_l is that pivot over the previous one
     (one series division per level), determined up to degree
-    T - val(prefix_(l-1)).
-    Raises DomainError when an entry is not infinitesimal, the entries do
-    not share a univariate ring, or a level stores more than MAX_POWER_BITS
-    bits.
+    T - val(prefix_(l-1)).  The input is checked here, and each level is
+    built when it is first read (see GozeDecomposition).
+    Raises DomainError when an entry is not infinitesimal or the entries do
+    not share a univariate ring; a level that stores more than MAX_POWER_BITS
+    bits raises it when the level is built.
     """
-    entries = _validated(entries)
-    ring = entries[0].ring
-    result = GozeDecomposition(ring=ring, dimension=len(entries))
-    remainder, previous = entries, ring.one()
-    while any(remainder):
-        pivot, direction = _level(remainder)
-        alpha = divide_univariate(pivot, previous)
-        _check_bits((alpha, *direction), "Goze level")
-        result.levels.append((alpha, direction))
-        remainder = [e - pivot * u for e, u in zip(remainder, direction)]
-        previous = pivot
-
-    # The pivot convention zeroes one coordinate per level, which forces the
-    # direction rows to be unit-triangular up to a column permutation.
-    if result.levels and rank_of_rows(result.direction_rows()) != len(result.levels):
-        raise PerturbAlgError("internal error: dependent direction vectors")
-    return result
+    return GozeDecomposition(_validated(entries))

@@ -286,9 +286,10 @@ def root_correction(
     above it; any other hull, Xi(u) = 0 included, raises DegenerateError
     (dominant_balance gives its branches).  With a decomposition of Xi's
     coefficient vector the right-hand side is expressed through the first
-    level whose direction polynomial does not vanish at u.  Later levels have
-    higher valuation, so a decomposition of Xi gives that level's term the
-    leading part of Xi(u); any other decomposition raises DomainError.
+    level whose direction polynomial does not vanish at u; only the levels
+    up to it are built.  Later levels have higher valuation, so a
+    decomposition of Xi gives that level's term the leading part of Xi(u);
+    any other decomposition raises DomainError.
     """
     root, mult, scale, coeffs, _, edges = _newton_polygon(base, shift_poly, root)
     if edges != [(0, mult, False)]:
@@ -300,7 +301,7 @@ def root_correction(
     if decomposition is None:
         return RootAsymptotics(root, mult, rhs)
     prefix = decomposition.ring.one()
-    for level_index, (alpha, direction) in enumerate(decomposition.levels):
+    for level_index, (alpha, direction) in enumerate(decomposition):
         prefix = prefix * alpha
         value = ExactPolynomial(direction, shift_poly.var).evaluate(root)
         if value:

@@ -18,7 +18,8 @@ over D is (a, b) scaled by D/d, and a row (re, im) over D is the scalar
 GaussianRational dict, is a view of the rows built on first read, and
 `invert` keeps the inverse it computes.  `sum_of_products` is every sum of
 products, start + sum of x*y: over series it works in one row map, which it
-normalises once.
+normalises once.  `taylor_shift` is every Taylor shift of a polynomial, on
+integers over one denominator per place.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
@@ -442,15 +443,36 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) 
     """`acc` plus `scale` times the product of two row maps, truncated past degree `bound`.
 
     The product is over the product of the operands' denominators; without
-    `acc` it goes into a new map.  A key that cancels leaves.
+    `acc` it goes into a new map.  A key that cancels leaves.  An operand of
+    one row scales the other's rows, which go straight into `acc`.
     """
+    if len(rows_a) == 1 and len(rows_b) != 1:
+        rows_a, rows_b = rows_b, rows_a
+    if len(rows_b) == 1:
+        ((kb, (degb, br, bi)),) = rows_b.items()
+        br *= scale
+        bi *= scale
+        if acc is None:
+            return _times_term(rows_a, kb, degb, br, bi, bound)
+        cap = bound - degb
+        for ka, (dega, ar, ai) in rows_a.items():
+            if dega > cap:
+                continue
+            key = ka + kb
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            cell = acc.get(key)
+            if cell is None:
+                acc[key] = (dega + degb, re, im)
+                continue
+            re += cell[1]
+            im += cell[2]
+            if re or im:
+                acc[key] = (cell[0], re, im)
+            else:
+                del acc[key]
+        return acc
     if acc is None:
-        if len(rows_b) == 1:
-            ((kb, (degb, br, bi)),) = rows_b.items()
-            return _times_term(rows_a, kb, degb, br * scale, bi * scale, bound)
-        if len(rows_a) == 1:
-            ((ka, (dega, ar, ai)),) = rows_a.items()
-            return _times_term(rows_b, ka, dega, ar * scale, ai * scale, bound)
         acc = {}
     rows_b = [(key, *row) for key, row in rows_b.items()]
     capped = {}  # degree cap -> the rows of b within it
@@ -496,6 +518,60 @@ def sum_of_products(start, pairs):
     for x, y in pairs:
         _mul_rows(x.rows, y.rows, start.ring.truncation, acc, common // (x.den * y.den))
     return _from_ints(start.ring, acc, common)
+
+
+def taylor_shift(coeffs, point):
+    """Yield P^(j)(point)/j! for j = 0..n: the coefficients of P(X + point).
+
+    `coeffs` are P's, low degree first: exact scalars with an exact `point`,
+    or series of one ring with a `point` of that ring.  Repeated synthetic
+    division by X - point, on integers (von zur Gathen and Gerhard, ISSAC
+    1997): with point = w/q and the coefficients over one common
+    denominator D, place k holds its value times D*q^(n-k), so a step
+    s_k += s_(k+1)*w divides nothing.  Pass j leaves place j final and
+    reduces it once; a caller that stops early skips the other passes.
+    """
+    if not coeffs:
+        return
+    n = len(coeffs) - 1
+    dens = []  # dens[k] = D*q^(n-k)
+    if isinstance(point, TruncatedSeries):
+        ring, q, w = point.ring, point.den, point.rows
+        scale = math.lcm(*[c.den for c in coeffs]) * q**n
+        places = []
+        for c in coeffs:
+            dens.append(scale)
+            places.append(_scaled(c.rows, scale // c.den))
+            scale //= q
+        for j in range(n + 1):
+            for k in range(n - 1, j - 1, -1):
+                if places[k + 1]:
+                    _mul_rows(places[k + 1], w, ring.truncation, places[k])
+            yield _from_ints(ring, places[j], dens[j])
+        return
+    q, wr, wi = point.d, point.a, point.b
+    scale = math.lcm(*[c.d for c in coeffs]) * q**n
+    re, im = [], []
+    for c in coeffs:
+        dens.append(scale)
+        re.append(c.a * (scale // c.d))
+        im.append(c.b * (scale // c.d))
+        scale //= q
+    imaginary = any(im)
+    for j in range(n + 1):
+        if wi:
+            for k in range(n - 1, j - 1, -1):
+                r, i = re[k + 1], im[k + 1]
+                re[k] += r * wr - i * wi
+                im[k] += r * wi + i * wr
+        else:
+            # a real point shifts the real and imaginary parts apart
+            for k in range(n - 1, j - 1, -1):
+                re[k] += re[k + 1] * wr
+            if imaginary:
+                for k in range(n - 1, j - 1, -1):
+                    im[k] += im[k + 1] * wr
+        yield _reduced(re[j], im[j], dens[j])
 
 
 def _times_term(rows: dict, key: int, degree: int, re: int, im: int, bound: int) -> dict:

@@ -284,6 +284,33 @@ def test_pgcd_remainder_growth_is_a_domain_error(capsys):
     assert capsys.readouterr().err == "error: PGCD remainder coefficient passes 4096 bits\n"
 
 
+# the rhs printed for the double root 1/3 of (X - 1/3)^2*(X^300 - 2), whose
+# Taylor shift holds each place over 9*3^(302-k)
+LONG_SHIFT_RHS = (
+    "5070054779947717629308371384521789480239396134271756906351118151050703599166632466437"
+    "044672432923755120388312614740520104204175287618362020963/2737829581171767519826520547"
+    "64176631932927391250674872942960380156737994354998153187600412311377882776500968881195"
+    "988085627025465531391549132001*t"
+)
+
+
+def test_a_long_shift_to_a_fraction_gives_the_exact_claim(capsys):
+    base = "(X - 1/3)^2*(X^300 - 2)"
+    code, payload = run_json(
+        capsys, ["roots", "--base", base, "--pert=t*X^3 + t^2", "--root", "1/3"]
+    )
+    assert code == 0
+    assert payload["asymptotics"] == [{"kind": "power", "order": 2, "rhs": LONG_SHIFT_RHS}]
+
+
+def test_roots_builds_no_goze_level(capsys):
+    # a Goze level of these coefficients would pass 4096 bits; roots never decomposes
+    pert = "t*X + 3*t^2*X + 2^4000*t^2"
+    code, payload = run_json(capsys, ["roots", "--base", "X^2 - 1", "--pert", pert, "--root", "1"])
+    assert code == 0
+    assert payload["asymptotics"] == [{"kind": "power", "order": 1, "rhs": "-1/2*t"}]
+
+
 def _diagonal(entry):
     return [[entry if i == j else "0" for j in range(4)] for i in range(4)]
 

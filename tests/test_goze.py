@@ -203,8 +203,35 @@ def test_decompose_divides_once_per_level(monkeypatch, ring, t):
         vectors.append([random_infinitesimal(rng, ring) for _ in range(rng.randint(1, 5))])
     for vector in vectors:
         calls.clear()
-        result = decompose(vector)
-        assert len(calls) == result.rank()
+        rank = decompose(vector).rank()
+        assert len(calls) == rank
+
+
+def test_decompose_divides_nothing_until_read(monkeypatch, ring, t):
+    divide, calls = goze.divide_univariate, []
+
+    def counting(num, den):
+        calls.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(goze, "divide_univariate", counting)
+    result = decompose([t + t**3, t**2, 5 * t])
+    assert calls == []
+    first = next(iter(result))
+    assert len(calls) == 1
+    # a second read builds nothing new, and `levels` builds the rest
+    assert next(iter(result)) is first
+    assert len(calls) == 1
+    assert result.levels[0] is first and len(calls) == result.rank() == 3
+
+
+def test_a_level_past_its_bits_raises_when_it_is_built(ring, t):
+    result = decompose([t + 2**4000 * t**2, 3 * t**2])
+    alpha, direction = next(iter(result))
+    assert alpha == t + 2**4000 * t**2
+    for _ in range(2):  # the failed level is not kept, so it fails again
+        with pytest.raises(DomainError, match="Goze level passes 4096 bits"):
+            result.rank()
 
 
 def test_row_reduce_matches_sympy():

@@ -73,6 +73,30 @@ def _corpus_claims(workload, seed):
                     yield base, xi, claim
 
 
+@pytest.mark.parametrize("seed", [101, 7])
+def test_root_claims_read_the_same_from_built_and_lazy_levels(seed):
+    # the golden records print each claim, which omits its leading_level
+    from perturbalg import goze, parsing, ppoly
+    from perturbalg.errors import DegenerateError
+
+    claims = 0
+    for problem in workloads.corpus("roots", seed, workloads.corpus_size("roots", 10)):
+        ring = parsing.ring_for(problem["xi"], truncation=workloads.ROOTS_TRUNC)
+        base = parsing.parse_polynomial(problem["base"], ring, "X").shadow()
+        xi = parsing.parse_polynomial(problem["xi"], ring, "X")
+        lazy, built = goze.decompose(list(xi.coeffs)), goze.decompose(list(xi.coeffs))
+        assert built.levels
+        for root, _ in problem["roots"]:
+            try:
+                first = ppoly.root_correction(base, xi, root, decomposition=lazy)
+            except DegenerateError:
+                continue
+            second = ppoly.root_correction(base, xi, root, decomposition=built)
+            assert (first.rhs, first.leading_level) == (second.rhs, second.leading_level)
+            claims += 1
+    assert claims > 1000
+
+
 def _wrong_right_hand_sides(base, xi, claim):
     """The claim's rhs doubled, negated and divided by 1000, and zero where that is wrong.
 

@@ -342,6 +342,45 @@ def test_taylor_coefficients_match_derivatives():
     assert list(ExactPolynomial([]).taylor_coefficients(1)) == []
 
 
+def _reference_shift(poly, point):
+    """P(X + point)'s coefficients by per-step Horner: one scalar or series sum per step."""
+    point = poly._lift(point)
+    shifted = list(poly.coeffs)
+    for j in range(len(shifted)):
+        for k in range(len(shifted) - 2, j - 1, -1):
+            shifted[k] = shifted[k] + shifted[k + 1] * point
+        yield shifted[j]
+
+
+def _stored(value):
+    """The integers a value stores: a series' (den, rows), a scalar's (a, b, d)."""
+    if isinstance(value, TruncatedSeries):
+        return value.den, value.rows
+    return value.a, value.b, value.d
+
+
+_SHIFT_RING = SeriesRing(("t", "e1"), 3)
+_points = st.one_of(st.just(GaussianRational(0)), gaussian_scalars)
+_series_polys = st.lists(
+    st.one_of(st.just(_SHIFT_RING.zero()), gaussian_series(_SHIFT_RING)), max_size=5
+).map(lambda coeffs: PerturbedPolynomial(_SHIFT_RING, coeffs))
+_shifts = st.one_of(
+    st.tuples(st.lists(gaussian_scalars, max_size=7).map(ExactPolynomial), _points),
+    st.tuples(_series_polys, _points),
+    st.tuples(_series_polys, gaussian_series(_SHIFT_RING)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_shifts)
+def test_taylor_shift_matches_the_per_step_reference(case):
+    poly, point = case
+    shifted = list(poly.taylor_coefficients(point))
+    expected = list(_reference_shift(poly, point))
+    assert shifted == expected
+    assert [_stored(c) for c in shifted] == [_stored(c) for c in expected]
+
+
 def test_first_nonzero_derivative():
     """The multiplicity m at u and P^(m)(u) = m! c_m, c_m the first nonzero Taylor coefficient."""
 
@@ -451,6 +490,25 @@ def test_root_correction_rejects_a_decomposition_of_another_vector(ring, t):
             root_correction(base, shift, 2, decomposition=decompose(vector))
     matching = root_correction(base, shift, 2, decomposition=decompose(list(shift.coeffs)))
     assert (matching.rhs, matching.leading_level) == (t**2 * Fraction(-1, 4), 1)
+
+
+def test_root_correction_builds_only_the_levels_it_reads(monkeypatch, ring, t):
+    from perturbalg import goze
+
+    divide, calls = goze.divide_univariate, []
+
+    def counting(num, den):
+        calls.append(den)
+        return divide(num, den)
+
+    monkeypatch.setattr(goze, "divide_univariate", counting)
+    # Xi = t*(X - 1) + t^2*X^2 at the root 2 of X^2 - 4: levels t*(-1, 1, 0)
+    # then t*(0, 0, 1), and U_1(X) = X - 1 does not vanish at 2
+    shift = PerturbedPolynomial(ring, [-t, t, t**2])
+    decomposition = decompose(list(shift.coeffs))
+    claim = root_correction(ExactPolynomial([-4, 0, 1]), shift, 2, decomposition=decomposition)
+    assert claim.leading_level == 0 and len(calls) == 1
+    assert decomposition.rank() == 2 and len(calls) == 2
 
 
 @pytest.mark.parametrize(
