@@ -545,8 +545,7 @@ def taylor_shift(coeffs, point):
             scale //= q
         for j in range(n + 1):
             for k in range(n - 1, j - 1, -1):
-                if places[k + 1]:
-                    _mul_rows(places[k + 1], w, ring.truncation, places[k])
+                _mul_rows(places[k + 1], w, ring.truncation, places[k])
             yield _from_ints(ring, places[j], dens[j])
         return
     q, wr, wi = point.d, point.a, point.b
@@ -557,20 +556,11 @@ def taylor_shift(coeffs, point):
         re.append(c.a * (scale // c.d))
         im.append(c.b * (scale // c.d))
         scale //= q
-    imaginary = any(im)
     for j in range(n + 1):
-        if wi:
-            for k in range(n - 1, j - 1, -1):
-                r, i = re[k + 1], im[k + 1]
-                re[k] += r * wr - i * wi
-                im[k] += r * wi + i * wr
-        else:
-            # a real point shifts the real and imaginary parts apart
-            for k in range(n - 1, j - 1, -1):
-                re[k] += re[k + 1] * wr
-            if imaginary:
-                for k in range(n - 1, j - 1, -1):
-                    im[k] += im[k + 1] * wr
+        for k in range(n - 1, j - 1, -1):
+            r, i = re[k + 1], im[k + 1]
+            re[k] += r * wr - i * wi
+            im[k] += r * wi + i * wr
         yield _reduced(re[j], im[j], dens[j])
 
 
