@@ -33,7 +33,7 @@ class GozeDecomposition:
         self.ring = entries[0].ring
         self.dimension = len(entries)
         self._built = []  # the levels built so far
-        self._remainder = entries  # E less the terms of the built levels but the last
+        self._remainder = entries  # E minus the terms of every built level but the last
         self._previous = self.ring.one()  # the pivot before the last built level's
         self._pivot = None  # the last built level's pivot, until it leaves the remainder
         self._checked = False

@@ -227,7 +227,7 @@ def test_decompose_divides_nothing_until_read(monkeypatch, ring, t):
 
 def test_a_level_past_its_bits_raises_when_it_is_built(ring, t):
     result = decompose([t + 2**4000 * t**2, 3 * t**2])
-    alpha, direction = next(iter(result))
+    alpha, _ = next(iter(result))
     assert alpha == t + 2**4000 * t**2
     for _ in range(2):  # the failed level is not kept, so it fails again
         with pytest.raises(DomainError, match="Goze level passes 4096 bits"):
