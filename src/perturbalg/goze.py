@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import DomainError, PerturbAlgError
 from .scalars import GaussianRational
-from .series import TruncatedSeries, _check_bits, divide_univariate
+from .series import TruncatedSeries, _check_bits, _leading_ratios, divide_univariate
 
 
 class GozeDecomposition:
@@ -39,14 +39,20 @@ class GozeDecomposition:
         self._checked = False
 
     def _grow(self) -> bool:
-        """Build the next level; False once the remainder is zero."""
+        """Build the next level; False once the remainder is zero.
+
+        The pivot is the nonzero entry of minimal valuation v, lowest index on
+        ties (min keeps the first of equal keys), and U the t^v coefficients
+        of the remainder over the pivot's.
+        """
         if self._pivot is not None:
             direction = self._built[-1][1]
             self._remainder = [e - self._pivot * u for e, u in zip(self._remainder, direction)]
             self._previous, self._pivot = self._pivot, None
         if not any(self._remainder):
             return False
-        pivot, direction = _level(self._remainder)
+        pivot = min((e for e in self._remainder if e), key=TruncatedSeries.valuation)
+        direction = _leading_ratios(pivot, self._remainder)
         alpha = divide_univariate(pivot, self._previous)
         _check_bits((alpha, *direction), "Goze level")
         self._built.append((alpha, direction))
@@ -120,11 +126,26 @@ def rank_of_rows(rows) -> int:
     return len(row_reduce(rows)[1])
 
 
-def _validated(entries) -> list[TruncatedSeries]:
-    """The entries as a list, once they share one univariate ring and are infinitesimal."""
+def decompose(entries) -> GozeDecomposition:
+    """Decompose a vector of univariate infinitesimal series.
+
+    Each level pivots on the remainder E - sum_i prefix_i*U_i, with
+    prefix_i = alpha_1*...*alpha_i, until it is zero; U is the pivot's
+    leading ratios (series._leading_ratios).  The level-l pivot is prefix_l,
+    exact in the ring, so alpha_l is that pivot over the previous one (one
+    series division per level), determined up to degree
+    T - val(prefix_(l-1)).  The input is checked here, and each level is
+    built when it is first read (see GozeDecomposition).
+    Raises DomainError when the vector is empty, an entry is not an
+    infinitesimal series or the entries do not share a univariate ring; a
+    level that stores more than MAX_POWER_BITS bits raises it when the level
+    is built.
+    """
     entries = list(entries)
     if not entries:
         raise DomainError("cannot decompose an empty vector")
+    if not all(isinstance(entry, TruncatedSeries) for entry in entries):
+        raise DomainError("vector entries must be series")
     ring = entries[0].ring
     if not ring.is_univariate:
         raise DomainError(
@@ -135,46 +156,4 @@ def _validated(entries) -> list[TruncatedSeries]:
             raise DomainError("vector entries live in different rings")
         if not entry.is_infinitesimal():
             raise DomainError(f"entry {entry} is not infinitesimal")
-    return entries
-
-
-def _level(remainder) -> tuple[TruncatedSeries, tuple[GaussianRational, ...]]:
-    """(pivot, U) of a nonzero remainder: U is the t^v coefficients over the pivot's.
-
-    The pivot is the nonzero entry of minimal valuation, lowest index on ties
-    (min keeps the first of equal keys).
-    """
-    pivot = min((e for e in remainder if not e.is_zero()), key=TruncatedSeries.valuation)
-    index = (pivot.valuation(),)
-    lead = pivot.terms[index]
-    zero = GaussianRational(0)
-    return pivot, tuple(e.terms.get(index, zero) / lead for e in remainder)
-
-
-def first_level(entries) -> tuple[TruncatedSeries, tuple[GaussianRational, ...]]:
-    """The first level (alpha_1, U_1) of decompose(entries), without the others.
-
-    alpha_1 is the pivot entry, of valuation v, and U_1 the ratios of the t^v
-    coefficients of the entries to alpha_1's.  Raises DomainError on the zero
-    vector, which has no levels, and on input that decompose rejects.
-    """
-    entries = _validated(entries)
-    if all(e.is_zero() for e in entries):
-        raise DomainError("the zero vector has no first level")
-    return _level(entries)
-
-
-def decompose(entries) -> GozeDecomposition:
-    """Decompose a vector of univariate infinitesimal series.
-
-    first_level's rule, repeated on the remainder E - sum_i prefix_i*U_i, with
-    prefix_i = alpha_1*...*alpha_i, until it is zero.  The level-l pivot is
-    prefix_l, exact in the ring, so alpha_l is that pivot over the previous one
-    (one series division per level), determined up to degree
-    T - val(prefix_(l-1)).  The input is checked here, and each level is
-    built when it is first read (see GozeDecomposition).
-    Raises DomainError when an entry is not infinitesimal or the entries do
-    not share a univariate ring; a level that stores more than MAX_POWER_BITS
-    bits raises it when the level is built.
-    """
-    return GozeDecomposition(_validated(entries))
+    return GozeDecomposition(entries)

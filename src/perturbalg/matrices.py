@@ -10,9 +10,9 @@ directly and serve as the reference.  `char_poly` uses Berkowitz's
 division-free algorithm instead, which takes polynomial time and stays exact
 over the truncated series ring (not a field), and the first-order forms are
 read off its output, as Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U):
-`_first_order` reads [t^v] of a cached char_poly(A + E) over the t^v
-coefficient of alpha, with alpha_1 for `xi_first_order` and s at T = 1 for
-`hermitian_first_order`.
+`series._leading_ratios` reads the coefficients of a cached
+char_poly(A + E) at alpha's lowest-degree term over alpha's, with alpha_1
+for `xi_first_order` and s at T = 1 for `hermitian_first_order`.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import Sequence
 
 from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
-from .goze import first_level, rank_of_rows, row_reduce
+from .goze import decompose, rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational, _Immutable
-from .series import SeriesRing, TruncatedSeries, _check_bits, sum_of_products
+from .series import SeriesRing, TruncatedSeries, _check_bits, _leading_ratios, sum_of_products
 
 
 class ConstantMatrix(_Immutable):
@@ -365,28 +365,18 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
         alpha_1 * sum_k (-1)^k Theta(A,...,A,U_1)/(k-1)! * X^(n-k)
 
     and the exact difference minus this polynomial has coefficient valuations
-    strictly above v.  The sums are `_first_order`'s read of alpha_1 on the
-    matrix's cached characteristic polynomial.
+    strictly above v.  Since Q(A+E) = Q(A) + DQ(A)[E] + O(t^(2v)), each sum
+    is the t^v coefficient of the matrix's cached char_poly(A+E) over
+    alpha_1's (series._leading_ratios).
     """
     matrix = _on_base(base, pert)
     flat = [entry for row in matrix.pert for entry in row]
     if all(entry.is_zero() for entry in flat):
         raise DomainError("zero perturbation has no first-order part")
-    alpha1 = first_level(flat)[0]  # before char_poly, so rejected input costs nothing
-    return PerturbedPolynomial(alpha1.ring, [alpha1 * c for c in _first_order(matrix, alpha1)])
-
-
-def _first_order(matrix: PerturbedMatrix, alpha: TruncatedSeries) -> list[GaussianRational]:
-    """Coefficients, low first, of sum_k (-1)^k Theta(A,...,A,U)/(k-1)! X^(n-k).
-
-    For A + E with E = alpha*U + O(t^(v+1)), alpha of valuation v, each is
-    [t^v] of char_poly(A+E)'s over alpha's t^v coefficient, since
-    Q(A+E) = Q(A) + DQ(A)[E] + O(t^(2v)).
-    """
-    index = (alpha.valuation(),)
-    lead = alpha.terms[index]
-    zero = GaussianRational(0)
-    return [c.terms.get(index, zero) / lead for c in char_poly(matrix).coeffs[:matrix.n]]
+    # only the first level is built, before char_poly, so rejected input costs nothing
+    alpha1 = next(iter(decompose(flat)))[0]
+    first = _leading_ratios(alpha1, char_poly(matrix).coeffs[:matrix.n])
+    return PerturbedPolynomial(alpha1.ring, [alpha1 * c for c in first])
 
 
 def eigenvalue_correction(base: ConstantMatrix, pert, eigenvalue) -> RootAsymptotics:
@@ -442,6 +432,8 @@ def hermitian_first_order(
         raise DomainError("base matrix is not Hermitian")
     if not direction.is_hermitian():
         raise DomainError("direction matrix is not Hermitian")
+    if not isinstance(alpha, TruncatedSeries):
+        raise DomainError("alpha must be a series")
     if not alpha.is_infinitesimal():
         raise DomainError("alpha must be infinitesimal")
     eigenvalue = GaussianRational.coerce(eigenvalue)
@@ -454,5 +446,5 @@ def hermitian_first_order(
         raise DomainError(f"{eigenvalue} is not a simple eigenvalue")
     s = _FIRST_ORDER_RING.generator("s")
     deformed = PerturbedMatrix(base, [[s * u for u in row] for row in direction.rows])
-    first = ExactPolynomial(_first_order(deformed, s))
+    first = ExactPolynomial(_leading_ratios(s, char_poly(deformed).coeffs[:base.n]))
     return alpha * (-first.evaluate(eigenvalue) / slope)

@@ -23,6 +23,8 @@ integers over one denominator per place.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
+`_leading_ratios` is every first-order read: coefficients at a pivot's
+lowest-degree term over the pivot's.  No other module reads `terms`.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class SeriesRing:
         return len(self.generators) == 1
 
     def zero(self) -> "TruncatedSeries":
-        return TruncatedSeries(self, {})
+        return TruncatedSeries._of_rows(self, 1, {})
 
     def one(self) -> "TruncatedSeries":
         return self.constant(1)
@@ -84,7 +86,7 @@ class SeriesRing:
     def constant(self, value: CoefficientLike) -> "TruncatedSeries":
         value = GaussianRational.coerce(value)
         if not value:
-            return TruncatedSeries._of_rows(self, 1, {})
+            return self.zero()
         return TruncatedSeries._of_rows(self, value.d, {0: (0, value.a, value.b)})
 
     def generator(self, name: str) -> "TruncatedSeries":
@@ -681,6 +683,24 @@ def divide_univariate(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSe
     if num.valuation() < v:
         raise NonUnitError("the quotient has a negative power of the generator")
     return _shift(num, -v) * _shift(den, -v).invert()
+
+
+def _leading_ratios(pivot: TruncatedSeries, values) -> tuple[GaussianRational, ...]:
+    """Each value's coefficient at the lowest-degree term of `pivot`, over pivot's there.
+
+    The one first-order read: Goze directions, the first-order forms of a
+    characteristic polynomial and the first-order slices of a transfer
+    function.  `pivot` is nonzero with a single term of least total degree
+    (a univariate series or a generator); `values` are series of its ring.
+    """
+    v = pivot.valuation()
+    ((key, (_, re, im)),) = [(k, row) for k, row in pivot.rows.items() if row[0] == v]
+    lead = _reduced(re, im, pivot.den)
+    zero = GaussianRational(0)
+    return tuple(
+        zero if (row := value.rows.get(key)) is None else _reduced(row[1], row[2], value.den) / lead
+        for value in values
+    )
 
 
 # -- grammar-compatible formatting --------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .exactpoly import ExactPolynomial, ExactRationalFunction
 from .ppoly import PerturbedPolynomial, euclid_divide, pgcd
+from .series import _leading_ratios
 
 
 @dataclass
@@ -81,12 +82,6 @@ def simplify(function: RationalFunction) -> SimplificationReport:
     )
 
 
-def _degree_one_slice(poly: PerturbedPolynomial, generator: str) -> ExactPolynomial:
-    """Exact polynomial of the coefficients of one generator at total degree 1."""
-    (unit,) = poly.ring.generator(generator).terms
-    return ExactPolynomial([c.terms.get(unit, 0) for c in poly.coeffs], poly.var)
-
-
 def first_order_correction(function: RationalFunction) -> dict:
     """Coefficient of each uncertainty symbol in num/den - reduced_shadow.
 
@@ -100,10 +95,12 @@ def first_order_correction(function: RationalFunction) -> dict:
     num0, den0 = function.num.shadow(), function.den.shadow()
     den0_squared = den0 * den0
     out = {}
-    for generator in function.num.ring.generators:
+    ring, var = function.num.ring, function.num.var
+    for generator in ring.generators:
+        unit = ring.generator(generator)
         numerator = (
-            _degree_one_slice(function.num, generator) * den0
-            - num0 * _degree_one_slice(function.den, generator)
+            ExactPolynomial(_leading_ratios(unit, function.num.coeffs), var) * den0
+            - num0 * ExactPolynomial(_leading_ratios(unit, function.den.coeffs), var)
         )
         if not numerator.is_zero():
             out[generator] = ExactRationalFunction(numerator, den0_squared)

@@ -13,7 +13,7 @@ from perturbalg import (
     univariate_ring,
 )
 from perturbalg.errors import DomainError
-from perturbalg.goze import first_level, rank_of_rows, row_reduce
+from perturbalg.goze import rank_of_rows, row_reduce
 
 from conftest import random_infinitesimal, seeded
 
@@ -110,30 +110,18 @@ def test_leading_alpha_valuation():
         )
 
 
-def test_first_level_matches_decompose(ring, t):
-    vectors = [
-        [t, t**2],
-        [t + 2 * t**2, 3 * t**2],
-        [2 * t, 6 * t],
-        [ring.zero(), t**3, ring.zero()],
-        [t + t**3, t**2, 5 * t],
-    ]
-    rng = seeded(24)
-    for _ in range(100):
-        vectors.append([random_infinitesimal(rng, ring) for _ in range(rng.randint(1, 5))])
-    for vector in vectors:
-        if all(v.is_zero() for v in vector):
-            continue
-        assert first_level(vector) == decompose(vector).levels[0]
-
-
-def test_first_level_rejects_what_decompose_rejects(ring, t):
+def test_decompose_rejections(ring, t):
     multi = SeriesRing(("t", "e1"), 8)
-    for vector in ([], [1 + t, t], [multi.generator("e1")], [t, univariate_ring(4).generator("t")]):
+    for vector in (
+        [],
+        [1 + t, t],
+        [multi.generator("e1")],
+        [t, univariate_ring(4).generator("t")],
+        [t, 1],
+        [1, t],
+    ):
         with pytest.raises(DomainError):
-            first_level(vector)
-    with pytest.raises(DomainError):
-        first_level([ring.zero(), ring.zero()])
+            decompose(vector)
 
 
 # a vector of univariate infinitesimals at truncation T: per entry, degree -> (re, im)

@@ -173,6 +173,19 @@ def test_only_series_and_parsing_import_the_row_kernel():
     assert importers == {}
 
 
+# `terms` is the exponent-tuple view of a series' rows; every first-order read
+# goes through series._leading_ratios, so no other layer reads the view
+def test_only_series_reads_the_terms_view():
+    readers = {}
+    for name, tree, enclosing in parsed_modules():
+        if name == "series.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                readers[f"{name}:{node.lineno}"] = enclosing.get(node, "<module>")
+    assert readers == {}
+
+
 def test_only_the_immutable_base_guards_attributes():
     # every immutable value refuses to set or delete an attribute by one rule,
     # scalars._Immutable's

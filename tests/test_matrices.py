@@ -386,6 +386,7 @@ def test_hermitian_rejections(ring, t):
     for args, message in (
         ((diag, ConstantMatrix([[0, 1], [0, 0]]), t, 0), "direction matrix is not Hermitian"),
         ((diag, direction, 1 + t, 0), "alpha must be infinitesimal"),
+        ((diag, direction, 2, 0), "alpha must be a series"),
         ((diag, direction, t, 5), "5 is not an eigenvalue of the base matrix"),
         ((ConstantMatrix.identity(2), direction, t, 1), "1 is not a simple eigenvalue"),
     ):
