@@ -1,7 +1,7 @@
 """Command-line front end: subcommand dispatch and report emission.
 
-Exit codes: 0 success, 1 parse/usage error, 2 domain error, 3 oracle failure
-or inconclusive verification.
+Exit codes: 0 success, 1 parse/usage error or a closed stdout, 2 domain
+error, 3 oracle failure or inconclusive verification.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -236,8 +237,8 @@ def _cmd_simplify_tf(args) -> int:
         {
             "reduced_shadow": str(report.reduced_shadow),
             "pgcd": str(report.pgcd),
-            "num_residual": str(report.num_residual),
-            "den_residual": str(report.den_residual),
+            "num_residual": str(function.num % report.pgcd),
+            "den_residual": str(function.den % report.pgcd),
             "first_order": {g: str(c) for g, c in report.first_order.items()},
         },
     )
@@ -452,7 +453,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

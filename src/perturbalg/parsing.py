@@ -42,7 +42,6 @@ from .series import (
     _scaled,
     _sum_rows,
 )
-from .transfer import RationalFunction
 
 MAX_INPUT_BYTES = 1 << 20
 MAX_POLY_DEGREE = 512
@@ -318,8 +317,8 @@ class _Parser:
         whole = self.advance()
         numerator = int(whole.text)
         token = self.peek()
-        # consume '/' only for a literal fraction; a non-integer right-hand
-        # side leaves the '/' for the caller (rational-function split)
+        # consume '/' only when an integer follows, so that `1/t` is a syntax
+        # error at its '/', the first token no rule reads
         if (
             token.kind == "op"
             and token.text == "/"
@@ -339,15 +338,12 @@ class _Parser:
         rows = {0: (0, re, im)} if re or im else {}
         return _Value(self, den, rows)
 
-    def finish(self):
-        token = self.peek()
-        if token.kind != "end":
-            self.fail(token, "syntax error: expected end of input")
-
     def whole(self) -> _Value:
         """An expression that runs to the end of the input."""
         value = self.parse_expression()
-        self.finish()
+        token = self.peek()
+        if token.kind != "end":
+            self.fail(token, "syntax error: expected end of input")
         return value
 
     # results -------------------------------------------------------------
@@ -429,21 +425,6 @@ def _exact_scalars(texts, pairs: int):
         scalars.append(parser.series(parser.whole()).standard_part())
         pairs = parser.pairs
     return scalars, pairs
-
-
-def parse_rational_function(
-    text: str, ring: SeriesRing, var: str = "p"
-) -> RationalFunction:
-    parser = _Parser(text, ring, var=var)
-    num = parser.polynomial(parser.parse_expression())
-    token = parser.peek()
-    if token.kind == "op" and token.text == "/":
-        parser.advance()
-        den = parser.polynomial(parser.parse_expression())
-    else:
-        den = PerturbedPolynomial(ring, [ring.one()], var)
-    parser.finish()
-    return RationalFunction(num, den)
 
 
 def parse_matrix_json(text: str, truncation: int = DEFAULT_TRUNCATION):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .exactpoly import ExactPolynomial, ExactRationalFunction
-from .ppoly import PerturbedPolynomial, euclid_divide, pgcd
+from .ppoly import PerturbedPolynomial, pgcd
 from .series import _leading_ratios
 
 
@@ -35,50 +35,37 @@ class RationalFunction:
 
 @dataclass
 class SimplificationReport:
-    """Everything the reduction produced.
+    """What the reduction produced.
 
     reduced_shadow   exact reduced rational function Y1/X1 (coprime, monic den)
-    pgcd             the perturbed GCD used as divisor
-    num_quotient     quotient of num by the (unit-normalized) pgcd
-    den_quotient     quotient of den by the (unit-normalized) pgcd
-    num_residual     infinitesimal remainder of the num division
-    den_residual     infinitesimal remainder of the den division
+    pgcd             the perturbed GCD of num and den, with a unit leading
+                     coefficient
     first_order      symbol -> exact rational coefficient of that symbol in
                      the correction num/den - reduced_shadow (zeros omitted)
-    trace            Euclidean remainder chain from the PGCD computation
+
+    Dividing num and den by pgcd leaves infinitesimal residuals, which a
+    reader that wants them takes as `num % pgcd` and `den % pgcd`.
     """
 
     reduced_shadow: ExactRationalFunction
     pgcd: PerturbedPolynomial
-    num_quotient: PerturbedPolynomial
-    den_quotient: PerturbedPolynomial
-    num_residual: PerturbedPolynomial
-    den_residual: PerturbedPolynomial
     first_order: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
 
 
 def simplify(function: RationalFunction) -> SimplificationReport:
     """Reduce num/den by their perturbed GCD and extract the correction.
 
-    Exact coprime inputs come back unchanged (constant PGCD, zero residuals,
-    empty first-order map).
+    The reduced shadow is read off the shadows: num = pgcd*q_n + r_n and
+    den = pgcd*q_d + r_d with infinitesimal r_n, r_d, so num0/den0 equals
+    q_n0/q_d0, and ExactRationalFunction reduces it by the exact GCD.  Exact
+    coprime inputs come back unchanged (constant PGCD, empty first-order map).
     """
     first_order = first_order_correction(function)
-    # den is not wholly infinitesimal, so pgcd takes a step and returns a stripped divisor
-    divisor, trace = pgcd(function.num, function.den)
-    num_quotient, num_residual = euclid_divide(function.num, divisor)
-    den_quotient, den_residual = euclid_divide(function.den, divisor)
-    reduced = ExactRationalFunction(num_quotient.shadow(), den_quotient.shadow())
+    divisor, _ = pgcd(function.num, function.den)
     return SimplificationReport(
-        reduced_shadow=reduced,
+        reduced_shadow=ExactRationalFunction(function.num.shadow(), function.den.shadow()),
         pgcd=divisor,
-        num_quotient=num_quotient,
-        den_quotient=den_quotient,
-        num_residual=num_residual,
-        den_residual=den_residual,
         first_order=first_order,
-        trace=trace,
     )
 
 

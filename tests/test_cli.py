@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perturbalg
 from perturbalg import parsing
 from perturbalg.cli import run
 from perturbalg.ppoly import PerturbedPolynomial
@@ -582,3 +587,22 @@ def test_product_of_a_long_sum_is_a_parse_error(capsys):
     pert = "t*(1+X+t+e1+e2)^512"
     assert run(["roots", "--base", "X - 1", "--pert", pert, "--root", "1"]) == 1
     assert capsys.readouterr().err == "error: product overflow (line 1, column 16)\n"
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader of stdout is gone before the first write, as after `| head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    source = str(Path(perturbalg.__file__).resolve().parents[1])
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "perturbalg", "verify", "--case", "jordan2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": source},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert b"Traceback" not in result.stderr

@@ -173,6 +173,17 @@ def test_only_series_and_parsing_import_the_row_kernel():
     assert importers == {}
 
 
+# transfer is the top of the exact layers: the CLI and the package's
+# namespace use it, and no layer below reads a simplification report
+def test_only_the_cli_and_the_package_import_transfer():
+    importers = set()
+    for name, tree, _ in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "transfer":
+                importers.add(name)
+    assert importers == {"cli.py", "__init__.py"}
+
+
 # `terms` is the exponent-tuple view of a series' rows; every first-order read
 # goes through series._leading_ratios, so no other layer reads the view
 def test_only_series_reads_the_terms_view():

@@ -24,7 +24,6 @@ from perturbalg.parsing import (
     MAX_POWER_BITS,
     parse_matrix_json,
     parse_polynomial,
-    parse_rational_function,
     parse_scalar,
     parse_series,
     ring_for,
@@ -262,14 +261,6 @@ def test_scalar_rejects_every_generator_token(text):
         parse_matrix_json(f'{{"n":1,"base":[["{text}"]]}}')
 
 
-def test_rational_function_parse():
-    ring = ring_for("p^2 - 1")
-    function = parse_rational_function("p^2 - 1 / p - 1", ring)
-    assert function.num.degree == 2
-    assert function.den.degree == 1
-    assert parse_rational_function("p + 1 / p - 2", ring).den.degree == 1
-
-
 def test_matrix_json():
     matrix = parse_matrix_json(
         '{"n":2, "base":[["1","1"],["0","1"]], "pert":[["0","0"],["t","0"]]}'
@@ -496,6 +487,8 @@ ERROR_TABLE = [
     ("1 + q", 4, "unknown symbol 'q'"),
     ("1 + e5", 4, "generator 'e5' missing from the ring"),
     ("t + 1/0", 6, "zero denominator"),
+    # '/' is read only between integer literals
+    ("1/t", 1, "syntax error: expected end of input"),
     ("t - 9" + "9" * MAX_LITERAL_DIGITS, 4, "literal overflow"),
     ("3^2049*t", 2, "exponent overflow"),
     ("{x}^513", 2, "exponent overflow"),
@@ -529,8 +522,6 @@ def test_parse_error_table(template, offset, message):
     ring = SeriesRing(("t",), 8)
     expected = (f"{message} (line 1, column {offset})", offset)
     assert _error_of(lambda: parse_polynomial(template.format(x="X"), ring)) == expected
-    function = template.format(x="p")
-    assert _error_of(lambda: parse_rational_function(function, ring)) == expected
     if "{x}" in template:
         return
     assert _error_of(lambda: parse_series(template, ring)) == expected
@@ -657,12 +648,6 @@ def test_product_budget_is_shared_by_a_parse(monkeypatch):
             f"product overflow (line 1, column {offset})",
             offset,
         )
-    # numerator and denominator of a rational function are one parse
-    function = f"{factor}*{factor}".replace("X", "p")
-    assert _error_of(lambda: parse_rational_function(f"{function}/{function}", ring)) == (
-        "product overflow (line 1, column 35)",
-        35,
-    )
     # and so are the entries of one matrix
     square = "(t+e1+e2+e3)^2"
 

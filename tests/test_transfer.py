@@ -19,6 +19,7 @@ from perturbalg import (
     univariate_ring,
 )
 from perturbalg.errors import DomainError
+from perturbalg.exactpoly import Polynomial
 from perturbalg.oracle import default_values, transfer_residual
 from perturbalg.parsing import parse_polynomial
 
@@ -41,20 +42,18 @@ def rational(num_coeffs, den_coeffs):
 def test_worked_reduction(worked_function):
     report = simplify(worked_function)
     assert report.reduced_shadow == rational([1, 1, 1], [1, 1])
-    assert report.num_residual.is_infinitesimal()
-    assert report.den_residual.is_infinitesimal()
-    # back-substitution: num = pgcd*quotient + residual holds exactly
-    assert (
-        report.pgcd * report.num_quotient + report.num_residual == worked_function.num
-    )
-    assert (
-        report.pgcd * report.den_quotient + report.den_residual == worked_function.den
-    )
+    # back-substitution: num = pgcd*quotient + residual holds exactly, and
+    # each residual is infinitesimal
+    for polynomial in (worked_function.num, worked_function.den):
+        quotient, residual = divmod(polynomial, report.pgcd)
+        assert residual.is_infinitesimal()
+        assert report.pgcd * quotient + residual == polynomial
 
 
 def test_simplify_expands_each_inverse_once(worked_function, monkeypatch):
-    # pgcd inverts the divisor's leading coefficient, and both divisions by
-    # the PGCD reuse that inverse
+    # pgcd inverts the divisor's leading coefficient, and the residual
+    # divisions num % pgcd and den % pgcd that the CLI makes after simplify
+    # reuse that inverse
     invert = TruncatedSeries.invert
     inverted, expansions = set(), [0]
 
@@ -66,8 +65,28 @@ def test_simplify_expands_each_inverse_once(worked_function, monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "invert", counted)
     report = simplify(worked_function)
     assert expansions[0] == len(inverted) == 2
+    inverted.clear()
+    residuals = [worked_function.num % report.pgcd, worked_function.den % report.pgcd]
+    assert expansions[0] == 2 and inverted == {report.pgcd.leading}
     monkeypatch.undo()
-    assert report.reduced_shadow == rational([1, 1, 1], [1, 1])
+    assert all(residual.is_infinitesimal() for residual in residuals)
+
+
+def test_simplify_divides_only_in_pgcd(worked_function, monkeypatch):
+    # the reduced shadow is read off the shadows: simplify divides series
+    # polynomials exactly as often as pgcd alone does
+    divide = Polynomial.__divmod__
+    calls = [0]
+
+    def counted(self, other):
+        calls[0] += isinstance(self, PerturbedPolynomial)
+        return divide(self, other)
+
+    monkeypatch.setattr(Polynomial, "__divmod__", counted)
+    ppoly.pgcd(worked_function.num, worked_function.den)
+    alone, calls[0] = calls[0], 0
+    simplify(worked_function)
+    assert calls[0] == alone > 0
 
 
 def test_worked_first_order(worked_function):
@@ -86,7 +105,7 @@ def test_exact_coprime_is_identity():
     report = simplify(function)
     assert report.reduced_shadow == rational([1, 1], [2, 1])
     assert report.first_order == {}
-    assert report.num_residual.is_zero() and report.den_residual.is_zero()
+    assert (function.num % report.pgcd).is_zero() and (function.den % report.pgcd).is_zero()
 
 
 def test_exact_cancellation():
@@ -179,7 +198,7 @@ def _quotient_formula(function):
     """
     report = simplify(function)
     ring = function.num.ring
-    y1, x1 = report.num_quotient.shadow(), report.den_quotient.shadow()
+    y1, x1 = (function.num // report.pgcd).shadow(), (function.den // report.pgcd).shadow()
     difference = (
         function.num * PerturbedPolynomial.from_exact(x1, ring)
         - PerturbedPolynomial.from_exact(y1, ring) * function.den
@@ -237,13 +256,25 @@ def test_first_order_is_the_quotient_formula(function):
     assert simplify(function).first_order == corrections
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_transfer_functions())
+def test_reduced_shadow_matches_the_shadows_of_the_quotients(function):
+    # the reference: the shadows of the quotients of num and den by the PGCD
+    report = simplify(function)
+    expected = ExactRationalFunction(
+        (function.num // report.pgcd).shadow(), (function.den // report.pgcd).shadow()
+    )
+    assert report.reduced_shadow == expected
+    assert str(report.reduced_shadow) == str(expected)
+
+
 def test_first_order_needs_no_pgcd(worked_function, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the first-order map ran the PGCD reduction")
 
-    for module in (transfer, ppoly):
-        for name in ("pgcd", "euclid_divide"):
-            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(transfer, "pgcd", refuse)
+    for name in ("pgcd", "euclid_divide"):
+        monkeypatch.setattr(ppoly, name, refuse)
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(PerturbedPolynomial, name, refuse)
     assert first_order_correction(worked_function) == {
