@@ -430,6 +430,8 @@ def hermitian_first_order(
     """
     if not base.is_hermitian():
         raise DomainError("base matrix is not Hermitian")
+    if direction.n != base.n:
+        raise DomainError(f"direction matrix has order {direction.n}, the base matrix {base.n}")
     if not direction.is_hermitian():
         raise DomainError("direction matrix is not Hermitian")
     if not isinstance(alpha, TruncatedSeries):

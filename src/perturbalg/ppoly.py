@@ -218,12 +218,15 @@ def _sensitivity(base: ExactPolynomial, root):
     """(u, r, -r!/P^(r)(u)) for an exact root u of multiplicity r of P.
 
     The first nonzero Taylor coefficient of P at u is c_r = P^(r)(u)/r!, so
-    the scale is -1/c_r.
+    the scale is -1/c_r.  The zero P has every point as a root and no nonzero
+    coefficient to read, so it raises DomainError.
     """
     root = GaussianRational.coerce(root)
     mult, lead = next(
         ((j, c) for j, c in enumerate(base.taylor_coefficients(root)) if c), (0, None)
     )
+    if lead is None:
+        raise DomainError("the base polynomial is zero")
     if mult == 0:
         raise DomainError(f"{root} is not a root of {base}")
     return root, mult, GaussianRational(-1) / lead

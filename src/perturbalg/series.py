@@ -14,17 +14,18 @@ Gaussian-integer numerators of its coefficient times D (Monagan and Pearce,
 canonical, so gcd(D, every numerator) = 1 and the zero series has D = 1.
 A GaussianRational (a + b*i)/d is the same form for one coefficient, so a row
 over D is (a, b) scaled by D/d, and a row (re, im) over D is the scalar
-(re, im, D) divided by its gcd.  `terms`, the exponent-tuple ->
-GaussianRational dict, is a view of the rows built on first read, and
-`invert` keeps the inverse it computes.  `sum_of_products` is every sum of
-products, start + sum of x*y: over series it works in one row map, which it
-normalises once.  `taylor_shift` is every Taylor shift of a polynomial, on
+(re, im, D) divided by its gcd.  A series holds nothing but that form:
+`terms`, the exponent-tuple -> GaussianRational dict, is built from the
+rows on each read, and `invert` expands the inverse on each call.
+`sum_of_products` is every sum of products, start + sum of x*y: over series
+it works in one row map, which it normalises once.  `taylor_shift` is every Taylor shift of a polynomial, on
 integers over one denominator per place.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
 `_leading_ratios` is every first-order read: coefficients at a pivot's
-lowest-degree term over the pivot's.  No other module reads `terms`.
+lowest-degree term over the pivot's.  No module reads `terms`: the printers
+and `specialize` read the rows.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def univariate_ring(truncation: int = DEFAULT_TRUNCATION, name: str = "t") -> Se
 class TruncatedSeries(_Immutable):
     """Immutable sparse series: packed exponent -> (degree, re*D, im*D) over one D."""
 
-    __slots__ = ("ring", "den", "rows", "_terms", "_inverse")
+    __slots__ = ("ring", "den", "rows")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple, GaussianRational]):
         width = len(ring.generators)
@@ -133,8 +134,6 @@ class TruncatedSeries(_Immutable):
         _set_ring(self, ring)
         _set_den(self, den)
         _set_rows(self, rows)
-        _set_terms(self, clean)
-        _set_inverse(self, None)
 
     @classmethod
     def _of_rows(cls, ring: SeriesRing, den: int, rows: dict) -> "TruncatedSeries":
@@ -143,8 +142,6 @@ class TruncatedSeries(_Immutable):
         _set_ring(self, ring)
         _set_den(self, den)
         _set_rows(self, rows)
-        _set_terms(self, None)
-        _set_inverse(self, None)
         return self
 
     def __reduce__(self):
@@ -152,17 +149,8 @@ class TruncatedSeries(_Immutable):
 
     @property
     def terms(self) -> dict:
-        """Exponent tuple -> GaussianRational; built once, on first read."""
-        terms = self._terms
-        if terms is None:
-            base = self.ring.truncation + 1
-            width = len(self.ring.generators)
-            terms = {
-                _unpack(key, base, width): _reduced(re, im, self.den)
-                for key, (_, re, im) in self.rows.items()
-            }
-            _set_terms(self, terms)
-        return terms
+        """Exponent tuple -> GaussianRational: a new dict, built from the rows on each read."""
+        return dict(_terms(self, self.rows.items()))
 
     # -- plumbing -------------------------------------------------------------
 
@@ -285,13 +273,11 @@ class TruncatedSeries(_Immutable):
         return self.valuation() == 0
 
     def invert(self) -> "TruncatedSeries":
-        """Inverse of a unit, by geometric expansion of (c0*(1+m))^-1; cached.
+        """Inverse of a unit, by geometric expansion of (c0*(1+m))^-1.
 
         Raises NonUnitError when the constant term vanishes; to divide by a
         univariate non-unit, use divide_univariate.
         """
-        if self._inverse is not None:
-            return self._inverse
         c0 = self.standard_part()
         if not c0:
             raise NonUnitError("series with zero constant term has no inverse")
@@ -304,8 +290,7 @@ class TruncatedSeries(_Immutable):
             if power.is_zero():
                 break
             acc = acc + power
-        _set_inverse(self, acc * c0_inv)
-        return self._inverse
+        return acc * c0_inv
 
     def leading_part(self) -> "TruncatedSeries":
         """Terms of minimal total degree only (0 for the zero series)."""
@@ -340,7 +325,7 @@ class TruncatedSeries(_Immutable):
         if target is None:
             raise DomainError("empty specialization map")
         result = target.zero()
-        for index, coeff in self.terms.items():
+        for index, coeff in _terms(self, self.rows.items()):
             term = target.constant(coeff)
             for name, exponent in zip(self.ring.generators, index):
                 if exponent:
@@ -396,8 +381,6 @@ _new = object.__new__
 _set_ring = TruncatedSeries.ring.__set__
 _set_den = TruncatedSeries.den.__set__
 _set_rows = TruncatedSeries.rows.__set__
-_set_terms = TruncatedSeries._terms.__set__
-_set_inverse = TruncatedSeries._inverse.__set__
 
 
 # -- integer kernel --------------------------------------------------------------
@@ -413,6 +396,14 @@ def _unpack(key: int, base: int, width: int) -> tuple:
     for position in range(width - 1, -1, -1):
         key, index[position] = divmod(key, base)
     return tuple(index)
+
+
+def _terms(series: TruncatedSeries, items):
+    """(exponent tuple, coefficient) of each (packed key, row) in `items`, rows of `series`."""
+    base = series.ring.truncation + 1
+    width = len(series.ring.generators)
+    for key, (_, re, im) in items:
+        yield _unpack(key, base, width), _reduced(re, im, series.den)
 
 
 def _scaled(rows: dict, scale: int) -> dict:
@@ -726,11 +717,11 @@ def format_terms(terms) -> str:
     chunks = []
     for coeff, monomial in terms:
         if isinstance(coeff, TruncatedSeries):
-            if len(coeff.terms) != 1:
+            if len(coeff.rows) != 1:
                 text = f"({format_series(coeff)})"
                 chunks.append(("+", f"{text}*{monomial}" if monomial else text))
                 continue
-            ((index, scalar),) = coeff.terms.items()
+            ((index, scalar),) = _terms(coeff, coeff.rows.items())
             inner = _monomial_text(coeff.ring.generators, index)
             monomial = "*".join(part for part in (inner, monomial) if part)
             coeff = scalar
@@ -750,8 +741,9 @@ def format_terms(terms) -> str:
 
 
 def format_series(series: TruncatedSeries) -> str:
+    """The terms by total degree, then by exponent tuple: a packed key orders the tuples."""
     generators = series.ring.generators
-    ordered = sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    ordered = sorted(series.rows.items(), key=lambda item: (item[1][0], item[0]))
     return format_terms(
-        (coeff, _monomial_text(generators, index)) for index, coeff in ordered
+        (coeff, _monomial_text(generators, index)) for index, coeff in _terms(series, ordered)
     )

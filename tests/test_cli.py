@@ -132,6 +132,14 @@ def test_declared_multiplicity_must_hold(capsys):
     assert run(["roots", "--base", "X^2 - 1", "--pert", "t", "--root", "1", "--mult", "1"]) == 0
 
 
+def test_roots_of_a_zero_base_are_a_domain_error(capsys):
+    # every point is a root of the zero polynomial, with no multiplicity to read
+    assert run(["roots", "--base", "0", "--pert=t*X", "--root", "2"]) == 2
+    assert one_error_line(capsys) == "error: the base polynomial is zero\n"
+    assert run(["roots", "--base", "X", "--pert=t*X", "--root", "2"]) == 2
+    assert one_error_line(capsys) == "error: 2 is not a root of X\n"
+
+
 def test_conservative(capsys):
     matrix = '{"n":2,"base":[["0","0"],["0","0"]],"pert":[["0","t"],["0","0"]]}'
     code, payload = run_json(capsys, ["conservative", "--matrix", matrix])
@@ -547,6 +555,8 @@ def test_unknown_verify_case_lists_the_known_ones(capsys):
         ('{"n":2,"base":[["0","0"],["0","1"]],"pert":[["t","0"],["0","0"]]}',
          '{"n":2,"base":[["1","0"],["0","0"]]}', "t", "0",
          "error: hermitian takes exact base and direction matrices\n"),
+        (DIAG01, '{"n":3,"base":[["1","0","0"],["0","0","0"],["0","0","0"]]}', "t", "0",
+         "error: direction matrix has order 3, the base matrix 2\n"),
     ],
 )
 def test_hermitian_rejections_are_domain_errors(capsys, matrix, direction, alpha, eigenvalue, message):

@@ -184,17 +184,48 @@ def test_only_the_cli_and_the_package_import_transfer():
     assert importers == {"cli.py", "__init__.py"}
 
 
-# `terms` is the exponent-tuple view of a series' rows; every first-order read
-# goes through series._leading_ratios, so no other layer reads the view
-def test_only_series_reads_the_terms_view():
+# `terms` is the exponent-tuple view of a series' rows, built on each read for
+# the tests and the benchmark; every first-order read goes through
+# series._leading_ratios, and the printers and `specialize` read the rows
+def test_no_package_module_reads_the_terms_view():
     readers = {}
     for name, tree, enclosing in parsed_modules():
-        if name == "series.py":
-            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "terms":
                 readers[f"{name}:{node.lineno}"] = enclosing.get(node, "<module>")
     assert readers == {}
+
+
+# a value is its canonical form: equality, hashing and pickling read the slots
+# its constructor set, so nothing writes one later; the one exception is the
+# characteristic polynomial a matrix keeps, which char_poly sets
+SLOT_WRITERS = {"series.py:_of_rows", "scalars.py:_of", "matrices.py:char_poly"}
+
+
+def test_only_constructors_write_slots():
+    writers = set()
+    for name, tree, enclosing in parsed_modules():
+        # the module's aliases of a slot's setter, `_set_x = Class.x.__set__`
+        setters = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "__set__"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            writes = (isinstance(func, ast.Name) and func.id in setters) or (
+                isinstance(func, ast.Attribute) and func.attr in ("__set__", "__setattr__")
+            )
+            function = enclosing.get(node, "<module>")
+            if writes and function != "__init__":
+                writers.add(f"{name}:{function}")
+    assert writers == SLOT_WRITERS
 
 
 def test_only_the_immutable_base_guards_attributes():

@@ -385,6 +385,7 @@ def test_hermitian_rejections(ring, t):
     direction = ConstantMatrix([[1, 0], [0, 0]])
     for args, message in (
         ((diag, ConstantMatrix([[0, 1], [0, 0]]), t, 0), "direction matrix is not Hermitian"),
+        ((diag, ConstantMatrix.identity(3), t, 0), "direction matrix has order 3, the base matrix 2"),
         ((diag, direction, 1 + t, 0), "alpha must be infinitesimal"),
         ((diag, direction, 2, 0), "alpha must be a series"),
         ((diag, direction, t, 5), "5 is not an eigenvalue of the base matrix"),

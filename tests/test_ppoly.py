@@ -147,7 +147,9 @@ def test_euclid_skips_the_leading_product(ring, t, monkeypatch):
     rng = seeded(41)
     a = PerturbedPolynomial(ring, [k + 2 + random_infinitesimal(rng, ring) for k in range(6)])
     b = PerturbedPolynomial(ring, [k + 3 + random_infinitesimal(rng, ring) for k in range(3)])
-    b.leading.invert()  # cached, so the division below makes no inversion product
+    # the inverse is expanded ahead, so the count holds the division's products alone
+    inverse = b.leading.invert()
+    monkeypatch.setattr(TruncatedSeries, "invert", lambda self: inverse)
     products = [0]
     mul_rows = series._mul_rows
 
@@ -692,6 +694,23 @@ def _taylor_shift(ring, root, pairs):
         shift = shift + power * (ring.generator("t") ** valuation * GaussianRational(re, im))
         power = power * x
     return shift
+
+
+def test_a_zero_base_has_no_root_to_read():
+    # every point is a root of the zero polynomial, and no Taylor coefficient
+    # of it is nonzero, so no claim has a multiplicity or a scale
+    ring = univariate_ring(8)
+    shift = PerturbedPolynomial(ring, [0, ring.generator("t")])
+    zero = ExactPolynomial([])
+    for claim in (
+        lambda: root_correction(zero, shift, 2),
+        lambda: dominant_balance(zero, shift, 2),
+        lambda: apply_root_sensitivity(zero, 2, shift),
+    ):
+        with pytest.raises(DomainError, match="^the base polynomial is zero$"):
+            claim()
+    with pytest.raises(DomainError, match="^2 is not a root of X$"):
+        root_correction(ExactPolynomial([0, 1]), shift, 2)
 
 
 def test_balance_needs_infinitesimal_shift():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from perturbalg import (
     GaussianRational,
     NonUnitError,
+    PerturbedPolynomial,
     RingMismatchError,
     SeriesRing,
     TruncatedSeries,
@@ -17,7 +18,8 @@ from perturbalg import (
     univariate_ring,
 )
 from perturbalg.errors import DomainError
-from perturbalg.series import MAX_MONOMIALS, MAX_TRUNCATION, sum_of_products
+from perturbalg.scalars import _scalar_pieces
+from perturbalg.series import MAX_MONOMIALS, MAX_TRUNCATION, _monomial_text, sum_of_products
 
 from conftest import (
     assert_round_trips,
@@ -602,20 +604,80 @@ def test_numeric_sample_ignores_row_order():
     assert repr(one_map.numeric_sample(point)) == repr(loop.numeric_sample(point))
 
 
-def test_invert_is_cached(ring, t):
+def test_invert_of_a_pickled_copy(ring, t):
     unit = 2 + t - 3 * t**2
-    assert unit.invert() is unit.invert()
     assert unit * unit.invert() == 1
-    # a copy starts without the inverse and computes the same one
     copied = pickle.loads(pickle.dumps(unit))
-    assert copied.invert() == unit.invert() and copied.invert() is not unit.invert()
+    assert copied.invert() == unit.invert()
 
 
-def test_terms_is_a_cached_read_only_view(ring, t):
+def test_terms_is_a_read_only_view(ring, t):
     product = (1 + t) * (1 - 2 * t)
-    assert product.terms is product.terms
+    assert product.terms == product.terms
     with pytest.raises(AttributeError):
         product.terms = {}
+
+
+def reference_format_terms(pairs):
+    """The term printer over `terms`: a single-term series coefficient folds into the monomial."""
+    chunks = []
+    for coeff, monomial in pairs:
+        if isinstance(coeff, TruncatedSeries):
+            if len(coeff.terms) != 1:
+                text = f"({reference_format_series(coeff)})"
+                chunks.append(("+", f"{text}*{monomial}" if monomial else text))
+                continue
+            ((index, scalar),) = coeff.terms.items()
+            inner = _monomial_text(coeff.ring.generators, index)
+            monomial = "*".join(part for part in (inner, monomial) if part)
+            coeff = scalar
+        sign, factor = _scalar_pieces(coeff, with_monomial=bool(monomial))
+        body = f"{factor}*{monomial}" if monomial and factor else monomial or factor or "1"
+        chunks.append((sign, body))
+    if not chunks:
+        return "0"
+    text = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in chunks[1:])
+
+
+def reference_format_series(series):
+    """The terms of `series` sorted by (total degree, exponent tuple)."""
+    ordered = sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    return reference_format_terms(
+        (coeff, _monomial_text(series.ring.generators, index)) for index, coeff in ordered
+    )
+
+
+PRINTED_RINGS = [univariate_ring(8), SeriesRing(("e1", "e2"), 3), SeriesRing(("e1", "e2", "e3"), 4)]
+
+
+def printed_coefficients(ring):
+    """Strategy: a series of up to 6 terms, zero, or one term (which prints folded)."""
+    bound = ring.truncation
+    exponents = st.tuples(*[st.integers(0, bound)] * len(ring.generators)).filter(
+        lambda index: sum(index) <= bound
+    )
+    return st.one_of(
+        gaussian_series(ring),
+        st.just(ring.zero()),
+        st.builds(lambda index, c: TruncatedSeries(ring, {index: c}), exponents, gaussian_scalars),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_str_matches_the_terms_printer(data):
+    # str prints from the rows, sorted by (degree, packed key); a packed key
+    # orders exponent tuples as the tuples do
+    ring = data.draw(st.sampled_from(PRINTED_RINGS))
+    value = data.draw(printed_coefficients(ring))
+    assert str(value) == reference_format_series(value)
+    poly = PerturbedPolynomial(ring, data.draw(st.lists(printed_coefficients(ring), max_size=4)))
+    assert str(poly) == reference_format_terms(
+        (poly.coeffs[degree], _monomial_text(("X",), (degree,)))
+        for degree in range(poly.degree, -1, -1)
+        if poly.coeffs[degree]
+    )
 
 
 def test_series_pickle_and_copy(ring, t):

@@ -51,25 +51,18 @@ def test_worked_reduction(worked_function):
 
 
 def test_simplify_expands_each_inverse_once(worked_function, monkeypatch):
-    # pgcd inverts the divisor's leading coefficient, and the residual
-    # divisions num % pgcd and den % pgcd that the CLI makes after simplify
-    # reuse that inverse
+    # pgcd inverts the divisor's leading coefficient once per Euclid step,
+    # and nothing else in simplify inverts a series
     invert = TruncatedSeries.invert
-    inverted, expansions = set(), [0]
+    inverted = []
 
     def counted(self):
-        inverted.add(self)
-        expansions[0] += self._inverse is None
+        inverted.append(self)
         return invert(self)
 
     monkeypatch.setattr(TruncatedSeries, "invert", counted)
-    report = simplify(worked_function)
-    assert expansions[0] == len(inverted) == 2
-    inverted.clear()
-    residuals = [worked_function.num % report.pgcd, worked_function.den % report.pgcd]
-    assert expansions[0] == 2 and inverted == {report.pgcd.leading}
-    monkeypatch.undo()
-    assert all(residual.is_infinitesimal() for residual in residuals)
+    simplify(worked_function)
+    assert len(inverted) == len(set(inverted)) == 2
 
 
 def test_simplify_divides_only_in_pgcd(worked_function, monkeypatch):
