@@ -183,7 +183,7 @@ def _cmd_eigshift(args) -> int:
     matrix = _perturbed_matrix(args)
     eigenvalue = parse_scalar(args.eigenvalue)
     branches = _branches(
-        char_poly(matrix.base), perturbation_poly(matrix), eigenvalue, args.mult
+        char_poly(matrix).shadow(), perturbation_poly(matrix), eigenvalue, args.mult
     )
     # one power branch keeps the flat shape; a balance or several branches are listed
     flat = len(branches) == 1 and branches[0]["kind"] == "power"
@@ -284,7 +284,7 @@ def _matrix_case(text, eigenvalue, trunc, grid, seed, tolerance):
     matrix = parse_matrix_json(text, trunc)
     asym = eigenvalue_correction(matrix.base, matrix, eigenvalue)
     return verify_root_asymptotics(
-        char_poly(matrix.base), perturbation_poly(matrix), asym, grid, tolerance, seed
+        char_poly(matrix).shadow(), perturbation_poly(matrix), asym, grid, tolerance, seed
     )
 
 

@@ -8,11 +8,12 @@ matrix exactly, order by order in the perturbation.
 `minor_sum`, `polarize` and `charpoly_expansion` evaluate these definitions
 directly and serve as the reference.  `char_poly` uses Berkowitz's
 division-free algorithm instead, which takes polynomial time and stays exact
-over the truncated series ring (not a field), and the first-order forms are
-read off its output, as Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U):
-`series._leading_ratios` reads the coefficients of a cached
-char_poly(A + E) at alpha's lowest-degree term over alpha's, with alpha_1
-for `xi_first_order` and s at T = 1 for `hermitian_first_order`.
+over the truncated series ring (not a field).  The standard part is a ring
+map, so char_poly(A) is the shadow of char_poly(A + E) and Xi its
+infinitesimal part; the first-order forms are read off the same output, as
+Theta(A,...,A,U)/(k-1)! = [s^1] Q^(k)(A + s*U): `series._leading_ratios`
+reads its coefficients at alpha's lowest-degree term over alpha's, with
+alpha_1 for `xi_first_order` and s at T = 1 for `hermitian_first_order`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .series import SeriesRing, TruncatedSeries, _check_bits, _leading_ratios, s
 class ConstantMatrix(_Immutable):
     """Square matrix of Gaussian rationals."""
 
-    __slots__ = ("n", "rows", "_charpoly")
+    __slots__ = ("n", "rows")
 
     def __init__(self, rows):
         rows = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in rows)
@@ -41,9 +42,8 @@ class ConstantMatrix(_Immutable):
             raise DomainError("matrix must be square")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_charpoly", None)  # set by char_poly
 
-    def __reduce__(self):  # through the constructor, so _charpoly starts empty
+    def __reduce__(self):  # pickle and copy set slots by setattr, which _Immutable refuses
         return ConstantMatrix, (self.rows,)
 
     @staticmethod
@@ -303,29 +303,25 @@ def _berkowitz(rows, zero, one) -> list:
 def char_poly(matrix):
     """Characteristic polynomial X^n + sum_k (-1)^k Q^(k) X^(n-k).
 
-    Exact matrices yield an ExactPolynomial; perturbed matrices yield a
-    PerturbedPolynomial over their series ring.  Computed by Berkowitz's
-    algorithm once per matrix; later calls return the same polynomial.
+    Exact matrices yield an ExactPolynomial, by Berkowitz's algorithm on
+    each call; perturbed matrices yield a PerturbedPolynomial over their
+    series ring, computed once per matrix and returned again on later calls.
     """
-    if not isinstance(matrix, (ConstantMatrix, PerturbedMatrix)):
+    if isinstance(matrix, ConstantMatrix):
+        return ExactPolynomial(_berkowitz(matrix.rows, GaussianRational(0), GaussianRational(1))[::-1])
+    if not isinstance(matrix, PerturbedMatrix):
         raise TypeError("char_poly expects a ConstantMatrix or a PerturbedMatrix")
     if matrix._charpoly is None:
-        if isinstance(matrix, ConstantMatrix):
-            coeffs = _berkowitz(matrix.rows, GaussianRational(0), GaussianRational(1))
-            poly = ExactPolynomial(coeffs[::-1])
-        else:
-            ring = matrix.ring
-            coeffs = _berkowitz(matrix.total(), ring.zero(), ring.one())
-            poly = PerturbedPolynomial(ring, coeffs[::-1])
-        object.__setattr__(matrix, "_charpoly", poly)
+        ring = matrix.ring
+        coeffs = _berkowitz(matrix.total(), ring.zero(), ring.one())
+        object.__setattr__(matrix, "_charpoly", PerturbedPolynomial(ring, coeffs[::-1]))
     return matrix._charpoly
 
 
 def perturbation_poly(matrix: PerturbedMatrix) -> PerturbedPolynomial:
-    """Xi = char_poly(A + E) - char_poly(A); wholly infinitesimal."""
+    """Xi = char_poly(A + E) - char_poly(A), the infinitesimal part of char_poly(A + E)."""
     full = char_poly(matrix)
-    base = PerturbedPolynomial.from_exact(char_poly(matrix.base), matrix.ring)
-    return full - base
+    return full - PerturbedPolynomial.from_exact(full.shadow(), matrix.ring)
 
 
 def _on_base(base: ConstantMatrix, pert) -> PerturbedMatrix:
@@ -382,12 +378,11 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
 def eigenvalue_correction(base: ConstantMatrix, pert, eigenvalue) -> RootAsymptotics:
     """Leading eigenvalue shift of A + E at an exact eigenvalue of A.
 
-    Forms Xi = char_poly(A+E) - char_poly(A) and delegates to root_correction,
+    Splits char_poly(A+E) into its shadow char_poly(A) and Xi for root_correction,
     which answers only where the Newton polygon at the eigenvalue is one edge.
     """
     matrix = _on_base(base, pert)
-    xi = perturbation_poly(matrix)
-    return root_correction(char_poly(matrix.base), xi, eigenvalue)
+    return root_correction(char_poly(matrix).shadow(), perturbation_poly(matrix), eigenvalue)
 
 
 def conservative_residuals(base: ConstantMatrix, pert) -> list[TruncatedSeries]:
@@ -426,7 +421,8 @@ def hermitian_first_order(
 
     For Hermitian A and U with infinitesimal alpha, the eigenvalue lambda of A
     moves by rho = -Xi_1(lambda)/C'_A(lambda) where Xi_1 is the first-order
-    characteristic-polynomial shift of A + alpha*U; rho/alpha is real.
+    characteristic-polynomial shift of A + alpha*U; rho/alpha is real.  Both
+    C_A (its shadow) and Xi_1/alpha (its s part) are read off char_poly(A + s*U), s^2 = 0.
     """
     if not base.is_hermitian():
         raise DomainError("base matrix is not Hermitian")
@@ -439,14 +435,16 @@ def hermitian_first_order(
     if not alpha.is_infinitesimal():
         raise DomainError("alpha must be infinitesimal")
     eigenvalue = GaussianRational.coerce(eigenvalue)
+    s = _FIRST_ORDER_RING.generator("s")
+    # Berkowitz on the rows, as a PerturbedMatrix cannot be empty (an empty base has no eigenvalue)
+    rows = [[a + s * u for a, u in zip(*pair)] for pair in zip(base.rows, direction.rows)]
+    deformed = _berkowitz(rows, s.ring.zero(), s.ring.one())[::-1]
     # C_A(lambda), then C_A'(lambda): the first two values of one Taylor shift
-    taylor = char_poly(base).taylor_coefficients(eigenvalue)
+    taylor = PerturbedPolynomial(s.ring, deformed).shadow().taylor_coefficients(eigenvalue)
     if next(taylor):
         raise DomainError(f"{eigenvalue} is not an eigenvalue of the base matrix")
     slope = next(taylor)
     if not slope:
         raise DomainError(f"{eigenvalue} is not a simple eigenvalue")
-    s = _FIRST_ORDER_RING.generator("s")
-    deformed = PerturbedMatrix(base, [[s * u for u in row] for row in direction.rows])
-    first = ExactPolynomial(_leading_ratios(s, char_poly(deformed).coeffs[:base.n]))
+    first = ExactPolynomial(_leading_ratios(s, deformed[:base.n]))
     return alpha * (-first.evaluate(eigenvalue) / slope)

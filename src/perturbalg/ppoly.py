@@ -233,7 +233,7 @@ def _sensitivity(base: ExactPolynomial, root):
 
 
 def apply_root_sensitivity(
-    base: ExactPolynomial, root, shift_poly: PerturbedPolynomial
+    base: ExactPolynomial, shift_poly: PerturbedPolynomial, root
 ) -> TruncatedSeries:
     """Sensitivity map L(H) = -r! * H(u) / P^(r)(u) at a root u of multiplicity r.
 

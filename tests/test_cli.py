@@ -557,6 +557,8 @@ def test_unknown_verify_case_lists_the_known_ones(capsys):
          "error: hermitian takes exact base and direction matrices\n"),
         (DIAG01, '{"n":3,"base":[["1","0","0"],["0","0","0"],["0","0","0"]]}', "t", "0",
          "error: direction matrix has order 3, the base matrix 2\n"),
+        ('{"n":0,"base":[]}', '{"n":0,"base":[]}', "t", "0",
+         "error: 0 is not an eigenvalue of the base matrix\n"),
     ],
 )
 def test_hermitian_rejections_are_domain_errors(capsys, matrix, direction, alpha, eigenvalue, message):

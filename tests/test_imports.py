@@ -198,7 +198,8 @@ def test_no_package_module_reads_the_terms_view():
 
 # a value is its canonical form: equality, hashing and pickling read the slots
 # its constructor set, so nothing writes one later; the one exception is the
-# characteristic polynomial a matrix keeps, which char_poly sets
+# characteristic polynomial a perturbed matrix keeps, which char_poly sets (an
+# exact matrix keeps none)
 SLOT_WRITERS = {"series.py:_of_rows", "scalars.py:_of", "matrices.py:char_poly"}
 
 
@@ -265,3 +266,18 @@ def test_only_the_token_scan_is_a_process_wide_memo():
             ):
                 memos.add(f"{name}:{enclosing.get(node, '<module>')}")
     assert memos == {"parsing.py:_scan"}
+
+
+# char_poly(A) is the shadow of char_poly(A + E), so no reader of a perturbed
+# matrix runs a second Berkowitz pass on its base
+def test_no_package_module_takes_the_char_poly_of_a_base():
+    callers = {}
+    for name, tree, enclosing in parsed_modules():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func, first = node.func, node.args[0]
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "char_poly" and isinstance(first, ast.Attribute) and first.attr == "base":
+                callers[f"{name}:{node.lineno}"] = enclosing.get(node, "<module>")
+    assert callers == {}

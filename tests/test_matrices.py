@@ -27,11 +27,12 @@ from perturbalg import (
     xi_first_order,
 )
 from perturbalg import matrices
+from perturbalg.cli import run
 from perturbalg.errors import DomainError
 from perturbalg.goze import decompose
 from perturbalg.series import TruncatedSeries
 
-from conftest import assert_round_trips, random_infinitesimal, seeded
+from conftest import assert_round_trips, gaussian_series, random_infinitesimal, seeded
 
 
 def unit_matrix(n, i, j, scale=1):
@@ -84,6 +85,7 @@ def first_order_by_polarize(base, direction):
 
 NILPOTENT3 = ConstantMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 JORDAN2 = ConstantMatrix([[1, 1], [0, 1]])
+JORDAN2_JSON = '{"n":2,"base":[["1","1"],["0","1"]],"pert":[["0","0"],["t","0"]]}'
 
 
 def test_minor_sums_diagonal():
@@ -390,6 +392,7 @@ def test_hermitian_rejections(ring, t):
         ((diag, direction, 2, 0), "alpha must be a series"),
         ((diag, direction, t, 5), "5 is not an eigenvalue of the base matrix"),
         ((ConstantMatrix.identity(2), direction, t, 1), "1 is not a simple eigenvalue"),
+        ((ConstantMatrix([]), ConstantMatrix([]), t, 0), "0 is not an eigenvalue of the base matrix"),
     ):
         with pytest.raises(DomainError, match=message):
             hermitian_first_order(*args)
@@ -448,7 +451,8 @@ def test_char_poly_matches_sympy():
 def test_char_poly_computed_once_per_matrix(ring, t):
     matrix = PerturbedMatrix(JORDAN2, [[ring.zero(), ring.zero()], [t, ring.zero()]])
     assert char_poly(matrix) is char_poly(matrix)
-    assert char_poly(matrix.base) is char_poly(matrix.base)
+    # an exact matrix keeps no polynomial: each call runs Berkowitz again
+    assert char_poly(matrix.base) == char_poly(matrix.base)
 
 
 def test_berkowitz_dot_products_build_no_product_series(ring, monkeypatch):
@@ -593,6 +597,60 @@ def test_char_poly_and_first_order_match_the_definitions(matrix):
         )
 
 
+def perturbation_poly_by_two_passes(matrix):
+    """Xi as a second Berkowitz pass on the base gives it."""
+    return char_poly(matrix) - PerturbedPolynomial.from_exact(char_poly(matrix.base), matrix.ring)
+
+
+@st.composite
+def gaussian_perturbed_matrices(draw):
+    """A + E: Gaussian A of order 1..5, E over one to three generators at T = 1..6."""
+    n = draw(st.integers(1, 5))
+    generators = draw(st.sampled_from([("t",), ("e1", "e2"), ("e1", "e2", "e3")]))
+    ring = SeriesRing(generators, draw(st.integers(1, 6)))
+    entries = st.one_of(st.just(ring.zero()), gaussian_series(ring, min_valuation=1))
+    base = ConstantMatrix([[draw(gaussians) for _ in range(n)] for _ in range(n)])
+    return PerturbedMatrix(base, [[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gaussian_perturbed_matrices())
+def test_the_base_char_poly_is_the_shadow_of_the_perturbed_one(matrix):
+    # the standard part is a ring map, so it commutes with Berkowitz
+    assert char_poly(matrix).shadow() == char_poly(matrix.base)
+    assert perturbation_poly(matrix) == perturbation_poly_by_two_passes(matrix)
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        lambda pert: eigenvalue_correction(ConstantMatrix([[1, 1], [0, 1]]), pert, 1),
+        lambda pert: conservative_residuals(ConstantMatrix([[1, 1], [0, 1]]), pert),
+        lambda pert: hermitian_first_order(
+            ConstantMatrix([[0, 0], [0, 1]]), ConstantMatrix([[1, 0], [0, 0]]), pert[1][0], 0
+        ),
+        lambda pert: run(["eigshift", "--matrix", JORDAN2_JSON, "--eigenvalue", "1"]),
+        lambda pert: run(["verify", "--case", "jordan2"]),
+    ],
+    ids=["eigenvalue_correction", "conservative_residuals", "hermitian_first_order",
+         "cli-eigshift", "cli-verify-jordan2"],
+)
+def test_one_berkowitz_pass_per_claim(ring, t, monkeypatch, capsys, claim):
+    # char_poly(A) is read off char_poly(A + E), not computed again; each
+    # claim builds its own base, so no earlier test can have cached one
+    calls = [0]
+    berkowitz = matrices._berkowitz
+
+    def counted(*args):
+        calls[0] += 1
+        return berkowitz(*args)
+
+    monkeypatch.setattr(matrices, "_berkowitz", counted)
+    claim([[ring.zero(), ring.zero()], [t, ring.zero()]])
+    capsys.readouterr()
+    assert calls[0] == 1
+
+
 def householder(v):
     """I - 2 v v* / (v* v): Hermitian and unitary, so its own inverse."""
     n = len(v)
@@ -652,5 +710,4 @@ def test_matrices_pickle_and_copy(ring, t):
     # ConstantMatrix has no hash, and PerturbedMatrix compares by identity
     assert_round_trips(base, hashed=False)
     assert_round_trips(perturbed, key=lambda m: (m.base, m.pert), hashed=False)
-    for matrix in (base, perturbed):
-        assert copy.deepcopy(matrix)._charpoly is None  # the cache is not carried over
+    assert copy.deepcopy(perturbed)._charpoly is None  # the cache is not carried over

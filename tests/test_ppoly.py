@@ -305,23 +305,23 @@ def test_pgcd_shadow_property_random(case):
 def test_sensitivity_simple_root(ring, t):
     base = ExactPolynomial([-1, 0, 1])
     shift = PerturbedPolynomial(ring, [t])
-    assert apply_root_sensitivity(base, 1, shift) == t * Fraction(-1, 2)
+    assert apply_root_sensitivity(base, shift, 1) == t * Fraction(-1, 2)
 
 
 def test_sensitivity_zero_shift(ring):
     base = ExactPolynomial([-1, 0, 1])
-    assert apply_root_sensitivity(base, 1, PerturbedPolynomial(ring, [])).is_zero()
+    assert apply_root_sensitivity(base, PerturbedPolynomial(ring, []), 1).is_zero()
 
 
 def test_sensitivity_double_root(ring, t):
     base = ExactPolynomial([1, -2, 1])
     shift = PerturbedPolynomial(ring, [-t])
-    assert apply_root_sensitivity(base, 1, shift) == t
+    assert apply_root_sensitivity(base, shift, 1) == t
 
 
 def test_sensitivity_needs_root(ring, t):
     with pytest.raises(DomainError):
-        apply_root_sensitivity(ExactPolynomial([-1, 0, 1]), 2, PerturbedPolynomial(ring, [t]))
+        apply_root_sensitivity(ExactPolynomial([-1, 0, 1]), PerturbedPolynomial(ring, [t]), 2)
 
 
 def test_taylor_coefficients_match_derivatives():
@@ -566,10 +566,21 @@ def test_sensitivity_matches_correction():
         )
         if shift.evaluate(ring.constant(root)).is_zero():
             continue
-        sensitivity = apply_root_sensitivity(base, root, shift)
+        sensitivity = apply_root_sensitivity(base, shift, root)
         asym = root_correction(base, shift, root)
         assert sensitivity.leading_part() == asym.rhs
 
+
+
+def test_the_root_claims_share_one_argument_order(ring, t):
+    # every public root claim reads (base, shift_poly, root)
+    base = ExactPolynomial([1, -2, 1])
+    shift = PerturbedPolynomial(ring, [-t, t**2])
+    asym, branches, sensitivity = (
+        claim(base, shift, 1) for claim in (root_correction, dominant_balance, apply_root_sensitivity)
+    )
+    assert asym.rhs == sensitivity.leading_part() == t
+    assert branches == [asym]
 
 def test_balance_factored_case(ring, t):
     base = ExactPolynomial([1, -2, 1])
@@ -705,7 +716,7 @@ def test_a_zero_base_has_no_root_to_read():
     for claim in (
         lambda: root_correction(zero, shift, 2),
         lambda: dominant_balance(zero, shift, 2),
-        lambda: apply_root_sensitivity(zero, 2, shift),
+        lambda: apply_root_sensitivity(zero, shift, 2),
     ):
         with pytest.raises(DomainError, match="^the base polynomial is zero$"):
             claim()
