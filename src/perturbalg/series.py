@@ -17,6 +17,8 @@ over D is (a, b) scaled by D/d, and a row (re, im) over D is the scalar
 (re, im, D) divided by its gcd.  A series holds nothing but that form:
 `terms`, the exponent-tuple -> GaussianRational dict, is built from the
 rows on each read, and `invert` expands the inverse on each call.
+`_mul_rows` is every merge of rows that can cancel, in two loops by operand
+shape; a sum adds b times the constant row +-common/den_b to a copy of a.
 `sum_of_products` is every sum of products, start + sum of x*y: over series
 it works in one row map, which it normalises once.  `taylor_shift` is every Taylor shift of a polynomial, on
 integers over one denominator per place.
@@ -412,41 +414,31 @@ def _scaled(rows: dict, scale: int) -> dict:
 
 
 def _sum_rows(den_a: int, rows_a: dict, den_b: int, rows_b: dict, sign: int):
-    """(common, acc): rows_a/den_a + sign*rows_b/den_b as nonzero rows over the lcm, unreduced."""
+    """(common, acc): rows_a/den_a + sign*rows_b/den_b as nonzero rows over the lcm, unreduced.
+
+    A scaled copy of a, plus b times the constant row sign*common/den_b, untruncated.
+    """
     common = math.lcm(den_a, den_b)
     acc = _scaled(rows_a, common // den_a)
-    scale = sign * (common // den_b)
-    for key, (degree, re, im) in rows_b.items():
-        re *= scale
-        im *= scale
-        cell = acc.get(key)
-        if cell is None:
-            acc[key] = (degree, re, im)
-            continue
-        re += cell[1]
-        im += cell[2]
-        if re or im:
-            acc[key] = (degree, re, im)
-        else:
-            del acc[key]
-    return common, acc
+    return common, _mul_rows(rows_b, {0: (0, sign * (common // den_b), 0)}, INFINITE, acc)
 
 
 def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) -> dict:
     """`acc` plus `scale` times the product of two row maps, truncated past degree `bound`.
 
     The product is over the product of the operands' denominators; without
-    `acc` it goes into a new map.  A key that cancels leaves.  An operand of
-    one row scales the other's rows, which go straight into `acc`.
+    `acc` it goes into a new map.  A key that cancels leaves.  The two loops
+    are every merge that can cancel: one row scales the other operand's rows
+    into `acc` in their order, else each row of a meets b's within its cap.
     """
+    if acc is None:
+        acc = {}
     if len(rows_a) == 1 and len(rows_b) != 1:
         rows_a, rows_b = rows_b, rows_a
     if len(rows_b) == 1:
         ((kb, (degb, br, bi)),) = rows_b.items()
         br *= scale
         bi *= scale
-        if acc is None:
-            return _times_term(rows_a, kb, degb, br, bi, bound)
         cap = bound - degb
         for ka, (dega, ar, ai) in rows_a.items():
             if dega > cap:
@@ -465,8 +457,6 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) 
             else:
                 del acc[key]
         return acc
-    if acc is None:
-        acc = {}
     rows_b = [(key, *row) for key, row in rows_b.items()]
     capped = {}  # degree cap -> the rows of b within it
     for ka, (dega, ar, ai) in rows_a.items():
@@ -555,20 +545,6 @@ def taylor_shift(coeffs, point):
             re[k] += r * wr - i * wi
             im[k] += r * wi + i * wr
         yield _reduced(re[j], im[j], dens[j])
-
-
-def _times_term(rows: dict, key: int, degree: int, re: int, im: int, bound: int) -> dict:
-    """`rows` times the one row (key, degree, re, im), truncated past degree `bound`.
-
-    Distinct keys stay distinct and a product of nonzero Gaussian integers
-    is nonzero, so no row cancels.
-    """
-    cap = bound - degree
-    return {
-        k + key: (d + degree, r * re - i * im, r * im + i * re)
-        for k, (d, r, i) in rows.items()
-        if d <= cap
-    }
 
 
 def _row(degree: int, coeff: GaussianRational, den: int) -> tuple:

@@ -153,7 +153,7 @@ def test_scalar_parts_are_read_only_for_printing():
 # the row format of a series is known to series.py and to the parser, which
 # builds values in it; every other layer reaches the rows through
 # sum_of_products and the series operators
-ROW_KERNEL = {"_mul_rows", "_scaled", "_sum_rows", "_reduced_rows", "_from_ints", "_times_term"}
+ROW_KERNEL = {"_mul_rows", "_scaled", "_sum_rows", "_reduced_rows", "_from_ints"}
 
 
 def test_only_series_and_parsing_import_the_row_kernel():
@@ -171,6 +171,19 @@ def test_only_series_and_parsing_import_the_row_kernel():
             if used:
                 importers.setdefault(name, set()).update(used)
     assert importers == {}
+
+
+# a merge of rows that can cancel is one of series._mul_rows' two loops, a sum
+# included: no other function deletes an entry from a map
+def test_only_the_row_product_deletes_a_cancelled_entry():
+    deleters = set()
+    for name, tree, enclosing in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Delete) and any(
+                isinstance(target, ast.Subscript) for target in node.targets
+            ):
+                deleters.add(f"{name[:-3]}.{enclosing.get(node, '<module>')}")
+    assert deleters == {"series._mul_rows"}
 
 
 # transfer is the top of the exact layers: the CLI and the package's

@@ -19,7 +19,14 @@ from perturbalg import (
 )
 from perturbalg.errors import DomainError
 from perturbalg.scalars import _scalar_pieces
-from perturbalg.series import MAX_MONOMIALS, MAX_TRUNCATION, _monomial_text, sum_of_products
+from perturbalg.series import (
+    MAX_MONOMIALS,
+    MAX_TRUNCATION,
+    _monomial_text,
+    _mul_rows,
+    _sum_rows,
+    sum_of_products,
+)
 
 from conftest import (
     assert_round_trips,
@@ -458,6 +465,104 @@ def test_kernel_zero_series(kernel_ring):
         assert_same_terms(zero - a, reference_neg(a.terms))
     assert (-zero).is_zero() and (zero * zero).is_zero() and (zero + zero).is_zero()
     assert zero**0 == 1 and (zero**3).is_zero()
+
+
+# -- the row kernel on the parser's rows ---------------------------------------------
+#
+# The parser keys a row by x*top + k: the degree x in the indeterminate is one
+# more digit above the packed exponent k of the generators, and the row's
+# degree is k's total degree alone.
+
+
+def parser_rows(rng, bound, width=2):
+    """Random nonzero rows keyed x*top + k, x <= 3, with top = (bound + 1)^width."""
+    base = bound + 1
+    top = base**width
+    rows = {}
+    for _ in range(rng.randint(0, 9)):
+        index = [rng.randint(0, bound) for _ in range(width)]
+        if sum(index) > bound:
+            continue
+        k = 0
+        for exponent in index:
+            k = k * base + exponent
+        re, im = rng.randint(-9, 9), (rng.randint(-9, 9) if rng.random() < 0.6 else 0)
+        if re or im:
+            rows[rng.randint(0, 3) * top + k] = (sum(index), re, im)
+    return rows
+
+
+def reference_sum_rows(den_a, rows_a, den_b, rows_b, sign) -> dict:
+    """rows_a/den_a + sign*rows_b/den_b as Fraction rows, merged into a copy of a."""
+    rows = {key: (d, Fraction(re, den_a), Fraction(im, den_a)) for key, (d, re, im) in rows_a.items()}
+    for key, (d, re, im) in rows_b.items():
+        _, old_re, old_im = rows.get(key, (d, 0, 0))
+        re, im = old_re + sign * Fraction(re, den_b), old_im + sign * Fraction(im, den_b)
+        if re or im:
+            rows[key] = (d, re, im)
+        else:
+            rows.pop(key, None)
+    return rows
+
+
+def test_sum_rows_on_parser_rows():
+    rng = seeded(35)
+    bound = 4
+    partial = 0
+    for _ in range(300):
+        den_a, rows_a = rng.randint(1, 12), parser_rows(rng, bound)
+        den_b, rows_b = rng.randint(1, 12), parser_rows(rng, bound)
+        sign = rng.choice((1, -1))
+        if rng.random() < 0.4:
+            # b cancels some rows of a: a/den_a + sign*(-sign*r*a)/(r*den_a) = 0
+            r = rng.randint(1, 3)
+            den_b = r * den_a
+            for key, (d, re, im) in rows_a.items():
+                if rng.random() < 0.5:
+                    rows_b[key] = (d, -sign * r * re, -sign * r * im)
+        expected = reference_sum_rows(den_a, rows_a, den_b, rows_b, sign)
+        common, acc = _sum_rows(den_a, rows_a, den_b, rows_b, sign)
+        assert common == math.lcm(den_a, den_b)
+        assert list(acc.items()) == [
+            (key, (d, re * common, im * common)) for key, (d, re, im) in expected.items()
+        ]
+        partial += 0 < len(acc) < len(rows_a.keys() | rows_b.keys())
+        # a - a, over equal or unequal denominators, has no rows
+        assert _sum_rows(den_a, rows_a, den_a, rows_a, -1) == (den_a, {})
+        doubled = {key: (d, 2 * re, 2 * im) for key, (d, re, im) in rows_a.items()}
+        assert _sum_rows(den_a, rows_a, 2 * den_a, doubled, -1) == (2 * den_a, {})
+    assert partial > 20
+
+
+def reference_times_term(rows, key, degree, re, im, bound) -> dict:
+    """`rows` times the one row (key, degree, re, im), truncated past degree `bound`.
+
+    Distinct keys stay distinct and a product of nonzero Gaussian integers is
+    nonzero, so no row cancels.
+    """
+    cap = bound - degree
+    return {
+        k + key: (d + degree, r * re - i * im, r * im + i * re)
+        for k, (d, r, i) in rows.items()
+        if d <= cap
+    }
+
+
+def test_one_row_product_without_acc():
+    rng = seeded(36)
+    bound = 4
+    truncated = 0
+    for _ in range(300):
+        rows = parser_rows(rng, bound)
+        one = {}
+        while not one:
+            one = dict(list(parser_rows(rng, bound).items())[:1])
+        ((key, row),) = one.items()
+        expected = reference_times_term(rows, key, *row, bound)
+        assert list(_mul_rows(rows, one, bound).items()) == list(expected.items())
+        assert list(_mul_rows(one, rows, bound).items()) == list(expected.items())
+        truncated += len(expected) < len(rows)
+    assert truncated > 20
 
 
 # -- the stored form: rows over one denominator, and the terms view -------------------
