@@ -17,11 +17,14 @@ over D is (a, b) scaled by D/d, and a row (re, im) over D is the scalar
 (re, im, D) divided by its gcd.  A series holds nothing but that form:
 `terms`, the exponent-tuple -> GaussianRational dict, is built from the
 rows on each read, and `invert` expands the inverse on each call.
-`_mul_rows` is every merge of rows that can cancel, in two loops by operand
-shape; a sum adds b times the constant row +-common/den_b to a copy of a.
-`sum_of_products` is every sum of products, start + sum of x*y: over series
-it works in one row map, which it normalises once.  `taylor_shift` is every Taylor shift of a polynomial, on
-integers over one denominator per place.
+`_mul_rows` is every merge of rows that can cancel, in one loop: each row of
+a meets b's rows within its degree cap, and a b of more than _FILTER_ROWS
+rows is filtered once per cap, since a multivariate product wastes most of
+its pairs past the truncation.  A sum adds b times the constant row
++-common/den_b to a copy of a.  `sum_of_products` is every sum of products,
+start + sum of x*y: over series it works in one row map, which it normalises
+once.  `taylor_shift` is every Taylor shift of a polynomial, on integers over
+one denominator per place.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
@@ -284,11 +287,11 @@ class TruncatedSeries(_Immutable):
         if not c0:
             raise NonUnitError("series with zero constant term has no inverse")
         c0_inv = GaussianRational(1) / c0
-        tail = self * c0_inv - 1  # valuation >= 1
+        step = 1 - self * c0_inv  # -m, valuation >= 1
         acc = self.ring.one()
         power = self.ring.one()
         for _ in range(self.ring.truncation):
-            power = power * (-tail)
+            power = power * step
             if power.is_zero():
                 break
             acc = acc + power
@@ -392,6 +395,12 @@ _set_rows = TruncatedSeries.rows.__set__
 # degree <= T.  The parser adds the degree in the polynomial indeterminate as
 # one more digit above them, and runs these row functions on that form too.
 
+# `_mul_rows` filters a b of more rows than this once per degree cap.  On the
+# benchmark's corpora 8 to 16 rows measured alike; 4 gave back part of the
+# univariate gain of testing rows one by one, and never filtering slowed pgcd.
+_FILTER_ROWS = 8
+
+
 def _unpack(key: int, base: int, width: int) -> tuple:
     """The exponent tuple of a packed key."""
     index = [0] * width
@@ -427,46 +436,28 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) 
     """`acc` plus `scale` times the product of two row maps, truncated past degree `bound`.
 
     The product is over the product of the operands' denominators; without
-    `acc` it goes into a new map.  A key that cancels leaves.  The two loops
-    are every merge that can cancel: one row scales the other operand's rows
-    into `acc` in their order, else each row of a meets b's within its cap.
+    `acc` it goes into a new map.  A key that cancels leaves.  The one loop
+    is every merge that can cancel: each row of a, in a's order, meets the
+    rows of b within its degree cap, in b's order.  A b of more than
+    _FILTER_ROWS rows is filtered once per cap: a multivariate product
+    wastes most of its pairs past the truncation.
     """
     if acc is None:
         acc = {}
-    if len(rows_a) == 1 and len(rows_b) != 1:
-        rows_a, rows_b = rows_b, rows_a
-    if len(rows_b) == 1:
-        ((kb, (degb, br, bi)),) = rows_b.items()
-        br *= scale
-        bi *= scale
-        cap = bound - degb
-        for ka, (dega, ar, ai) in rows_a.items():
-            if dega > cap:
-                continue
-            key = ka + kb
-            re = ar * br - ai * bi
-            im = ar * bi + ai * br
-            cell = acc.get(key)
-            if cell is None:
-                acc[key] = (dega + degb, re, im)
-                continue
-            re += cell[1]
-            im += cell[2]
-            if re or im:
-                acc[key] = (cell[0], re, im)
-            else:
-                del acc[key]
-        return acc
-    rows_b = [(key, *row) for key, row in rows_b.items()]
-    capped = {}  # degree cap -> the rows of b within it
+    rows_b = rows_b.items()
+    capped = {} if len(rows_b) > _FILTER_ROWS else None  # degree cap -> b's rows within it
     for ka, (dega, ar, ai) in rows_a.items():
         ar *= scale
         ai *= scale
         cap = bound - dega
-        within = capped.get(cap)
-        if within is None:
-            within = capped[cap] = [row for row in rows_b if row[1] <= cap]
-        for kb, degb, br, bi in within:
+        within = rows_b
+        if capped is not None:
+            within = capped.get(cap)
+            if within is None:
+                within = capped[cap] = [row for row in rows_b if row[1][0] <= cap]
+        for kb, (degb, br, bi) in within:
+            if degb > cap:
+                continue
             key = ka + kb  # no carry: the product term has degree <= T
             re = ar * br - ai * bi
             im = ar * bi + ai * br

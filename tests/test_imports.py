@@ -173,17 +173,17 @@ def test_only_series_and_parsing_import_the_row_kernel():
     assert importers == {}
 
 
-# a merge of rows that can cancel is one of series._mul_rows' two loops, a sum
-# included: no other function deletes an entry from a map
+# a merge of rows that can cancel is series._mul_rows' one loop, a sum
+# included: the package deletes an entry from a map in one place
 def test_only_the_row_product_deletes_a_cancelled_entry():
-    deleters = set()
+    deleters = []
     for name, tree, enclosing in parsed_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Delete) and any(
                 isinstance(target, ast.Subscript) for target in node.targets
             ):
-                deleters.add(f"{name[:-3]}.{enclosing.get(node, '<module>')}")
-    assert deleters == {"series._mul_rows"}
+                deleters.append(f"{name[:-3]}.{enclosing.get(node, '<module>')}")
+    assert deleters == ["series._mul_rows"]
 
 
 # transfer is the top of the exact layers: the CLI and the package's

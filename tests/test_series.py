@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -22,6 +23,7 @@ from perturbalg.scalars import _scalar_pieces
 from perturbalg.series import (
     MAX_MONOMIALS,
     MAX_TRUNCATION,
+    _FILTER_ROWS,
     _monomial_text,
     _mul_rows,
     _sum_rows,
@@ -563,6 +565,70 @@ def test_one_row_product_without_acc():
         assert list(_mul_rows(one, rows, bound).items()) == list(expected.items())
         truncated += len(expected) < len(rows)
     assert truncated > 20
+
+
+def reference_mul_rows(rows_a, rows_b, bound, acc, scale) -> dict:
+    """A copy of `acc` plus `scale` times each pair of rows within `bound`, a's rows outer."""
+    acc = dict(acc)
+    for ka, (da, ar, ai) in rows_a.items():
+        for kb, (db, br, bi) in rows_b.items():
+            if da + db > bound:
+                continue
+            key = ka + kb
+            d, re, im = acc.get(key, (da + db, 0, 0))
+            re += scale * (ar * br - ai * bi)
+            im += scale * (ar * bi + ai * br)
+            if re or im:
+                acc[key] = (d, re, im)
+            else:
+                acc.pop(key)
+    return acc
+
+
+def sized_rows(rng, keys, size) -> dict:
+    """`size` nonzero rows at distinct keys drawn from the (key, degree) pairs `keys`."""
+    rows = {}
+    for key, degree in rng.sample(keys, size):
+        re, im = rng.randint(-9, 9), (rng.randint(-9, 9) if rng.random() < 0.6 else 0)
+        rows[key] = (degree, re or 1, im)
+    return rows
+
+
+def packed_keys(bound, width, digits):
+    """(key, degree) of each exponent of total degree <= bound in `width` generators,
+    under each of `digits` values of the parser's digit for the indeterminate."""
+    base = bound + 1
+    return [
+        (x * base**width + k, sum(index))
+        for x in range(digits)
+        for k, index in enumerate(itertools.product(range(base), repeat=width))
+        if sum(index) <= bound
+    ]
+
+
+# univariate keys at T=8 (36 with the parser's digit) and three generators at T=4 (35)
+@pytest.mark.parametrize("bound, width, digits", ((8, 1, 4), (4, 3, 1)), ids=("t@8", "e1e2e3@4"))
+def test_mul_rows_matches_double_loop(bound, width, digits):
+    rng = seeded(37)
+    keys = packed_keys(bound, width, digits)
+    sizes = sorted({0, 1, 2, 8, 9, 20, _FILTER_ROWS, _FILTER_ROWS + 1})
+    cancelled = 0
+    for size_a, size_b in itertools.product(sizes, repeat=2):
+        for scale in (1, -2, 3):
+            rows_a, rows_b = sized_rows(rng, keys, size_a), sized_rows(rng, keys, size_b)
+            product = reference_mul_rows(rows_a, rows_b, bound, {}, scale)
+            # acc cancels some of the product's rows and holds rows of its own
+            acc = sized_rows(rng, keys, rng.randint(0, 6))
+            for key, (d, re, im) in product.items():
+                if rng.random() < 0.4:
+                    acc[key] = (d, -re, -im)
+            for a, b in ((rows_a, rows_b), (rows_b, rows_a)):
+                expected = reference_mul_rows(a, b, bound, acc, scale)
+                filled = dict(acc)
+                assert _mul_rows(a, b, bound, filled, scale) is filled
+                assert list(filled.items()) == list(expected.items())
+                cancelled += len(expected) < len(acc.keys() | product.keys())
+    assert cancelled > 50
 
 
 # -- the stored form: rows over one denominator, and the terms view -------------------
