@@ -10,19 +10,24 @@ Generators are `t` and `e1` .. `e9`; the indeterminate is `X` for polynomials
 and `p` for transfer functions.  Matrices are read from JSON, not from the
 grammar.  Offsets in errors and spans are 0-based byte positions.
 
-Every rule returns a value in one sparse form, `_Value`: the rows of a series
-as in series.py, {packed key: (degree, re, im)} over one common denominator,
+Every term is a value in one sparse form, `_Value`: the rows of a series as
+in series.py, {packed key: (degree, re, im)} over one common denominator,
 whose packed key carries the degree in the indeterminate as its top digit
 (Monagan and Pearce pack every variable so).  Sums, differences and products
-are the series kernel's row operations, which truncate in the generators
-inside the product.  The X-degrees are split apart once, when the parse ends:
-one series per X-degree, reduced to its own denominator.
+of values are the series kernel's row operations, which truncate in the
+generators inside the product.  A monomial factor (a literal, `i`, the
+indeterminate or a generator, with an optional power) is one row, and a
+term's run of them is folded into one row, which becomes a `_Value` once:
+when the term ends or meets a parenthesised factor.  The X-degrees are split
+apart once, when the parse ends: one series per X-degree, reduced to its own
+denominator.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from typing import NamedTuple
 
@@ -152,18 +157,20 @@ class _Value:
     m generators: packed keys still add without a carry, and `degree` counts
     the generators only, so sums, products and their truncation are the series
     kernel's own.  `parser` is the parse the value belongs to: its ring, its
-    `top` and its running count of the weight of its products.  `bits` is
-    the bits of the widest integer it stores (`_bits_of`), found once when it
-    is built.
+    `top` and its running count of the weight of its products.  The rows are
+    reduced, and `bits` is the bits of the widest integer they store
+    (`_bits_of`), both found once per value: a term's monomial factors are
+    one row, reduced and sized as it is folded (see `_Parser._fold`).
     """
 
     __slots__ = ("parser", "den", "rows", "bits")
 
-    def __init__(self, parser: "_Parser", den: int, rows: dict):
-        """The value of the nonzero `rows` over `den`, divided by their gcd."""
+    def __init__(self, parser: "_Parser", den: int, rows: dict, bits: int):
+        """The value of the reduced nonzero `rows` over `den`, which store `bits` bits."""
         self.parser = parser
-        self.den, self.rows = _reduced_rows(den, rows)
-        self.bits = _bits_of(self.den, self.rows)
+        self.den = den
+        self.rows = rows
+        self.bits = bits
 
     @property
     def degree(self) -> int:
@@ -171,12 +178,13 @@ class _Value:
         return max(self.rows) // self.parser.top if self.rows else -1
 
     def __neg__(self) -> "_Value":
-        return _Value(self.parser, self.den, _scaled(self.rows, -1))
+        return _Value(self.parser, self.den, _scaled(self.rows, -1), self.bits)
 
     def add(self, other: "_Value", sign: int) -> "_Value":
         """self + sign*other."""
-        common, acc = _sum_rows(self.den, self.rows, other.den, other.rows, sign)
-        return _Value(self.parser, common, acc)
+        return _reduced_value(
+            self.parser, *_sum_rows(self.den, self.rows, other.den, other.rows, sign)
+        )
 
     def __mul__(self, other: "_Value") -> "_Value":
         parser = self.parser
@@ -187,7 +195,37 @@ class _Value:
         if parser.pairs > MAX_PRODUCT_PAIRS:
             raise _ProductOverflow
         rows = _mul_rows(self.rows, other.rows, parser.ring.truncation)
-        return _Value(parser, self.den * other.den, rows)
+        return _reduced_value(parser, self.den * other.den, rows)
+
+
+def _reduced_value(parser: "_Parser", den: int, rows: dict) -> _Value:
+    """The value of the nonzero `rows` over `den`, divided by their gcd."""
+    den, rows = _reduced_rows(den, rows)
+    return _Value(parser, den, rows, _bits_of(den, rows))
+
+
+# A monomial row (den, packed key, degree, re, im, bits): the value
+# (re + im*i)/den times the monomial of `key`, reduced, and the bits of its
+# widest integer; zero is (1, 0, 0, 0, 0, 0), as a zero _Value stores den 1.
+_ONE_ROW = (1, 0, 0, 1, 0, 0)
+_ZERO_ROW = (1, 0, 0, 0, 0, 0)
+
+
+def _row(den: int, key: int, degree: int, re: int, im: int) -> tuple:
+    """The monomial row of (re + im*i)/den at `key`, divided by the gcd."""
+    if not (re or im):
+        return _ZERO_ROW
+    g = math.gcd(den, re, im)
+    if g != 1:
+        den //= g
+        re //= g
+        im //= g
+    largest = den  # as `_bits_of` sizes rows: comparisons, not calls of max and abs
+    if re > largest or -re > largest:
+        largest = abs(re)
+    if im > largest or -im > largest:
+        largest = abs(im)
+    return den, key, degree, re, im, (largest - 1).bit_length()
 
 
 class _Parser:
@@ -240,20 +278,23 @@ class _Parser:
                 return value
 
     def parse_term(self) -> _Value:
-        value = self.parse_factor()
+        """The product of the factors: a run of monomial rows folds into one row."""
+        term = self.parse_factor()
         while True:
             token = self.peek()
-            if token.kind == "op" and token.text == "*":
-                self.advance()
-                factor = self.parse_factor()
-                if value.degree + factor.degree > MAX_POLY_DEGREE:
-                    self.fail(token, "degree overflow")
-                try:
-                    value = self._bounded(value * factor, token)
-                except _ProductOverflow:
-                    self.fail(token, "product overflow")
-            else:
-                return value
+            if token.kind != "op" or token.text != "*":
+                return self._value(term)
+            self.advance()
+            factor = self.parse_factor()
+            if self._degree(term) + self._degree(factor) > MAX_POLY_DEGREE:
+                self.fail(token, "degree overflow")
+            if type(term) is tuple and type(factor) is tuple:
+                term = self._fold(term, factor, token)
+                continue
+            try:
+                term = self._bounded(self._value(term) * self._value(factor), token)
+            except _ProductOverflow:
+                self.fail(token, "product overflow")
 
     def _bounded(self, value: _Value, token: Token) -> _Value:
         """The result of the operator `token`, unless it passes MAX_POWER_BITS."""
@@ -261,31 +302,76 @@ class _Parser:
             self.fail(token, "coefficient overflow")
         return value
 
-    def parse_factor(self) -> _Value:
+    def _fold(self, row: tuple, factor: tuple, token: Token) -> tuple:
+        """row*factor, two monomial rows, at the operator `token`.
+
+        It makes the checks of a product of two values but the degree check,
+        which comes before the factor is folded: the charge to the product
+        budget, truncation, and the bound on the bits the product stores.
+        """
+        den, key, degree, re, im, bits = row
+        fden, fkey, fdegree, fre, fim, fbits = factor
+        if not ((re or im) and (fre or fim)):
+            return _ZERO_ROW  # a zero operand has no row to pair, so it costs nothing
+        self.pairs += (1 + bits // PRODUCT_WORD_BITS) * (1 + fbits // PRODUCT_WORD_BITS)
+        if self.pairs > MAX_PRODUCT_PAIRS:
+            self.fail(token, "product overflow")
+        degree += fdegree
+        if degree > self.ring.truncation:
+            return _ZERO_ROW
+        product = _row(den * fden, key + fkey, degree, re * fre - im * fim, re * fim + im * fre)
+        if product[5] > MAX_POWER_BITS:
+            self.fail(token, "coefficient overflow")
+        return product
+
+    def _degree(self, term) -> int:
+        """The degree in the indeterminate of a row or a value, -1 for zero."""
+        if type(term) is tuple:
+            return term[1] // self.top if term[3] or term[4] else -1
+        return term.degree
+
+    def _value(self, term) -> _Value:
+        """A row's value, or the value itself."""
+        if type(term) is not tuple:
+            return term
+        den, key, degree, re, im, bits = term
+        return _Value(self, den, {key: (degree, re, im)} if re or im else {}, bits)
+
+    def parse_factor(self):
+        """A row for a monomial atom or its power, a _Value for a parenthesised one."""
         base = self.parse_atom()
         token = self.peek()
-        if token.kind == "op" and token.text == "^":
-            self.advance()
-            exponent_token = self.peek()
-            if exponent_token.kind != "int":
-                self.fail(exponent_token, "syntax error: expected an integer exponent")
-            self.advance()
-            exponent = int(exponent_token.text)
-            if base.degree >= 1 and base.degree * exponent > MAX_POLY_DEGREE:
+        if token.kind != "op" or token.text != "^":
+            return base
+        self.advance()
+        exponent_token = self.peek()
+        if exponent_token.kind != "int":
+            self.fail(exponent_token, "syntax error: expected an integer exponent")
+        self.advance()
+        exponent = int(exponent_token.text)
+        degree = self._degree(base)
+        if degree >= 1 and degree * exponent > MAX_POLY_DEGREE:
+            self.fail(exponent_token, "exponent overflow")
+        if type(base) is tuple:
+            # a literal, i, X or a generator: one real or imaginary row, or none
+            if exponent * base[5] > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
-            binomial = 0
-            if len(base.rows) > 1:
-                binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
-            gaussian = any(re and im for _, re, im in base.rows.values())
-            if exponent * (base.bits + gaussian) + binomial > MAX_POWER_BITS:
-                self.fail(exponent_token, "exponent overflow")
-            try:
-                return _power(self._constant(1, 0, 1), base, exponent)
-            except _ProductOverflow:
-                self.fail(exponent_token, "product overflow")
-        return base
+            return _power(
+                _ONE_ROW, base, exponent, lambda a, b: self._fold(a, b, exponent_token)
+            )
+        binomial = 0
+        if len(base.rows) > 1:
+            binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
+        gaussian = any(re and im for _, re, im in base.rows.values())
+        if exponent * (base.bits + gaussian) + binomial > MAX_POWER_BITS:
+            self.fail(exponent_token, "exponent overflow")
+        try:
+            return _power(self._value(_ONE_ROW), base, exponent)
+        except _ProductOverflow:
+            self.fail(exponent_token, "product overflow")
 
-    def parse_atom(self) -> _Value:
+    def parse_atom(self):
+        """A monomial row, or the _Value of a parenthesised expression."""
         token = self.peek()
         if token.kind == "int":
             return self.parse_rational()
@@ -293,12 +379,12 @@ class _Parser:
             self.advance()
             name = token.text
             if name == "i":
-                return self._constant(0, 1, 1)
+                return (1, 0, 0, 0, 1, 0)
             if name == self.var:
-                return _Value(self, 1, {self.top: (0, 1, 0)})
+                return (1, self.top, 0, 1, 0, 0)
             if name in self.ring.generators:
-                generator = self.ring.generator(name)
-                return _Value(self, generator.den, generator.rows)
+                ((key, (degree, re, im)),) = self.ring.generator(name).rows.items()
+                return (1, key, degree, re, im, 0)
             if GENERATOR_PATTERN.match(name):
                 self.fail(token, f"generator {name!r} missing from the ring")
             self.fail(token, f"unknown symbol {name!r}")
@@ -313,7 +399,7 @@ class _Parser:
             return inner
         self.fail(token, "syntax error: expected a value")
 
-    def parse_rational(self) -> _Value:
+    def parse_rational(self) -> tuple:
         whole = self.advance()
         numerator = int(whole.text)
         token = self.peek()
@@ -330,13 +416,8 @@ class _Parser:
             denominator = int(den_token.text)
             if denominator == 0:
                 self.fail(den_token, "zero denominator")
-            return self._constant(numerator, 0, denominator)
-        return self._constant(numerator, 0, 1)
-
-    def _constant(self, re: int, im: int, den: int) -> _Value:
-        """The constant (re + im*i)/den."""
-        rows = {0: (0, re, im)} if re or im else {}
-        return _Value(self, den, rows)
+            return _row(denominator, 0, 0, numerator, 0)
+        return _row(1, 0, 0, numerator, 0)
 
     def whole(self) -> _Value:
         """An expression that runs to the end of the input."""

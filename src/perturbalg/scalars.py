@@ -14,22 +14,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
-def _power(one, base, exponent: int):
+def _power(one, base, exponent: int, times=mul):
     """base**exponent by square-and-multiply, `one` at exponent 0; callers validate it.
 
-    Scalar, series and polynomial powers share it, so all multiply in one order.
+    Scalar, series and polynomial powers share it, and so do the parser's
+    values and rows, whose products `times` makes: all multiply in one order.
     It squares only up to the top bit and never multiplies by `one`, so ** 1
     costs no product, ** 2 one and ** 8 three.
     """
     result = None
     while exponent:
         if exponent & 1:
-            result = base if result is None else result * base
+            result = base if result is None else times(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = times(base, base)
     return one if result is None else result
 
 

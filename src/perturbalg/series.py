@@ -22,9 +22,10 @@ a meets b's rows within its degree cap, and a b of more than _FILTER_ROWS
 rows is filtered once per cap, since a multivariate product wastes most of
 its pairs past the truncation.  A sum adds b times the constant row
 +-common/den_b to a copy of a.  `sum_of_products` is every sum of products,
-start + sum of x*y: over series it works in one row map, which it normalises
-once.  `taylor_shift` is every Taylor shift of a polynomial, on integers over
-one denominator per place.
+start + sum of x*y, normalised once: over series it works in one row map,
+over exact scalars in one Gaussian integer over one running denominator.
+`taylor_shift` is every Taylor shift of a polynomial, on integers over one
+denominator per place.
 
 `divide_univariate` divides exactly in the univariate ring: it shifts both
 operands down by the valuation of the divisor, which leaves a unit to invert.
@@ -477,15 +478,28 @@ def _mul_rows(rows_a: dict, rows_b: dict, bound: int, acc=None, scale: int = 1) 
 def sum_of_products(start, pairs):
     """start + the sum of x*y over the (x, y) pairs, skipping pairs with a zero factor.
 
-    For a series `start` the pairs are series of its ring, and every product
-    goes into one row map over the lcm of the denominators, normalised once;
-    for an exact scalar it is a loop of sums.
+    Every product goes into one sum over one running denominator, normalised
+    once.  For a series `start` the pairs are series of its ring and the sum
+    is one row map over the lcm of the denominators.  For an exact scalar the
+    pairs are exact scalars and the sum is one Gaussian integer re + im*i
+    over `common`, which grows by d/gcd(common, d) only when a pair's
+    denominator d = x.d*y.d does not divide it.
     """
     if not isinstance(start, TruncatedSeries):
+        re, im, common = start.a, start.b, start.d
         for x, y in pairs:
-            if x and y:
-                start = start + x * y
-        return start
+            xa, xb, ya, yb = x.a, x.b, y.a, y.b
+            if (xa or xb) and (ya or yb):
+                d = x.d * y.d
+                if common % d:
+                    lift = d // math.gcd(common, d)
+                    common *= lift
+                    re *= lift
+                    im *= lift
+                scale = common // d
+                re += (xa * ya - xb * yb) * scale
+                im += (xa * yb + xb * ya) * scale
+        return _reduced(re, im, common)
     pairs = [(x, y) for x, y in pairs if x.rows and y.rows]
     common = math.lcm(start.den, *(x.den * y.den for x, y in pairs))
     acc = _scaled(start.rows, common // start.den)
@@ -519,7 +533,9 @@ def taylor_shift(coeffs, point):
             scale //= q
         for j in range(n + 1):
             for k in range(n - 1, j - 1, -1):
-                _mul_rows(places[k + 1], w, ring.truncation, places[k])
+                # the point first: the package shifts by constants, at most
+                # one row of a, so each step is one pass over the place's rows
+                _mul_rows(w, places[k + 1], ring.truncation, places[k])
             yield _from_ints(ring, places[j], dens[j])
         return
     q, wr, wi = point.d, point.a, point.b

@@ -674,3 +674,61 @@ def test_product_budget_is_shared_by_a_parse(monkeypatch):
     assert _error_of(spent([eight, eight, eight, "0"])) == overflow
     assert spent([eight, eight, "0", "0"], ["t*t*t*t*t", "t", "t", "t"])().ring.truncation == 8
     assert _error_of(spent([eight, eight, "0", "0"], ["t*t*t*t*t*t", "t", "t", "t"])) == overflow
+
+
+# A term's run of monomial factors is folded into one row.  At each `*` and
+# `^` the fold makes the checks a product of two values makes, in the same
+# order: degree overflow (a zero factor has degree -1), the product budget's
+# charge, weighed by the bits of the reduced running row, coefficient
+# overflow, and truncation to zero.  Each row is (text, T, MAX_PRODUCT_PAIRS
+# or None, printed polynomial or None, parser.pairs after the parse, error
+# text and offset or None).
+FOLD_BOUNDARIES = [
+    ("0*X^300*X^300", 8, None, "0", 22, None),
+    ("X^300*X^300", 8, None, None, 22, ("degree overflow (line 1, column 5)", 5)),
+    ("3^3000", 8, None, None, 0, ("exponent overflow (line 1, column 2)", 2)),
+    ("t^9*X", 4, None, "0", 3, None),
+    ("2*i*i", 8, None, "-2", 2, None),
+    ("1/3*t*1/5", 8, None, "1/15*t", 2, None),
+    ("1/t", 8, None, None, 0, ("syntax error: expected end of input (line 1, column 1)", 1)),
+    # 2^300/2^299 reduces to 2, so the `*` by 3^170 weighs 1 * 2, not 2 * 2
+    ("2^300*1/2^299*3^170*t*X*5", 8, None, f"{2 * 5 * 3**170}*t*X", 47, None),
+    ("2^300*1/2^299*t*X^7", 8, None, "2*t*X^7", 35, None),
+    # the budget crossed at a `*` of the run, and at the exponent of X^7
+    (
+        "2^300*1/2^299*3^170*t*X*5", 8, 46, None, 47,
+        ("product overflow (line 1, column 23)", 23),
+    ),
+    (
+        "2^300*1/2^299*3^170*t*X*5", 8, 44, None, 45,
+        ("product overflow (line 1, column 21)", 21),
+    ),
+    ("2^300*1/2^299*t*X^7", 8, 34, None, 35, ("product overflow (line 1, column 15)", 15)),
+    ("2^300*1/2^299*t*X^7", 8, 32, None, 33, ("product overflow (line 1, column 18)", 18)),
+    # runs before and after parenthesised factors, a zero term and a truncated one
+    (
+        "-3*t*X^2 + 6/4*i*e1^2*X - (1 + t)*2*X*t^3 + 0*t + t^5*t^4",
+        8, None, "-3*t*X^2 + (3/2*i*e1^2 - 2*t^3 - 2*t^4)*X", 21, None,
+    ),
+]
+
+
+@pytest.mark.parametrize("text,truncation,budget,printed,pairs,error", FOLD_BOUNDARIES)
+def test_fold_boundaries(monkeypatch, text, truncation, budget, printed, pairs, error):
+    if budget is not None:
+        monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", budget)
+    parser = parsing._Parser(text, ring_for(text, truncation=truncation), "X")
+    if error is None:
+        assert str(parser.polynomial(parser.whole())) == printed
+    else:
+        assert _error_of(parser.whole) == error
+    assert parser.pairs == pairs
+
+
+def test_fold_keeps_a_product_of_the_largest_powers():
+    # 2^2048 squares its way up (11 products), 2^2048*2^2048 weighs 9 * 9 and
+    # stores 4096 bits, the most a value may store; its `*` by t weighs 17 * 1
+    parser = parsing._Parser("2^2048*2^2048*t", SeriesRing(("t",), 8), "X")
+    poly = parser.polynomial(parser.whole())
+    assert poly.coeffs == (SeriesRing(("t",), 8).generator("t") * 2**4096,)
+    assert parser.pairs == 190

@@ -760,6 +760,106 @@ def test_sum_of_products_row_order(ring, t):
     assert sum_of_products(start, []) == start
 
 
+# exact scalars over equal, coprime and large denominators; zero and
+# pure-imaginary values are drawn on purpose
+_denominators = st.sampled_from([1, 1, 2, 6, 6, 7, 11, 12, 35, 2**61 - 1])
+_exact_parts = st.builds(Fraction, st.integers(-9, 9), _denominators)
+_exact_values = st.one_of(
+    st.just(GaussianRational(0)),
+    st.builds(GaussianRational, _exact_parts, _exact_parts),
+    st.builds(GaussianRational, st.just(0), _exact_parts),
+)
+
+
+def _gaussian_fractions(z):
+    return Fraction(z.a, z.d), Fraction(z.b, z.d)
+
+
+@st.composite
+def exact_product_sums(draw):
+    """A start scalar and (x, y) pairs; some pairs cancel, and some sums cancel to zero."""
+    start = draw(_exact_values)
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        x, y = draw(_exact_values), draw(_exact_values)
+        pairs.append((x, y))
+        if draw(st.booleans()):
+            pairs.append((-x, y))
+    if draw(st.booleans()):
+        start = -sum((x * y for x, y in pairs), GaussianRational(0))
+    return start, pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(exact_product_sums())
+def test_exact_sum_of_products_matches_fractions(case):
+    start, pairs = case
+    re, im = _gaussian_fractions(start)
+    for x, y in pairs:
+        (xr, xi), (yr, yi) = _gaussian_fractions(x), _gaussian_fractions(y)
+        re += xr * yr - xi * yi
+        im += xr * yi + xi * yr
+    result = sum_of_products(start, pairs)
+    assert type(result) is GaussianRational
+    assert _gaussian_fractions(result) == (re, im)
+    # canonical: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1)
+    assert result.d > 0 and math.gcd(result.a, result.b, result.d) == 1
+    if not (re or im):
+        assert (result.a, result.b, result.d) == (0, 0, 1)
+
+
+def test_exact_sum_of_products_edge_cases():
+    half, third = GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 3))
+    i_sixth = GaussianRational(0, Fraction(1, 6))
+    # a sum that cancels to zero over a running denominator of 36
+    assert sum_of_products(GaussianRational(0), [(half, third), (-third, half)]) == 0
+    zero = sum_of_products(GaussianRational(Fraction(-1, 6)), [(half, third)])
+    assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+    # zero factors are skipped, whatever the other factor's denominator
+    assert sum_of_products(half, [(GaussianRational(0), i_sixth), (third, 0 * i_sixth)]) == half
+    # pure imaginary: i/6 * i/6 = -1/36, and 1/2 + (-1/36) = 17/36
+    total = sum_of_products(half, [(i_sixth, i_sixth)])
+    assert (total.a, total.b, total.d) == (17, 0, 36)
+    # equal denominators need no lift, and the result is reduced: 3 * (1/2 * 1/2) = 3/4
+    total = sum_of_products(GaussianRational(0), [(half, half)] * 3)
+    assert (total.a, total.b, total.d) == (3, 0, 4)
+    assert sum_of_products(third, []) == third
+
+
+def test_char_poly_of_rational_matrices_matches_sympy():
+    import sympy
+
+    from perturbalg import ConstantMatrix
+    from perturbalg.matrices import char_poly
+
+    def exact(z):
+        return sympy.Rational(z.a, z.d) + sympy.I * sympy.Rational(z.b, z.d)
+
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    rng = seeded(37)
+    x = sympy.Symbol("X")
+    for n in range(1, 6):
+        # a distinct prime denominator in each entry; some entries are Gaussian
+        denominators = iter(rng.sample(primes, 2 * n * n))
+        matrix = ConstantMatrix(
+            [
+                [
+                    GaussianRational(
+                        Fraction(rng.randint(-9, 9), next(denominators)),
+                        Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), next(denominators)),
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        )
+        reference = sympy.Matrix([[exact(z) for z in row] for row in matrix.rows])
+        expected = reference.charpoly(x).all_coeffs()[::-1]
+        got = char_poly(matrix).coeffs
+        assert len(got) == len(expected) == n + 1
+        assert all(sympy.expand(exact(a) - b) == 0 for a, b in zip(got, expected))
+
+
 def test_numeric_sample_ignores_row_order():
     # start + x*y in one row map and as a loop of sums: the product's t cancels
     # the start's, so the two store their rows in different orders; summed in
