@@ -32,8 +32,8 @@ class OracleError(PerturbAlgError):
 class ParseError(PerturbAlgError):
     """Syntax or symbol error in an input expression.
 
-    Carries the 0-based byte offset of the offending token, plus line and
-    column for display.
+    Carries the 0-based offset of the offending token, counted in code
+    points of the text (not bytes), plus line and column for display.
     """
 
     def __init__(self, message, offset=None, line=None, column=None):

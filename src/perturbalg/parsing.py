@@ -8,19 +8,22 @@
 
 Generators are `t` and `e1` .. `e9`; the indeterminate is `X` for polynomials
 and `p` for transfer functions.  Matrices are read from JSON, not from the
-grammar.  Offsets in errors and spans are 0-based byte positions.
+grammar.  Offsets in errors and tokens are 0-based indices of code points in
+the text, not of bytes.
 
 Every term is a value in one sparse form, `_Value`: the rows of a series as
 in series.py, {packed key: (degree, re, im)} over one common denominator,
 whose packed key carries the degree in the indeterminate as its top digit
-(Monagan and Pearce pack every variable so).  Sums, differences and products
-of values are the series kernel's row operations, which truncate in the
-generators inside the product.  A monomial factor (a literal, `i`, the
-indeterminate or a generator, with an optional power) is one row, and a
-term's run of them is folded into one row, which becomes a `_Value` once:
-when the term ends or meets a parenthesised factor.  The X-degrees are split
-apart once, when the parse ends: one series per X-degree, reduced to its own
-denominator.
+(Monagan and Pearce pack every variable so).  A value is a record, and the
+parse does every operation on it with the series kernel's row operations,
+which truncate in the generators inside the product.  A monomial factor (a
+literal, `i`, the indeterminate or a generator, with an optional power) is
+one row.  Every product, at a `*` or inside a `^`, is `_Parser._times`: a
+term's run of rows is folded into one row, which becomes a `_Value` once,
+when the term ends or meets a parenthesised factor, and any other pair
+multiplies as values; either way `_Parser._charge` charges it to the product
+budget.  The X-degrees are split apart once, when the parse ends: one series
+per X-degree, reduced to its own denominator.
 """
 
 from __future__ import annotations
@@ -145,10 +148,6 @@ def _generator_names(scanned) -> tuple[str, ...]:
     return tuple(sorted(seen, key=lambda g: (g != "t", g)))
 
 
-class _ProductOverflow(Exception):
-    """The products of a parse would visit more than MAX_PRODUCT_PAIRS pairs of rows."""
-
-
 class _Value:
     """A parsed value: {x*top + k: (degree, re, im)} over `den`, one row map.
 
@@ -156,52 +155,25 @@ class _Value:
     one more digit above the generators' packed exponent k, `top` = (T+1)^m for
     m generators: packed keys still add without a carry, and `degree` counts
     the generators only, so sums, products and their truncation are the series
-    kernel's own.  `parser` is the parse the value belongs to: its ring, its
-    `top` and its running count of the weight of its products.  The rows are
-    reduced, and `bits` is the bits of the widest integer they store
-    (`_bits_of`), both found once per value: a term's monomial factors are
-    one row, reduced and sized as it is folded (see `_Parser._fold`).
+    kernel's own.  The rows are reduced, and `bits` is the bits of the widest
+    integer they store (`_bits_of`), both found once per value.  A value is a
+    record: the parse that reads it does every operation on it (see
+    `_Parser._times`).
     """
 
-    __slots__ = ("parser", "den", "rows", "bits")
+    __slots__ = ("den", "rows", "bits")
 
-    def __init__(self, parser: "_Parser", den: int, rows: dict, bits: int):
+    def __init__(self, den: int, rows: dict, bits: int):
         """The value of the reduced nonzero `rows` over `den`, which store `bits` bits."""
-        self.parser = parser
         self.den = den
         self.rows = rows
         self.bits = bits
 
-    @property
-    def degree(self) -> int:
-        """The degree in the indeterminate, -1 for zero."""
-        return max(self.rows) // self.parser.top if self.rows else -1
 
-    def __neg__(self) -> "_Value":
-        return _Value(self.parser, self.den, _scaled(self.rows, -1), self.bits)
-
-    def add(self, other: "_Value", sign: int) -> "_Value":
-        """self + sign*other."""
-        return _reduced_value(
-            self.parser, *_sum_rows(self.den, self.rows, other.den, other.rows, sign)
-        )
-
-    def __mul__(self, other: "_Value") -> "_Value":
-        parser = self.parser
-        parser.pairs += (
-            len(self.rows) * (1 + self.bits // PRODUCT_WORD_BITS)
-            * len(other.rows) * (1 + other.bits // PRODUCT_WORD_BITS)
-        )
-        if parser.pairs > MAX_PRODUCT_PAIRS:
-            raise _ProductOverflow
-        rows = _mul_rows(self.rows, other.rows, parser.ring.truncation)
-        return _reduced_value(parser, self.den * other.den, rows)
-
-
-def _reduced_value(parser: "_Parser", den: int, rows: dict) -> _Value:
+def _reduced_value(den: int, rows: dict) -> _Value:
     """The value of the nonzero `rows` over `den`, divided by their gcd."""
     den, rows = _reduced_rows(den, rows)
-    return _Value(parser, den, rows, _bits_of(den, rows))
+    return _Value(den, rows, _bits_of(den, rows))
 
 
 # A monomial row (den, packed key, degree, re, im, bits): the value
@@ -267,13 +239,17 @@ class _Parser:
             negate = token.text == "-"
         value = self.parse_term()
         if negate:
-            value = -value
+            value = _Value(value.den, _scaled(value.rows, -1), value.bits)
         while True:
             token = self.peek()
             if token.kind == "op" and token.text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                value = self._bounded(value.add(rhs, -1 if token.text == "-" else 1), token)
+                sign = -1 if token.text == "-" else 1
+                value = self._bounded(
+                    _reduced_value(*_sum_rows(value.den, value.rows, rhs.den, rhs.rows, sign)),
+                    token,
+                )
             else:
                 return value
 
@@ -288,13 +264,7 @@ class _Parser:
             factor = self.parse_factor()
             if self._degree(term) + self._degree(factor) > MAX_POLY_DEGREE:
                 self.fail(token, "degree overflow")
-            if type(term) is tuple and type(factor) is tuple:
-                term = self._fold(term, factor, token)
-                continue
-            try:
-                term = self._bounded(self._value(term) * self._value(factor), token)
-            except _ProductOverflow:
-                self.fail(token, "product overflow")
+            term = self._times(term, factor, token)
 
     def _bounded(self, value: _Value, token: Token) -> _Value:
         """The result of the operator `token`, unless it passes MAX_POWER_BITS."""
@@ -302,20 +272,40 @@ class _Parser:
             self.fail(token, "coefficient overflow")
         return value
 
-    def _fold(self, row: tuple, factor: tuple, token: Token) -> tuple:
-        """row*factor, two monomial rows, at the operator `token`.
+    def _times(self, a, b, token: Token):
+        """a*b, each a monomial row or a value, at a `*` or the exponent of a `^`.
 
-        It makes the checks of a product of two values but the degree check,
-        which comes before the factor is folded: the charge to the product
-        budget, truncation, and the bound on the bits the product stores.
+        The parse's one product, after the caller's degree check: two rows
+        fold into a row, any other pair multiplies as values; either is
+        charged (`_charge`), truncated and bounded in the bits it stores.
         """
+        if type(a) is tuple and type(b) is tuple:
+            return self._fold(a, b, token)
+        a = self._value(a)
+        b = self._value(b)
+        self._charge(len(a.rows), a.bits, len(b.rows), b.bits, token)
+        rows = _mul_rows(a.rows, b.rows, self.ring.truncation)
+        return self._bounded(_reduced_value(a.den * b.den, rows), token)
+
+    def _charge(self, rows_a: int, bits_a: int, rows_b: int, bits_b: int, token: Token):
+        """Charge a product to the parse's budget; past MAX_PRODUCT_PAIRS it fails at `token`.
+
+        Each operand weighs rows * (1 + bits // PRODUCT_WORD_BITS), and the
+        product the product of the two weights.
+        """
+        self.pairs += (
+            rows_a * (1 + bits_a // PRODUCT_WORD_BITS) * rows_b * (1 + bits_b // PRODUCT_WORD_BITS)
+        )
+        if self.pairs > MAX_PRODUCT_PAIRS:
+            self.fail(token, "product overflow")
+
+    def _fold(self, row: tuple, factor: tuple, token: Token) -> tuple:
+        """row*factor, two monomial rows, at the operator `token`: `_times` on one row each."""
         den, key, degree, re, im, bits = row
         fden, fkey, fdegree, fre, fim, fbits = factor
         if not ((re or im) and (fre or fim)):
             return _ZERO_ROW  # a zero operand has no row to pair, so it costs nothing
-        self.pairs += (1 + bits // PRODUCT_WORD_BITS) * (1 + fbits // PRODUCT_WORD_BITS)
-        if self.pairs > MAX_PRODUCT_PAIRS:
-            self.fail(token, "product overflow")
+        self._charge(1, bits, 1, fbits, token)
         degree += fdegree
         if degree > self.ring.truncation:
             return _ZERO_ROW
@@ -328,14 +318,14 @@ class _Parser:
         """The degree in the indeterminate of a row or a value, -1 for zero."""
         if type(term) is tuple:
             return term[1] // self.top if term[3] or term[4] else -1
-        return term.degree
+        return max(term.rows) // self.top if term.rows else -1
 
     def _value(self, term) -> _Value:
         """A row's value, or the value itself."""
         if type(term) is not tuple:
             return term
         den, key, degree, re, im, bits = term
-        return _Value(self, den, {key: (degree, re, im)} if re or im else {}, bits)
+        return _Value(den, {key: (degree, re, im)} if re or im else {}, bits)
 
     def parse_factor(self):
         """A row for a monomial atom or its power, a _Value for a parenthesised one."""
@@ -356,19 +346,14 @@ class _Parser:
             # a literal, i, X or a generator: one real or imaginary row, or none
             if exponent * base[5] > MAX_POWER_BITS:
                 self.fail(exponent_token, "exponent overflow")
-            return _power(
-                _ONE_ROW, base, exponent, lambda a, b: self._fold(a, b, exponent_token)
-            )
-        binomial = 0
-        if len(base.rows) > 1:
-            binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
-        gaussian = any(re and im for _, re, im in base.rows.values())
-        if exponent * (base.bits + gaussian) + binomial > MAX_POWER_BITS:
-            self.fail(exponent_token, "exponent overflow")
-        try:
-            return _power(self._value(_ONE_ROW), base, exponent)
-        except _ProductOverflow:
-            self.fail(exponent_token, "product overflow")
+        else:
+            binomial = 0
+            if len(base.rows) > 1:
+                binomial = min(exponent, self.ring.truncation) * exponent.bit_length()
+            gaussian = any(re and im for _, re, im in base.rows.values())
+            if exponent * (base.bits + gaussian) + binomial > MAX_POWER_BITS:
+                self.fail(exponent_token, "exponent overflow")
+        return _power(_ONE_ROW, base, exponent, lambda a, b: self._times(a, b, exponent_token))
 
     def parse_atom(self):
         """A monomial row, or the _Value of a parenthesised expression."""
@@ -383,8 +368,7 @@ class _Parser:
             if name == self.var:
                 return (1, self.top, 0, 1, 0, 0)
             if name in self.ring.generators:
-                ((key, (degree, re, im)),) = self.ring.generator(name).rows.items()
-                return (1, key, degree, re, im, 0)
+                return (1, self.ring.generator_key(name), 1, 1, 0, 0)
             if GENERATOR_PATTERN.match(name):
                 self.fail(token, f"generator {name!r} missing from the ring")
             self.fail(token, f"unknown symbol {name!r}")
@@ -435,7 +419,7 @@ class _Parser:
 
     def polynomial(self, value: _Value) -> PerturbedPolynomial:
         """The polynomial of a value: its rows split by X-degree, each one series."""
-        coeffs = [{} for _ in range(value.degree + 1)]
+        coeffs = [{} for _ in range(self._degree(value) + 1)]
         for key, row in value.rows.items():
             x, k = divmod(key, self.top)
             coeffs[x][k] = row

@@ -97,11 +97,13 @@ class SeriesRing:
         return TruncatedSeries._of_rows(self, value.d, {0: (0, value.a, value.b)})
 
     def generator(self, name: str) -> "TruncatedSeries":
+        return TruncatedSeries._of_rows(self, 1, {self.generator_key(name): (1, 1, 0)})
+
+    def generator_key(self, name: str) -> int:
+        """The packed key of the exponent vector with a 1 in the place of `name`."""
         if name not in self.generators:
             raise ValueError(f"{name!r} is not a generator of this ring")
-        # the packed key of the exponent vector with a 1 in this place
-        key = (self.truncation + 1) ** (len(self.generators) - 1 - self.generators.index(name))
-        return TruncatedSeries._of_rows(self, 1, {key: (1, 1, 0)})
+        return (self.truncation + 1) ** (len(self.generators) - 1 - self.generators.index(name))
 
 
 def univariate_ring(truncation: int = DEFAULT_TRUNCATION, name: str = "t") -> SeriesRing:

@@ -294,3 +294,25 @@ def test_no_package_module_takes_the_char_poly_of_a_base():
             if called == "char_poly" and isinstance(first, ast.Attribute) and first.attr == "base":
                 callers[f"{name}:{node.lineno}"] = enclosing.get(node, "<module>")
     assert callers == {}
+
+
+# the parser's product budget is charged where a product is weighed: one
+# function adds to the running count and compares it with the bound, so a
+# product of rows and a product of values cost alike
+def test_the_parser_charges_its_product_budget_in_one_function():
+    chargers = set()
+    for name, tree, enclosing in parsed_modules():
+        for node in ast.walk(tree):
+            adds = (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Attribute)
+                and node.target.attr == "pairs"
+            )
+            bounds = isinstance(node, ast.Compare) and any(
+                (isinstance(operand, ast.Name) and operand.id == "MAX_PRODUCT_PAIRS")
+                or (isinstance(operand, ast.Attribute) and operand.attr == "MAX_PRODUCT_PAIRS")
+                for operand in [node.left, *node.comparators]
+            )
+            if adds or bounds:
+                chargers.add(f"{name}:{enclosing.get(node, '<module>')}")
+    assert chargers == {"parsing.py:_charge"}

@@ -508,6 +508,8 @@ ERROR_TABLE = [
     ("1/2^4000*{x} + 1/3^2000*{x}^2", 11, "coefficient overflow"),
     ("(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1), MAX_NESTING, "nesting overflow"),
     ("{x}^512*{x}", 5, "degree overflow"),
+    # an offset counts code points, not bytes: the two em spaces are 6 bytes
+    ("t\u2003\u2003+ )", 5, "syntax error: expected a value"),
 ]
 
 
@@ -676,13 +678,17 @@ def test_product_budget_is_shared_by_a_parse(monkeypatch):
     assert _error_of(spent([eight, eight, "0", "0"], ["t*t*t*t*t*t", "t", "t", "t"])) == overflow
 
 
-# A term's run of monomial factors is folded into one row.  At each `*` and
-# `^` the fold makes the checks a product of two values makes, in the same
-# order: degree overflow (a zero factor has degree -1), the product budget's
-# charge, weighed by the bits of the reduced running row, coefficient
+# A term's run of monomial factors is folded into one row, and any other
+# product multiplies values.  At each `*` and `^` both make the same checks in
+# the same order: degree overflow (a zero factor has degree -1), the product
+# budget's charge, weighed by the bits of the reduced operands, coefficient
 # overflow, and truncation to zero.  Each row is (text, T, MAX_PRODUCT_PAIRS
 # or None, printed polynomial or None, parser.pairs after the parse, error
 # text and offset or None).
+# (1 + 2^300*t)^13 at T = 8: C(13, k) * 2^(300k) at t^k
+BINOMIAL_13 = "(" + " + ".join(
+    ["1", f"{13 * 2**300}*t"] + [f"{math.comb(13, k) * 2**(300 * k)}*t^{k}" for k in range(2, 9)]
+) + ")"
 FOLD_BOUNDARIES = [
     ("0*X^300*X^300", 8, None, "0", 22, None),
     ("X^300*X^300", 8, None, None, 22, ("degree overflow (line 1, column 5)", 5)),
@@ -709,6 +715,24 @@ FOLD_BOUNDARIES = [
     (
         "-3*t*X^2 + 6/4*i*e1^2*X - (1 + t)*2*X*t^3 + 0*t + t^5*t^4",
         8, None, "-3*t*X^2 + (3/2*i*e1^2 - 2*t^3 - 2*t^4)*X", 21, None,
+    ),
+    # the value side: a power of a parenthesised value starts from the unit
+    # row, and its products, and those of a value and a row, are charged alike
+    ("(1+X)^0*2*t", 8, None, "2*t", 2, None),
+    ("-(1+t)^2*X", 8, None, "(-1 - 2*t - t^2)*X", 7, None),
+    ("(1+i*t)^5", 8, None, "(1 + 5*i*t - 10*t^2 - 10*i*t^3 + 5*t^4 + i*t^5)", 24, None),
+    ("(2^300*t + 1)^13", 8, None, BINOMIAL_13, 4076, None),
+    ("(2^300*t + 1)^14", 8, None, None, 14, ("exponent overflow (line 1, column 14)", 14)),
+    # the budget crossed inside a power, at its exponent, and at a `*`
+    ("(1+X+t+e1)^6", 4, 200, None, 466, ("product overflow (line 1, column 11)", 11)),
+    ("(1+t)^3*(1-t)*X", 8, 10, None, 18, ("product overflow (line 1, column 7)", 7)),
+    (
+        "(1/2^4000 + t)*X^2*(1 + 1/3^100)", 8, None, None, 220,
+        ("coefficient overflow (line 1, column 18)", 18),
+    ),
+    (
+        "((1+t)*X)^4*(1-t)^2", 8, None,
+        "(1 + 2*t - t^2 - 4*t^3 - t^4 + 2*t^5 + t^6)*X^4", 34, None,
     ),
 ]
 
