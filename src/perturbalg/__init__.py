@@ -47,7 +47,6 @@ from .ppoly import (
     BalanceQuadratic,
     PerturbedPolynomial,
     RootAsymptotics,
-    apply_root_sensitivity,
     dominant_balance,
     euclid_divide,
     monic_shadow,

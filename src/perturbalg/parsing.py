@@ -112,7 +112,7 @@ def tokenize(text: str) -> tuple[Token, ...]:
     The last few texts' tokens are remembered, so `ring_for` and the parse
     that follows it scan each text once.
     """
-    if len(text.encode()) > MAX_INPUT_BYTES:
+    if len(text.encode("utf-8", "surrogatepass")) > MAX_INPUT_BYTES:
         raise ParseError("input exceeds 1 MB")
     return _scan(text)
 

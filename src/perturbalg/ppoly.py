@@ -8,10 +8,10 @@ infinitesimal), and the leading-order root corrections
     xi^k ~ -k! * Xi(u) / P^(k)(u)
 
 for a root u of multiplicity k of the exact base polynomial P perturbed by an
-infinitesimal polynomial Xi.  One walk over the Newton polygon of P + Xi at u
-(Kato, ch. II) decides every claim: `root_correction` answers where that
-polygon is one clean edge, and `dominant_balance` reads off the branches of
-any hull.
+infinitesimal polynomial Xi.  One pass over the Newton polygon of P + Xi at u
+(Kato, ch. II), `_newton_polygon`, reads m, c_m and c_0..c_{m-1} and decides
+every claim: `root_correction` answers where that polygon is one clean edge,
+and `dominant_balance` reads off the branches of any hull.
 """
 
 from __future__ import annotations
@@ -214,13 +214,21 @@ class BalanceQuadratic:
         )
 
 
-def _sensitivity(base: ExactPolynomial, root):
-    """(u, r, -r!/P^(r)(u)) for an exact root u of multiplicity r of P.
+def _newton_polygon(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):
+    """(u, m, scale, c, stills, edges): the lower hull of P + Xi at a root u.
 
-    The first nonzero Taylor coefficient of P at u is c_r = P^(r)(u)/r!, so
-    the scale is -1/c_r.  The zero P has every point as a root and no nonzero
-    coefficient to read, so it raises DomainError.
+    The multiplicity m of u is the index of the first nonzero Taylor
+    coefficient c_m = P^(m)(u)/m! of P at u, and scale = -1/c_m.  The zero P
+    has every point as a root and no nonzero coefficient to read, so it
+    raises DomainError.  c lists c_j = [P^(j)(u) + Xi^(j)(u)]/j! for j < m up
+    to the degree of Xi (the rest vanish), and its first `stills` entries
+    vanish.  Each edge (i, k, inside) joins hull vertices i < k of the points
+    (j, val c_j) and (m, 0); `inside` tells whether a third point lies on it.
+    Only valuations are read, so no two series are divided.  A c_j or c_m
+    that stores more than MAX_POWER_BITS bits raises DomainError.
     """
+    if not shift_poly.is_infinitesimal():
+        raise DomainError("the perturbation polynomial must be wholly infinitesimal")
     root = GaussianRational.coerce(root)
     mult, lead = next(
         ((j, c) for j, c in enumerate(base.taylor_coefficients(root)) if c), (0, None)
@@ -229,34 +237,7 @@ def _sensitivity(base: ExactPolynomial, root):
         raise DomainError("the base polynomial is zero")
     if mult == 0:
         raise DomainError(f"{root} is not a root of {base}")
-    return root, mult, GaussianRational(-1) / lead
-
-
-def apply_root_sensitivity(
-    base: ExactPolynomial, shift_poly: PerturbedPolynomial, root
-) -> TruncatedSeries:
-    """Sensitivity map L(H) = -r! * H(u) / P^(r)(u) at a root u of multiplicity r.
-
-    For any perturbed root xi of P + H with shadow u, xi^r differs from L(H)
-    by an infinitesimal multiple of the perturbation size.
-    """
-    root, _, scale = _sensitivity(base, root)
-    return shift_poly.evaluate(root) * scale
-
-
-def _newton_polygon(base: ExactPolynomial, shift_poly: PerturbedPolynomial, root):
-    """(u, m, scale, c, stills, edges): the lower hull of P + Xi at a root u.
-
-    c lists c_j = [P^(j)(u) + Xi^(j)(u)]/j! for j < m up to the degree of Xi
-    (the rest vanish), and its first `stills` entries vanish.  Each edge
-    (i, k, inside) joins hull vertices i < k of the points (j, val c_j) and
-    (m, 0); `inside` tells whether a third point lies on it.  Only valuations
-    are read, so no two series are divided.  A c_j or c_m that stores more
-    than MAX_POWER_BITS bits raises DomainError.
-    """
-    if not shift_poly.is_infinitesimal():
-        raise DomainError("the perturbation polynomial must be wholly infinitesimal")
-    root, mult, scale = _sensitivity(base, root)
+    scale = GaussianRational(-1) / lead
     coeffs = list(islice(shift_poly.taylor_coefficients(root), mult))
     _check_bits([*coeffs, scale], "Newton-polygon coefficient")
     points = [(j, c.valuation()) for j, c in enumerate(coeffs) if not c.is_zero()]

@@ -477,6 +477,20 @@ def test_exact_scalars_reject_every_generator_name(capsys, argv):
     assert one_error_line(capsys) == "error: expected an exact scalar, found generator terms\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pgcd", "--p1", "X\udcff", "--p2", "X"], "'\\udcff' (line 1, column 1)"),
+        (["goze", "--vector", "t, \udcfe"], "'\\udcfe' (line 1, column 0)"),
+    ],
+)
+def test_lone_surrogates_are_unexpected_characters(capsys, argv, message):
+    # argv bytes that are not UTF-8 decode to lone surrogates (surrogateescape),
+    # which the input-size check counts without encoding them strictly
+    assert run(argv) == 1
+    assert one_error_line(capsys) == f"error: unexpected character {message}\n"
+
+
 @pytest.mark.parametrize("base", ["X^2 - 2*X + 1 + t^9", "X^2 + t", "X^2 - 2*X + 1 + 0*t"])
 def test_exact_base_rejects_generators(capsys, base):
     assert run(["roots", "--base", base, "--pert=-t", "--root", "1"]) == 2

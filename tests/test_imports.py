@@ -296,6 +296,19 @@ def test_no_package_module_takes_the_char_poly_of_a_base():
     assert callers == {}
 
 
+# a root claim reads m, c_m and c_0..c_{m-1} in one Newton-polygon pass, so
+# in ppoly only _newton_polygon takes the Taylor coefficients at a root
+def test_only_the_newton_polygon_reads_taylor_coefficients_in_ppoly():
+    readers = set()
+    for name, tree, enclosing in parsed_modules():
+        if name != "ppoly.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "taylor_coefficients":
+                readers.add(enclosing.get(node, "<module>"))
+    assert readers == {"_newton_polygon"}
+
+
 # the parser's product budget is charged where a product is weighed: one
 # function adds to the running count and compares it with the bound, so a
 # product of rows and a product of values cost alike

@@ -86,9 +86,12 @@ def test_each_matrix_entry_is_scanned_once():
     assert matrix.ring.generators == ("t", "e1")
     assert matrix.pert[2][1] == parse_series("3*t + e1^2", matrix.ring)
     # a bad character is reported before a syntax error, even in a later
-    # entry; of two bad entries the first is reported, with its own offset
+    # entry; of two bad entries the first is reported, with its own offset.
+    # A JSON \ud800 escape is a lone surrogate, which has no strict UTF-8
+    # encoding, so the input-size check must count it without raising
     for pert, message, offset in (
         ([["t +", "t"], ["t $ 2", "t # 3"]], "unexpected character '$' (line 1, column 2)", 2),
+        ([["t +", "t"], ["t", "\ud800"]], "unexpected character '\\ud800' (line 1, column 0)", 0),
         ([["t", "t +"], ["t * * t", "t"]], "syntax error: expected a value (line 1, column 3)", 3),
     ):
         bad = json.dumps({"n": 2, "base": [["0", "0"], ["0", "0"]], "pert": pert})

@@ -19,7 +19,6 @@ from perturbalg import (
     RootAsymptotics,
     SeriesRing,
     TruncatedSeries,
-    apply_root_sensitivity,
     char_poly,
     decompose,
     dominant_balance,
@@ -302,28 +301,6 @@ def test_pgcd_shadow_property_random(case):
     assert monic_shadow(result) == d.monic()
 
 
-def test_sensitivity_simple_root(ring, t):
-    base = ExactPolynomial([-1, 0, 1])
-    shift = PerturbedPolynomial(ring, [t])
-    assert apply_root_sensitivity(base, shift, 1) == t * Fraction(-1, 2)
-
-
-def test_sensitivity_zero_shift(ring):
-    base = ExactPolynomial([-1, 0, 1])
-    assert apply_root_sensitivity(base, PerturbedPolynomial(ring, []), 1).is_zero()
-
-
-def test_sensitivity_double_root(ring, t):
-    base = ExactPolynomial([1, -2, 1])
-    shift = PerturbedPolynomial(ring, [-t])
-    assert apply_root_sensitivity(base, shift, 1) == t
-
-
-def test_sensitivity_needs_root(ring, t):
-    with pytest.raises(DomainError):
-        apply_root_sensitivity(ExactPolynomial([-1, 0, 1]), PerturbedPolynomial(ring, [t]), 2)
-
-
 def test_taylor_coefficients_match_derivatives():
     rng = seeded(31)
     ring = SeriesRing(("t", "e1"), 4)
@@ -552,35 +529,14 @@ def test_root_correction_reads_valuations_only_in_multivariate_rings():
         dominant_balance(base, mixed, 1)
 
 
-def test_sensitivity_matches_correction():
-    rng = seeded(34)
-    ring = SeriesRing(("t",), 8)
-    t = ring.generator("t")
-    for base, root in [
-        (ExactPolynomial([-1, 0, 1]), 1),
-        (ExactPolynomial([1, -2, 1]), 1),
-        (ExactPolynomial([0, -2, 0, 1]), 0),
-    ]:
-        shift = PerturbedPolynomial(
-            ring, [random_infinitesimal(rng, ring) for _ in range(base.degree)]
-        )
-        if shift.evaluate(ring.constant(root)).is_zero():
-            continue
-        sensitivity = apply_root_sensitivity(base, shift, root)
-        asym = root_correction(base, shift, root)
-        assert sensitivity.leading_part() == asym.rhs
-
-
-
 def test_the_root_claims_share_one_argument_order(ring, t):
     # every public root claim reads (base, shift_poly, root)
     base = ExactPolynomial([1, -2, 1])
     shift = PerturbedPolynomial(ring, [-t, t**2])
-    asym, branches, sensitivity = (
-        claim(base, shift, 1) for claim in (root_correction, dominant_balance, apply_root_sensitivity)
-    )
-    assert asym.rhs == sensitivity.leading_part() == t
+    asym, branches = (claim(base, shift, 1) for claim in (root_correction, dominant_balance))
+    assert asym.rhs == t
     assert branches == [asym]
+
 
 def test_balance_factored_case(ring, t):
     base = ExactPolynomial([1, -2, 1])
@@ -716,7 +672,6 @@ def test_a_zero_base_has_no_root_to_read():
     for claim in (
         lambda: root_correction(zero, shift, 2),
         lambda: dominant_balance(zero, shift, 2),
-        lambda: apply_root_sensitivity(zero, shift, 2),
     ):
         with pytest.raises(DomainError, match="^the base polynomial is zero$"):
             claim()
