@@ -156,8 +156,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_goze(args) -> int:
-    entries = parse_series_list([chunk.strip() for chunk in args.vector.split(",")], args.trunc)
-    result = decompose(entries)
+    result = decompose(parse_series_list(args.vector, args.trunc))
     levels = [
         {"alpha": str(alpha), "U": [str(u) for u in direction]}
         for alpha, direction in result.levels

@@ -5,14 +5,14 @@ A vector E of infinitesimal series is rewritten as
     E = alpha_1*U_1 + alpha_1*alpha_2*U_2 + ... + alpha_1*...*alpha_l*U_l
 
 where every alpha_i is an infinitesimal series and the constant direction
-vectors U_i are linearly independent over Q(i).  Each level pivots on the
-entry of minimal valuation (lowest index on ties) of the undivided remainder,
-which makes the result canonical and ends it in at most dim(E) levels.
+vectors U_i are linearly independent over Q(i): each level pivots on the entry
+of minimal valuation (lowest index on ties) of the undivided remainder and
+zeroes that coordinate, so the result is canonical and has at most dim(E) levels.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, PerturbAlgError
+from .errors import DomainError
 from .scalars import GaussianRational
 from .series import TruncatedSeries, _check_bits, _leading_ratios, divide_univariate
 
@@ -23,11 +23,10 @@ class GozeDecomposition:
     Iteration builds the levels one at a time, so a reader that stops early,
     as root_correction does, builds only the levels it reads; each level
     checks its bits when it is built.  `levels`, rank(), reconstruct() and
-    direction_rows() build every level and check that the directions are
-    independent.
+    direction_rows() build every level.
     """
 
-    __slots__ = ("ring", "dimension", "_built", "_remainder", "_previous", "_pivot", "_checked")
+    __slots__ = ("ring", "dimension", "_built", "_remainder", "_previous", "_pivot")
 
     def __init__(self, entries: list[TruncatedSeries]):
         self.ring = entries[0].ring
@@ -36,7 +35,6 @@ class GozeDecomposition:
         self._remainder = entries  # E minus the terms of every built level but the last
         self._previous = self.ring.one()  # the pivot before the last built level's
         self._pivot = None  # the last built level's pivot, until it leaves the remainder
-        self._checked = False
 
     def _grow(self) -> bool:
         """Build the next level; False once the remainder is zero.
@@ -67,16 +65,9 @@ class GozeDecomposition:
 
     @property
     def levels(self) -> list:
-        """Every level, once the directions are checked independent."""
-        if not self._checked:
-            while self._grow():
-                pass
-            # The pivot convention zeroes one coordinate per level, which forces
-            # the direction rows to be unit-triangular up to a column permutation.
-            rows = [list(direction) for _, direction in self._built]
-            if rows and rank_of_rows(rows) != len(rows):
-                raise PerturbAlgError("internal error: dependent direction vectors")
-            self._checked = True
+        """Every level."""
+        while self._grow():
+            pass
         return self._built
 
     def rank(self) -> int:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
-from .goze import decompose, rank_of_rows, row_reduce
+from .goze import rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational, _Immutable
 from .series import SeriesRing, TruncatedSeries, _check_bits, _leading_ratios, sum_of_products
@@ -355,8 +355,8 @@ def charpoly_expansion(base: ConstantMatrix, pert, k: int):
 def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     """First-order part of char_poly(A+E) - char_poly(A).
 
-    E is decomposed (row-major flattening) as alpha_1*U_1 + ..., alpha_1 of
-    valuation v; the result is
+    alpha_1 is E's first Goze pivot, read as its nonzero entry of least
+    valuation v, the first row-major on ties (no level is built); the result is
 
         alpha_1 * sum_k (-1)^k Theta(A,...,A,U_1)/(k-1)! * X^(n-k)
 
@@ -366,11 +366,15 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     alpha_1's (series._leading_ratios).
     """
     matrix = _on_base(base, pert)
-    flat = [entry for row in matrix.pert for entry in row]
-    if all(entry.is_zero() for entry in flat):
+    entries = [entry for row in matrix.pert for entry in row if entry]
+    if not entries:
         raise DomainError("zero perturbation has no first-order part")
-    # only the first level is built, before char_poly, so rejected input costs nothing
-    alpha1 = next(iter(decompose(flat)))[0]
+    if not matrix.ring.is_univariate:
+        raise DomainError(
+            "decomposition needs the univariate ring; specialize multivariate input first"
+        )
+    alpha1 = min(entries, key=TruncatedSeries.valuation)  # min keeps the first of equal keys
+    _check_bits((alpha1,), "Goze level")
     first = _leading_ratios(alpha1, char_poly(matrix).coeffs[:matrix.n])
     return PerturbedPolynomial(alpha1.ring, [alpha1 * c for c in first])
 

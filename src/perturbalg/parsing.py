@@ -405,7 +405,10 @@ class _Parser:
 
     def whole(self) -> _Value:
         """An expression that runs to the end of the input."""
-        value = self.parse_expression()
+        return self.ended(self.parse_expression())
+
+    def ended(self, value):
+        """`value`, once the input has ended: a token left over is a syntax error."""
         token = self.peek()
         if token.kind != "end":
             self.fail(token, "syntax error: expected end of input")
@@ -439,18 +442,21 @@ def parse_series(text: str, ring: SeriesRing) -> TruncatedSeries:
     return parser.series(parser.whole())
 
 
-def parse_series_list(texts, truncation: int) -> list[TruncatedSeries]:
-    """Series in one ring, with the generators of all `texts`, and one product budget.
+def parse_series_list(text: str, truncation: int) -> list[TruncatedSeries]:
+    """The comma-separated series of `text`: one scan, one ring, one product budget.
 
-    Each text is scanned once, for the ring and for its parse (a long list
-    overruns the memo that `tokenize` keeps); an error's offset lies in its
-    own text.
+    An error's offset, line and column are those in `text` as typed.
     """
-    return _series_list(texts, truncation, 0)
+    parser = _Parser(text, ring_for(text, truncation=truncation), None)
+    values = [parser.parse_expression()]
+    while parser.peek().text == ",":
+        parser.advance()
+        values.append(parser.parse_expression())
+    return [parser.series(value) for value in parser.ended(values)]
 
 
 def _series_list(texts, truncation: int, pairs: int) -> list[TruncatedSeries]:
-    """parse_series_list's series, on a product budget of which `pairs` is spent."""
+    """Series of `texts` in one ring, each scanned once, after `pairs` of the product budget."""
     scanned = [tokenize(text) for text in texts]
     ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
     entries = []

@@ -481,7 +481,7 @@ def test_exact_scalars_reject_every_generator_name(capsys, argv):
     "argv, message",
     [
         (["pgcd", "--p1", "X\udcff", "--p2", "X"], "'\\udcff' (line 1, column 1)"),
-        (["goze", "--vector", "t, \udcfe"], "'\\udcfe' (line 1, column 0)"),
+        (["goze", "--vector", "t, \udcfe"], "'\\udcfe' (line 1, column 3)"),
     ],
 )
 def test_lone_surrogates_are_unexpected_characters(capsys, argv, message):
@@ -597,13 +597,26 @@ def test_an_oracle_error_exits_3(capsys):
 def test_goze_vector_entries_share_one_product_budget(capsys, monkeypatch):
     # each entry pairs 4 rows in its powers and 9 at its `*`, within a budget
     # of 20; the second entry's `*` takes the vector's total past it, and the
-    # error is at that entry's own column 11
+    # error is at that `*`, column 34 of the vector as typed
     monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", 20)
     entry = "(t+t^2+t^3)*(1+t+t^2)"
     assert run(["goze", "--vector", entry]) == 0
     capsys.readouterr()
     assert run(["goze", "--vector", f"{entry}, {entry}"]) == 1
-    assert one_error_line(capsys) == "error: product overflow (line 1, column 11)\n"
+    assert one_error_line(capsys) == "error: product overflow (line 1, column 34)\n"
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ("t, t $ 2", "unexpected character '$' (line 1, column 5)"),
+        ("t,,t", "syntax error: expected a value (line 1, column 2)"),
+    ],
+)
+def test_goze_vector_errors_point_into_the_vector_as_typed(capsys, vector, message):
+    # the vector is parsed as one comma-separated text, so positions count from its start
+    assert run(["goze", "--vector", vector]) == 1
+    assert one_error_line(capsys) == f"error: {message}\n"
 
 
 def test_product_of_a_long_sum_is_a_parse_error(capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perturbalg import (
@@ -175,6 +175,44 @@ def test_decompose_properties(vector):
     for (alpha, _), (finer_alpha, _) in zip(result.levels, finer.levels):
         assert _up_to(alpha, truncation - chain) == _up_to(finer_alpha, truncation - chain)
         chain += alpha.valuation()
+
+
+# vectors of up to 6 entries at T = 2..8, drawn from degrees 1..3 so that
+# entries are often zero or tie in valuation
+_tied_vectors = st.integers(2, 8).flatmap(
+    lambda truncation: st.tuples(
+        st.just(truncation),
+        st.lists(
+            st.dictionaries(
+                st.integers(1, min(3, truncation)),
+                st.tuples(st.integers(-2, 2), st.integers(-1, 1)),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tied_vectors)
+@example((4, [{1: (1, 0)}, {}, {1: (2, 0)}, {1: (1, 0), 2: (1, 0)}, {2: (0, 1)}]))
+def test_direction_independence_with_zeros_and_ties(vector):
+    # the pivot rule alone makes the directions independent; `levels` checks nothing
+    truncation, rows = vector
+    result = decompose(_in_ring(truncation, rows))
+    assert rank_of_rows(result.direction_rows()) == result.rank() <= len(rows)
+
+
+def test_levels_run_no_rank_check(monkeypatch, ring, t):
+    def refuse(rows):
+        raise AssertionError("the levels re-proved their independence")
+
+    monkeypatch.setattr(goze, "rank_of_rows", refuse)
+    result = decompose([t + t**3, ring.zero(), t**2, 5 * t, t + t**2])
+    assert len(result.levels) == result.rank() == 3
+    assert result.reconstruct() == [t + t**3, ring.zero(), t**2, 5 * t, t + t**2]
 
 
 def test_decompose_divides_once_per_level(monkeypatch, ring, t):

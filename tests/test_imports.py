@@ -329,3 +329,20 @@ def test_the_parser_charges_its_product_budget_in_one_function():
             if adds or bounds:
                 chargers.add(f"{name}:{enclosing.get(node, '<module>')}")
     assert chargers == {"parsing.py:_charge"}
+
+
+# a Goze level is built only where one is read: the `goze` command decomposes,
+# and xi_first_order reads alpha_1 as E's first pivot without building a level
+def test_only_the_cli_calls_decompose():
+    callers = {}
+    for name, tree, enclosing in parsed_modules():
+        if name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "decompose":
+                callers[f"{name}:{node.lineno}"] = enclosing.get(node, "<module>")
+    assert callers == {}

@@ -5,8 +5,8 @@ a computation builds can.  A change that raises a count past its ceiling
 raises the ceiling and says why.
 """
 
-from perturbalg import ConstantMatrix, parsing, scalars
-from perturbalg.matrices import char_poly
+from perturbalg import ConstantMatrix, goze, parsing, scalars, univariate_ring
+from perturbalg.matrices import char_poly, xi_first_order
 
 # a fixed 6x6 integer matrix, entries in -5..5
 MATRIX = [[(3 * i + 5 * j + i * j) % 11 - 5 for j in range(6)] for i in range(6)]
@@ -23,6 +23,8 @@ VALUES_PER_PARSE = 2 * 24 - 1  # a value per factor makes 341
 POWERS_TEXT = "(1+t)^3*X + (2+X)^5*t - (X - 1)^2*(X+1)^2"
 # a power starts from the unit row, not from a value of it: one value fewer per power
 VALUES_PER_POWERS_PARSE = 26  # a value for each power's unit makes 30
+# xi_first_order reads alpha_1 as E's first Goze pivot, building no level
+GOZE_LEVELS_PER_XI_FIRST_ORDER = 0  # decomposing E for alpha_1 builds 1
 
 
 def test_char_poly_of_an_integer_matrix_builds_one_scalar_per_dot_product(monkeypatch):
@@ -66,3 +68,20 @@ def test_a_power_of_a_parenthesised_value_builds_no_unit(monkeypatch):
         " + (1 + 83*t + 3*t^2 + t^3)*X + (-1 + 32*t)"
     )
     assert built <= VALUES_PER_POWERS_PARSE
+
+
+def test_xi_first_order_builds_no_goze_level(monkeypatch):
+    built = [0]
+    grow = goze.GozeDecomposition._grow
+
+    def counted(self):
+        built[0] += 1
+        return grow(self)
+
+    monkeypatch.setattr(goze.GozeDecomposition, "_grow", counted)
+    t = univariate_ring(4).generator("t")
+    # E's least valuation, 1, ties at (0, 1) and (1, 2): alpha_1 is the first, 2*t
+    pert = [[t**2, 2 * t, 0 * t], [t**3, t**2, -t], [t**2 + t**3, 0 * t, 3 * t**2]]
+    xi = xi_first_order(ConstantMatrix([row[:3] for row in MATRIX[:3]]), pert)
+    assert built[0] <= GOZE_LEVELS_PER_XI_FIRST_ORDER
+    assert str(xi) == "t*X - 29*t"
