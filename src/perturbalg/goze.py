@@ -117,6 +117,14 @@ def rank_of_rows(rows) -> int:
     return len(row_reduce(rows)[1])
 
 
+def _check_univariate(ring) -> None:
+    """DomainError unless `ring` is univariate, as a decomposition needs."""
+    if not ring.is_univariate:
+        raise DomainError(
+            "decomposition needs the univariate ring; specialize multivariate input first"
+        )
+
+
 def decompose(entries) -> GozeDecomposition:
     """Decompose a vector of univariate infinitesimal series.
 
@@ -138,10 +146,7 @@ def decompose(entries) -> GozeDecomposition:
     if not all(isinstance(entry, TruncatedSeries) for entry in entries):
         raise DomainError("vector entries must be series")
     ring = entries[0].ring
-    if not ring.is_univariate:
-        raise DomainError(
-            "decomposition needs the univariate ring; specialize multivariate input first"
-        )
+    _check_univariate(ring)
     for entry in entries:
         if entry.ring != ring:
             raise DomainError("vector entries live in different rings")

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
-from .goze import rank_of_rows, row_reduce
+from .goze import _check_univariate, rank_of_rows, row_reduce
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational, _Immutable
 from .series import SeriesRing, TruncatedSeries, _check_bits, _leading_ratios, sum_of_products
@@ -369,10 +369,7 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     entries = [entry for row in matrix.pert for entry in row if entry]
     if not entries:
         raise DomainError("zero perturbation has no first-order part")
-    if not matrix.ring.is_univariate:
-        raise DomainError(
-            "decomposition needs the univariate ring; specialize multivariate input first"
-        )
+    _check_univariate(matrix.ring)
     alpha1 = min(entries, key=TruncatedSeries.valuation)  # min keeps the first of equal keys
     _check_bits((alpha1,), "Goze level")
     first = _leading_ratios(alpha1, char_poly(matrix).coeffs[:matrix.n])

@@ -29,19 +29,23 @@ DEFAULT_TOLERANCE = 0.2  # the deviation a check passes at its last sample
 
 
 def poly_roots_numeric(
-    coeffs: Sequence[complex], seed: int = 0
+    coeffs: Sequence[complex], seed: int = 0, *, start: Sequence[complex] | None = None
 ) -> list[complex]:
     """All complex roots by Aberth-type simultaneous iteration.
 
     Coefficients are listed low degree first, with finite parts, a nonzero
     leading coefficient and degree at most 30.  Exact zero roots are deflated
-    first; the rest start on a circle of radius given by the Fujiwara root
-    bound with seed-determined phases.  A root stops once |p(z)| is within
-    Horner's rounding error n * eps * sum |a_i| |z|^i (MPSolve's stop, which
-    multiple roots meet too).  Every root returned is finite: OracleError for
-    a degree-1 root that overflows, or after MAX_ITERATIONS Aberth sweeps,
-    with the last iterates as its `best_iterate`.  Nothing is remembered
-    between calls.
+    first.  `start` gives one point per root before deflation; the points
+    nearest 0, one per deflated root, are dropped and the rest start the
+    iteration, when they are finite and pairwise distinct.  Otherwise (or
+    without `start`) the roots start on a circle of radius given by the
+    Fujiwara root bound with seed-determined phases.  A root stops once
+    |p(z)| is within Horner's rounding error n * eps * sum |a_i| |z|^i
+    (MPSolve's stop, which multiple roots meet too).  Every root returned is
+    finite: OracleError for a degree-1 root that overflows, or after
+    MAX_ITERATIONS Aberth sweeps, with the last iterates as its
+    `best_iterate`.  Nothing is remembered between calls: the result depends
+    on the coefficients, the seed and the start alone.
     """
     coeffs = [complex(c) for c in coeffs]
     if not all(map(cmath.isfinite, coeffs)):
@@ -69,14 +73,11 @@ def poly_roots_numeric(
 
     high_first = [c / coeffs[-1] for c in reversed(coeffs)]
     sizes = [_magnitude(c) for c in high_first]
-    # Fujiwara bound: every root has modulus <= 2 * max |a_{n-k}/a_n|^(1/k)
-    radius = 2.0 * max(sizes[k] ** (1.0 / k) for k in range(1, degree + 1))
-    radius = max(radius, 1e-12)
-    phase = 2 * math.pi * random.Random(seed).random()
-    current = [
-        radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / degree + phase))
-        for k in range(degree)
-    ]
+    current = _start_points(start, len(roots), degree)
+    if current is None:
+        # Fujiwara bound: every root has modulus <= 2 * max |a_{n-k}/a_n|^(1/k)
+        radius = 2.0 * max(sizes[k] ** (1.0 / k) for k in range(1, degree + 1))
+        current = _circle(max(radius, 1e-12), degree, seed)
 
     bound = degree * sys.float_info.epsilon
     hypot = math.hypot
@@ -110,6 +111,30 @@ def poly_roots_numeric(
     error = OracleError("root iteration did not converge")
     error.best_iterate = roots + current
     raise error
+
+
+def _start_points(start, zeros: int, degree: int) -> list[complex] | None:
+    """`start` less its `zeros` points nearest 0, or None where they cannot start Aberth.
+
+    Aberth needs `degree` finite starts, and two equal starts would never part.
+    """
+    if start is None or len(start) != zeros + degree:
+        return None
+    points = [complex(p) for p in start]
+    if not all(map(cmath.isfinite, points)):
+        return None
+    for _ in range(zeros):
+        points.remove(min(points, key=_magnitude))
+    return points if len(set(points)) == degree else None
+
+
+def _circle(radius: float, count: int, seed: int) -> list[complex]:
+    """`count` points of modulus `radius`, evenly spaced from a seed-determined phase."""
+    phase = 2 * math.pi * random.Random(seed).random()
+    return [
+        radius * cmath.exp(1j * (2 * math.pi * (k + 0.5) / count + phase))
+        for k in range(count)
+    ]
 
 
 def _magnitude(z: complex) -> float:
@@ -222,13 +247,23 @@ class _Solved:
         self.shifted: dict[float, list[complex]] = {}
 
     def roots_at(self, t0: float) -> list[complex]:
-        """The roots of P + Xi(t0), Xi sampled at default_values."""
+        """The roots of P + Xi(t0), Xi sampled at default_values.
+
+        Each root of P + Xi(t0) lies within O(t0^(1/m)) of a root of P, so
+        Aberth starts from P's roots, each moved by sqrt(t0) in its own
+        direction.  Where the sampled degree is not P's, that start has the
+        wrong count and poly_roots_numeric starts on its circle.
+        """
         roots = self.shifted.get(t0)
         if roots is None:
             values = default_values(self.shift_poly.ring.generators, t0)
             shift_coeffs = self.shift_poly.numeric_coeffs(values)
             mixed = [p + x for p, x in zip_longest(self.base_coeffs, shift_coeffs, fillvalue=0)]
-            roots = self.shifted[t0] = poly_roots_numeric(_trimmed(mixed), seed=self.seed)
+            offsets = _circle(math.sqrt(t0), len(self.base_roots), self.seed)
+            start = [r + w for r, w in zip(self.base_roots, offsets)]
+            roots = self.shifted[t0] = poly_roots_numeric(
+                _trimmed(mixed), seed=self.seed, start=start
+            )
         return roots
 
 

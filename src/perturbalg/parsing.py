@@ -455,16 +455,26 @@ def parse_series_list(text: str, truncation: int) -> list[TruncatedSeries]:
     return [parser.series(value) for value in parser.ended(values)]
 
 
-def _series_list(texts, truncation: int, pairs: int) -> list[TruncatedSeries]:
-    """Series of `texts` in one ring, each scanned once, after `pairs` of the product budget."""
-    scanned = [tokenize(text) for text in texts]
-    ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
-    entries = []
-    for text, tokens in zip(texts, scanned):
-        parser = _Parser(text, ring, None, tokens, pairs)
-        entries.append(parser.series(parser.whole()))
-        pairs = parser.pairs
-    return entries
+def _series_list(entries, truncation: int, pairs: int) -> list[TruncatedSeries]:
+    """Series of the (name, text) `entries` in one ring, each text scanned once,
+    after `pairs` of the product budget.
+
+    A ParseError names the entry it is in; its line and column count within
+    that entry's text.
+    """
+    try:
+        scanned = []
+        for name, text in entries:
+            scanned.append(tokenize(text))
+        ring = SeriesRing(_generator_names(scanned) or ("t",), truncation)
+        series = []
+        for (name, text), tokens in zip(entries, scanned):
+            parser = _Parser(text, ring, None, tokens, pairs)
+            series.append(parser.series(parser.whole()))
+            pairs = parser.pairs
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc.args[0]}", exc.offset, exc.line, exc.column) from None
+    return series
 
 
 def parse_polynomial(text: str, ring: SeriesRing, var: str = "X") -> PerturbedPolynomial:
@@ -538,6 +548,7 @@ def parse_matrix_json(text: str, truncation: int = DEFAULT_TRUNCATION):
     pert_rows = data["pert"]
     if len(pert_rows) != order or any(len(row) != order for row in pert_rows):
         raise ParseError("perturbation shape does not match 'n'")
-    entries = _series_list([str(entry) for row in pert_rows for entry in row], truncation, pairs)
+    named = [(f"pert[{i}][{j}]", str(pert_rows[i][j])) for i in range(order) for j in range(order)]
+    entries = _series_list(named, truncation, pairs)
     pert = [entries[k * order:(k + 1) * order] for k in range(order)]
     return PerturbedMatrix(base, pert)  # validates infinitesimality (domain error)

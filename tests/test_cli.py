@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import perturbalg
-from perturbalg import parsing
+from perturbalg import oracle, parsing
 from perturbalg.cli import run
 from perturbalg.ppoly import PerturbedPolynomial
 
@@ -588,9 +588,11 @@ def test_eigshift_and_conservative_need_a_pert_block(capsys, argv):
     assert one_error_line(capsys) == f"error: {argv[0]} needs a matrix with a 'pert' block\n"
 
 
-def test_an_oracle_error_exits_3(capsys):
-    # the one input known to end a verify case in OracleError, not in a verdict
-    assert run(["verify", "--case", "nilpotent3", "--grid", "1e-300"]) == 3
+def test_an_oracle_error_exits_3(capsys, monkeypatch):
+    # one Aberth sweep leaves the roots of X^3 - t0 unconverged, so the case
+    # ends in OracleError, not in a verdict
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
+    assert run(["verify", "--case", "nilpotent3"]) == 3
     assert one_error_line(capsys) == "oracle error: root iteration did not converge\n"
 
 
@@ -616,6 +618,20 @@ def test_goze_vector_entries_share_one_product_budget(capsys, monkeypatch):
 def test_goze_vector_errors_point_into_the_vector_as_typed(capsys, vector, message):
     # the vector is parsed as one comma-separated text, so positions count from its start
     assert run(["goze", "--vector", vector]) == 1
+    assert one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "pert, message",
+    [
+        ('[["t","t $"],["0","t"]]', "pert[0][1]: unexpected character '$' (line 1, column 2)"),
+        ('[["t","t"],["0","t+"]]', "pert[1][1]: syntax error: expected a value (line 1, column 2)"),
+    ],
+)
+def test_matrix_entry_errors_name_their_entry(capsys, pert, message):
+    # each entry is its own text, so its line and column count within it
+    matrix = f'{{"base": [[1,0],[0,1]], "pert": {pert}}}'
+    assert run(["charpoly", "--matrix", matrix]) == 1
     assert one_error_line(capsys) == f"error: {message}\n"
 
 

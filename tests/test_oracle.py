@@ -281,6 +281,78 @@ def test_memo_hands_out_fresh_lists(coeffs):
     assert poly_roots_numeric(coeffs) == kept
 
 
+@pytest.mark.parametrize(
+    "start",
+    [
+        [2.1, 3.1],  # one point short
+        [2.1, 3.1, 4.1, 5.1],  # one point too many
+        [2.1, 2.1, 3.1],  # two equal points would never part
+        [1.0, 1.0 + 1e-300, 3.1],  # equal once rounded
+        [2.1, complex(math.nan, 0), 3.1],
+        [2.1, math.inf, 3.1],
+    ],
+)
+def test_a_start_that_cannot_seed_aberth_falls_back_to_the_circle(start):
+    coeffs = _expand([1, 2, 3])
+    assert _bits(poly_roots_numeric(coeffs, seed=5, start=start)) == _bits(
+        poly_roots_numeric(coeffs, seed=5)
+    )
+
+
+def test_a_start_drops_its_points_nearest_0_for_the_deflated_zero_roots():
+    # X^2 (X - 2)(X - 3): two zero roots are deflated, so the two starts
+    # nearest 0 go, whichever places they hold
+    start = [2.1, 0.1, 2.9, -0.2]
+    warm = poly_roots_numeric([0, 0] + _expand([2, 3]), start=start)
+    assert warm == [0j, 0j] + poly_roots_numeric(_expand([2, 3]), start=[2.1, 2.9])
+    assert match_roots(warm, [0, 0, 2, 3]) < 1e-12
+
+
+def _roots_bits(problem, grid) -> dict:
+    return {t0: _bits(problem.roots_at(t0)) for t0 in grid}
+
+
+def test_warm_roots_do_not_depend_on_the_order_of_the_grid(ring, t, monkeypatch):
+    # a triple root, a double root and simple ones, at four scales
+    base = from_roots([1, 1, 1, -2, -2, 3])
+    shift = PerturbedPolynomial(ring, [t, -2 * t, t**2, 0, 3 * t])
+    grid = (1e-2, 1e-3, 1e-4, 1e-6)
+    starts = []
+    solve = oracle.poly_roots_numeric
+
+    def recorded(coeffs, seed=0, start=None):
+        starts.append(start)
+        return solve(coeffs, seed, start=start)
+
+    monkeypatch.setattr(oracle, "poly_roots_numeric", recorded)
+    cold = {}
+    for t0 in grid:
+        cold.update(_roots_bits(oracle._Solved(base, shift, 3), [t0]))
+    assert all(start is not None for start in starts[1::2])  # every shifted solve is warm
+    assert _roots_bits(oracle._Solved(base, shift, 3), grid) == cold
+    assert _roots_bits(oracle._Solved(base, shift, 3), grid[::-1]) == cold
+
+
+def test_warm_roots_lie_within_the_inclusion_radius_of_cold_roots(ring, t):
+    for case in range(40):
+        rng = seeded(case)
+        roots = rng.sample(range(-6, 7), rng.randint(2, 6))
+        roots += [roots[0]] * rng.randint(1, 2)
+        base = from_roots(roots)
+        shift = PerturbedPolynomial(
+            ring, [rng.randint(-3, 3) * t + rng.randint(-3, 3) * t**2 for _ in roots]
+        )
+        seed = rng.randint(0, 99)
+        problem = oracle._Solved(base, shift, seed)
+        for t0 in GRID:
+            sampled = shift.numeric_coeffs(default_values(ring.generators, t0))
+            coeffs = [p + x for p, x in zip_longest(problem.base_coeffs, sampled, fillvalue=0)]
+            warm = list(problem.roots_at(t0))
+            for cold in poly_roots_numeric(coeffs, seed=seed):
+                nearest = warm.pop(min(range(len(warm)), key=lambda k: abs(warm[k] - cold)))
+                assert abs(nearest - cold) <= oracle._inclusion_radius(coeffs, cold), (case, t0)
+
+
 def _verify(base, shift, claim, grid=GRID):
     if isinstance(claim, BalanceQuadratic):
         return verify_quadratic_balance(base, shift, claim, grid)
@@ -309,9 +381,9 @@ def _count_roots_calls(monkeypatch) -> list:
     calls = []
     solve = oracle.poly_roots_numeric
 
-    def counted(coeffs, seed=0):
+    def counted(coeffs, seed=0, **kwargs):
         calls.append(coeffs)
-        return solve(coeffs, seed)
+        return solve(coeffs, seed, **kwargs)
 
     monkeypatch.setattr(oracle, "poly_roots_numeric", counted)
     return calls

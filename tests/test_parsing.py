@@ -86,13 +86,25 @@ def test_each_matrix_entry_is_scanned_once():
     assert matrix.ring.generators == ("t", "e1")
     assert matrix.pert[2][1] == parse_series("3*t + e1^2", matrix.ring)
     # a bad character is reported before a syntax error, even in a later
-    # entry; of two bad entries the first is reported, with its own offset.
-    # A JSON \ud800 escape is a lone surrogate, which has no strict UTF-8
-    # encoding, so the input-size check must count it without raising
+    # entry; of two bad entries the first is reported, by name, with its own
+    # offset.  A JSON \ud800 escape is a lone surrogate, which has no strict
+    # UTF-8 encoding, so the input-size check must count it without raising
     for pert, message, offset in (
-        ([["t +", "t"], ["t $ 2", "t # 3"]], "unexpected character '$' (line 1, column 2)", 2),
-        ([["t +", "t"], ["t", "\ud800"]], "unexpected character '\\ud800' (line 1, column 0)", 0),
-        ([["t", "t +"], ["t * * t", "t"]], "syntax error: expected a value (line 1, column 3)", 3),
+        (
+            [["t +", "t"], ["t $ 2", "t # 3"]],
+            "pert[1][0]: unexpected character '$' (line 1, column 2)",
+            2,
+        ),
+        (
+            [["t +", "t"], ["t", "\ud800"]],
+            "pert[1][1]: unexpected character '\\ud800' (line 1, column 0)",
+            0,
+        ),
+        (
+            [["t", "t +"], ["t * * t", "t"]],
+            "pert[0][1]: syntax error: expected a value (line 1, column 3)",
+            3,
+        ),
     ):
         bad = json.dumps({"n": 2, "base": [["0", "0"], ["0", "0"]], "pert": pert})
         for _ in range(2):
@@ -533,7 +545,7 @@ def test_parse_error_table(template, offset, message):
     if "e5" in template:
         return  # a matrix's ring holds every generator its entries name
     matrix = json.dumps({"n": 1, "base": [["0"]], "pert": [[template]]})
-    assert _error_of(lambda: parse_matrix_json(matrix)) == expected
+    assert _error_of(lambda: parse_matrix_json(matrix)) == (f"pert[0][0]: {expected[0]}", offset)
 
 
 def test_degree_overflow_at_the_first_product_past_the_bound():
@@ -662,7 +674,7 @@ def test_product_budget_is_shared_by_a_parse(monkeypatch):
     parsed = parse_matrix_json(matrix("t"))
     assert parsed.pert[0][0] == parse_series(square, parsed.ring)
     assert _error_of(lambda: parse_matrix_json(matrix(square))) == (
-        "product overflow (line 1, column 13)",
+        "pert[0][1]: product overflow (line 1, column 13)",
         13,
     )
     # the base entries as well, and the pert entries spend what they leave
@@ -678,7 +690,10 @@ def test_product_budget_is_shared_by_a_parse(monkeypatch):
     assert spent([eight, eight, "0", "0"])().rows[0][0] == 512
     assert _error_of(spent([eight, eight, eight, "0"])) == overflow
     assert spent([eight, eight, "0", "0"], ["t*t*t*t*t", "t", "t", "t"])().ring.truncation == 8
-    assert _error_of(spent([eight, eight, "0", "0"], ["t*t*t*t*t*t", "t", "t", "t"])) == overflow
+    assert _error_of(spent([eight, eight, "0", "0"], ["t*t*t*t*t*t", "t", "t", "t"])) == (
+        f"pert[0][0]: {overflow[0]}",
+        overflow[1],
+    )
 
 
 # A term's run of monomial factors is folded into one row, and any other

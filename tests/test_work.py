@@ -5,7 +5,7 @@ a computation builds can.  A change that raises a count past its ceiling
 raises the ceiling and says why.
 """
 
-from perturbalg import ConstantMatrix, goze, parsing, scalars, univariate_ring
+from perturbalg import ConstantMatrix, goze, oracle, parsing, scalars, univariate_ring
 from perturbalg.matrices import char_poly, xi_first_order
 
 # a fixed 6x6 integer matrix, entries in -5..5
@@ -25,6 +25,18 @@ POWERS_TEXT = "(1+t)^3*X + (2+X)^5*t - (X - 1)^2*(X+1)^2"
 VALUES_PER_POWERS_PARSE = 26  # a value for each power's unit makes 30
 # xi_first_order reads alpha_1 as E's first Goze pivot, building no level
 GOZE_LEVELS_PER_XI_FIRST_ORDER = 0  # decomposing E for alpha_1 builds 1
+# P of degree 9 with a double root at 2, and Xi in t at T = 4
+ROOTS_BASE = (
+    "X^9 - 3*X^8 - 75*X^7 + 219*X^6 + 1794*X^5 - 4992*X^4 - 15040*X^3"
+    " + 38256*X^2 + 36000*X - 86400"
+)
+ROOTS_XI = (
+    "(3*t + 2*t^2)*X^8 + (-4*t - t^2)*X^7 + (-5*t - 4*t^2)*X^6 + (4*t - 3*t^2)*X^5"
+    " + (-2*t + t^2)*X^4 + (-7*t - 4*t^2)*X^3 + (7*t - 6*t^2)*X^2 + (-t + 7*t^2)*X"
+    " + (-2*t - 6*t^2)"
+)
+# Aberth on P + Xi(t0) starts from P's roots, not on a circle around them all
+SWEEPS_PER_SHIFTED_SOLVE = 12  # warm solves take 10-11 sweeps here, cold ones 17-20
 
 
 def test_char_poly_of_an_integer_matrix_builds_one_scalar_per_dot_product(monkeypatch):
@@ -85,3 +97,14 @@ def test_xi_first_order_builds_no_goze_level(monkeypatch):
     xi = xi_first_order(ConstantMatrix([row[:3] for row in MATRIX[:3]]), pert)
     assert built[0] <= GOZE_LEVELS_PER_XI_FIRST_ORDER
     assert str(xi) == "t*X - 29*t"
+
+
+def test_shifted_solves_start_from_the_roots_of_p(monkeypatch):
+    ring = parsing.ring_for(ROOTS_XI, truncation=4)
+    base = parsing.parse_polynomial(ROOTS_BASE, ring, "X").shadow()
+    xi = parsing.parse_polynomial(ROOTS_XI, ring, "X")
+    monkeypatch.setattr(oracle, "_last_solved", None)
+    problem = oracle._solved(base, xi, 0)  # P's own solve, before the ceiling
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", SWEEPS_PER_SHIFTED_SOLVE)
+    for t0 in (1e-2, 1e-3, 1e-4):
+        assert len(problem.roots_at(t0)) == 9  # OracleError past the ceiling
