@@ -473,8 +473,13 @@ def _series_list(entries, truncation: int, pairs: int) -> list[TruncatedSeries]:
             series.append(parser.series(parser.whole()))
             pairs = parser.pairs
     except ParseError as exc:
-        raise ParseError(f"{name}: {exc.args[0]}", exc.offset, exc.line, exc.column) from None
+        raise _named(exc, name) from None
     return series
+
+
+def _named(exc: ParseError, name: str) -> ParseError:
+    """`exc` with its message prefixed by the name of the entry it is in."""
+    return ParseError(f"{name}: {exc.args[0]}", exc.offset, exc.line, exc.column)
 
 
 def parse_polynomial(text: str, ring: SeriesRing, var: str = "X") -> PerturbedPolynomial:
@@ -488,23 +493,30 @@ _SCALAR_RING = SeriesRing(("t",), 1)
 
 def parse_scalar(text: str) -> GaussianRational:
     """An exact scalar; generator tokens are rejected, so no truncation hides `t^9`."""
-    return _exact_scalars([text], 0)[0][0]
+    return _exact_scalars([(None, text)], 0)[0][0]
 
 
-def _exact_scalars(texts, pairs: int):
-    """(scalars, pairs): parse_scalar of each text, and the product budget then spent.
+def _exact_scalars(entries, pairs: int):
+    """(scalars, pairs): parse_scalar of the text of each (name, text) entry, and
+    the product budget then spent.
 
     The texts share one budget, of which `pairs` is spent before the first.
+    A ParseError names the entry it is in, unless that name is None.
     """
     scalars = []
-    for text in texts:
-        tokens = tokenize(text)
-        # before the parse, so that every generator, not only the ring's `t`, breaks this rule
-        if any(t.kind == "name" and GENERATOR_PATTERN.match(t.text) for t in tokens):
-            raise ParseError("expected an exact scalar, found generator terms")
-        parser = _Parser(text, _SCALAR_RING, None, tokens, pairs)
-        scalars.append(parser.series(parser.whole()).standard_part())
-        pairs = parser.pairs
+    try:
+        for name, text in entries:
+            tokens = tokenize(text)
+            # before the parse, so that every generator, not only the ring's `t`, breaks this rule
+            if any(t.kind == "name" and GENERATOR_PATTERN.match(t.text) for t in tokens):
+                raise ParseError("expected an exact scalar, found generator terms")
+            parser = _Parser(text, _SCALAR_RING, None, tokens, pairs)
+            scalars.append(parser.series(parser.whole()).standard_part())
+            pairs = parser.pairs
+    except ParseError as exc:
+        if name is None:
+            raise
+        raise _named(exc, name) from None
     return scalars, pairs
 
 
@@ -541,7 +553,8 @@ def parse_matrix_json(text: str, truncation: int = DEFAULT_TRUNCATION):
         raise ParseError("matrix JSON shape does not match 'n'")
     if order > MAX_MATRIX_ORDER:
         raise ParseError(f"matrix order {order} exceeds {MAX_MATRIX_ORDER}")
-    scalars, pairs = _exact_scalars([str(entry) for row in base_rows for entry in row], 0)
+    named = [(f"base[{i}][{j}]", str(base_rows[i][j])) for i in range(order) for j in range(order)]
+    scalars, pairs = _exact_scalars(named, 0)
     base = ConstantMatrix([scalars[k * order:(k + 1) * order] for k in range(order)])
     if "pert" not in data:
         return base

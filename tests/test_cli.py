@@ -450,31 +450,39 @@ def test_rings_past_the_budget_are_domain_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, entry",
     [
-        ["roots", "--base", "X^2 - 2*X + 1", "--pert=-t", "--root", "1 + t^9"],
-        ["roots", "--base", "X^2 - 2*X + 1", "--pert=-t", "--root", "0*t + 1"],
-        ["eigshift", "--matrix", '{"n":1,"base":[["t^9"]],"pert":[["t"]]}', "--eigenvalue", "0"],
-        ["eigshift", "--matrix", JORDAN2, "--eigenvalue", "1 + t^9"],
+        (["roots", "--base", "X^2 - 2*X + 1", "--pert=-t", "--root", "1 + t^9"], ""),
+        (["roots", "--base", "X^2 - 2*X + 1", "--pert=-t", "--root", "0*t + 1"], ""),
+        (
+            ["eigshift", "--matrix", '{"n":1,"base":[["t^9"]],"pert":[["t"]]}', "--eigenvalue", "0"],
+            "base[0][0]: ",
+        ),
+        (["eigshift", "--matrix", JORDAN2, "--eigenvalue", "1 + t^9"], ""),
     ],
+    ids=[f"argv{k}" for k in range(4)],
 )
-def test_exact_scalars_reject_generators_beyond_the_truncation(capsys, argv):
-    # at the default T = 8 each generator term would truncate to nothing
+def test_exact_scalars_reject_generators_beyond_the_truncation(capsys, argv, entry):
+    # at the default T = 8 each generator term would truncate to nothing; a
+    # matrix entry's error names the entry
     assert run(argv) == 1
-    assert one_error_line(capsys) == "error: expected an exact scalar, found generator terms\n"
+    line = f"error: {entry}expected an exact scalar, found generator terms\n"
+    assert one_error_line(capsys) == line
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, entry",
     [
-        ["roots", "--base", "X^2 - 1", "--pert=-t", "--root", "e1"],
-        ["charpoly", "--matrix", '{"base":[["e2"]]}'],
+        (["roots", "--base", "X^2 - 1", "--pert=-t", "--root", "e1"], ""),
+        (["charpoly", "--matrix", '{"base":[["e2"]]}'], "base[0][0]: "),
     ],
+    ids=[f"argv{k}" for k in range(2)],
 )
-def test_exact_scalars_reject_every_generator_name(capsys, argv):
+def test_exact_scalars_reject_every_generator_name(capsys, argv, entry):
     # e1 to e9 break the rule `t` breaks, whatever ring the scalar is parsed in
     assert run(argv) == 1
-    assert one_error_line(capsys) == "error: expected an exact scalar, found generator terms\n"
+    line = f"error: {entry}expected an exact scalar, found generator terms\n"
+    assert one_error_line(capsys) == line
 
 
 @pytest.mark.parametrize(
@@ -622,15 +630,21 @@ def test_goze_vector_errors_point_into_the_vector_as_typed(capsys, vector, messa
 
 
 @pytest.mark.parametrize(
-    "pert, message",
+    "entries, message",
     [
         ('[["t","t $"],["0","t"]]', "pert[0][1]: unexpected character '$' (line 1, column 2)"),
         ('[["t","t"],["0","t+"]]', "pert[1][1]: syntax error: expected a value (line 1, column 2)"),
+        ('[[1,"2 $"],[0,1]]', "base[0][1]: unexpected character '$' (line 1, column 2)"),
+        ('[[1,0],["1/0",1]]', "base[1][0]: zero denominator (line 1, column 2)"),
+        ('[[1,0],[0,"e2"]]', "base[1][1]: expected an exact scalar, found generator terms"),
     ],
 )
-def test_matrix_entry_errors_name_their_entry(capsys, pert, message):
-    # each entry is its own text, so its line and column count within it
-    matrix = f'{{"base": [[1,0],[0,1]], "pert": {pert}}}'
+def test_matrix_entry_errors_name_their_entry(capsys, entries, message):
+    # each entry is its own text, so its line and column count within it; the
+    # field the message names holds `entries`, the other one valid entries
+    fields = {"base": "[[1,0],[0,1]]", "pert": '[["t","t"],["0","t"]]'}
+    fields[message.split("[", 1)[0]] = entries
+    matrix = f'{{"base": {fields["base"]}, "pert": {fields["pert"]}}}'
     assert run(["charpoly", "--matrix", matrix]) == 1
     assert one_error_line(capsys) == f"error: {message}\n"
 

@@ -688,7 +688,10 @@ def test_product_budget_is_shared_by_a_parse(monkeypatch):
 
     overflow = ("product overflow (line 1, column 9)", 9)  # at the fifth `*`
     assert spent([eight, eight, "0", "0"])().rows[0][0] == 512
-    assert _error_of(spent([eight, eight, eight, "0"])) == overflow
+    assert _error_of(spent([eight, eight, eight, "0"])) == (
+        f"base[1][0]: {overflow[0]}",
+        overflow[1],
+    )
     assert spent([eight, eight, "0", "0"], ["t*t*t*t*t", "t", "t", "t"])().ring.truncation == 8
     assert _error_of(spent([eight, eight, "0", "0"], ["t*t*t*t*t*t", "t", "t", "t"])) == (
         f"pert[0][0]: {overflow[0]}",

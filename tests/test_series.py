@@ -198,6 +198,61 @@ def test_invert_round_trip(unit):
     assert unit * unit.invert() == unit.ring.one()
 
 
+# rings of 1 to 3 generators at T = 1..8, every one within MAX_MONOMIALS
+INVERT_RINGS = tuple(
+    SeriesRing(generators, bound)
+    for generators in (("t",), ("e1", "e2"), ("e1", "e2", "e3"))
+    for bound in range(1, 9)
+)
+MERSENNE_61 = 2**61 - 1
+# parts over small denominators or over the prime 2^61 - 1
+_unit_parts = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.integers(-9, 9).map(lambda n: Fraction(n, MERSENNE_61)),
+)
+_unit_coefficients = st.builds(GaussianRational, _unit_parts, _unit_parts)
+
+
+@st.composite
+def units_and_multipliers(draw):
+    """(unit, a): a unit with a nonzero, often non-real, constant term, and a series a."""
+    ring = draw(st.sampled_from(INVERT_RINGS))
+    width, bound = len(ring.generators), ring.truncation
+
+    def terms(lowest):
+        exponents = st.tuples(*[st.integers(0, bound)] * width).filter(
+            lambda index: lowest <= sum(index) <= bound
+        )
+        return draw(st.dictionaries(exponents, _unit_coefficients, max_size=8))
+
+    constant = draw(_unit_coefficients.filter(bool))
+    unit = TruncatedSeries(ring, {**terms(1), (0,) * width: constant})
+    return unit, TruncatedSeries(ring, terms(0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(units_and_multipliers())
+def test_invert_and_divide_match_the_references(case):
+    unit, a = case
+    ring = unit.ring
+    inverse = unit.invert()
+    assert unit * inverse == 1
+    assert inverse.terms == reference_invert(ring, unit.terms)
+    assert_ascending_degrees(inverse)
+    assert_stored_form(inverse)
+    tail = unit - unit.standard_part()
+    with pytest.raises(NonUnitError, match="^series with zero constant term has no inverse$"):
+        tail.invert()
+    if not ring.is_univariate:
+        return
+    assert divide_univariate(a * unit, unit) == a
+    if tail:
+        with pytest.raises(
+            NonUnitError, match="^the quotient has a negative power of the generator$"
+        ):
+            divide_univariate(unit, tail)
+
+
 def test_standard_part_is_ring_hom():
     rng = seeded(14)
     ring = univariate_ring(8)
@@ -322,8 +377,12 @@ def test_constant_series_hash_agrees_with_equality(ring, t):
 #
 # The reference functions below are the term loops the ring operations ran
 # before they moved onto integers.  They take and return term dicts, and the
-# checks compare both the coefficients and the order of the terms, which
-# multivariate `numeric_sample` sums in.
+# checks compare both the coefficients and the order of the terms, the order
+# the kernel's one merge loop leaves.  No value reads that order: multivariate
+# `numeric_sample` sums in packed-key order
+# (test_numeric_sample_ignores_row_order).  `invert` builds its rows one total
+# degree at a time, so its check compares the coefficients with the
+# reference's geometric series, and the order with ascending total degree.
 
 
 def reference_add(a: dict, b: dict) -> dict:
@@ -409,6 +468,11 @@ def assert_same_terms(series, expected: dict):
     assert list(series.terms.items()) == list(expected.items())
 
 
+def assert_ascending_degrees(series):
+    degrees = [degree for degree, _, _ in series.rows.values()]
+    assert degrees == sorted(degrees)
+
+
 KERNEL_RINGS = (univariate_ring(8), SeriesRing(("e1", "e2", "e3"), 6))
 
 
@@ -441,7 +505,9 @@ def test_kernel_matches_reference_loop(kernel_ring):
         assert_same_terms(a**exponent, reference_pow(ring, a.terms, exponent))
         unit = a + (random_gaussian(rng) or 1) - a.standard_part()
         if unit.is_unit():
-            assert_same_terms(unit.invert(), reference_invert(ring, unit.terms))
+            inverse = unit.invert()
+            assert inverse.terms == reference_invert(ring, unit.terms)
+            assert_ascending_degrees(inverse)
 
 
 def test_kernel_term_order_after_cancellation(ring, t):

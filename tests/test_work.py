@@ -5,7 +5,20 @@ a computation builds can.  A change that raises a count past its ceiling
 raises the ceiling and says why.
 """
 
-from perturbalg import ConstantMatrix, goze, oracle, parsing, scalars, univariate_ring
+import itertools
+
+from perturbalg import (
+    ConstantMatrix,
+    GaussianRational,
+    SeriesRing,
+    TruncatedSeries,
+    goze,
+    oracle,
+    parsing,
+    scalars,
+    series,
+    univariate_ring,
+)
 from perturbalg.matrices import char_poly, xi_first_order
 
 # a fixed 6x6 integer matrix, entries in -5..5
@@ -37,6 +50,13 @@ ROOTS_XI = (
 )
 # Aberth on P + Xi(t0) starts from P's roots, not on a circle around them all
 SWEEPS_PER_SHIFTED_SOLVE = 12  # warm solves take 10-11 sweeps here, cold ones 17-20
+# an inverse pairs rows one total degree at a time, about as many pairs as
+# one product u*u^-1 (924 at e1, e2, e3 and T = 6, 45 at t and T = 8), plus
+# one pair per row of u and of its inverse with conj(c)
+PAIRS_PER_DENSE_INVERT = (
+    (SeriesRing(("e1", "e2", "e3"), 6), 1007),  # the geometric series paired 2711
+    (univariate_ring(8), 53),  # the geometric series paired 155
+)
 
 
 def test_char_poly_of_an_integer_matrix_builds_one_scalar_per_dot_product(monkeypatch):
@@ -108,3 +128,32 @@ def test_shifted_solves_start_from_the_roots_of_p(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ITERATIONS", SWEEPS_PER_SHIFTED_SOLVE)
     for t0 in (1e-2, 1e-3, 1e-4):
         assert len(problem.roots_at(t0)) == 9  # OracleError past the ceiling
+
+
+def _dense_unit(ring):
+    """Every monomial of total degree <= T, with fixed small Gaussian coefficients."""
+    bound = ring.truncation
+    exponents = itertools.product(range(bound + 1), repeat=len(ring.generators))
+    terms = [index for index in exponents if sum(index) <= bound]
+    return TruncatedSeries(
+        ring, {index: GaussianRational(k % 5 + 1, k % 7 - 3) for k, index in enumerate(terms)}
+    )
+
+
+def test_an_inverse_pairs_about_the_rows_of_one_product(monkeypatch):
+    pairs = [0]
+    mul_rows = series._mul_rows
+
+    def counted(rows_a, rows_b, bound, *args):
+        # the pairs within the degree cap, the ones the kernel multiplies
+        for degree_a, _, _ in rows_a.values():
+            pairs[0] += sum(degree_a + degree_b <= bound for degree_b, _, _ in rows_b.values())
+        return mul_rows(rows_a, rows_b, bound, *args)
+
+    monkeypatch.setattr(series, "_mul_rows", counted)
+    for ring, ceiling in PAIRS_PER_DENSE_INVERT:
+        unit = _dense_unit(ring)
+        pairs[0] = 0
+        inverse = unit.invert()
+        assert pairs[0] <= ceiling
+        assert unit * inverse == 1
