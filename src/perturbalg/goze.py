@@ -17,6 +17,11 @@ from .scalars import GaussianRational
 from .series import TruncatedSeries, _check_bits, _leading_ratios, divide_univariate
 
 
+def _pivot(entries) -> TruncatedSeries:
+    """The nonzero entry of least valuation, the first on ties (min keeps the first)."""
+    return min((e for e in entries if e), key=TruncatedSeries.valuation)
+
+
 class GozeDecomposition:
     """Ordered levels (alpha_i, U_i) over a shared univariate ring, built as they are read.
 
@@ -39,9 +44,8 @@ class GozeDecomposition:
     def _grow(self) -> bool:
         """Build the next level; False once the remainder is zero.
 
-        The pivot is the nonzero entry of minimal valuation v, lowest index on
-        ties (min keeps the first of equal keys), and U the t^v coefficients
-        of the remainder over the pivot's.
+        The pivot is the remainder's `_pivot`, of valuation v, and U the t^v
+        coefficients of the remainder over the pivot's.
         """
         if self._pivot is not None:
             direction = self._built[-1][1]
@@ -49,7 +53,7 @@ class GozeDecomposition:
             self._previous, self._pivot = self._pivot, None
         if not any(self._remainder):
             return False
-        pivot = min((e for e in self._remainder if e), key=TruncatedSeries.valuation)
+        pivot = _pivot(self._remainder)
         direction = _leading_ratios(pivot, self._remainder)
         alpha = divide_univariate(pivot, self._previous)
         _check_bits((alpha, *direction), "Goze level")
@@ -89,32 +93,28 @@ class GozeDecomposition:
         return [list(direction) for _, direction in self.levels]
 
 
-def row_reduce(rows) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Reduced row echelon form over Q(i) and its pivot columns (Gauss-Jordan)."""
-    work = [list(row) for row in rows]
-    width = len(work[0]) if work else 0
-    pivots = []
-    for col in range(width):
-        rank = len(pivots)
-        if rank == len(work):
-            break
-        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot_inv = GaussianRational(1) / work[rank][col]
-        work[rank] = [x * pivot_inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-    return work, pivots
-
-
 def rank_of_rows(rows) -> int:
-    """Exact rank over Q(i): the number of pivots of row_reduce."""
-    return len(row_reduce(rows)[1])
+    """Exact rank over Q(i): the number of rows forward elimination takes as pivots.
+
+    A pivot row clears its column in the rows left, updating them only where it
+    is nonzero (a row of orbit_dimension's commutator matrix starts with at most
+    2n - 1 nonzero entries).
+    """
+    work = [list(row) for row in rows]
+    height = len(work)
+    for col in range(len(work[0]) if work else 0):
+        index = next((r for r, row in enumerate(work) if row[col]), None)
+        if index is None:
+            continue
+        pivot = work.pop(index)
+        pivot_inv = GaussianRational(1) / pivot[col]
+        support = [j for j in range(col + 1, len(pivot)) if pivot[j]]
+        for row in work:
+            if row[col]:  # columns up to col are not read again
+                factor = row[col] * pivot_inv
+                for j in support:
+                    row[j] = row[j] - factor * pivot[j]
+    return height - len(work)
 
 
 def _check_univariate(ring) -> None:

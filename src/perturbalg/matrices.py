@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import DomainError, RingMismatchError
 from .exactpoly import ExactPolynomial
-from .goze import _check_univariate, rank_of_rows, row_reduce
+from .goze import _check_univariate, _pivot, rank_of_rows
 from .ppoly import PerturbedPolynomial, RootAsymptotics, root_correction
 from .scalars import GaussianRational, _Immutable
 from .series import SeriesRing, TruncatedSeries, _check_bits, _leading_ratios, sum_of_products
@@ -106,15 +106,14 @@ class ConstantMatrix(_Immutable):
         return self == self.conjugate_transpose()
 
     def inverse(self) -> "ConstantMatrix":
-        """Exact inverse: the right half of the reduced form of [A | I]."""
-        n = self.n
-        reduced, pivots = row_reduce(
-            [list(row) + [1 if i == j else 0 for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        )
-        if pivots != list(range(n)):
+        """Exact inverse by Cayley-Hamilton: -(A^(n-1) + c_(n-1)*A^(n-2) + ... + c_1*I)/c_0."""
+        coeffs = char_poly(self).coeffs  # c_0, ..., c_(n-1), 1
+        if not coeffs[0]:
             raise DomainError("matrix is singular")
-        return ConstantMatrix([row[n:] for row in reduced])
+        total = identity = ConstantMatrix.identity(self.n)
+        for c in coeffs[-2:0:-1]:  # Horner on c_(n-1), ..., c_1
+            total = total @ self + identity.scaled(c)
+        return total.scaled(-1 / coeffs[0])
 
     def lift(self, ring: SeriesRing) -> list[list[TruncatedSeries]]:
         return [[ring.constant(x) for x in row] for row in self.rows]
@@ -366,11 +365,11 @@ def xi_first_order(base: ConstantMatrix, pert) -> PerturbedPolynomial:
     alpha_1's (series._leading_ratios).
     """
     matrix = _on_base(base, pert)
-    entries = [entry for row in matrix.pert for entry in row if entry]
-    if not entries:
+    entries = [entry for row in matrix.pert for entry in row]
+    if not any(entries):
         raise DomainError("zero perturbation has no first-order part")
     _check_univariate(matrix.ring)
-    alpha1 = min(entries, key=TruncatedSeries.valuation)  # min keeps the first of equal keys
+    alpha1 = _pivot(entries)
     _check_bits((alpha1,), "Goze level")
     first = _leading_ratios(alpha1, char_poly(matrix).coeffs[:matrix.n])
     return PerturbedPolynomial(alpha1.ring, [alpha1 * c for c in first])

@@ -13,7 +13,7 @@ from perturbalg import (
     univariate_ring,
 )
 from perturbalg.errors import DomainError
-from perturbalg.goze import rank_of_rows, row_reduce
+from perturbalg.goze import rank_of_rows
 
 from conftest import random_infinitesimal, seeded
 
@@ -260,7 +260,7 @@ def test_a_level_past_its_bits_raises_when_it_is_built(ring, t):
             result.rank()
 
 
-def test_row_reduce_matches_sympy():
+def test_rank_of_rows_matches_sympy():
     sympy = pytest.importorskip("sympy")
 
     def to_sympy(x):
@@ -268,10 +268,6 @@ def test_row_reduce_matches_sympy():
         return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
             x.im.numerator, x.im.denominator
         )
-
-    def from_sympy(x):
-        re, im = sympy.expand(x).as_real_imag()
-        return GaussianRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
     rng = seeded(25)
     for _ in range(40):
@@ -288,10 +284,4 @@ def test_row_reduce_matches_sympy():
             for a in left
         ]
         expected = sympy.Matrix([[to_sympy(x) for x in row] for row in rows])
-        reduced, pivots = row_reduce(rows)
-        expected_reduced, expected_pivots = expected.rref()
-        assert pivots == list(expected_pivots)
-        assert reduced == [
-            [from_sympy(expected_reduced[i, j]) for j in range(width)] for i in range(height)
-        ]
         assert rank_of_rows(rows) == expected.rank() <= inner

@@ -346,3 +346,23 @@ def test_only_the_cli_calls_decompose():
             if called == "decompose":
                 callers[f"{name}:{node.lineno}"] = enclosing.get(node, "<module>")
     assert callers == {}
+
+
+# the Goze pivot, the nonzero entry of least valuation and the first on ties,
+# is chosen in one place: decomposition levels and xi_first_order's alpha_1
+def test_only_the_goze_pivot_takes_a_least_valuation():
+    choosers = set()
+    for name, tree, enclosing in parsed_modules():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "min"):
+                continue
+            for keyword in node.keywords:
+                key = keyword.value
+                if (
+                    keyword.arg == "key"
+                    and isinstance(key, ast.Attribute)
+                    and key.attr == "valuation"
+                    and getattr(key.value, "id", None) == "TruncatedSeries"
+                ):
+                    choosers.add(f"{name}:{enclosing.get(node, '<module>')}")
+    assert choosers == {"goze.py:_pivot"}

@@ -323,6 +323,64 @@ def test_orbit_dimension_conjugation_invariant():
         assert orbit_dimension(conjugated) == orbit_dimension(matrix)
 
 
+def test_orbit_dimensions_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def exact(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(
+            z.im.numerator, z.im.denominator
+        )
+
+    def companion(rng, n):  # cyclic: its minimal polynomial has degree n
+        rows = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][n - 1] = random_gaussian(rng, 1).rows[0][0]
+        return ConstantMatrix(rows)
+
+    def conjugated(rng, matrix):  # U A U^-1 for an invertible Gaussian U
+        while True:
+            basis = random_gaussian(rng, matrix.n, span=2)
+            if char_poly(basis).coefficient(0):
+                return basis @ matrix @ basis.inverse()
+
+    def block_diagonal(block, copies):
+        k = block.n
+        return ConstantMatrix(
+            [[block.rows[i % k][j % k] if i // k == j // k else 0 for j in range(k * copies)]
+             for i in range(k * copies)]
+        )
+
+    rng = seeded(43)
+    cases = []  # (matrix, the dimension of its centralizer)
+    for n in range(1, 7):
+        eigenvalue = random_gaussian(rng, 1).rows[0][0]
+        jordan = ConstantMatrix(
+            [[eigenvalue if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
+        )
+        cases += [
+            (conjugated(rng, companion(rng, n)), n),
+            (ConstantMatrix.identity(n).scaled(eigenvalue), n * n),
+            (jordan, n),
+        ]
+    for k in (1, 2, 3):  # diag(B, B) with B cyclic commutes with the 2x2 blocks over C[B]
+        cases.append((conjugated(rng, block_diagonal(companion(rng, k), 2)), 4 * k))
+    for matrix, centralizer in cases:
+        n, rows = matrix.n, [[exact(z) for z in row] for row in matrix.rows]
+        a = sympy.Matrix(rows)
+        images = []
+        for i in range(n):
+            for j in range(n):
+                unit = sympy.zeros(n, n)
+                unit[i, j] = 1
+                images.append(list(unit * a - a * unit))
+        commutator = sympy.Matrix(images).T  # column i*n + j is the image of E_ij
+        # in sympy's Q(i) domain: on expressions, Matrix.rank took 3.7 s at n = 4
+        kernel = DomainMatrix.from_Matrix(commutator).to_field().nullspace()
+        expected = n * n - kernel.shape[0]  # one row per kernel basis vector
+        assert orbit_dimension(matrix) == expected == n * n - centralizer
+
+
 def test_inverse_of_random_gaussian_matrices():
     rng = seeded(48)
     singular = 0

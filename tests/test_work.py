@@ -19,7 +19,7 @@ from perturbalg import (
     series,
     univariate_ring,
 )
-from perturbalg.matrices import char_poly, xi_first_order
+from perturbalg.matrices import char_poly, orbit_dimension, xi_first_order
 
 # a fixed 6x6 integer matrix, entries in -5..5
 MATRIX = [[(3 * i + 5 * j + i * j) % 11 - 5 for j in range(6)] for i in range(6)]
@@ -30,6 +30,9 @@ TEXT = " + ".join(
 
 # Berkowitz's dot products each build one scalar, not one per product and sum
 SCALARS_PER_CHAR_POLY = 112  # a loop of reduced sums and products builds 486
+# forward elimination of the commutator matrix, each update skipping the zero
+# entries of its pivot row
+SCALARS_PER_ORBIT_DIMENSION = 19_500  # Gauss-Jordan of every row builds 70,440
 # one value per term and one per sum of terms, none per factor
 VALUES_PER_PARSE = 2 * 24 - 1  # a value per factor makes 341
 # sums, products and powers of parenthesised values, in the indeterminate and t
@@ -72,6 +75,20 @@ def test_char_poly_of_an_integer_matrix_builds_one_scalar_per_dot_product(monkey
     poly = char_poly(matrix)
     assert built[0] <= SCALARS_PER_CHAR_POLY
     assert poly.degree == 6 and poly.coeffs[0] == 14641
+
+
+def test_orbit_dimension_eliminates_forward_over_the_nonzero_entries(monkeypatch):
+    matrix = ConstantMatrix(MATRIX)
+    built = [0]
+    of = scalars._of
+
+    def counted(*args):
+        built[0] += 1
+        return of(*args)
+
+    monkeypatch.setattr(scalars, "_of", counted)
+    assert orbit_dimension(matrix) == 30  # cyclic: n^2 - n
+    assert built[0] <= SCALARS_PER_ORBIT_DIMENSION
 
 
 def _values_built(monkeypatch, text):
