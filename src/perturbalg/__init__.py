@@ -42,6 +42,7 @@ from .oracle import (
     verify_pgcd,
     verify_quadratic_balance,
     verify_root_asymptotics,
+    verify_transfer,
 )
 from .ppoly import (
     BalanceQuadratic,

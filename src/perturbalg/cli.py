@@ -35,14 +35,10 @@ from .matrices import (
 from .oracle import (
     DEFAULT_GRID,
     DEFAULT_TOLERANCE,
-    ConvergenceReport,
-    Sample,
     _descending_grid,
-    _judge,
-    default_values,
-    transfer_residual,
     verify_pgcd,
     verify_root_asymptotics,
+    verify_transfer,
 )
 from .parsing import (
     parse_matrix_json,
@@ -66,8 +62,8 @@ from .series import DEFAULT_TRUNCATION, SeriesRing, univariate_ring
 from .transfer import RationalFunction, simplify
 
 
-def _emit(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+def _emit(payload: dict, as_json: bool) -> None:
+    if as_json:
         print(json.dumps(payload, indent=2))
         return
     for key, value in payload.items():
@@ -126,49 +122,41 @@ def _branches(base: ExactPolynomial, shift, root, declared) -> list:
     return [_asym_payload(branch) for branch in branches]
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns its exit code and payload ----------------
 
 
-def _cmd_pgcd(args) -> int:
+def _cmd_pgcd(args) -> tuple[int, dict]:
     ring = ring_for(args.p1, args.p2, truncation=args.trunc)
     a = parse_polynomial(args.p1, ring, "X")
     b = parse_polynomial(args.p2, ring, "X")
     result, trace = pgcd(a, b)
-    _emit(
-        args,
-        {
-            "pgcd": str(result),
-            "monic_shadow": str(monic_shadow(result)),
-            "trace": _trace_payload(trace),
-        },
-    )
-    return 0
+    return 0, {
+        "pgcd": str(result),
+        "monic_shadow": str(monic_shadow(result)),
+        "trace": _trace_payload(trace),
+    }
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> tuple[int, dict]:
     base = _exact_polynomial(args.base)
     ring = ring_for(args.pert, truncation=args.trunc)
     shift = parse_polynomial(args.pert, ring, "X")
     root = parse_scalar(args.root)
-    branches = _branches(base, shift, root, args.mult)
-    _emit(args, {"base_root": str(root), "asymptotics": branches})
-    return 0
+    return 0, {"base_root": str(root), "asymptotics": _branches(base, shift, root, args.mult)}
 
 
-def _cmd_goze(args) -> int:
+def _cmd_goze(args) -> tuple[int, dict]:
     result = decompose(parse_series_list(args.vector, args.trunc))
     levels = [
         {"alpha": str(alpha), "U": [str(u) for u in direction]}
         for alpha, direction in result.levels
     ]
-    _emit(args, {"levels": levels, "rank": result.rank()})
-    return 0
+    return 0, {"levels": levels, "rank": result.rank()}
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args) -> tuple[int, dict]:
     matrix = parse_matrix_json(args.matrix, args.trunc)
-    _emit(args, {"charpoly": str(char_poly(matrix))})
-    return 0
+    return 0, {"charpoly": str(char_poly(matrix))}
 
 
 def _perturbed_matrix(args) -> PerturbedMatrix:
@@ -178,7 +166,7 @@ def _perturbed_matrix(args) -> PerturbedMatrix:
     return matrix
 
 
-def _cmd_eigshift(args) -> int:
+def _cmd_eigshift(args) -> tuple[int, dict]:
     matrix = _perturbed_matrix(args)
     eigenvalue = parse_scalar(args.eigenvalue)
     branches = _branches(
@@ -187,32 +175,26 @@ def _cmd_eigshift(args) -> int:
     # one power branch keeps the flat shape; a balance or several branches are listed
     flat = len(branches) == 1 and branches[0]["kind"] == "power"
     payload = branches[0] if flat else {"asymptotics": branches}
-    _emit(args, {"eigenvalue": str(eigenvalue), **payload})
-    return 0
+    return 0, {"eigenvalue": str(eigenvalue), **payload}
 
 
-def _cmd_conservative(args) -> int:
+def _cmd_conservative(args) -> tuple[int, dict]:
     matrix = _perturbed_matrix(args)
     residuals = conservative_residuals(matrix.base, matrix)
-    _emit(
-        args,
-        {
-            "residuals": [str(r) for r in residuals],
-            "conservative": all(r.is_zero() for r in residuals),
-        },
-    )
-    return 0
+    return 0, {
+        "residuals": [str(r) for r in residuals],
+        "conservative": all(r.is_zero() for r in residuals),
+    }
 
 
-def _cmd_orbitdim(args) -> int:
+def _cmd_orbitdim(args) -> tuple[int, dict]:
     matrix = parse_matrix_json(args.matrix, args.trunc)
     if isinstance(matrix, PerturbedMatrix):
         matrix = matrix.base
-    _emit(args, {"dimension": orbit_dimension(matrix)})
-    return 0
+    return 0, {"dimension": orbit_dimension(matrix)}
 
 
-def _cmd_hermitian(args) -> int:
+def _cmd_hermitian(args) -> tuple[int, dict]:
     matrix = parse_matrix_json(args.matrix, args.trunc)
     direction = parse_matrix_json(args.direction, args.trunc)
     if isinstance(matrix, PerturbedMatrix) or isinstance(direction, PerturbedMatrix):
@@ -220,28 +202,22 @@ def _cmd_hermitian(args) -> int:
     ring = ring_for(args.alpha, truncation=args.trunc)
     alpha = parse_series(args.alpha, ring)
     eigenvalue = parse_scalar(args.eigenvalue)
-    shift = hermitian_first_order(matrix, direction, alpha, eigenvalue)
-    _emit(args, {"shift": str(shift)})
-    return 0
+    return 0, {"shift": str(hermitian_first_order(matrix, direction, alpha, eigenvalue))}
 
 
-def _cmd_simplify_tf(args) -> int:
+def _cmd_simplify_tf(args) -> tuple[int, dict]:
     ring = ring_for(args.num, args.den, truncation=args.trunc)
     function = RationalFunction(
         parse_polynomial(args.num, ring, "p"), parse_polynomial(args.den, ring, "p")
     )
     report = simplify(function)
-    _emit(
-        args,
-        {
-            "reduced_shadow": str(report.reduced_shadow),
-            "pgcd": str(report.pgcd),
-            "num_residual": str(function.num % report.pgcd),
-            "den_residual": str(function.den % report.pgcd),
-            "first_order": {g: str(c) for g, c in report.first_order.items()},
-        },
-    )
-    return 0
+    return 0, {
+        "reduced_shadow": str(report.reduced_shadow),
+        "pgcd": str(report.pgcd),
+        "num_residual": str(function.num % report.pgcd),
+        "den_residual": str(function.den % report.pgcd),
+        "first_order": {g: str(c) for g, c in report.first_order.items()},
+    }
 
 
 # -- verification cases ----------------------------------------------------------
@@ -287,36 +263,23 @@ def _matrix_case(text, eigenvalue, trunc, grid, seed, tolerance):
     )
 
 
-def _case_pgcd(trunc, grid, seed, tolerance):
+def _worked_pair(trunc):
+    """The README's worked a and b, which are also the transfer case's num and den."""
     ring = SeriesRing(("e1", "e2", "e3"), trunc)
-    a = parse_polynomial("X^3 - e1*X - 1 + e2", ring, "X")
-    b = parse_polynomial("X^2 + e3*X - 1", ring, "X")
-    result, _ = pgcd(a, b)
-    return verify_pgcd(a, b, min(grid), result, tolerance, seed)
-
-
-def _case_transfer(trunc, grid, seed, tolerance):
-    """The first-order map leaves a second-order residual; no step is seeded."""
-    ring = SeriesRing(("e1", "e2", "e3"), trunc)
-    function = RationalFunction(
+    return (
         parse_polynomial("p^3 - e1*p - 1 + e2", ring, "p"),
         parse_polynomial("p^2 + e3*p - 1", ring, "p"),
     )
-    report = simplify(function)
-    out = ConvergenceReport(tolerance=tolerance)
-    points = [
-        (t0, transfer_residual(function, report, 2.0, default_values(ring.generators, t0)))
-        for t0 in grid
-    ]
-    for (t_prev, previous), (t0, residual) in zip(points, points[1:]):
-        # quadratic decay predicts each residual from the one before
-        predicted = previous * (t0 / t_prev) ** 2
-        deviation = abs(residual / predicted - 1) if predicted else math.inf
-        out.samples.append(Sample(t0, residual, predicted, deviation))
-    if not out.samples:
-        out.inconclusive = True
-        out.note = "one grid point leaves no decay to judge"
-    return _judge(out)
+
+
+def _case_pgcd(trunc, grid, seed, tolerance):
+    a, b = _worked_pair(trunc)
+    return verify_pgcd(a, b, min(grid), pgcd(a, b)[0], tolerance, seed)
+
+
+def _case_transfer(trunc, grid, seed, tolerance):
+    function = RationalFunction(*_worked_pair(trunc))
+    return verify_transfer(function, simplify(function), 2.0, grid, tolerance)
 
 
 _VERIFY_CASES = {
@@ -327,7 +290,7 @@ _VERIFY_CASES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     case = _VERIFY_CASES.get(args.case)
     if case is None:
         known = ", ".join(sorted(_VERIFY_CASES))
@@ -336,8 +299,7 @@ def _cmd_verify(args) -> int:
     if not 0 < args.tolerance < math.inf:  # NaN fails too
         raise DomainError("tolerance must be finite and positive")
     report = case(args.trunc, grid, args.seed, args.tolerance)
-    print(json.dumps(report.to_dict(), indent=2))
-    return 0 if report.verdict else 3
+    return (0 if report.verdict else 3), report.to_dict()
 
 
 # -- argument plumbing --------------------------------------------------------------
@@ -439,7 +401,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code, payload = args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -449,6 +411,9 @@ def run(argv) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
+    # a verify report is JSON with or without --json
+    _emit(payload, args.json or args.command == "verify")
+    return code
 
 
 def main() -> None:

@@ -227,10 +227,14 @@ def _trimmed(coeffs: list[complex]) -> list[complex]:
 
 
 def _descending_grid(grid: Sequence[float]) -> list[float]:
-    """The grid from largest to smallest, once every value lies in (0, 0.1]."""
+    """The grid from largest to smallest, once its values are distinct normal floats in (0, 0.1]."""
     grid = sorted(grid, reverse=True)
     if not grid or not all(0 < g <= 0.1 for g in grid):  # NaN fails too
         raise DomainError("grid values must lie in (0, 0.1]")
+    if grid[-1] < sys.float_info.min:  # a subnormal t0 underflows the root finder's stop bound
+        raise DomainError(f"grid values must be at least {sys.float_info.min}")
+    if len(set(grid)) < len(grid):  # a repeated t0 would be judged against itself
+        raise DomainError("grid values must not repeat")
     return grid
 
 
@@ -379,6 +383,30 @@ def verify_root_asymptotics(
 
 
 verify_quadratic_balance = verify_root_asymptotics
+
+
+def verify_transfer(
+    function, report, point: complex, grid=DEFAULT_GRID, tolerance: float = DEFAULT_TOLERANCE
+) -> ConvergenceReport:
+    """Test a simplification by the quadratic decay of its transfer_residual at `point`.
+
+    The first-order map leaves a second-order residual, so at each grid point
+    after the first the predicted residual is the previous one times
+    (t0/t_prev)^2.  A one-point grid leaves no decay to judge and is
+    inconclusive.  No step is seeded.
+    """
+    grid = _descending_grid(grid)
+    out = ConvergenceReport(tolerance=tolerance)
+    values = [default_values(function.num.ring.generators, t0) for t0 in grid]
+    points = [(t0, transfer_residual(function, report, point, v)) for t0, v in zip(grid, values)]
+    for (t_prev, previous), (t0, residual) in zip(points, points[1:]):
+        predicted = previous * (t0 / t_prev) ** 2
+        deviation = abs(residual / predicted - 1) if predicted else math.inf
+        out.samples.append(Sample(t0, residual, predicted, deviation))
+    if not out.samples:
+        out.inconclusive = True
+        out.note = "one grid point leaves no decay to judge"
+    return _judge(out)
 
 
 @_overflow_is_oracle_error
@@ -561,9 +589,8 @@ def verify_eigenvalues(
 def transfer_residual(function, report, point: complex, values) -> float:
     """|H(p0) - reduced(p0) - sum_g c_g(p0)*g| at sampled generator values.
 
-    The linear term uses the first-order correction map; the residual should
-    shrink quadratically with the sample scale.  Every rational function is
-    evaluated here by Horner's rule on its sampled coefficients.
+    The linear term uses the first-order correction map.  Every rational
+    function is evaluated here by Horner's rule on its sampled coefficients.
     """
     z = complex(point)
 

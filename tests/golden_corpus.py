@@ -40,7 +40,7 @@ ERROR_CALLS = (
     ("eigshift", "--matrix", '{"base":[["1"]]}', "--eigenvalue", "1"),
     ("pgcd", "--p1", "X^2", "--p2", "(1+t)*X + 1", "--trunc", "1600"),
     ("verify", "--case", "refute-half"),
-    # at a subnormal t0 the stop bound of X^3 - t0 underflows to 0, so Aberth never stops
+    # a subnormal t0 is refused: the stop bound of X^3 - t0 would underflow to 0
     ("verify", "--case", "nilpotent3", "--grid", "1e-310"),
     ("verify", "--case", "jordan2", "--grid", "0.5"),
     ("verify", "--case", "jordan2", "--grid", "abc"),

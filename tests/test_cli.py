@@ -550,9 +550,32 @@ def test_verify_tolerance_must_be_finite_and_positive(capsys, tolerance):
     "case", ["simple", "double", "jordan2", "nilpotent3", "pgcd", "transfer", "refute-half"]
 )
 def test_every_verify_case_checks_its_grid(capsys, case):
-    for grid in ("nan", "5", "1e-2,nan", "0", "-1e-3", "1e-3,inf"):
+    outside = "error: grid values must lie in (0, 0.1]\n"
+    subnormal = f"error: grid values must be at least {sys.float_info.min}\n"
+    repeated = "error: grid values must not repeat\n"
+    for grid, message in [
+        ("nan", outside),
+        ("5", outside),
+        ("1e-2,nan", outside),
+        ("0", outside),
+        ("-1e-3", outside),
+        ("1e-3,inf", outside),
+        ("1e-310", subnormal),
+        ("1e-2,5e-324", subnormal),
+        ("1e-2,1e-2", repeated),
+        ("0.1,0.01,0.01", repeated),
+    ]:
         assert run(["verify", "--case", case, f"--grid={grid}"]) == 2
-        assert one_error_line(capsys) == "error: grid values must lie in (0, 0.1]\n"
+        assert one_error_line(capsys) == message
+
+
+def test_a_repeated_grid_value_cannot_pass_transfer(capsys):
+    # judged against itself, a repeated point would read deviation 0 and pass
+    argv = ["verify", "--case", "transfer", "--tolerance", "0.05", "--grid"]
+    assert run([*argv, "0.1,0.01"]) == 3
+    assert json.loads(capsys.readouterr().out)["samples"][0]["deviation"] > 0.05
+    assert run([*argv, "0.1,0.01,0.01"]) == 2
+    assert one_error_line(capsys) == "error: grid values must not repeat\n"
 
 
 def test_unknown_verify_case_lists_the_known_ones(capsys):

@@ -366,3 +366,31 @@ def test_only_the_goze_pivot_takes_a_least_valuation():
                 ):
                     choosers.add(f"{name}:{enclosing.get(node, '<module>')}")
     assert choosers == {"goze.py:_pivot"}
+
+
+def called_name(node):
+    """The name a call calls, `f` for `f(...)` and `m.f(...)`, else None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+# the CLI prints in one place: each handler returns its exit code and payload,
+# and run emits it, so a per-call concern (a stats block, a budget) has one home
+def test_only_the_cli_run_emits():
+    emitters = set()
+    for name, tree, enclosing in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and called_name(node) == "_emit":
+                emitters.add(f"{name}:{enclosing.get(node, '<module>')}")
+    assert emitters == {"cli.py:run"}
+
+
+# a verdict is the oracle's: only oracle.py builds the samples and reports
+# that hold one, so no caller judges a claim with its own copy of the rule
+def test_only_the_oracle_builds_reports():
+    builders = set()
+    for name, tree, _ in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and called_name(node) in ("Sample", "ConvergenceReport"):
+                builders.add(name)
+    assert builders == {"oracle.py"}

@@ -452,18 +452,20 @@ def test_an_equal_but_distinct_xi_reports_as_a_cold_call(ring, t, monkeypatch):
 
 
 def test_a_failure_at_one_t0_is_raised_for_every_claim(ring, t, monkeypatch):
-    # P + Xi(t0) = t0 X^3 + X^2 - 1: at the least subnormal t0 its monic form
-    # overflows and Aberth fails, while at 1e-2 it is solved once
+    # P + Xi(t0) = t0 X^3 + X^2 - 1: at the least normal t0 one root lies near
+    # -1/t0 = -4.5e307, whose powers overflow, and Aberth fails, while at 1e-2
+    # it is solved once
     base = from_roots([1, -1])
     shift = PerturbedPolynomial(ring, [0, 0, 0, t])
     claims = [root_correction(base, shift, root) for root in (1, -1)]
-    grid = (1e-2, 5e-324)
+    least = sys.float_info.min
+    grid = (1e-2, least)
     oracle._last_solved = None
     calls = _count_numeric_coeffs(monkeypatch)
     for claim in claims:
         with pytest.raises(OracleError, match="root iteration did not converge"):
             _verify(base, shift, claim, grid)
-    assert calls == [1e-2, 5e-324, 5e-324]
+    assert calls == [1e-2, least, least]
 
 
 def _passes(base, shift, claim) -> bool:
@@ -590,6 +592,25 @@ def test_grid_must_lie_in_the_unit_tenth(ring, t):
             verify_quadratic_balance(base, shift, balance, grid)
         with pytest.raises(DomainError, match=r"grid values must lie in \(0, 0.1\]"):
             verify_root_asymptotics(base, PerturbedPolynomial(ring, [-t]), claim, grid)
+
+
+def test_grid_values_must_be_distinct_and_normal(ring, t):
+    # a repeated t0 is judged against itself, and at a subnormal one the root
+    # finder's stop bound underflows to 0, so no verifier samples either
+    base = ExactPolynomial([1, -2, 1])
+    shift = PerturbedPolynomial(ring, [-t])
+    (claim,) = dominant_balance(base, shift, 1)
+    for grid in ((1e-2, 1e-2), (1e-2, 1e-3, 1e-3)):
+        with pytest.raises(DomainError, match="grid values must not repeat"):
+            verify_root_asymptotics(base, shift, claim, grid)
+    for grid in ((1e-310,), (1e-2, sys.float_info.min / 2)):
+        with pytest.raises(DomainError, match="grid values must be at least"):
+            verify_root_asymptotics(base, shift, claim, grid)
+    assert verify_root_asymptotics(base, shift, claim, (1e-2, sys.float_info.min)).samples
+    a = parse_polynomial("(X-1)*(X+2) + t", ring, "X")
+    b = parse_polynomial("(X-1)*(X-3)", ring, "X")
+    with pytest.raises(DomainError, match="grid values must be at least"):
+        verify_pgcd(a, b, 1e-310, pgcd(a, b)[0])
 
 
 @pytest.mark.parametrize(

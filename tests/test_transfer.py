@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import pytest
@@ -20,7 +21,7 @@ from perturbalg import (
 )
 from perturbalg.errors import DomainError
 from perturbalg.exactpoly import Polynomial
-from perturbalg.oracle import default_values, transfer_residual
+from perturbalg.oracle import default_values, transfer_residual, verify_transfer
 from perturbalg.parsing import parse_polynomial
 
 
@@ -180,6 +181,30 @@ def test_oracle_residual_shrinks_quadratically(worked_function):
         ]
         factor = residuals[0] / residuals[1]
         assert 50 <= factor <= 200
+
+
+def test_verify_transfer_refutes_a_doubled_coefficient(worked_function):
+    # the transfer counterpart of refute-half: with one coefficient doubled the
+    # residual keeps a first-order part, decays like t, not t^2, and must fail
+    report = simplify(worked_function)
+    assert verify_transfer(worked_function, report, 2.0).verdict
+    coefficient = report.first_order["e2"]
+    doubled = ExactRationalFunction(coefficient.num * GaussianRational(2), coefficient.den)
+    wrong = dataclasses.replace(report, first_order={**report.first_order, "e2": doubled})
+    verdict = verify_transfer(worked_function, wrong, 2.0)
+    assert not verdict.verdict and not verdict.inconclusive
+    # each step of the default grid divides t0 by 10, so residual / predicted
+    # tends to 10 as the first-order part takes over
+    assert all(s.deviation > 5 for s in verdict.samples)
+    assert verdict.samples[-1].deviation == pytest.approx(9, rel=0.05)
+
+
+def test_verify_transfer_checks_its_grid(worked_function):
+    report = simplify(worked_function)
+    with pytest.raises(DomainError, match="grid values must not repeat"):
+        verify_transfer(worked_function, report, 2.0, (0.1, 0.01, 0.01), 0.05)
+    with pytest.raises(DomainError, match=r"grid values must lie in \(0, 0.1\]"):
+        verify_transfer(worked_function, report, 2.0, (0.5, 0.01))
 
 
 def _quotient_formula(function):
